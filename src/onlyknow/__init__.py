@@ -45,11 +45,6 @@ from .decision import (
     BudgetExceededError,
     Decider,
     Verdict,
-    block_consistent,
-    consistent_ax,
-    eliminate_val,
-    prop_sat,
-    valid_ax,
 )
 from .k45 import find_model, independent, sat as k45_sat
 from .kripke import (
@@ -66,7 +61,6 @@ from .finite_semantics import (
     Situation,
     evaluate,
     evaluate_x,
-    maximal_closure,
     oracle_valid,
     reduce_n_to_l,
     worlds_over,
@@ -108,15 +102,12 @@ __all__ = [
     "ValPresentError",
     "Verdict",
     "believes",
-    "block_consistent",
     "build_independent",
     "check_basic",
     "check_fixed_n",
     "check_naive_n",
     "classify",
-    "consistent_ax",
     "cross_check",
-    "eliminate_val",
     "evaluate",
     "evaluate_x",
     "find_model",
@@ -125,20 +116,17 @@ __all__ = [
     "k45_sat",
     "kb_coherent",
     "load_corpus",
-    "maximal_closure",
     "merge_positive",
     "modal_depth",
     "only_knowing_sets",
     "only_knows",
     "oracle_valid",
     "parse",
-    "prop_sat",
     "reassemble",
     "reduce_n_to_l",
     "simplify",
     "to_normal_form",
     "to_text",
-    "valid_ax",
     "validate",
     "worlds_over",
 ]

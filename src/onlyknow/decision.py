@@ -2,8 +2,9 @@
 knowing (K45 belief with the validity operator).
 
 A V-free formula is satisfiable iff one of its normal-form disjuncts
-is; a disjunct is satisfiable iff its propositional part is and every
-agent group passes the group test:
+is.  A disjunct's propositional part is a consistent set of literals by
+construction, so a disjunct is satisfiable iff every agent group passes
+the group test:
 
   * for every negated L conjunct, the positive L argument stays jointly
     satisfiable with the negation's dual (and likewise on the N side);
@@ -34,9 +35,9 @@ from .formula import (
     Or,
     TrueConst,
     Val,
+    assign,
     atoms,
     is_propositional,
-    substitute_atom,
     to_text,
 )
 from .normal_form import AgentBlock, simplify, to_normal_form
@@ -64,18 +65,12 @@ class Verdict:
 class Decider:
     """One decision context: memo table, optional trace, optional deadline.
 
-    A Decider is deterministic and single-threaded; verdicts are
-    identical with the memo disabled.  Tracing disables the memo so the
-    recursion is recorded in full.
+    A Decider is deterministic and single-threaded.  The memo is always
+    on; a traced run logs each memo hit, so it takes the same path as an
+    untraced one.
     """
 
-    def __init__(
-        self,
-        use_memo: bool = True,
-        trace: bool = False,
-        deadline: float | None = None,
-    ) -> None:
-        self.use_memo = use_memo and not trace
+    def __init__(self, trace: bool = False, deadline: float | None = None) -> None:
         self.tracing = trace
         self.deadline = deadline
         self.trace_entries: list[tuple[int, str, Formula]] = []
@@ -97,7 +92,8 @@ class Decider:
         """Replace every V body, innermost out, by its own verdict."""
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
-            self._log(0, "resolve validity operator", body)
+            if self.tracing:
+                self.trace_entries.append((0, "resolve validity operator", body))
             return TRUE if not self._sat(simplify(Not(body)), 1) else FALSE
         if isinstance(f, (Atom, TrueConst, FalseConst)):
             return f
@@ -131,45 +127,55 @@ class Decider:
             return True
         if f is FALSE:
             return False
-        if self.use_memo and f in self._memo:
+        if f in self._memo:
+            if self.tracing:
+                self.trace_entries.append((level, "memo hit", f))
             return self._memo[f]
-        self._log(level, "satisfiable?", f)
+        if self.tracing:
+            self.trace_entries.append((level, "satisfiable?", f))
         result = False
         for d in to_normal_form(f):
             self._tick()
-            if not self._prop_sat(d.sigma):
-                self._log(level + 1, "disjunct dropped, propositional core unsatisfiable", d.sigma)
-                continue
             if all(self._block_ok(b, level + 1) for b in d.blocks):
-                self._log(level + 1, "disjunct satisfiable", d.to_formula())
+                if self.tracing:
+                    self.trace_entries.append((level + 1, "disjunct satisfiable", d.to_formula()))
                 result = True
                 break
-        if self.use_memo:
-            self._memo[f] = result
+        self._memo[f] = result
         return result
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         alpha, gamma = b.pos_l, b.pos_n
         for phi in b.neg_l:
-            self._log(level, f"agent {b.agent}: negated L against the positive part", phi)
+            if self.tracing:
+                self.trace_entries.append(
+                    (level, f"agent {b.agent}: negated L against the positive part", phi)
+                )
             if not self._sat(And(alpha, Not(phi)), level + 1):
                 return False
         for psi in b.neg_n:
-            self._log(level, f"agent {b.agent}: negated N against the positive part", psi)
+            if self.tracing:
+                self.trace_entries.append(
+                    (level, f"agent {b.agent}: negated N against the positive part", psi)
+                )
             if not self._sat(And(gamma, Not(psi)), level + 1):
                 return False
-        self._log(level, f"agent {b.agent}: union of positive parts must be valid", Or(alpha, gamma))
-        return not self._sat(simplify(Not(Or(alpha, gamma))), level + 1)
+        union = Or(alpha, gamma)
+        if self.tracing:
+            self.trace_entries.append(
+                (level, f"agent {b.agent}: union of positive parts must be valid", union)
+            )
+        return not self._sat(simplify(Not(union)), level + 1)
 
     def _prop_sat(self, f: Formula) -> bool:
         if f is TRUE:
             return True
         if f is FALSE:
             return False
-        name = min(atoms(f))
-        return self._prop_sat(
-            simplify(substitute_atom(f, name, TRUE))
-        ) or self._prop_sat(simplify(substitute_atom(f, name, FALSE)))
+        leaf = Atom(min(atoms(f)))
+        return self._prop_sat(simplify(assign(f, {leaf: True}))) or self._prop_sat(
+            simplify(assign(f, {leaf: False}))
+        )
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -177,31 +183,8 @@ class Decider:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
 
-    def _log(self, level: int, rule: str, f: Formula) -> None:
-        if self.tracing:
-            self.trace_entries.append((level, rule, f))
-
     def _rendered_trace(self) -> list[str] | None:
         if not self.tracing:
             return None
         return [f"{'  ' * level}{rule}: {to_text(g)}" for level, rule, g in self.trace_entries]
 
-
-def consistent_ax(f: Formula, trace: bool = False, deadline: float | None = None) -> Verdict:
-    return Decider(trace=trace, deadline=deadline).consistent(f)
-
-
-def valid_ax(f: Formula, trace: bool = False, deadline: float | None = None) -> Verdict:
-    return Decider(trace=trace, deadline=deadline).valid(f)
-
-
-def prop_sat(f: Formula) -> bool:
-    return Decider().prop_sat(f)
-
-
-def eliminate_val(f: Formula) -> Formula:
-    return Decider().eliminate_val(f)
-
-
-def block_consistent(b: AgentBlock) -> bool:
-    return Decider().block_consistent(b)

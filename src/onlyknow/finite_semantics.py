@@ -17,7 +17,6 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .formula import (
-    BINARY,
     TRUE,
     And,
     Atom,
@@ -38,6 +37,7 @@ from .formula import (
     conj,
     disj,
     is_propositional,
+    walk,
 )
 from .normal_form import simplify, to_normal_form
 
@@ -100,7 +100,7 @@ class ExtendedSituation:
 
 
 def _check_formula(f: Formula, phi: tuple[str, ...]) -> None:
-    if any(isinstance(g, Val) for g in _walk(f)):
+    if any(isinstance(g, Val) for g in walk(f)):
         raise ValPresentError("finite semantics is defined for V-free formulas")
     extra = agents(f) - {1}
     if extra:
@@ -108,17 +108,6 @@ def _check_formula(f: Formula, phi: tuple[str, ...]) -> None:
     missing = atoms(f) - set(phi)
     if missing:
         raise FormulaError(f"atom {min(missing)!r} is outside the alphabet {sorted(phi)}")
-
-
-def _walk(f: Formula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, BINARY):
-            stack.extend((g.left, g.right))
-        elif isinstance(g, (Not, Val, L, N)):
-            stack.append(g.sub)
 
 
 def evaluate(s: Situation, f: Formula) -> bool:
@@ -213,29 +202,6 @@ def oracle_valid(
                 return OracleResult(False, sx)
         return OracleResult(True)
     raise FormulaError(f"unknown semantics {semantics!r}")
-
-
-def maximal_closure(possible: frozenset[World], phi: Iterable[str]) -> frozenset[World]:
-    """The largest world set with the same objective beliefs: worlds
-    satisfying everything the agent believes.  Over a finite alphabet
-    every definable set of worlds is available, so this is always the
-    set itself; computed from the definition regardless.
-    """
-    alphabet = tuple(sorted(set(phi)))
-    universe = worlds_over(alphabet)
-    out = []
-    for w in universe:
-        # w survives iff every believed objective formula holds at w;
-        # objective formulas are exactly the sets of worlds here.
-        keep = True
-        for bits in product((False, True), repeat=len(universe)):
-            definable = frozenset(v for v, b in zip(universe, bits) if b)
-            if possible <= definable and w not in definable:
-                keep = False
-                break
-        if keep:
-            out.append(w)
-    return frozenset(out)
 
 
 def _prop_holds(w: World, f: Formula) -> bool:

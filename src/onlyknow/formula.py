@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 
 class FormulaError(ValueError):
@@ -264,7 +264,6 @@ class FormulaClass:
     i_objective: bool
     i_subjective: bool
     in_onl_minus: bool
-    in_onl_plus: bool
     modal_depth: int | None
 
 
@@ -277,7 +276,6 @@ def classify(f: Formula, i: int) -> FormulaClass:
         i_objective=is_i_objective(f, i),
         i_subjective=is_i_subjective(f, i),
         in_onl_minus=in_onl_minus(f),
-        in_onl_plus=True,
         modal_depth=None if has_val else modal_depth(f),
     )
 
@@ -297,6 +295,30 @@ def substitute_atom(f: Formula, name: str, value: Formula) -> Formula:
     return type(f)(
         substitute_atom(f.left, name, value), substitute_atom(f.right, name, value)
     )
+
+
+def assign(f: Formula, env: Mapping[Formula, bool]) -> Formula:
+    """Replace the Boolean-level leaves that env decides by constants.
+
+    Only Not and the binary connectives are entered; a leaf (an atom, or
+    a modal or V formula) is looked up whole, so occurrences nested
+    inside it stay put.  A subtree with nothing to replace comes back as
+    the same object.
+    """
+    if isinstance(f, Not):
+        sub = assign(f.sub, env)
+        if sub is f.sub:
+            return f
+        return FALSE if sub is TRUE else TRUE if sub is FALSE else Not(sub)
+    if isinstance(f, BINARY):
+        left, right = assign(f.left, env), assign(f.right, env)
+        if left is f.left and right is f.right:
+            return f
+        return type(f)(left, right)
+    hit = env.get(f)
+    if hit is None:
+        return f
+    return TRUE if hit else FALSE
 
 
 def build_independent(i: int, n_agents: int, depth_bound: int, atom: str | Atom) -> Formula:

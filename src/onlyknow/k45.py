@@ -33,6 +33,7 @@ from .formula import (
     Not,
     NotBasicError,
     agents,
+    assign,
     conj,
     is_basic,
     to_text,
@@ -87,20 +88,6 @@ def independent(f: Formula, g: Formula) -> bool:
 # -- world saturation ------------------------------------------------------
 
 
-def _subst(f: Formula, env: dict[Formula, bool]) -> Formula:
-    """Replace mapped Boolean-level leaves by constants.  Occurrences
-    nested inside an unmapped modal leaf stay put: they belong to other
-    worlds."""
-    hit = env.get(f)
-    if hit is not None:
-        return TRUE if hit else FALSE
-    if isinstance(f, Not):
-        return Not(_subst(f.sub, env))
-    if isinstance(f, BINARY):
-        return type(f)(_subst(f.left, env), _subst(f.right, env))
-    return f
-
-
 def _first_leaf(f: Formula) -> Formula | None:
     if isinstance(f, (Atom, L)):
         return f
@@ -123,9 +110,9 @@ def _assignments(f: Formula, preset: dict[Formula, bool]):
         leaf = _first_leaf(g)
         assert leaf is not None
         for value in (True, False):
-            yield from go(simplify(_subst(g, {leaf: value})), {**env, leaf: value})
+            yield from go(simplify(assign(g, {leaf: value})), {**env, leaf: value})
 
-    yield from go(simplify(_subst(f, preset)), dict(preset))
+    yield from go(simplify(assign(f, preset)), dict(preset))
 
 
 def _own_closure(agent: int, content: list[Formula]) -> list[L]:

@@ -40,6 +40,7 @@ from .formula import (
     TrueConst,
     Val,
     ValPresentError,
+    assign,
     conj,
     disj,
 )
@@ -330,7 +331,10 @@ class NormalFormDisjunct:
         parts: list[Formula] = []
         if self.sigma is not TRUE:
             parts.append(self.sigma)
-        parts.extend(b.to_formula() for b in self.blocks if b.to_formula() is not TRUE)
+        for b in self.blocks:
+            g = b.to_formula()
+            if g is not TRUE:
+                parts.append(g)
         return conj(parts)
 
 
@@ -373,22 +377,6 @@ def to_normal_form(f: Formula, gauge: DisjunctGauge | None = None) -> Iterator[N
                 gauge._exit()
 
 
-def _skeleton_subst(f: Formula, env: dict[Formula, bool]) -> Formula:
-    """Replace decided leaves of an NNF skeleton by constants; leaves
-    that are not decided keep their insides untouched."""
-    hit = env.get(f)
-    if hit is not None:
-        return TRUE if hit else FALSE
-    if isinstance(f, Not):
-        hit = env.get(f.sub)
-        if hit is not None:
-            return FALSE if hit else TRUE
-        return f
-    if isinstance(f, (And, Or)):
-        return type(f)(_skeleton_subst(f.left, env), _skeleton_subst(f.right, env))
-    return f
-
-
 def _dnf_stream(
     f: Formula, partial: dict[Formula, bool]
 ) -> Iterator[dict[Formula, bool]]:
@@ -406,7 +394,7 @@ def _dnf_stream(
             # Feed the decided literals into the remaining conjunct:
             # satisfied parts disappear (absorption), so the stream never
             # splits on a clause an earlier choice already settled.
-            yield from _dnf_stream(simplify(_skeleton_subst(f.right, extended)), extended)
+            yield from _dnf_stream(simplify(assign(f.right, extended)), extended)
         return
     leaf, positive = (f.sub, False) if isinstance(f, Not) else (f, True)
     old = partial.get(leaf)

@@ -3,14 +3,7 @@ import random
 import pytest
 
 from onlyknow.corpus import generate_random
-from onlyknow.decision import (
-    BudgetExceededError,
-    Decider,
-    consistent_ax,
-    eliminate_val,
-    prop_sat,
-    valid_ax,
-)
+from onlyknow.decision import BudgetExceededError, Decider
 from onlyknow.formula import (
     Atom,
     FALSE,
@@ -25,6 +18,7 @@ from onlyknow.formula import (
     only_knows,
     parse,
     to_text,
+    walk,
 )
 
 p, q = Atom("p"), Atom("q")
@@ -34,33 +28,22 @@ p, q = Atom("p"), Atom("q")
 
 
 def test_eliminate_val_examples():
-    assert eliminate_val(parse("V (p | ~p)")) is TRUE
-    assert eliminate_val(parse("V p")) is FALSE
-    assert eliminate_val(parse("C p")) is TRUE
+    assert Decider().eliminate_val(parse("V (p | ~p)")) is TRUE
+    assert Decider().eliminate_val(parse("V p")) is FALSE
+    assert Decider().eliminate_val(parse("C p")) is TRUE
 
 
 def test_eliminate_val_nested_and_under_modalities():
-    assert eliminate_val(parse("L1 (V (p -> p) & q)", 1)) == L(1, q)
+    assert Decider().eliminate_val(parse("L1 (V (p -> p) & q)", 1)) == L(1, q)
     # inner V resolves first, then the outer sees a constant
-    assert eliminate_val(parse("V (V p | ~V p)")) is TRUE
+    assert Decider().eliminate_val(parse("V (V p | ~V p)")) is TRUE
 
 
 def test_eliminate_val_is_val_free():
     for seed in range(80):
         f = generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2)
-        g = eliminate_val(f)
-        assert not any(isinstance(x, Val) for x in _walk(g))
-
-
-def _walk(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if hasattr(g, "left"):
-            stack.extend((g.left, g.right))
-        elif hasattr(g, "sub"):
-            stack.append(g.sub)
+        g = Decider().eliminate_val(f)
+        assert not any(isinstance(x, Val) for x in walk(g))
 
 
 # -- satisfiability ----------------------------------------------------
@@ -79,7 +62,7 @@ def _walk(f):
     ],
 )
 def test_consistency_facts(text, agents, expected):
-    assert consistent_ax(parse(text, agents)).status == expected
+    assert Decider().consistent(parse(text, agents)).status == expected
 
 
 @pytest.mark.parametrize(
@@ -92,27 +75,27 @@ def test_consistency_facts(text, agents, expected):
     ],
 )
 def test_validity_facts(text):
-    assert valid_ax(parse(text, 2)).status == "valid"
+    assert Decider().valid(parse(text, 2)).status == "valid"
 
 
 def test_prop_sat_examples():
-    assert prop_sat(parse("p & ~p")) is False
-    assert prop_sat(parse("p & ~q")) is True
-    assert prop_sat(parse("(p -> q) & p & ~q")) is False
+    assert Decider().prop_sat(parse("p & ~p")) is False
+    assert Decider().prop_sat(parse("p & ~q")) is True
+    assert Decider().prop_sat(parse("(p -> q) & p & ~q")) is False
     with pytest.raises(FormulaError):
-        prop_sat(parse("L1 p", 1))
+        Decider().prop_sat(parse("L1 p", 1))
 
 
 def test_propositional_fragment_matches_prop_sat():
     for seed in range(120):
         f = generate_random(seed, "basic", max_modal_depth=0, n_atoms=3, n_agents=1)
-        assert bool(consistent_ax(f)) == prop_sat(f), to_text(f)
+        assert bool(Decider().consistent(f)) == Decider().prop_sat(f), to_text(f)
 
 
 def test_duality_end_to_end():
     for seed in range(120):
         f = generate_random(seed + 100, "full", max_modal_depth=2, n_atoms=3, n_agents=2)
-        assert bool(valid_ax(f)) == (not bool(consistent_ax(Not(f)))), to_text(f)
+        assert bool(Decider().valid(f)) == (not bool(Decider().consistent(Not(f)))), to_text(f)
 
 
 def test_necessitation_closure_on_sampled_valid_formulas():
@@ -139,7 +122,7 @@ def test_axiom_instances_are_valid_small_sample():
 
     rng = random.Random(424242)
     d = Decider()
-    for inst in axiom_instances(rng, 60, prop_sat=prop_sat):
+    for inst in axiom_instances(rng, 60, prop_sat=Decider().prop_sat):
         assert bool(d.valid(inst)), to_text(inst)
 
 
@@ -183,11 +166,22 @@ def test_trace_present_and_depth_decreases_into_blocks():
 
 
 def test_memo_does_not_change_verdicts():
+    # one Decider carries its memo from formula to formula
+    shared = Decider()
     for seed in range(80):
         f = generate_random(seed + 900, "full", max_modal_depth=2, n_atoms=2, n_agents=2)
-        a = Decider(use_memo=True).consistent(f).status
-        b = Decider(use_memo=False).consistent(f).status
-        assert a == b, to_text(f)
+        assert shared.consistent(f).status == Decider().consistent(f).status, to_text(f)
+
+
+def test_trace_logs_memo_hits_and_keeps_the_verdict():
+    # both agents' groups ask whether ~p is satisfiable; the second ask
+    # is answered from the memo
+    f = parse("~L1 p & ~L2 p", 2)
+    d = Decider(trace=True)
+    traced = d.consistent(f)
+    assert (2, "memo hit", Not(p)) in d.trace_entries
+    assert "    memo hit: ~p" in traced.trace
+    assert traced.status == Decider().consistent(f).status == "satisfiable"
 
 
 def test_budget_exceeded_raises():
@@ -202,18 +196,17 @@ def test_only_knowing_block_recursion_example():
     # merged positives: O1 p & L1 q collapses to the single block
     # L1 (p & q) & N1 ~p, whose union p & q | ~p is not valid
     f = only_knows(1, p) & L(1, q)
-    assert consistent_ax(f).status == "unsatisfiable"
+    assert Decider().consistent(f).status == "unsatisfiable"
     blockless = disj([FALSE])
-    assert consistent_ax(blockless).status == "unsatisfiable"
+    assert Decider().consistent(blockless).status == "unsatisfiable"
 
 
 def test_block_consistent_directly():
-    from onlyknow.decision import block_consistent
     from onlyknow.normal_form import AgentBlock
 
     # the group of O1 p: positives p and ~p, tautologous union
-    assert block_consistent(AgentBlock(1, pos_l=p, pos_n=Not(p))) is True
+    assert Decider().block_consistent(AgentBlock(1, pos_l=p, pos_n=Not(p))) is True
     # L1 false & N1 false: the union false | false cannot be valid
-    assert block_consistent(AgentBlock(1, pos_l=FALSE, pos_n=FALSE)) is False
+    assert Decider().block_consistent(AgentBlock(1, pos_l=FALSE, pos_n=FALSE)) is False
     # L1 p & ~L1 q: p & ~q consistent, union defaults to p | true
-    assert block_consistent(AgentBlock(1, pos_l=p, neg_l=(q,))) is True
+    assert Decider().block_consistent(AgentBlock(1, pos_l=p, neg_l=(q,))) is True

@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from onlyknow.corpus import generate_random
-from onlyknow.decision import prop_sat
+from onlyknow.decision import Decider
 from onlyknow.finite_semantics import (
     BoundExceededError,
     CoverageError,
@@ -11,10 +12,10 @@ from onlyknow.finite_semantics import (
     Situation,
     evaluate,
     evaluate_x,
-    maximal_closure,
     oracle_valid,
     reduce_n_to_l,
     situations,
+    world_formula,
     worlds_over,
 )
 from onlyknow.formula import (
@@ -22,6 +23,7 @@ from onlyknow.formula import (
     FormulaError,
     L,
     N,
+    disj,
     is_propositional,
     parse,
     to_text,
@@ -142,7 +144,7 @@ def test_single_agent_axioms_sound_in_both_semantics():
     from onlyknow.corpus import single_agent_axiom_instances
 
     rng = random.Random(99)
-    for inst in single_agent_axiom_instances(rng, 60, prop_sat=prop_sat):
+    for inst in single_agent_axiom_instances(rng, 60, prop_sat=Decider().prop_sat):
         assert oracle_valid(inst, PHI2, "levesque").valid, to_text(inst)
         assert oracle_valid(inst, PHI2, "extended").valid, to_text(inst)
 
@@ -158,7 +160,7 @@ def test_n_for_l_axiom_instances_sound_under_complement_semantics():
         for seed in range(200):
             a = generate_random(seed, "basic", max_modal_depth=0, n_atoms=len(phi), n_agents=1, size=5)
             a = _rename_atoms(a)
-            if not prop_sat(Not(a)):
+            if not Decider().prop_sat(Not(a)):
                 continue
             instance = Iff(N(1, a), _n_expansion(a, phi))
             assert oracle_valid(instance, phi, "levesque").valid, to_text(instance)
@@ -168,14 +170,30 @@ def test_n_for_l_axiom_instances_sound_under_complement_semantics():
         assert found >= 20
 
 
-def test_maximal_closure_is_identity():
-    assert maximal_closure(frozenset({W_P}), PHI1) == frozenset({W_P})
-    assert maximal_closure(frozenset(), PHI1) == frozenset()
+def _believed_closure(possible, phi):
+    """Worlds satisfying every objective formula believed at the world
+    set, trying one formula per set of worlds."""
+    universe = worlds_over(phi)
+    out = set(universe)
+    for bits in product((False, True), repeat=len(universe)):
+        named = disj(world_formula(w, phi) for w, b in zip(universe, bits) if b)
+        if evaluate(Situation(phi, possible, universe[0]), L(1, named)):
+            out -= {w for w in universe if not evaluate(Situation(phi, possible, w), named)}
+    return frozenset(out)
+
+
+def test_believed_closure_is_identity():
+    # over a finite alphabet every set of worlds is definable, so the
+    # beliefs of a world set pin that set down exactly
+    assert _believed_closure(frozenset({W_P}), PHI1) == frozenset({W_P})
+    assert _believed_closure(frozenset(), PHI1) == frozenset()
     universe = frozenset(worlds_over(PHI2))
-    assert maximal_closure(universe, PHI2) == universe
-    for possible_bits in range(4):
-        possible = frozenset(w for k, w in enumerate(worlds_over(PHI1)) if possible_bits >> k & 1)
-        assert maximal_closure(possible, PHI1) == possible
+    assert _believed_closure(universe, PHI2) == universe
+    for phi in (PHI1, PHI2):
+        worlds = worlds_over(phi)
+        for bits in product((False, True), repeat=len(worlds)):
+            possible = frozenset(w for w, b in zip(worlds, bits) if b)
+            assert _believed_closure(possible, phi) == possible
 
 
 def test_reduce_examples():

@@ -14,6 +14,7 @@ from onlyknow.formula import (
     TRUE,
     Val,
     ValPresentError,
+    assign,
     atoms,
     build_independent,
     classify,
@@ -219,3 +220,13 @@ def test_atoms_and_walk():
     f = parse("L1 (p & q) | V r", 2)
     assert atoms(f) == {"p", "q", "r"}
     assert any(isinstance(g, Val) for g in walk(f))
+
+
+def test_assign_replaces_boolean_level_leaves_only():
+    f = parse("~p & (L1 p -> q)", 1)
+    assert assign(f, {p: True}) == And(FALSE, parse("L1 p -> q", 1))
+    assert assign(f, {L(1, p): False}) == And(Not(p), parse("false -> q", 1))
+    # a subtree with nothing decided comes back as the same object
+    g = assign(f, {q: True})
+    assert g.left is f.left and g.right.left is f.right.left
+    assert assign(f, {Atom("r"): True}) is f

@@ -1,6 +1,7 @@
 from onlyknow.corpus import generate_random
 from onlyknow.decision import Decider
 from onlyknow.formula import (
+    And,
     Atom,
     FALSE,
     Iff,
@@ -13,6 +14,7 @@ from onlyknow.formula import (
     is_i_objective,
     parse,
     to_text,
+    walk,
 )
 from onlyknow.normal_form import (
     DisjunctGauge,
@@ -77,21 +79,24 @@ def test_sigma_is_propositional_and_blocks_objective():
     for seed in range(150):
         f = generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, allow_val=False)
         for d in to_normal_form(f):
-            assert not any(isinstance(g, (L, N)) for g in _walk(d.sigma))
+            # sigma is true or a conjunction of atom literals, no atom
+            # both ways: the decider relies on it and never searches sigma
+            signs = {}
+            for lit in [] if d.sigma is TRUE else _conjuncts(d.sigma):
+                atom, positive = (lit.sub, False) if isinstance(lit, Not) else (lit, True)
+                assert isinstance(atom, Atom), (to_text(f), to_text(d.sigma))
+                assert signs.setdefault(atom, positive) == positive, (to_text(f), to_text(d.sigma))
             for b in d.blocks:
                 for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
                     assert is_i_objective(g, b.agent), (to_text(f), b.agent, to_text(g))
 
 
-def _walk(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if hasattr(g, "left"):
-            stack.extend((g.left, g.right))
-        elif hasattr(g, "sub"):
-            stack.append(g.sub)
+def _conjuncts(f):
+    if isinstance(f, And):
+        yield from _conjuncts(f.left)
+        yield from _conjuncts(f.right)
+    else:
+        yield f
 
 
 def test_basic_inputs_give_basic_blocks():
@@ -100,7 +105,7 @@ def test_basic_inputs_give_basic_blocks():
         for d in to_normal_form(f):
             for b in d.blocks:
                 for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
-                    assert not any(isinstance(x, N) for x in _walk(g)), to_text(f)
+                    assert not any(isinstance(x, N) for x in walk(g)), to_text(f)
 
 
 def test_equivalence_with_reassembled_disjunction():
