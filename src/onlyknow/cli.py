@@ -2,9 +2,11 @@
 
 Exit codes: 0 for a positive verdict (or plain success), 1 for a
 negative verdict, 2 for usage or input errors, 3 when the time budget
-ran out (partial results only, never a wrong verdict).  The budget
-comes from --budget or the ONLYKNOW_TIME_BUDGET environment variable,
-in seconds.
+ran out (partial results only, never a wrong verdict), 4 for an
+internal error.  In a batch, a line that does not parse gets an ERROR
+record, the later lines are still decided, and the exit code is 2.
+The budget comes from --budget or the ONLYKNOW_TIME_BUDGET environment
+variable, in seconds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import autoepistemic, finite_semantics, k45, kripke
@@ -43,6 +46,8 @@ def _emit(args, record: dict) -> None:
         print(json.dumps(record, sort_keys=True))
     else:
         line = record["verdict"]
+        if record.get("error"):
+            line += f"  error: {record['error']}"
         if record.get("counterexample"):
             line += f"  counterexample: {record['counterexample']}"
         print(line)
@@ -97,9 +102,18 @@ def _decide_one(text: str, mode: str, agents: int | None, trace: bool, deadline:
     return record
 
 
+def _decide_line(text: str, mode: str, agents: int | None, deadline: float | None) -> dict:
+    """One batch line: its record, or an ERROR record when it is not a
+    well-formed formula."""
+    try:
+        return _decide_one(text, mode, agents, False, deadline)
+    except FormulaError as exc:
+        return {"input": text, "verdict": "ERROR", "error": str(exc)}
+
+
 def _decide_worker(task: tuple[str, str, int | None]) -> dict:
     text, mode, agents = task
-    return _decide_one(text, mode, agents, trace=False, deadline=None)
+    return _decide_line(text, mode, agents, deadline=None)
 
 
 def _cmd_decide(args) -> int:
@@ -116,6 +130,7 @@ def _cmd_decide(args) -> int:
     with open(args.batch) as handle:
         lines = [ln.strip() for ln in handle if ln.strip() and not ln.startswith("#")]
     tasks = [(ln, args.mode, args.agents) for ln in lines]
+    code = 0
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = pool.map(_decide_worker, tasks)
@@ -124,18 +139,24 @@ def _cmd_decide(args) -> int:
                     _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
                     pool.shutdown(wait=False, cancel_futures=True)
                     return 3
-                _emit(args, next(results))
-        return 0
+                record = next(results)
+                _emit(args, record)
+                if record["verdict"] == "ERROR":
+                    code = 2
+        return code
     for task in tasks:
         if deadline is not None and time.monotonic() > deadline:
             _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
             return 3
         try:
-            _emit(args, _decide_one(task[0], args.mode, args.agents, False, deadline))
+            record = _decide_line(task[0], args.mode, args.agents, deadline)
         except BudgetExceededError:
             _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
             return 3
-    return 0
+        _emit(args, record)
+        if record["verdict"] == "ERROR":
+            code = 2
+    return code
 
 
 def _cmd_k45(args) -> int:
@@ -305,6 +326,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FormulaError, kripke.ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # an internal failure must never read as a verdict
+        traceback.print_exc(limit=-8)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

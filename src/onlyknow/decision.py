@@ -1,18 +1,21 @@
 """Consistency and validity in the axiom system for multi-agent only
 knowing (K45 belief with the validity operator).
 
-A V-free formula is satisfiable iff one of its normal-form disjuncts
-is.  A disjunct's propositional part is a consistent set of literals by
-construction, so a disjunct is satisfiable iff every agent group passes
-the group test:
+A V-free formula is satisfiable iff some set of literals over its atoms
+and modal atoms makes its normalized skeleton true and passes, agent by
+agent, the group test:
 
   * for every negated L conjunct, the positive L argument stays jointly
     satisfiable with the negation's dual (and likewise on the N side);
   * the disjunction of the positive L and N arguments is valid, so the
     two world sets the group describes can cover everything.
 
-All recursive work happens on group arguments, which sit one modal
-level lower, so the recursion terminates.  Occurrences of V are removed
+Such a set is found by a DPLL search over the clause form of the
+skeleton (the KSAT construction of Giunchiglia & Sebastiani, 2000).
+A group that fails fails under every larger set of literals, so the
+test runs after each unit propagation and prunes the search.  All
+recursive work happens on group arguments, which sit one modal level
+lower, so the recursion terminates.  Occurrences of V are removed
 first, innermost out, each body replaced by its own verdict.
 """
 
@@ -31,16 +34,15 @@ from .formula import (
     FalseConst,
     Formula,
     FormulaError,
+    N,
     Not,
     Or,
     TrueConst,
     Val,
-    assign,
-    atoms,
-    is_propositional,
+    conj,
     to_text,
 )
-from .normal_form import AgentBlock, simplify, to_normal_form
+from .normal_form import AgentBlock, merge_positive, simplify, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -79,14 +81,16 @@ class Decider:
     # -- public operations ------------------------------------------------
 
     def consistent(self, f: Formula) -> Verdict:
+        start = len(self.trace_entries)
         g = self.eliminate_val(f)
         ok = self._sat(g, 0)
-        return Verdict("satisfiable" if ok else "unsatisfiable", self._rendered_trace())
+        return Verdict("satisfiable" if ok else "unsatisfiable", self._rendered_trace(start))
 
     def valid(self, f: Formula) -> Verdict:
+        start = len(self.trace_entries)
         g = self.eliminate_val(f)
         ok = not self._sat(simplify(Not(g)), 0)
-        return Verdict("valid" if ok else "invalid", self._rendered_trace())
+        return Verdict("valid" if ok else "invalid", self._rendered_trace(start))
 
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict."""
@@ -106,12 +110,6 @@ class Decider:
                 type(f)(self.eliminate_val(f.left), self.eliminate_val(f.right))
             )
         raise FormulaError(f"unknown node {f!r}")
-
-    def prop_sat(self, f: Formula) -> bool:
-        """Propositional satisfiability (splitting on atoms)."""
-        if not is_propositional(f):
-            raise FormulaError(f"not a propositional formula: {to_text(f)}")
-        return self._prop_sat(simplify(f))
 
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, arguments assumed
@@ -133,16 +131,77 @@ class Decider:
             return self._memo[f]
         if self.tracing:
             self.trace_entries.append((level, "satisfiable?", f))
-        result = False
-        for d in to_normal_form(f):
-            self._tick()
-            if all(self._block_ok(b, level + 1) for b in d.blocks):
-                if self.tracing:
-                    self.trace_entries.append((level + 1, "disjunct satisfiable", d.to_formula()))
-                result = True
-                break
+        result = self._search(f, level)
         self._memo[f] = result
         return result
+
+    def _search(self, f: Formula, level: int) -> bool:
+        """DPLL over the clause form of f: unit propagation, decisions on
+        the trail, the group test on the modal literals after each
+        propagation, and SAT once every clause is satisfied, so the
+        literals still unassigned stay don't-care."""
+        variables, clauses = to_clauses(f)
+        modal = {v: leaf for v, leaf in enumerate(variables, 1) if isinstance(leaf, MODAL)}
+        tested: dict[frozenset[int], bool] = {}
+        s = _Trail(len(variables), clauses)
+        if s.conflict:
+            return False
+        decisions: list[tuple[int, int, bool]] = []  # (trail length, literal, flipped)
+        while True:
+            self._tick()
+            if s.propagate() and self._groups_ok(s.trail, modal, tested, level):
+                lit = s.choose()
+                if lit is None:
+                    if self.tracing:
+                        chosen = sorted((x for x in s.trail if variables[abs(x) - 1] is not None), key=abs)
+                        literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in chosen)
+                        self.trace_entries.append((level + 1, "satisfying literals", literals))
+                    return True
+                decisions.append((len(s.trail), lit, False))
+                s.assign(lit)
+                continue
+            while decisions:
+                at, lit, flipped = decisions.pop()
+                s.undo(at)
+                if not flipped:
+                    decisions.append((at, -lit, True))
+                    s.assign(-lit)
+                    break
+            else:
+                return False
+
+    def _groups_ok(
+        self, trail: list[int], modal: dict[int, Formula], tested: dict[frozenset[int], bool], level: int
+    ) -> bool:
+        """The group test for each agent's modal literals on the trail.
+        A failing group fails under every extension, so it prunes."""
+        if not modal:
+            return True
+        by_agent: dict[int, list[int]] = {}
+        for lit in trail:
+            leaf = modal.get(abs(lit))
+            if leaf is not None:
+                by_agent.setdefault(leaf.agent, []).append(lit)
+        for agent in sorted(by_agent):
+            key = frozenset(by_agent[agent])
+            ok = tested.get(key)
+            if ok is None:
+                # merge_positive's order: pos_l, neg_l, pos_n, neg_n
+                args: tuple[list[Formula], ...] = ([], [], [], [])
+                for x in sorted(key, key=abs):
+                    leaf = modal[abs(x)]
+                    args[2 * isinstance(leaf, N) + (x < 0)].append(leaf.sub)
+                pos_l, neg_l, pos_n, neg_n = args
+                if neg_l or neg_n or (pos_l and pos_n):
+                    ok = self._block_ok(merge_positive(agent, *map(tuple, args)), level + 1)
+                else:
+                    # Positives of one modality: the other argument is true,
+                    # so the union is valid and nothing is negated.
+                    ok = True
+                tested[key] = ok
+            if not ok:
+                return False
+        return True
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         alpha, gamma = b.pos_l, b.pos_n
@@ -167,24 +226,94 @@ class Decider:
             )
         return not self._sat(simplify(Not(union)), level + 1)
 
-    def _prop_sat(self, f: Formula) -> bool:
-        if f is TRUE:
-            return True
-        if f is FALSE:
-            return False
-        leaf = Atom(min(atoms(f)))
-        return self._prop_sat(simplify(assign(f, {leaf: True}))) or self._prop_sat(
-            simplify(assign(f, {leaf: False}))
-        )
-
     # -- bookkeeping ----------------------------------------------------
 
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
 
-    def _rendered_trace(self) -> list[str] | None:
+    def _rendered_trace(self, start: int) -> list[str] | None:
+        """The entries of one public call, from index start on."""
         if not self.tracing:
             return None
-        return [f"{'  ' * level}{rule}: {to_text(g)}" for level, rule, g in self.trace_entries]
+        return [f"{'  ' * level}{rule}: {to_text(g)}" for level, rule, g in self.trace_entries[start:]]
 
+
+class _Trail:
+    """Assignment state of one search: a value per literal (list index
+    -v wraps to the upper half), the trail of assigned literals, and two
+    watched literals per clause of two or more."""
+
+    def __init__(self, n_vars: int, clauses: list[list[int]]) -> None:
+        size = 2 * n_vars + 1
+        self.value: list[bool | None] = [None] * size
+        self.watches: list[list[list[int]]] = [[] for _ in range(size)]
+        self.trail: list[int] = []
+        self.head = 0  # trail[:head] is propagated
+        self.clauses = clauses  # original literal order, read by choose
+        self.conflict = False
+        for c in clauses:
+            if len(c) > 1:
+                watched = list(c)
+                self.watches[watched[0]].append(watched)
+                self.watches[watched[1]].append(watched)
+            elif not c or self.value[c[0]] is False:
+                self.conflict = True
+            elif self.value[c[0]] is None:
+                self.assign(c[0])
+
+    def assign(self, lit: int) -> None:
+        self.value[lit] = True
+        self.value[-lit] = False
+        self.trail.append(lit)
+
+    def undo(self, at: int) -> None:
+        for lit in self.trail[at:]:
+            self.value[lit] = self.value[-lit] = None
+        del self.trail[at:]
+        self.head = at
+
+    def propagate(self) -> bool:
+        """Unit propagation; False on a conflict."""
+        value, watches, trail = self.value, self.watches, self.trail
+        while self.head < len(trail):
+            false_lit = -trail[self.head]
+            self.head += 1
+            watching = watches[false_lit]
+            i = 0
+            while i < len(watching):
+                c = watching[i]
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                other = c[0]
+                if value[other]:
+                    i += 1
+                    continue
+                for k in range(2, len(c)):
+                    if value[c[k]] is not False:
+                        c[1], c[k] = c[k], false_lit
+                        watches[c[1]].append(c)
+                        watching[i] = watching[-1]
+                        watching.pop()
+                        break
+                else:
+                    if value[other] is False:
+                        return False
+                    self.assign(other)
+                    i += 1
+        return True
+
+    def choose(self) -> int | None:
+        """The first unassigned literal of the first unsatisfied clause,
+        None when every clause is satisfied."""
+        value = self.value
+        for c in self.clauses:
+            free = None
+            for lit in c:
+                if value[lit]:
+                    break
+                if free is None and value[lit] is None:
+                    free = lit
+            else:
+                return free
+        return None

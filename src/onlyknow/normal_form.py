@@ -277,6 +277,84 @@ def _merge_clause(c1: Clause, c2: Clause) -> Clause | None:
     return tuple(out)
 
 
+def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
+    """Clause form of the normalized skeleton of a V-free formula.
+
+    Returns (variables, clauses).  Variable v stands for variables[v - 1],
+    an atom or a modal atom, or for a definition when that entry is None.
+    A clause is a list of nonzero ints, negative meaning negated.  The
+    conversion is polarity-aware Tseitin (Plaisted & Greenbaum, 1986):
+    only a conjunction under a disjunction gets a fresh variable t, with
+    the one-way clauses ~t | c, so the clause count stays linear.  An
+    assignment satisfying the clauses makes the formula true on its
+    leaves, and every model of the formula extends to one satisfying
+    them.  The skeleton's clauses come first, then the definitions,
+    outer before inner.
+    """
+    variables: list[Formula | None] = []
+    index: dict[Formula, int] = {}
+    definitions: list[list[int]] = []
+
+    def literal(leaf: Formula) -> int:
+        positive = not isinstance(leaf, Not)
+        if not positive:
+            leaf = leaf.sub
+        v = index.get(leaf)
+        if v is None:
+            variables.append(leaf)
+            v = index[leaf] = len(variables)
+        return v if positive else -v
+
+    def clause_set(g: Formula) -> list[list[int]]:
+        out: list[list[int]] = []
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            if isinstance(h, And):
+                stack += (h.right, h.left)
+            elif isinstance(h, Or):
+                c = clause(h)
+                if c is not None:
+                    out.append(c)
+            elif isinstance(h, FalseConst):
+                out.append([])
+            elif not isinstance(h, TrueConst):
+                out.append([literal(h)])
+        return out
+
+    def clause(g: Formula) -> list[int] | None:
+        """One clause for a disjunction; None when it is a tautology."""
+        lits: dict[int, None] = {}
+        stack = [g]
+        while stack:
+            h = stack.pop()
+            if isinstance(h, Or):
+                stack += (h.right, h.left)
+                continue
+            if isinstance(h, And):
+                at = len(definitions)
+                parts = clause_set(h)
+                if not parts:
+                    return None
+                if len(parts) == 1:
+                    lits.update(dict.fromkeys(parts[0]))
+                    continue
+                variables.append(None)
+                t = len(variables)
+                definitions[at:at] = [[-t, *c] for c in parts]
+                lits[t] = None
+            elif isinstance(h, TrueConst):
+                return None
+            elif not isinstance(h, FalseConst):
+                lits[literal(h)] = None
+        if any(-x in lits for x in lits):
+            return None
+        return list(lits)
+
+    clauses = clause_set(_nnf(simplify(normalize(f))))
+    return variables, clauses + definitions
+
+
 @dataclass(frozen=True)
 class AgentBlock:
     """One agent's conjunct group inside a normal-form disjunct.

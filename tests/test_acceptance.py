@@ -88,7 +88,7 @@ def test_c03_axiom_soundness_suite():
     rng = random.Random(20240)
     decider = Decider()
     with _Criterion(3, "300 axiom schema instances decide VALID", budget=60.0):
-        instances = axiom_instances(rng, 300, prop_sat=decider.prop_sat)
+        instances = axiom_instances(rng, 300, prop_sat=k45.sat)
         assert len(instances) >= 300
         for inst in instances:
             assert bool(decider.valid(inst)), to_text(inst)
@@ -106,7 +106,7 @@ def test_c05_single_agent_finite_semantics():
     rng = random.Random(551)
     decider = Decider()
     with _Criterion(5, "single-agent axioms sound; complement principle splits the semantics", budget=60.0):
-        for inst in single_agent_axiom_instances(rng, 120, prop_sat=decider.prop_sat):
+        for inst in single_agent_axiom_instances(rng, 120, prop_sat=k45.sat):
             assert oracle_valid(inst, ("p", "q"), "levesque").valid, to_text(inst)
             assert oracle_valid(inst, ("p", "q"), "extended").valid, to_text(inst)
         complement_principle = parse("~L1 ~p -> N1 ~p", 1)

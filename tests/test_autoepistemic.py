@@ -104,3 +104,19 @@ def test_believes_matches_finite_states_single_agent():
             for w in possible
         )
         assert by_proof == by_enumeration, (to_text(kb), to_text(query), states)
+
+
+def test_six_default_theory_decides_within_two_seconds(monkeypatch):
+    # six ordinary defaults ~L1 ~b_j -> f_j: only knowing them yields
+    # every f_j, and not b_j (the theory's constructed answers)
+    import time
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import default_theory
+
+    theory = default_theory(6, secret=set(), blocked=set())
+    kb = parse(theory.kb, 2)
+    for text, expected in ((theory.yes, True), (theory.no, False)):
+        decider = Decider(deadline=time.monotonic() + 2.0)
+        assert believes(1, kb, parse(text, 2), decider) is expected, text

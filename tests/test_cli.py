@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from onlyknow.cli import main
 
 
@@ -156,3 +158,30 @@ def test_jobs_parallel_batch(tmp_path, capsys):
     assert code == 0
     verdicts = [json.loads(line)["verdict"] for line in out.strip().splitlines()]
     assert verdicts == ["SAT", "UNSAT", "SAT"]
+
+
+def test_internal_error_exits_four_not_a_verdict_code(monkeypatch, capsys):
+    from onlyknow.decision import Decider
+
+    def crash(self, f):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(Decider, "consistent", crash)
+    code, out, err = run(capsys, "decide", "--mode", "sat", "p")
+    assert code == 4
+    assert out == ""
+    assert "internal error: RecursionError" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_bad_line_gets_error_record_and_later_lines_are_decided(tmp_path, capsys, jobs):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("p\n(q &\np & ~p\n")
+    code, out, _ = run(
+        capsys, "decide", "--mode", "sat", "--jobs", jobs, "--format", "jsonl", "--batch", str(batch)
+    )
+    assert code == 2
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["verdict"] for r in records] == ["SAT", "ERROR", "UNSAT"]
+    assert records[1]["input"] == "(q &"
+    assert records[1]["error"]

@@ -1,18 +1,21 @@
 import random
+from itertools import product
 
 import pytest
 
+from onlyknow import k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider
 from onlyknow.formula import (
     Atom,
     FALSE,
-    FormulaError,
     L,
     N,
     Not,
     TRUE,
     Val,
+    assign,
+    atoms,
     disj,
     modal_depth,
     only_knows,
@@ -20,6 +23,7 @@ from onlyknow.formula import (
     to_text,
     walk,
 )
+from onlyknow.normal_form import simplify, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -78,18 +82,25 @@ def test_validity_facts(text):
     assert Decider().valid(parse(text, 2)).status == "valid"
 
 
-def test_prop_sat_examples():
-    assert Decider().prop_sat(parse("p & ~p")) is False
-    assert Decider().prop_sat(parse("p & ~q")) is True
-    assert Decider().prop_sat(parse("(p -> q) & p & ~q")) is False
-    with pytest.raises(FormulaError):
-        Decider().prop_sat(parse("L1 p", 1))
+def test_propositional_examples():
+    assert Decider().consistent(parse("p & ~p")).status == "unsatisfiable"
+    assert Decider().consistent(parse("p & ~q")).status == "satisfiable"
+    assert Decider().consistent(parse("(p -> q) & p & ~q")).status == "unsatisfiable"
+    assert Decider().valid(parse("(p -> q) & p -> q")).status == "valid"
 
 
-def test_propositional_fragment_matches_prop_sat():
+def _by_truth_table(f):
+    names = sorted(atoms(f))
+    return any(
+        simplify(assign(f, {Atom(a): bit for a, bit in zip(names, bits)})) is TRUE
+        for bits in product((False, True), repeat=len(names))
+    )
+
+
+def test_propositional_fragment_matches_truth_table():
     for seed in range(120):
         f = generate_random(seed, "basic", max_modal_depth=0, n_atoms=3, n_agents=1)
-        assert bool(Decider().consistent(f)) == Decider().prop_sat(f), to_text(f)
+        assert bool(Decider().consistent(f)) == _by_truth_table(f), to_text(f)
 
 
 def test_duality_end_to_end():
@@ -114,6 +125,24 @@ def test_necessitation_closure_on_sampled_valid_formulas():
     assert found >= 5
 
 
+def test_search_matches_the_normal_form_reference():
+    # a V-free formula is satisfiable iff some normal-form disjunct
+    # passes every group test; the search must agree, on each random
+    # formula and on its negation
+    verdicts = []
+    for seed in range(320):
+        profile = ("basic", "full")[seed % 2]
+        f = generate_random(
+            seed + 3000, profile, max_modal_depth=2, n_atoms=3, n_agents=2, size=4 + seed % 9, allow_val=False
+        )
+        for g in (f, Not(f)):
+            d = Decider()
+            reference = any(all(d.block_consistent(b) for b in nf.blocks) for nf in to_normal_form(g))
+            assert bool(Decider().consistent(g)) == reference, to_text(g)
+            verdicts.append(reference)
+    assert verdicts.count(False) >= 30  # unsatisfiable cases are in the sample too
+
+
 # -- axiom instances ---------------------------------------------------
 
 
@@ -122,7 +151,7 @@ def test_axiom_instances_are_valid_small_sample():
 
     rng = random.Random(424242)
     d = Decider()
-    for inst in axiom_instances(rng, 60, prop_sat=Decider().prop_sat):
+    for inst in axiom_instances(rng, 60, prop_sat=k45.sat):
         assert bool(d.valid(inst)), to_text(inst)
 
 
@@ -130,7 +159,6 @@ def test_basic_exclusion_axiom_with_tableau_side_condition():
     # N a -> ~L a for basic objective a whose negation the K45 prover
     # certifies satisfiable: the side condition makes the schema
     # recursive, and the certified instances must all decide valid
-    from onlyknow import k45
     from onlyknow.corpus import generate_random
     from onlyknow.formula import is_basic, is_i_objective
 
@@ -182,6 +210,15 @@ def test_trace_logs_memo_hits_and_keeps_the_verdict():
     assert (2, "memo hit", Not(p)) in d.trace_entries
     assert "    memo hit: ~p" in traced.trace
     assert traced.status == Decider().consistent(f).status == "satisfiable"
+
+
+def test_trace_of_each_call_holds_only_its_own_entries():
+    d = Decider(trace=True)
+    first = d.consistent(parse("L1 p", 1))
+    second = d.consistent(q)
+    assert first.trace[0] == "satisfiable?: L1 p"
+    assert second.trace == ["satisfiable?: q", "  satisfying literals: q"]
+    assert d.valid(q).trace[0] == "satisfiable?: ~q"
 
 
 def test_budget_exceeded_raises():

@@ -3,8 +3,8 @@ from itertools import product
 
 import pytest
 
+from onlyknow import k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import Decider
 from onlyknow.finite_semantics import (
     BoundExceededError,
     CoverageError,
@@ -144,7 +144,7 @@ def test_single_agent_axioms_sound_in_both_semantics():
     from onlyknow.corpus import single_agent_axiom_instances
 
     rng = random.Random(99)
-    for inst in single_agent_axiom_instances(rng, 60, prop_sat=Decider().prop_sat):
+    for inst in single_agent_axiom_instances(rng, 60, prop_sat=k45.sat):
         assert oracle_valid(inst, PHI2, "levesque").valid, to_text(inst)
         assert oracle_valid(inst, PHI2, "extended").valid, to_text(inst)
 
@@ -160,7 +160,7 @@ def test_n_for_l_axiom_instances_sound_under_complement_semantics():
         for seed in range(200):
             a = generate_random(seed, "basic", max_modal_depth=0, n_atoms=len(phi), n_agents=1, size=5)
             a = _rename_atoms(a)
-            if not Decider().prop_sat(Not(a)):
+            if not k45.sat(Not(a)):
                 continue
             instance = Iff(N(1, a), _n_expansion(a, phi))
             assert oracle_valid(instance, phi, "levesque").valid, to_text(instance)
