@@ -102,18 +102,16 @@ def _decide_one(text: str, mode: str, agents: int | None, trace: bool, deadline:
     return record
 
 
-def _decide_line(text: str, mode: str, agents: int | None, deadline: float | None) -> dict:
-    """One batch line: its record, or an ERROR record when it is not a
-    well-formed formula."""
+def _decide_line(task: tuple[str, str, int | None, float | None]) -> dict:
+    """One batch line: its record, an ERROR record when it is not a
+    well-formed formula, or a PARTIAL record when the budget ran out."""
+    text, mode, agents, deadline = task
     try:
         return _decide_one(text, mode, agents, False, deadline)
     except FormulaError as exc:
         return {"input": text, "verdict": "ERROR", "error": str(exc)}
-
-
-def _decide_worker(task: tuple[str, str, int | None]) -> dict:
-    text, mode, agents = task
-    return _decide_line(text, mode, agents, deadline=None)
+    except BudgetExceededError:
+        return {"input": text, "verdict": "PARTIAL", "partial": True}
 
 
 def _cmd_decide(args) -> int:
@@ -129,34 +127,21 @@ def _cmd_decide(args) -> int:
 
     with open(args.batch) as handle:
         lines = [ln.strip() for ln in handle if ln.strip() and not ln.startswith("#")]
-    tasks = [(ln, args.mode, args.agents) for ln in lines]
-    code = 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_decide_worker, tasks)
-            for task in tasks:
-                if deadline is not None and time.monotonic() > deadline:
-                    _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    return 3
-                record = next(results)
-                _emit(args, record)
-                if record["verdict"] == "ERROR":
-                    code = 2
+    # time.monotonic() is system-wide on Linux, so workers compare the deadline directly.
+    tasks = [(ln, args.mode, args.agents, deadline) for ln in lines]
+    pool = ProcessPoolExecutor(args.jobs) if args.jobs > 1 else None
+    try:
+        code = 0
+        for record in pool.map(_decide_line, tasks) if pool else map(_decide_line, tasks):
+            _emit(args, record)
+            if record["verdict"] == "PARTIAL":
+                return 3
+            if record["verdict"] == "ERROR":
+                code = 2
         return code
-    for task in tasks:
-        if deadline is not None and time.monotonic() > deadline:
-            _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
-            return 3
-        try:
-            record = _decide_line(task[0], args.mode, args.agents, deadline)
-        except BudgetExceededError:
-            _emit(args, {"input": task[0], "verdict": "PARTIAL", "partial": True})
-            return 3
-        _emit(args, record)
-        if record["verdict"] == "ERROR":
-            code = 2
-    return code
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
 
 def _cmd_k45(args) -> int:

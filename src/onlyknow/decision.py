@@ -34,7 +34,6 @@ from .formula import (
     FalseConst,
     Formula,
     FormulaError,
-    N,
     Not,
     Or,
     TrueConst,
@@ -42,7 +41,7 @@ from .formula import (
     conj,
     to_text,
 )
-from .normal_form import AgentBlock, merge_positive, simplify, to_clauses
+from .normal_form import AgentBlock, merge_positive, modal_arguments, simplify, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -94,6 +93,7 @@ class Decider:
 
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict."""
+        self._tick()
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
             if self.tracing:
@@ -186,14 +186,10 @@ class Decider:
             key = frozenset(by_agent[agent])
             ok = tested.get(key)
             if ok is None:
-                # merge_positive's order: pos_l, neg_l, pos_n, neg_n
-                args: tuple[list[Formula], ...] = ([], [], [], [])
-                for x in sorted(key, key=abs):
-                    leaf = modal[abs(x)]
-                    args[2 * isinstance(leaf, N) + (x < 0)].append(leaf.sub)
+                args = modal_arguments((modal[abs(x)], x > 0) for x in sorted(key, key=abs))
                 pos_l, neg_l, pos_n, neg_n = args
                 if neg_l or neg_n or (pos_l and pos_n):
-                    ok = self._block_ok(merge_positive(agent, *map(tuple, args)), level + 1)
+                    ok = self._block_ok(merge_positive(agent, *args), level + 1)
                 else:
                     # Positives of one modality: the other argument is true,
                     # so the union is valid and nothing is negated.

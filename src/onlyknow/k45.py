@@ -44,10 +44,6 @@ from .kripke import KripkeStructure
 _MEMO: dict[tuple, "_Tree | None"] = {}
 
 
-def clear_cache() -> None:
-    _MEMO.clear()
-
-
 @dataclass
 class _Tree:
     atoms_true: frozenset[str]

@@ -20,7 +20,7 @@ literal of the same modality subsumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .formula import (
     BINARY,
@@ -43,17 +43,13 @@ from .formula import (
     assign,
     conj,
     disj,
+    is_i_objective,
 )
 
 # Rewrite caches keyed by (immutable) formula; entries are only ever
 # added, never mutated, so concurrent readers under the GIL are fine.
 _SIMPLIFY_CACHE: dict[Formula, Formula] = {}
 _NORMALIZE_CACHE: dict[Formula, Formula] = {}
-
-
-def clear_caches() -> None:
-    _SIMPLIFY_CACHE.clear()
-    _NORMALIZE_CACHE.clear()
 
 
 def simplify(f: Formula) -> Formula:
@@ -185,7 +181,7 @@ def _push(op: type, agent: int, arg: Formula) -> Formula:
     if arg is TRUE:
         return TRUE
     parts: list[Formula] = []
-    for clause in _cnf(_nnf(arg)):
+    for clause in _cnf(_nnf(arg), agent):
         subjective: list[Formula] = []
         objective: list[Formula] = []
         has_own_positive = False
@@ -243,14 +239,17 @@ def _nnf(f: Formula, neg: bool = False) -> Formula:
 Clause = tuple[tuple[Formula, bool], ...]
 
 
-def _cnf(f: Formula) -> list[Clause]:
-    """Clauses of an NNF formula over leaves; tautologies dropped."""
+def _cnf(f: Formula, agent: int) -> list[Clause]:
+    """Clauses of an NNF formula over leaves; tautologies dropped.  A
+    compound subformula that is objective for the agent is one leaf."""
+    if isinstance(f, (And, Or)) and is_i_objective(f, agent):
+        return [((f, True),)]
     if isinstance(f, And):
-        return _cnf(f.left) + _cnf(f.right)
+        return _cnf(f.left, agent) + _cnf(f.right, agent)
     if isinstance(f, Or):
         out = []
-        for c1 in _cnf(f.left):
-            for c2 in _cnf(f.right):
+        for c1 in _cnf(f.left, agent):
+            for c2 in _cnf(f.right, agent):
                 merged = _merge_clause(c1, c2)
                 if merged is not None:
                     out.append(merged)
@@ -400,6 +399,15 @@ def merge_positive(
     )
 
 
+def modal_arguments(literals: Iterable[tuple[Formula, bool]]) -> tuple[tuple[Formula, ...], ...]:
+    """Sort one agent's (modal atom, positive) pairs into the four
+    argument tuples merge_positive takes: pos_l, neg_l, pos_n, neg_n."""
+    args: tuple[list[Formula], ...] = ([], [], [], [])
+    for leaf, positive in literals:
+        args[2 * isinstance(leaf, N) + (not positive)].append(leaf.sub)
+    return tuple(map(tuple, args))
+
+
 @dataclass(frozen=True)
 class NormalFormDisjunct:
     sigma: Formula
@@ -486,25 +494,14 @@ def _dnf_stream(
 
 def _assemble(literals: dict[Formula, bool]) -> NormalFormDisjunct:
     sigma_parts: list[Formula] = []
-    groups: dict[int, dict[str, list[Formula]]] = {}
+    groups: dict[int, list[tuple[Formula, bool]]] = {}
     for leaf, positive in literals.items():
         if isinstance(leaf, MODAL):
-            g = groups.setdefault(
-                leaf.agent, {"pos_l": [], "neg_l": [], "pos_n": [], "neg_n": []}
-            )
-            key = ("pos_" if positive else "neg_") + ("l" if isinstance(leaf, L) else "n")
-            g[key].append(leaf.sub)
+            groups.setdefault(leaf.agent, []).append((leaf, positive))
         else:
             sigma_parts.append(leaf if positive else Not(leaf))
     blocks = tuple(
-        merge_positive(
-            agent,
-            tuple(g["pos_l"]),
-            tuple(g["neg_l"]),
-            tuple(g["pos_n"]),
-            tuple(g["neg_n"]),
-        )
-        for agent, g in sorted(groups.items())
+        merge_positive(agent, *modal_arguments(g)) for agent, g in sorted(groups.items())
     )
     return NormalFormDisjunct(sigma=simplify(conj(sigma_parts)), blocks=blocks)
 

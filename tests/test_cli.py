@@ -185,3 +185,26 @@ def test_batch_bad_line_gets_error_record_and_later_lines_are_decided(tmp_path, 
     assert [r["verdict"] for r in records] == ["SAT", "ERROR", "UNSAT"]
     assert records[1]["input"] == "(q &"
     assert records[1]["error"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_budget_bounds_every_line(tmp_path, capsys, monkeypatch, jobs):
+    import random
+    import time
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import cnf_text, random_3cnf
+
+    # A 130-variable 3-CNF at ratio 4.26 takes seconds to decide.
+    cnf = cnf_text(random_3cnf(random.Random(4), 130, 554), "x")
+    batch = tmp_path / "batch.txt"
+    batch.write_text(f"{cnf}\np\n")
+    started = time.monotonic()
+    code, out, _ = run(
+        capsys, "decide", "--mode", "sat", "--budget", "0.3", "--jobs", jobs,
+        "--format", "jsonl", "--batch", str(batch),
+    )
+    assert code == 3
+    assert time.monotonic() - started <= 0.3 + 1.5
+    assert [json.loads(line)["verdict"] for line in out.strip().splitlines()] == ["PARTIAL"]

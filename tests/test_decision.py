@@ -221,6 +221,21 @@ def test_trace_of_each_call_holds_only_its_own_entries():
     assert d.valid(q).trace[0] == "satisfiable?: ~q"
 
 
+def test_deep_basic_formula_decides_at_the_default_recursion_limit():
+    # Its outer L1 argument has two own-agent modal atoms.  Distributing
+    # the objective parts too gave 36,864 clauses, and hashing their
+    # left-deep conjunction overflowed the stack.
+    import sys
+
+    f = generate_random(7183, "basic", max_modal_depth=4, n_atoms=4, size=40)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert bool(Decider().consistent(f)) == k45.sat(f)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_budget_exceeded_raises():
     import time
 

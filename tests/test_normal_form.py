@@ -36,6 +36,14 @@ def test_disjunction_under_l_splits():
     assert [to_text(d.to_formula()) for d in ds] == ["L1 p", "L1 q"]
 
 
+def test_objective_part_of_a_modal_argument_stays_whole():
+    # Only the agent's own modal atoms split out of an argument; the
+    # objective rest goes under the modality as one formula.
+    assert [to_text(d.to_formula()) for d in nf("L1 ((p & q) | L1 r)")] == ["L1 (p & q)", "L1 r"]
+    ds = nf("L1 (p & q) & ~N1 (p | q -> L2 r)")
+    assert [to_text(d.to_formula()) for d in ds] == ["L1 (p & q) & ~N1 (~p & ~q | L2 r)"]
+
+
 def test_same_agent_l_collapses():
     ds = nf("L1 L1 p")
     assert len(ds) == 1
