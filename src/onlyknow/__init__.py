@@ -34,7 +34,6 @@ from .formula import (
 )
 from .normal_form import (
     AgentBlock,
-    DisjunctGauge,
     NormalFormDisjunct,
     merge_positive,
     reassemble,
@@ -65,7 +64,7 @@ from .finite_semantics import (
     reduce_n_to_l,
     worlds_over,
 )
-from .autoepistemic import BeliefQuery, believes, kb_coherent, only_knowing_sets
+from .autoepistemic import believes, kb_coherent, only_knowing_sets
 from .corpus import CorpusEntry, cross_check, generate_random, load_corpus
 
 __version__ = "0.1.0"
@@ -74,11 +73,9 @@ __all__ = [
     "AgentBlock",
     "And",
     "Atom",
-    "BeliefQuery",
     "BudgetExceededError",
     "CorpusEntry",
     "Decider",
-    "DisjunctGauge",
     "ExtendedSituation",
     "FALSE",
     "Formula",

@@ -11,7 +11,6 @@ of the base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable
 
@@ -25,16 +24,6 @@ from .finite_semantics import (
     evaluate,
     worlds_over,
 )
-
-
-@dataclass(frozen=True)
-class BeliefQuery:
-    agent: int
-    kb: Formula
-    query: Formula
-
-    def ask(self, decider: Decider | None = None) -> bool:
-        return believes(self.agent, self.kb, self.query, decider)
 
 
 def believes(agent: int, kb: Formula, query: Formula, decider: Decider | None = None) -> bool:

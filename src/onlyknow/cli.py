@@ -87,19 +87,20 @@ def _cmd_nf(args) -> int:
     return 0
 
 
-def _decide_one(text: str, mode: str, agents: int | None, trace: bool, deadline: float | None) -> dict:
+def _trace_to_stderr(level: int, rule: str, g) -> None:
+    print(f"{'  ' * level}{rule}: {to_text(g)}", file=sys.stderr, flush=True)
+
+
+def _decide_one(text: str, mode: str, agents: int | None, trace, deadline: float | None) -> dict:
     f, _ = _parse_formula(text, agents)
     started = time.monotonic()
     decider = Decider(trace=trace, deadline=deadline)
     verdict = decider.consistent(f) if mode == "sat" else decider.valid(f)
-    record = {
+    return {
         "input": text,
         "verdict": {"satisfiable": "SAT", "unsatisfiable": "UNSAT", "valid": "VALID", "invalid": "INVALID"}[verdict.status],
         "millis": int((time.monotonic() - started) * 1000),
     }
-    if trace and verdict.trace:
-        record["trace"] = verdict.trace
-    return record
 
 
 def _decide_line(task: tuple[str, str, int | None, float | None]) -> dict:
@@ -107,7 +108,7 @@ def _decide_line(task: tuple[str, str, int | None, float | None]) -> dict:
     well-formed formula, or a PARTIAL record when the budget ran out."""
     text, mode, agents, deadline = task
     try:
-        return _decide_one(text, mode, agents, False, deadline)
+        return _decide_one(text, mode, agents, None, deadline)
     except FormulaError as exc:
         return {"input": text, "verdict": "ERROR", "error": str(exc)}
     except BudgetExceededError:
@@ -117,11 +118,8 @@ def _decide_line(task: tuple[str, str, int | None, float | None]) -> dict:
 def _cmd_decide(args) -> int:
     deadline = _budget_deadline(args.budget)
     if args.batch is None:
-        record = _decide_one(args.formula, args.mode, args.agents, args.trace, deadline)
-        if args.trace and args.format != "jsonl":
-            for line in record.get("trace", []):
-                print(line, file=sys.stderr)
-            record.pop("trace", None)
+        trace = _trace_to_stderr if args.trace else None
+        record = _decide_one(args.formula, args.mode, args.agents, trace, deadline)
         _emit(args, record)
         return _verdict_code(record["verdict"])
 

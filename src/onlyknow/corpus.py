@@ -185,11 +185,11 @@ def _random_subjective(r: random.Random, agent: int, n_agents: int = 2) -> Formu
     return conj(parts)
 
 
-def axiom_instances(rng: random.Random, count: int, prop_sat=None) -> list[Formula]:
+def axiom_instances(rng: random.Random, count: int) -> list[Formula]:
     """Instances of the proof system's schemas, side conditions checked
     at generation time: objectivity for the A5'/V3 arguments, and for V4
-    an objective next to a subjective conjunct; V2 only takes formulas a
-    propositional check certifies satisfiable (prop_sat argument)."""
+    an objective next to a subjective conjunct; V2 only takes formulas
+    k45.sat certifies satisfiable."""
     out: list[Formula] = []
     while len(out) < count:
         kind = rng.choice(("a1", "a2", "a3", "a4", "a5", "v1", "v2", "v3", "v4"))
@@ -222,13 +222,11 @@ def axiom_instances(rng: random.Random, count: int, prop_sat=None) -> list[Formu
             a, b = rf(), rf()
             out.append((Val(a) & Val(a >> b)) >> Val(b))
         elif kind == "v2":
-            if prop_sat is None:
-                continue
             a = generate_random(
                 rng.randrange(10**9), "basic", max_modal_depth=0, n_atoms=3,
                 size=5, rng=rng,
             )
-            if not prop_sat(a):
+            if not k45.sat(a):
                 continue
             out.append(Not(Val(Not(a))))
         elif kind == "v3":
@@ -264,7 +262,7 @@ def axiom_instances(rng: random.Random, count: int, prop_sat=None) -> list[Formu
     return out
 
 
-def single_agent_axiom_instances(rng: random.Random, count: int, prop_sat=None) -> list[Formula]:
+def single_agent_axiom_instances(rng: random.Random, count: int) -> list[Formula]:
     """Instances of the single-agent proof system (no validity operator),
     for the finite-alphabet oracle: formulas stay on the p,q alphabet."""
     out: list[Formula] = []
@@ -296,10 +294,8 @@ def single_agent_axiom_instances(rng: random.Random, count: int, prop_sat=None) 
             assert is_i_subjective(s, 1)
             out.append(s >> (L(1, s) & N(1, s)))
         else:
-            if prop_sat is None:
-                continue
             a = rf()
-            if not is_propositional(a) or not prop_sat(Not(a)):
+            if not is_propositional(a) or not k45.sat(Not(a)):
                 continue
             out.append(N(1, a) >> Not(L(1, a)))
     return out

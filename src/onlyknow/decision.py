@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .formula import (
     BINARY,
@@ -39,7 +40,6 @@ from .formula import (
     TrueConst,
     Val,
     conj,
-    to_text,
 )
 from .normal_form import AgentBlock, merge_positive, modal_arguments, simplify, to_clauses
 
@@ -57,7 +57,6 @@ class Verdict:
     """
 
     status: str  # satisfiable | unsatisfiable | valid | invalid
-    trace: list[str] | None = None
 
     def __bool__(self) -> bool:
         return self.status in ("satisfiable", "valid")
@@ -66,38 +65,36 @@ class Verdict:
 class Decider:
     """One decision context: memo table, optional trace, optional deadline.
 
-    A Decider is deterministic and single-threaded.  The memo is always
-    on; a traced run logs each memo hit, so it takes the same path as an
-    untraced one.
+    The trace is a callable on (level, rule, formula), called as each
+    step happens.  A Decider is deterministic and single-threaded.  The
+    memo is always on; a traced run logs each memo hit, so it takes the
+    same path as an untraced one.
     """
 
-    def __init__(self, trace: bool = False, deadline: float | None = None) -> None:
-        self.tracing = trace
+    def __init__(
+        self, trace: Callable[[int, str, Formula], None] | None = None, deadline: float | None = None
+    ) -> None:
+        self.trace = trace
         self.deadline = deadline
-        self.trace_entries: list[tuple[int, str, Formula]] = []
         self._memo: dict[Formula, bool] = {}
 
     # -- public operations ------------------------------------------------
 
     def consistent(self, f: Formula) -> Verdict:
-        start = len(self.trace_entries)
-        g = self.eliminate_val(f)
-        ok = self._sat(g, 0)
-        return Verdict("satisfiable" if ok else "unsatisfiable", self._rendered_trace(start))
+        ok = self._sat(self.eliminate_val(f), 0)
+        return Verdict("satisfiable" if ok else "unsatisfiable")
 
     def valid(self, f: Formula) -> Verdict:
-        start = len(self.trace_entries)
-        g = self.eliminate_val(f)
-        ok = not self._sat(simplify(Not(g)), 0)
-        return Verdict("valid" if ok else "invalid", self._rendered_trace(start))
+        ok = not self._sat(simplify(Not(self.eliminate_val(f))), 0)
+        return Verdict("valid" if ok else "invalid")
 
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict."""
         self._tick()
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
-            if self.tracing:
-                self.trace_entries.append((0, "resolve validity operator", body))
+            if self.trace:
+                self.trace(0, "resolve validity operator", body)
             return TRUE if not self._sat(simplify(Not(body)), 1) else FALSE
         if isinstance(f, (Atom, TrueConst, FalseConst)):
             return f
@@ -126,11 +123,11 @@ class Decider:
         if f is FALSE:
             return False
         if f in self._memo:
-            if self.tracing:
-                self.trace_entries.append((level, "memo hit", f))
+            if self.trace:
+                self.trace(level, "memo hit", f)
             return self._memo[f]
-        if self.tracing:
-            self.trace_entries.append((level, "satisfiable?", f))
+        if self.trace:
+            self.trace(level, "satisfiable?", f)
         result = self._search(f, level)
         self._memo[f] = result
         return result
@@ -152,10 +149,10 @@ class Decider:
             if s.propagate() and self._groups_ok(s.trail, modal, tested, level):
                 lit = s.choose()
                 if lit is None:
-                    if self.tracing:
+                    if self.trace:
                         chosen = sorted((x for x in s.trail if variables[abs(x) - 1] is not None), key=abs)
                         literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in chosen)
-                        self.trace_entries.append((level + 1, "satisfying literals", literals))
+                        self.trace(level + 1, "satisfying literals", literals)
                     return True
                 decisions.append((len(s.trail), lit, False))
                 s.assign(lit)
@@ -202,24 +199,18 @@ class Decider:
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         alpha, gamma = b.pos_l, b.pos_n
         for phi in b.neg_l:
-            if self.tracing:
-                self.trace_entries.append(
-                    (level, f"agent {b.agent}: negated L against the positive part", phi)
-                )
+            if self.trace:
+                self.trace(level, f"agent {b.agent}: negated L against the positive part", phi)
             if not self._sat(And(alpha, Not(phi)), level + 1):
                 return False
         for psi in b.neg_n:
-            if self.tracing:
-                self.trace_entries.append(
-                    (level, f"agent {b.agent}: negated N against the positive part", psi)
-                )
+            if self.trace:
+                self.trace(level, f"agent {b.agent}: negated N against the positive part", psi)
             if not self._sat(And(gamma, Not(psi)), level + 1):
                 return False
         union = Or(alpha, gamma)
-        if self.tracing:
-            self.trace_entries.append(
-                (level, f"agent {b.agent}: union of positive parts must be valid", union)
-            )
+        if self.trace:
+            self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
         return not self._sat(simplify(Not(union)), level + 1)
 
     # -- bookkeeping ----------------------------------------------------
@@ -227,12 +218,6 @@ class Decider:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
-
-    def _rendered_trace(self, start: int) -> list[str] | None:
-        """The entries of one public call, from index start on."""
-        if not self.tracing:
-            return None
-        return [f"{'  ' * level}{rule}: {to_text(g)}" for level, rule, g in self.trace_entries[start:]]
 
 
 class _Trail:

@@ -139,7 +139,7 @@ def _solve(
 ) -> _Tree | None:
     key = (
         frozenset(formulas),
-        tuple(sorted(preset.items(), key=lambda kv: (to_text(kv[0]), kv[1]))),
+        frozenset(preset.items()),
         skip_agent,
     )
     if key in _MEMO:

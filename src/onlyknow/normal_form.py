@@ -202,6 +202,10 @@ def _push(op: type, agent: int, arg: Formula) -> Formula:
             # only when nothing subsumes it.
             literals.insert(0, op(agent, psi))
         parts.append(simplify(disj(literals)))
+    # A balanced fold: a left-deep chain of 2^k clauses hashes recursively,
+    # which is quadratic and overruns the recursion limit.
+    while len(parts) > 2:
+        parts = [conj(parts[i : i + 2]) for i in range(0, len(parts), 2)]
     return simplify(conj(parts))
 
 
@@ -424,26 +428,7 @@ class NormalFormDisjunct:
         return conj(parts)
 
 
-@dataclass
-class DisjunctGauge:
-    """Instrumentation for the streaming contract: how many disjuncts the
-    stream holds materialized at once, and how many it produced."""
-
-    current: int = 0
-    peak: int = 0
-    total: int = 0
-
-    def _enter(self) -> None:
-        self.current += 1
-        self.total += 1
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def _exit(self) -> None:
-        self.current -= 1
-
-
-def to_normal_form(f: Formula, gauge: DisjunctGauge | None = None) -> Iterator[NormalFormDisjunct]:
+def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     """Stream the normal-form disjuncts of a V-free formula.
 
     Disjuncts appear in left-to-right distribution order of the
@@ -453,14 +438,7 @@ def to_normal_form(f: Formula, gauge: DisjunctGauge | None = None) -> Iterator[N
     """
     skeleton = _nnf(simplify(normalize(f)))
     for literals in _dnf_stream(skeleton, {}):
-        d = _assemble(literals)
-        if gauge is not None:
-            gauge._enter()
-        try:
-            yield d
-        finally:
-            if gauge is not None:
-                gauge._exit()
+        yield _assemble(literals)
 
 
 def _dnf_stream(

@@ -1,3 +1,5 @@
+import pytest
+
 from onlyknow.autoepistemic import believes, kb_coherent, only_knowing_sets
 from onlyknow.corpus import generate_random
 from onlyknow.decision import Decider
@@ -15,10 +17,8 @@ def test_secret_default():
 
 
 def test_belief_query_object():
-    from onlyknow.autoepistemic import BeliefQuery
-
-    q = BeliefQuery(agent=1, kb=parse("~L1 L2 p -> ~L2 p", 2), query=parse("~L2 p", 2))
-    assert q.ask() is True
+    # the same query through a caller's own Decider
+    assert believes(1, parse("~L1 L2 p -> ~L2 p", 2), parse("~L2 p", 2), Decider()) is True
 
 
 def test_strengthened_base_entails_the_opposite():
@@ -106,17 +106,26 @@ def test_believes_matches_finite_states_single_agent():
         assert by_proof == by_enumeration, (to_text(kb), to_text(query), states)
 
 
-def test_six_default_theory_decides_within_two_seconds(monkeypatch):
-    # six ordinary defaults ~L1 ~b_j -> f_j: only knowing them yields
-    # every f_j, and not b_j (the theory's constructed answers)
+@pytest.mark.parametrize("k", [6, 9])
+def test_default_theory_decides_within_two_seconds(monkeypatch, k):
+    # k ordinary defaults ~L1 ~b_j -> f_j: only knowing them yields
+    # every f_j, and not b_j (the theory's constructed answers).  Pushing
+    # L1 over N1 ~kb gives 2^k clauses, whose conjunction must stay
+    # within the default recursion limit.
+    import sys
     import time
     from pathlib import Path
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import default_theory
 
-    theory = default_theory(6, secret=set(), blocked=set())
+    theory = default_theory(k, secret=set(), blocked=set())
     kb = parse(theory.kb, 2)
-    for text, expected in ((theory.yes, True), (theory.no, False)):
-        decider = Decider(deadline=time.monotonic() + 2.0)
-        assert believes(1, kb, parse(text, 2), decider) is expected, text
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for text, expected in ((theory.yes, True), (theory.no, False)):
+            decider = Decider(deadline=time.monotonic() + 2.0)
+            assert believes(1, kb, parse(text, 2), decider) is expected, text
+    finally:
+        sys.setrecursionlimit(limit)

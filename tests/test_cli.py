@@ -36,6 +36,38 @@ def test_decide_trace_goes_to_stderr(capsys):
     assert code == 0
     assert out.strip() == "SAT"
     assert "satisfiable?" in err
+    _, _, err = run(capsys, "decide", "--mode", "sat", "--trace", "L1 p")
+    assert err.splitlines()[0] == "satisfiable?: L1 p"
+    _, _, err = run(capsys, "decide", "--mode", "sat", "--trace", "q")
+    assert err.splitlines() == ["satisfiable?: q", "  satisfying literals: q"]
+    _, _, err = run(capsys, "decide", "--mode", "valid", "--trace", "q")
+    assert err.splitlines()[0] == "satisfiable?: ~q"
+    # the jsonl record keeps its fields; the trace still goes to stderr
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--format", "jsonl", "--trace", "~L1 p & ~L2 p")
+    assert code == 0
+    assert set(json.loads(out)) == {"input", "verdict", "millis"}
+    assert "    memo hit: ~p" in err.splitlines()
+
+
+def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
+    import random
+    import time
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import cnf_text, random_3cnf
+
+    # A 160-variable 3-CNF at ratio 4.26 takes far longer than the budget.
+    # Balanced parentheses keep parsing and V elimination well inside it.
+    parts = [cnf_text([c], "x") for c in random_3cnf(random.Random(3), 160, 682)]
+    while len(parts) > 1:
+        parts = ["(" + " & ".join(parts[i : i + 2]) + ")" for i in range(0, len(parts), 2)]
+    started = time.monotonic()
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "--budget", "0.5", parts[0])
+    assert code == 3
+    assert time.monotonic() - started <= 0.5 + 1.5
+    assert out == ""
+    assert any(line.startswith("satisfiable?") for line in err.splitlines())
 
 
 def test_decide_jsonl_record_fields(capsys):

@@ -144,7 +144,7 @@ def test_single_agent_axioms_sound_in_both_semantics():
     from onlyknow.corpus import single_agent_axiom_instances
 
     rng = random.Random(99)
-    for inst in single_agent_axiom_instances(rng, 60, prop_sat=k45.sat):
+    for inst in single_agent_axiom_instances(rng, 60):
         assert oracle_valid(inst, PHI2, "levesque").valid, to_text(inst)
         assert oracle_valid(inst, PHI2, "extended").valid, to_text(inst)
 

@@ -17,7 +17,6 @@ from onlyknow.formula import (
     walk,
 )
 from onlyknow.normal_form import (
-    DisjunctGauge,
     merge_positive,
     reassemble,
     simplify,
@@ -133,11 +132,12 @@ def test_stream_is_deterministic():
 
 def test_streaming_gauge_counts_one_at_a_time():
     factors = [Or(Atom(f"p{k}"), Atom(f"q{k}")) for k in range(10)]
-    gauge = DisjunctGauge()
-    total = sum(1 for _ in to_normal_form(conj(factors), gauge=gauge))
-    assert total == 2 ** 10
-    assert gauge.total == total
-    assert gauge.peak == 1
+    assert sum(1 for _ in to_normal_form(conj(factors))) == 2 ** 10
+    # 2^64 disjuncts: only a stream can hand over the first ones
+    ps = [Atom(f"p{k}") for k in range(64)]
+    stream = to_normal_form(conj(Or(a, Atom(f"q{k}")) for k, a in enumerate(ps)))
+    assert next(stream).sigma == conj(ps)
+    assert next(stream).sigma == conj(ps[:-1] + [Atom("q63")])
 
 
 def test_contradictory_conjuncts_are_dropped():
