@@ -41,6 +41,12 @@ def _parse_formula(text: str, declared: int | None):
     return f, (declared if declared is not None else max(1, max_agent(f)))
 
 
+def _check_agent(args) -> None:
+    """--agent takes the indices the parser accepts in L<i> and N<i>."""
+    if args.agent < 1 or (args.agents is not None and args.agent > args.agents):
+        raise FormulaError(f"agent index {args.agent} out of range")
+
+
 def _emit(args, record: dict) -> None:
     if args.format == "jsonl":
         print(json.dumps(record, sort_keys=True))
@@ -67,6 +73,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _check_agent(args)
     f, _ = _parse_formula(args.formula, args.agents)
     flags = classify(f, args.agent)
     if args.format == "jsonl":
@@ -191,6 +198,7 @@ def _cmd_kripke(args) -> int:
 
 
 def _cmd_believes(args) -> int:
+    _check_agent(args)
     deadline = _budget_deadline(args.budget)
     kb, _ = _parse_formula(args.kb, args.agents)
     query, _ = _parse_formula(args.query, args.agents)
@@ -238,10 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nf)
 
     p = sub.add_parser("decide", help="satisfiability or validity")
-    p.add_argument("formula", nargs="?")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("formula", nargs="?")
+    source.add_argument("--batch", default=None, help="file with one formula per line")
     p.add_argument("--mode", choices=("sat", "valid"), required=True)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--batch", default=None, help="file with one formula per line")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     common(p)

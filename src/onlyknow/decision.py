@@ -26,20 +26,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .formula import (
-    BINARY,
     FALSE,
     MODAL,
     TRUE,
     And,
-    Atom,
-    FalseConst,
     Formula,
-    FormulaError,
     Not,
     Or,
-    TrueConst,
     Val,
     conj,
+    rebuild,
 )
 from .normal_form import AgentBlock, merge_positive, modal_arguments, simplify, to_clauses
 
@@ -85,28 +81,20 @@ class Decider:
         return Verdict("satisfiable" if ok else "unsatisfiable")
 
     def valid(self, f: Formula) -> Verdict:
-        ok = not self._sat(simplify(Not(self.eliminate_val(f))), 0)
+        ok = not self._sat(Not(self.eliminate_val(f)), 0)
         return Verdict("valid" if ok else "invalid")
 
     def eliminate_val(self, f: Formula) -> Formula:
-        """Replace every V body, innermost out, by its own verdict."""
+        """Replace every V body, innermost out, by its own verdict.  A
+        V-free subformula comes back as the same object."""
         self._tick()
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
             if self.trace:
                 self.trace(0, "resolve validity operator", body)
-            return TRUE if not self._sat(simplify(Not(body)), 1) else FALSE
-        if isinstance(f, (Atom, TrueConst, FalseConst)):
-            return f
-        if isinstance(f, Not):
-            return simplify(Not(self.eliminate_val(f.sub)))
-        if isinstance(f, MODAL):
-            return simplify(type(f)(f.agent, self.eliminate_val(f.sub)))
-        if isinstance(f, BINARY):
-            return simplify(
-                type(f)(self.eliminate_val(f.left), self.eliminate_val(f.right))
-            )
-        raise FormulaError(f"unknown node {f!r}")
+            return FALSE if self._sat(Not(body), 1) else TRUE
+        g = rebuild(f, self.eliminate_val)
+        return f if g is f else simplify(g)
 
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, arguments assumed
@@ -211,7 +199,7 @@ class Decider:
         union = Or(alpha, gamma)
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
-        return not self._sat(simplify(Not(union)), level + 1)
+        return not self._sat(Not(union), level + 1)
 
     # -- bookkeeping ----------------------------------------------------
 

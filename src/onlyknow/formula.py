@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class FormulaError(ValueError):
@@ -159,6 +159,38 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """f with fn applied to each child; f itself when no child changed."""
+    if isinstance(f, BINARY):
+        left, right = fn(f.left), fn(f.right)
+        return f if left is f.left and right is f.right else type(f)(left, right)
+    if isinstance(f, (Not, Val)):
+        sub = fn(f.sub)
+        return f if sub is f.sub else type(f)(sub)
+    if isinstance(f, MODAL):
+        sub = fn(f.sub)
+        return f if sub is f.sub else type(f)(f.agent, sub)
+    if isinstance(f, (Atom, TrueConst, FalseConst)):
+        return f
+    raise FormulaError(f"unknown node {f!r}")
+
+
+def leaves(f: Formula) -> Iterator[Formula]:
+    """The Boolean-level leaves, left to right: atoms, constants, and
+    L/N/V formulas taken whole.  Iterative, so width costs no stack."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, BINARY):
+            stack += (g.right, g.left)
+        elif isinstance(g, Not):
+            stack.append(g.sub)
+        elif isinstance(g, (Atom, TrueConst, FalseConst, L, N, Val)):
+            yield g
+        else:
+            raise FormulaError(f"unknown node {g!r}")
+
+
 def walk(f: Formula) -> Iterator[Formula]:
     """Preorder traversal of all subformula occurrences."""
     stack = [f]
@@ -191,17 +223,7 @@ def is_basic(f: Formula) -> bool:
 
 def is_i_objective(f: Formula, i: int) -> bool:
     """Boolean combination of atoms and other-agent modal formulas."""
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return True
-    if isinstance(f, MODAL):
-        return f.agent != i
-    if isinstance(f, Val):
-        return False
-    if isinstance(f, Not):
-        return is_i_objective(f.sub, i)
-    if isinstance(f, BINARY):
-        return is_i_objective(f.left, i) and is_i_objective(f.right, i)
-    raise FormulaError(f"unknown node {f!r}")
+    return all(g.agent != i if isinstance(g, MODAL) else not isinstance(g, Val) for g in leaves(f))
 
 
 def is_i_subjective(f: Formula, i: int) -> bool:
@@ -210,19 +232,9 @@ def is_i_subjective(f: Formula, i: int) -> bool:
     The Boolean constants are degenerate combinations, so they are both
     objective and subjective for every agent.
     """
-    if isinstance(f, (TrueConst, FalseConst)):
-        return True
-    if isinstance(f, Atom):
-        return False
-    if isinstance(f, MODAL):
-        return f.agent == i
-    if isinstance(f, Val):
-        return False
-    if isinstance(f, Not):
-        return is_i_subjective(f.sub, i)
-    if isinstance(f, BINARY):
-        return is_i_subjective(f.left, i) and is_i_subjective(f.right, i)
-    raise FormulaError(f"unknown node {f!r}")
+    return all(
+        g.agent == i if isinstance(g, MODAL) else isinstance(g, (TrueConst, FalseConst)) for g in leaves(f)
+    )
 
 
 def in_onl_minus(f: Formula) -> bool:
@@ -284,17 +296,7 @@ def substitute_atom(f: Formula, name: str, value: Formula) -> Formula:
     """Replace every occurrence of the named atom, including under modalities."""
     if isinstance(f, Atom):
         return value if f.name == name else f
-    if isinstance(f, (TrueConst, FalseConst)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute_atom(f.sub, name, value))
-    if isinstance(f, Val):
-        return Val(substitute_atom(f.sub, name, value))
-    if isinstance(f, MODAL):
-        return type(f)(f.agent, substitute_atom(f.sub, name, value))
-    return type(f)(
-        substitute_atom(f.left, name, value), substitute_atom(f.right, name, value)
-    )
+    return rebuild(f, lambda g: substitute_atom(g, name, value))
 
 
 def assign(f: Formula, env: Mapping[Formula, bool]) -> Formula:

@@ -1,5 +1,8 @@
-"""Disjunctive normal form for V-free formulas, streamed one disjunct
-at a time.
+"""Formula rewrites: ``simplify`` (constant folding, on any formula)
+and, for V-free formulas, ``normalize`` (modalities pushed down to
+objective arguments), the clause form the decision procedure searches
+(``to_clauses``), and the disjunctive normal form, streamed one
+disjunct at a time (``to_normal_form``).
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .formula import (
-    BINARY,
     FALSE,
     MODAL,
     TRUE,
@@ -44,6 +46,7 @@ from .formula import (
     conj,
     disj,
     is_i_objective,
+    rebuild,
 )
 
 # Rewrite caches keyed by (immutable) formula; entries are only ever
@@ -61,92 +64,67 @@ def simplify(f: Formula) -> Formula:
     hit = _SIMPLIFY_CACHE.get(f)
     if hit is not None:
         return hit
-    out = _simplify(f)
+    # Folding after rebuild returns keeps the recursion at two frames a level.
+    out = _fold(rebuild(f, simplify))
     _SIMPLIFY_CACHE[f] = out
     return out
 
 
-def _simplify(f: Formula) -> Formula:
-    if isinstance(f, TrueConst):
+def _fold(g: Formula) -> Formula:
+    """One folding step on a node whose children are simplified."""
+    if isinstance(g, Not):
+        a = g.sub
+        if a is TRUE:
+            return FALSE
+        if a is FALSE:
+            return TRUE
+        return a.sub if isinstance(a, Not) else g
+    if isinstance(g, MODAL):
+        return TRUE if g.sub is TRUE else g
+    if isinstance(g, Val):
+        return g.sub if g.sub is TRUE or g.sub is FALSE else g
+    if isinstance(g, TrueConst):
         return TRUE
-    if isinstance(f, FalseConst):
+    if isinstance(g, FalseConst):
         return FALSE
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        a = simplify(f.sub)
-        if a is TRUE:
-            return FALSE
-        if a is FALSE:
-            return TRUE
-        if isinstance(a, Not):
-            return a.sub
-        return Not(a)
-    if isinstance(f, And):
-        a, b = simplify(f.left), simplify(f.right)
-        if a is FALSE or b is FALSE:
-            return FALSE
-        if a is TRUE:
+    if isinstance(g, Atom):
+        return g
+    a, b = g.left, g.right
+    if isinstance(g, (And, Or)):
+        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
+        if a is zero or b is zero:
+            return zero
+        if a is unit:
             return b
-        if b is TRUE:
+        if b is unit:
             return a
         if a == b:
             return a
         if a == Not(b) or b == Not(a):
-            return FALSE
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = simplify(f.left), simplify(f.right)
-        if a is TRUE or b is TRUE:
-            return TRUE
-        if a is FALSE:
-            return b
-        if b is FALSE:
-            return a
-        if a == b:
-            return a
-        if a == Not(b) or b == Not(a):
-            return TRUE
-        return Or(a, b)
-    if isinstance(f, Implies):
-        a, b = simplify(f.left), simplify(f.right)
+            return zero
+        return g
+    if isinstance(g, Implies):
         if a is FALSE or b is TRUE:
             return TRUE
         if a is TRUE:
             return b
         if b is FALSE:
             return simplify(Not(a))
-        if a == b:
-            return TRUE
-        return Implies(a, b)
-    if isinstance(f, Iff):
-        a, b = simplify(f.left), simplify(f.right)
-        if a is TRUE:
-            return b
-        if b is TRUE:
-            return a
-        if a is FALSE:
-            return simplify(Not(b))
-        if b is FALSE:
-            return simplify(Not(a))
-        if a == b:
-            return TRUE
-        if a == Not(b) or b == Not(a):
-            return FALSE
-        return Iff(a, b)
-    if isinstance(f, MODAL):
-        a = simplify(f.sub)
-        if a is TRUE:
-            return TRUE
-        return type(f)(f.agent, a)
-    if isinstance(f, Val):
-        a = simplify(f.sub)
-        if a is TRUE:
-            return TRUE
-        if a is FALSE:
-            return FALSE
-        return Val(a)
-    raise ValueError(f"unknown node {f!r}")
+        return TRUE if a == b else g
+    # Iff
+    if a is TRUE:
+        return b
+    if b is TRUE:
+        return a
+    if a is FALSE:
+        return simplify(Not(b))
+    if b is FALSE:
+        return simplify(Not(a))
+    if a == b:
+        return TRUE
+    if a == Not(b) or b == Not(a):
+        return FALSE
+    return g
 
 
 def normalize(f: Formula) -> Formula:
@@ -157,22 +135,11 @@ def normalize(f: Formula) -> Formula:
     hit = _NORMALIZE_CACHE.get(f)
     if hit is not None:
         return hit
-    out = _normalize(f)
-    _NORMALIZE_CACHE[f] = out
-    return out
-
-
-def _normalize(f: Formula) -> Formula:
     if isinstance(f, Val):
         raise ValPresentError("normal form is defined for V-free formulas only")
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return f
-    if isinstance(f, Not):
-        return Not(normalize(f.sub))
-    if isinstance(f, BINARY):
-        return type(f)(normalize(f.left), normalize(f.right))
-    assert isinstance(f, MODAL)
-    return _push(type(f), f.agent, normalize(f.sub))
+    out = _push(type(f), f.agent, normalize(f.sub)) if isinstance(f, MODAL) else rebuild(f, normalize)
+    _NORMALIZE_CACHE[f] = out
+    return out
 
 
 def _push(op: type, agent: int, arg: Formula) -> Formula:
@@ -288,7 +255,9 @@ def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
     A clause is a list of nonzero ints, negative meaning negated.  The
     conversion is polarity-aware Tseitin (Plaisted & Greenbaum, 1986):
     only a conjunction under a disjunction gets a fresh variable t, with
-    the one-way clauses ~t | c, so the clause count stays linear.  An
+    the one-way clauses ~t | c.  The count is linear only without <->,
+    since _nnf copies both sides of each one: p0 <-> ... <-> p14 gives
+    45,053 clauses.  An
     assignment satisfying the clauses makes the formula true on its
     leaves, and every model of the formula extends to one satisfying
     them.  The skeleton's clauses come first, then the definitions,

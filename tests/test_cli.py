@@ -31,6 +31,14 @@ def test_decide_parse_error_exit_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [(), ("p", "--batch", "lines.txt")])
+def test_decide_takes_a_formula_or_a_batch(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(["decide", "--mode", "sat", *argv])
+    assert stop.value.code == 2
+    assert "formula" in capsys.readouterr().err
+
+
 def test_decide_trace_goes_to_stderr(capsys):
     code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "L1 p & ~L1 q")
     assert code == 0
@@ -166,6 +174,21 @@ def test_believes_subcommand(capsys):
         "--kb", "L2 p & (~L1 L2 p -> ~L2 p)", "--query", "~L2 p",
     )
     assert code == 1 and out.strip() == "NO"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("believes", "--agent", "0", "--kb", "p", "--query", "p"),
+        ("believes", "--agent", "3", "--agents", "2", "--kb", "p", "--query", "p"),
+        ("classify", "--agent", "-1", "p"),
+    ],
+)
+def test_agent_option_out_of_range_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "agent index" in err and "out of range" in err
 
 
 def test_okn_sets_subcommand(capsys):

@@ -43,6 +43,11 @@ def test_eliminate_val_nested_and_under_modalities():
     assert Decider().eliminate_val(parse("V (V p | ~V p)")) is TRUE
 
 
+def test_eliminate_val_returns_a_val_free_input_unchanged():
+    f = parse("(p & true | L1 (q & q)) -> ~~N2 p", 2)
+    assert Decider().eliminate_val(f) is f
+
+
 def test_eliminate_val_is_val_free():
     for seed in range(80):
         f = generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2)

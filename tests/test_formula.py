@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from onlyknow import k45
@@ -6,6 +8,7 @@ from onlyknow.formula import (
     And,
     Atom,
     FALSE,
+    FormulaError,
     L,
     N,
     Not,
@@ -18,11 +21,15 @@ from onlyknow.formula import (
     atoms,
     build_independent,
     classify,
+    conj,
     in_onl_minus,
     is_i_objective,
+    is_i_subjective,
+    leaves,
     modal_depth,
     only_knows,
     parse,
+    rebuild,
     to_text,
     walk,
 )
@@ -230,3 +237,34 @@ def test_assign_replaces_boolean_level_leaves_only():
     g = assign(f, {q: True})
     assert g.left is f.left and g.right.left is f.right.left
     assert assign(f, {Atom("r"): True}) is f
+
+
+def test_rebuild_keeps_unchanged_nodes():
+    for seed in range(40):
+        f = generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2)
+        assert rebuild(f, lambda g: g) is f
+    f = parse("L1 p & ~V q", 1)
+    g = rebuild(f, lambda h: Atom("r") if h == L(1, p) else h)
+    assert g == parse("r & ~V q") and g.right is f.right
+
+
+def test_leaves_stop_at_modal_and_val_formulas():
+    f = parse("~(p & L1 q) | (true -> V r) <-> N2 p", 2)
+    assert list(leaves(f)) == [p, L(1, q), TRUE, Val(Atom("r")), N(2, p)]
+    with pytest.raises(FormulaError):
+        list(leaves(And(p, "q")))
+    with pytest.raises(FormulaError):
+        rebuild("p", lambda g: g)
+
+
+def test_classifiers_of_wide_conjunctions_at_the_default_recursion_limit():
+    wide_objective = conj(Atom(f"p{k}") for k in range(5000))
+    wide_subjective = conj(L(1, Atom(f"p{k}")) for k in range(5000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        objective = is_i_objective(wide_objective, 1)
+        subjective = is_i_subjective(wide_subjective, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert objective is True and subjective is True

@@ -156,3 +156,10 @@ def test_simplify_folds_constants_and_modalities():
 
 def test_reassemble_of_empty_stream_is_false():
     assert reassemble(nf("p & ~p", 1)) is FALSE
+
+
+def test_simplify_returns_an_already_simple_formula_unchanged():
+    # The simplify cache is process-wide: these atom names occur in no other test.
+    a, b = Atom("simple_a"), Atom("simple_b")
+    f = Or(And(a, L(1, Not(b))), N(2, Iff(a, b)))
+    assert simplify(f) is f

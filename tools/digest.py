@@ -1,0 +1,84 @@
+"""Fixed output digest of the engine on 3,200 seeded random formulas.
+
+Usage: python tools/digest.py
+
+Draws 640 formulas from each of five generate_random families (all at
+modal depth 3 over 3 atoms; formula k of family j has seed
+100000*(j+1)+k) and prints one sha256 per component:
+
+  verdicts  consistent and valid
+  nf        the first 50 to_normal_form disjuncts
+  rewrites  simplify(f), simplify(eliminate_val(f)), substitute_atom, assign
+  classes   is_i_objective and is_i_subjective for agents 1 and 2
+  clauses   to_clauses variable and clause counts
+
+Two versions of the engine that print the same digests agree on every
+one of these outputs.  The V-free inputs of nf, assign and to_clauses
+are simplify(eliminate_val(f)).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from itertools import islice
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from onlyknow.corpus import generate_random  # noqa: E402
+from onlyknow.decision import Decider  # noqa: E402
+from onlyknow.formula import (  # noqa: E402
+    Atom,
+    L,
+    Not,
+    assign,
+    is_i_objective,
+    is_i_subjective,
+    substitute_atom,
+    to_text,
+)
+from onlyknow.normal_form import simplify, to_clauses, to_normal_form  # noqa: E402
+
+FAMILIES = (  # (profile, agents, size)
+    ("basic", 2, 20),
+    ("full", 2, 20),
+    ("full", 1, 14),
+    ("onl_minus", 2, 14),
+    ("full", 2, 14),
+)
+PER_FAMILY = 640
+ENV = {Atom("p"): True, Atom("p1"): False, L(1, Atom("p")): True}
+
+
+def records(f) -> dict[str, str]:
+    decider = Decider()
+    g = simplify(decider.eliminate_val(f))
+    variables, clauses = to_clauses(g)
+    return {
+        "verdicts": f"{decider.consistent(f).status} {decider.valid(f).status}",
+        "nf": " || ".join(to_text(d.to_formula()) for d in islice(to_normal_form(g), 50)),
+        "rewrites": " ; ".join(
+            to_text(h)
+            for h in (simplify(f), g, substitute_atom(f, "p1", Not(Atom("q"))), assign(g, ENV))
+        ),
+        "classes": " ".join(str(c(f, i)) for i in (1, 2) for c in (is_i_objective, is_i_subjective)),
+        "clauses": f"{len(variables)} {len(clauses)}",
+    }
+
+
+def main() -> None:
+    hashes = {}
+    for family, (profile, agents, size) in enumerate(FAMILIES):
+        for k in range(PER_FAMILY):
+            f = generate_random(
+                100000 * (family + 1) + k, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size
+            )
+            for name, line in records(f).items():
+                hashes.setdefault(name, hashlib.sha256()).update(f"{line}\n".encode())
+    for name, h in hashes.items():
+        print(f"{name:9} {h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
