@@ -37,7 +37,7 @@ from .formula import (
     conj,
     rebuild,
 )
-from .normal_form import AgentBlock, merge_positive, modal_arguments, simplify, to_clauses
+from .normal_form import AgentBlock, fold, merge_positive, modal_arguments, simplify, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -77,35 +77,37 @@ class Decider:
     # -- public operations ------------------------------------------------
 
     def consistent(self, f: Formula) -> Verdict:
-        ok = self._sat(self.eliminate_val(f), 0)
+        ok = self._sat(simplify(self.eliminate_val(f)), 0)
         return Verdict("satisfiable" if ok else "unsatisfiable")
 
     def valid(self, f: Formula) -> Verdict:
-        ok = not self._sat(Not(self.eliminate_val(f)), 0)
+        ok = not self._sat(simplify(Not(self.eliminate_val(f))), 0)
         return Verdict("valid" if ok else "invalid")
 
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict.  A
-        V-free subformula comes back as the same object."""
+        V-free subformula comes back as the same object and a rebuilt
+        node is folded one step, so the result is simplified when f is."""
         self._tick()
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
             if self.trace:
                 self.trace(0, "resolve validity operator", body)
-            return FALSE if self._sat(Not(body), 1) else TRUE
+            return FALSE if self._sat(simplify(Not(body)), 1) else TRUE
         g = rebuild(f, self.eliminate_val)
-        return f if g is f else simplify(g)
+        return f if g is f else fold(g)
 
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, arguments assumed
-        objective for that agent (the normal form guarantees it)."""
+        objective for that agent (the normal form guarantees it) and
+        simplified."""
         return self._block_ok(b, 0)
 
     # -- recursion ----------------------------------------------------------
 
     def _sat(self, f: Formula, level: int) -> bool:
+        """Is the simplified formula f satisfiable?"""
         self._tick()
-        f = simplify(f)
         if f is TRUE:
             return True
         if f is FALSE:
@@ -189,17 +191,17 @@ class Decider:
         for phi in b.neg_l:
             if self.trace:
                 self.trace(level, f"agent {b.agent}: negated L against the positive part", phi)
-            if not self._sat(And(alpha, Not(phi)), level + 1):
+            if not self._sat(fold(And(alpha, fold(Not(phi)))), level + 1):
                 return False
         for psi in b.neg_n:
             if self.trace:
                 self.trace(level, f"agent {b.agent}: negated N against the positive part", psi)
-            if not self._sat(And(gamma, Not(psi)), level + 1):
+            if not self._sat(fold(And(gamma, fold(Not(psi)))), level + 1):
                 return False
-        union = Or(alpha, gamma)
+        union = fold(Or(alpha, gamma))
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
-        return not self._sat(Not(union), level + 1)
+        return not self._sat(fold(Not(union)), level + 1)
 
     # -- bookkeeping ----------------------------------------------------
 

@@ -49,29 +49,20 @@ from .formula import (
     rebuild,
 )
 
-# Rewrite caches keyed by (immutable) formula; entries are only ever
-# added, never mutated, so concurrent readers under the GIL are fine.
-_SIMPLIFY_CACHE: dict[Formula, Formula] = {}
-_NORMALIZE_CACHE: dict[Formula, Formula] = {}
-
-
 def simplify(f: Formula) -> Formula:
     """Constant folding, double negation, idempotence and complements.
 
     Also folds L/N/V of true to true (necessitation); L of false is kept,
-    it is satisfiable but not valid.
+    it is satisfiable but not valid.  The rewrites build their output
+    simplified, so on the decide path this runs only on a query's input.
     """
-    hit = _SIMPLIFY_CACHE.get(f)
-    if hit is not None:
-        return hit
     # Folding after rebuild returns keeps the recursion at two frames a level.
-    out = _fold(rebuild(f, simplify))
-    _SIMPLIFY_CACHE[f] = out
-    return out
+    return fold(rebuild(f, simplify))
 
 
-def _fold(g: Formula) -> Formula:
-    """One folding step on a node whose children are simplified."""
+def fold(g: Formula) -> Formula:
+    """One folding step on a node whose children are simplified; the
+    result is simplified."""
     if isinstance(g, Not):
         a = g.sub
         if a is TRUE:
@@ -100,7 +91,7 @@ def _fold(g: Formula) -> Formula:
             return a
         if a == b:
             return a
-        if a == Not(b) or b == Not(a):
+        if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
             return zero
         return g
     if isinstance(g, Implies):
@@ -109,7 +100,7 @@ def _fold(g: Formula) -> Formula:
         if a is TRUE:
             return b
         if b is FALSE:
-            return simplify(Not(a))
+            return fold(Not(a))
         return TRUE if a == b else g
     # Iff
     if a is TRUE:
@@ -117,34 +108,41 @@ def _fold(g: Formula) -> Formula:
     if b is TRUE:
         return a
     if a is FALSE:
-        return simplify(Not(b))
+        return fold(Not(b))
     if b is FALSE:
-        return simplify(Not(a))
+        return fold(Not(a))
     if a == b:
         return TRUE
-    if a == Not(b) or b == Not(a):
+    if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
         return FALSE
     return g
 
 
+def join(op: type, parts: Iterable[Formula]) -> Formula:
+    """Left fold of op (And or Or) over simplified parts, each node folded
+    as it is built: simplify(conj(parts)) or simplify(disj(parts))."""
+    out: Formula | None = None
+    for p in parts:
+        out = p if out is None else fold(op(out, p))
+    if out is None:
+        return TRUE if op is And else FALSE
+    return out
+
+
 def normalize(f: Formula) -> Formula:
-    """Equivalent formula in which every modal subformula is a "modal
-    atom": an L/N whose argument is objective for its agent (and itself
-    normalized).  The Boolean skeleton above the atoms is untouched.
+    """Equivalent simplified formula in which every modal subformula is a
+    "modal atom": an L/N whose argument is objective for its agent (and
+    itself normalized).
     """
-    hit = _NORMALIZE_CACHE.get(f)
-    if hit is not None:
-        return hit
     if isinstance(f, Val):
         raise ValPresentError("normal form is defined for V-free formulas only")
-    out = _push(type(f), f.agent, normalize(f.sub)) if isinstance(f, MODAL) else rebuild(f, normalize)
-    _NORMALIZE_CACHE[f] = out
-    return out
+    if isinstance(f, MODAL):
+        return _push(type(f), f.agent, normalize(f.sub))
+    return fold(rebuild(f, normalize))
 
 
 def _push(op: type, agent: int, arg: Formula) -> Formula:
     """Push one modality over a normalized argument."""
-    arg = simplify(arg)
     if arg is TRUE:
         return TRUE
     parts: list[Formula] = []
@@ -160,7 +158,7 @@ def _push(op: type, agent: int, arg: Formula) -> Formula:
                     has_own_positive = True
             else:
                 objective.append(literal)
-        psi = simplify(disj(objective))
+        psi = join(Or, objective)
         if psi is TRUE:
             continue
         literals = list(subjective)
@@ -168,38 +166,36 @@ def _push(op: type, agent: int, arg: Formula) -> Formula:
             # L<i> false is implied by any positive L<i> literal; keep it
             # only when nothing subsumes it.
             literals.insert(0, op(agent, psi))
-        parts.append(simplify(disj(literals)))
-    # A balanced fold: a left-deep chain of 2^k clauses hashes recursively,
-    # which is quadratic and overruns the recursion limit.
+        parts.append(join(Or, literals))
+    # A balanced fold: a left-deep chain of 2^k clauses overruns the
+    # recursion limit in the recursive walks after it, such as _nnf.
     while len(parts) > 2:
-        parts = [conj(parts[i : i + 2]) for i in range(0, len(parts), 2)]
-    return simplify(conj(parts))
+        parts = [join(And, parts[i : i + 2]) for i in range(0, len(parts), 2)]
+    return join(And, parts)
 
 
 def _nnf(f: Formula, neg: bool = False) -> Formula:
-    """Negation normal form over leaves (atoms, constants, modal atoms)."""
+    """Negation normal form over leaves (atoms, constants, modal atoms),
+    each node folded as it is built, so the form of a simplified formula
+    is simplified too; _push takes objective parts from it whole."""
     if isinstance(f, Not):
         return _nnf(f.sub, not neg)
     if isinstance(f, And):
         cls = Or if neg else And
-        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
+        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
     if isinstance(f, Or):
         cls = And if neg else Or
-        return cls(_nnf(f.left, neg), _nnf(f.right, neg))
+        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
     if isinstance(f, Implies):
         if neg:
-            return And(_nnf(f.left, False), _nnf(f.right, True))
-        return Or(_nnf(f.left, True), _nnf(f.right, False))
+            return fold(And(_nnf(f.left, False), _nnf(f.right, True)))
+        return fold(Or(_nnf(f.left, True), _nnf(f.right, False)))
     if isinstance(f, Iff):
+        x, nx = _nnf(f.left, False), _nnf(f.left, True)
+        y, ny = _nnf(f.right, False), _nnf(f.right, True)
         if neg:
-            return Or(
-                And(_nnf(f.left, False), _nnf(f.right, True)),
-                And(_nnf(f.left, True), _nnf(f.right, False)),
-            )
-        return And(
-            Or(_nnf(f.left, True), _nnf(f.right, False)),
-            Or(_nnf(f.right, True), _nnf(f.left, False)),
-        )
+            return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
+        return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
     if isinstance(f, TrueConst):
         return FALSE if neg else TRUE
     if isinstance(f, FalseConst):
@@ -323,7 +319,7 @@ def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
             return None
         return list(lits)
 
-    clauses = clause_set(_nnf(simplify(normalize(f))))
+    clauses = clause_set(_nnf(normalize(f)))
     return variables, clauses + definitions
 
 
@@ -361,13 +357,14 @@ def merge_positive(
     neg_n: tuple[Formula, ...] = (),
 ) -> AgentBlock:
     """Collapse repeated positive conjuncts: L a & L b is L (a & b), and
-    likewise for N; absent positives default to true.
+    likewise for N; absent positives default to true.  The arguments
+    must be simplified.
     """
     return AgentBlock(
         agent=agent,
-        pos_l=simplify(conj(pos_l)),
+        pos_l=join(And, pos_l),
         neg_l=tuple(dict.fromkeys(neg_l)),
-        pos_n=simplify(conj(pos_n)),
+        pos_n=join(And, pos_n),
         neg_n=tuple(dict.fromkeys(neg_n)),
     )
 
@@ -405,7 +402,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     The full disjunction is never materialized: only the current path of
     the distribution (bookkeeping) and the yielded disjunct are alive.
     """
-    skeleton = _nnf(simplify(normalize(f)))
+    skeleton = _nnf(normalize(f))
     for literals in _dnf_stream(skeleton, {}):
         yield _assemble(literals)
 
@@ -450,7 +447,7 @@ def _assemble(literals: dict[Formula, bool]) -> NormalFormDisjunct:
     blocks = tuple(
         merge_positive(agent, *modal_arguments(g)) for agent, g in sorted(groups.items())
     )
-    return NormalFormDisjunct(sigma=simplify(conj(sigma_parts)), blocks=blocks)
+    return NormalFormDisjunct(sigma=join(And, sigma_parts), blocks=blocks)
 
 
 def reassemble(disjuncts: Iterator[NormalFormDisjunct] | list[NormalFormDisjunct]) -> Formula:

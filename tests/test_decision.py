@@ -16,6 +16,7 @@ from onlyknow.formula import (
     Val,
     assign,
     atoms,
+    conj,
     disj,
     modal_depth,
     only_knows,
@@ -46,6 +47,15 @@ def test_eliminate_val_nested_and_under_modalities():
 def test_eliminate_val_returns_a_val_free_input_unchanged():
     f = parse("(p & true | L1 (q & q)) -> ~~N2 p", 2)
     assert Decider().eliminate_val(f) is f
+
+
+def test_eliminate_val_keeps_a_simplified_input_simplified():
+    for seed in range(80):
+        f = simplify(generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2))
+        g = Decider().eliminate_val(f)
+        assert simplify(g) == g
+    # Only the nodes it rebuilds are folded; the untouched L argument stays.
+    assert Decider().eliminate_val(parse("L1 (q | true) & V (p | ~p)", 1)) == L(1, q | TRUE)
 
 
 def test_eliminate_val_is_val_free():
@@ -229,6 +239,48 @@ def test_deep_basic_formula_decides_at_the_default_recursion_limit():
         assert bool(Decider().consistent(f)) == k45.sat(f)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("head", [(), (Val(p | ~p),)], ids=["atoms", "valid-head"])
+def test_pre_search_work_is_linear_on_a_wide_conjunction(head):
+    # p0 & ... & p1999, left-deep, optionally over a V at the bottom.
+    # Rehashing or re-simplifying the chain below each node is quadratic.
+    import sys
+    import time
+
+    f = conj([*head, *(Atom(f"p{i}") for i in range(2000))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        start = time.perf_counter()
+        assert Decider().consistent(f).status == "satisfiable"
+        assert time.perf_counter() - start < 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_memory_stays_bounded_across_a_batch():
+    # Nothing outlives a query's Decider, so a warm batch stops growing.
+    import gc
+    import tracemalloc
+
+    def decide(seeds):
+        for seed in seeds:
+            f = generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, size=20)
+            Decider().consistent(f)
+            Decider().valid(f)
+
+    decide(range(100))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decide(range(100, 300))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 def test_budget_exceeded_raises():

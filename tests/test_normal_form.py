@@ -159,7 +159,6 @@ def test_reassemble_of_empty_stream_is_false():
 
 
 def test_simplify_returns_an_already_simple_formula_unchanged():
-    # The simplify cache is process-wide: these atom names occur in no other test.
     a, b = Atom("simple_a"), Atom("simple_b")
     f = Or(And(a, L(1, Not(b))), N(2, Iff(a, b)))
     assert simplify(f) is f
