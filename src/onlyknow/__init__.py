@@ -30,6 +30,7 @@ from .formula import (
     modal_depth,
     only_knows,
     parse,
+    simplify,
     to_text,
 )
 from .normal_form import (
@@ -37,7 +38,6 @@ from .normal_form import (
     NormalFormDisjunct,
     merge_positive,
     reassemble,
-    simplify,
     to_normal_form,
 )
 from .decision import (

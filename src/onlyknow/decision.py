@@ -35,9 +35,10 @@ from .formula import (
     Or,
     Val,
     conj,
+    fold,
     rebuild,
 )
-from .normal_form import AgentBlock, fold, merge_positive, modal_arguments, simplify, to_clauses
+from .normal_form import AgentBlock, merge_positive, modal_arguments, normalize, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -77,11 +78,11 @@ class Decider:
     # -- public operations ------------------------------------------------
 
     def consistent(self, f: Formula) -> Verdict:
-        ok = self._sat(simplify(self.eliminate_val(f)), 0)
+        ok = self._sat(normalize(self.eliminate_val(f), self._tick), 0)
         return Verdict("satisfiable" if ok else "unsatisfiable")
 
     def valid(self, f: Formula) -> Verdict:
-        ok = not self._sat(simplify(Not(self.eliminate_val(f))), 0)
+        ok = not self._sat(normalize(Not(self.eliminate_val(f)), self._tick), 0)
         return Verdict("valid" if ok else "invalid")
 
     def eliminate_val(self, f: Formula) -> Formula:
@@ -93,20 +94,20 @@ class Decider:
             body = self.eliminate_val(f.sub)
             if self.trace:
                 self.trace(0, "resolve validity operator", body)
-            return FALSE if self._sat(simplify(Not(body)), 1) else TRUE
+            return FALSE if self._sat(normalize(Not(body), self._tick), 1) else TRUE
         g = rebuild(f, self.eliminate_val)
         return f if g is f else fold(g)
 
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, arguments assumed
-        objective for that agent (the normal form guarantees it) and
-        simplified."""
+        objective for that agent and normalized (the normal form
+        guarantees both)."""
         return self._block_ok(b, 0)
 
     # -- recursion ----------------------------------------------------------
 
     def _sat(self, f: Formula, level: int) -> bool:
-        """Is the simplified formula f satisfiable?"""
+        """Is the normalized formula f satisfiable?"""
         self._tick()
         if f is TRUE:
             return True
@@ -127,7 +128,7 @@ class Decider:
         the trail, the group test on the modal literals after each
         propagation, and SAT once every clause is satisfied, so the
         literals still unassigned stay don't-care."""
-        variables, clauses = to_clauses(f)
+        variables, clauses = to_clauses(f, self._tick)
         modal = {v: leaf for v, leaf in enumerate(variables, 1) if isinstance(leaf, MODAL)}
         tested: dict[frozenset[int], bool] = {}
         s = _Trail(len(variables), clauses)

@@ -35,11 +35,12 @@ from .formula import (
     agents,
     atoms,
     conj,
-    disj,
+    fold,
     is_propositional,
+    join,
     walk,
 )
-from .normal_form import simplify, to_normal_form
+from .normal_form import to_normal_form
 
 World = frozenset[str]
 
@@ -230,13 +231,13 @@ def reduce_n_to_l(f: Formula, phi: Iterable[str], bound: int = 2) -> Formula:
             parts.extend(Not(L(1, g)) for g in b.neg_l)
             if b.pos_n is not TRUE:
                 parts.append(_n_expansion(b.pos_n, alphabet))
-            parts.extend(Not(_n_expansion(g, alphabet)) for g in b.neg_n)
-        out.append(simplify(conj(parts)))
-    return simplify(disj(out))
+            parts.extend(fold(Not(_n_expansion(g, alphabet))) for g in b.neg_n)
+        out.append(join(And, parts))
+    return join(Or, out)
 
 
 def _n_expansion(arg: Formula, phi: tuple[str, ...]) -> Formula:
     if not is_propositional(arg):
         raise FormulaError(f"N argument {arg} did not flatten to a propositional formula")
     falsifying = [w for w in worlds_over(phi) if not _prop_holds(w, arg)]
-    return simplify(conj(Not(L(1, Not(world_formula(w, phi)))) for w in falsifying))
+    return join(And, (Not(L(1, fold(Not(world_formula(w, phi))))) for w in falsifying))

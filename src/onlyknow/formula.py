@@ -7,6 +7,9 @@ operator ``V`` whose dual ``C`` reads "is satisfiable".  ``O<i> x``
 ("only knows x") is accepted by the parser as shorthand for
 ``L<i> x & N<i> ~x`` and folded back by the printer; it is never a node
 of its own.
+
+``rebuild`` maps a function over a node's children, and ``fold`` and
+``join`` fold constants, so a rewrite folds each node as it builds it.
 """
 
 from __future__ import annotations
@@ -175,6 +178,86 @@ def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     raise FormulaError(f"unknown node {f!r}")
 
 
+def simplify(f: Formula) -> Formula:
+    """Constant folding, double negation, idempotence and complements.
+
+    Also folds L/N/V of true to true (necessitation); L of false is kept,
+    it is satisfiable but not valid.  The rewrites fold each node as
+    they build it, so their output needs no second pass.
+    """
+    # Folding after rebuild returns keeps the recursion at two frames a level.
+    return fold(rebuild(f, simplify))
+
+
+def fold(g: Formula) -> Formula:
+    """One folding step on a node whose children are simplified; the
+    result is simplified."""
+    if isinstance(g, Not):
+        a = g.sub
+        if a is TRUE:
+            return FALSE
+        if a is FALSE:
+            return TRUE
+        return a.sub if isinstance(a, Not) else g
+    if isinstance(g, MODAL):
+        return TRUE if g.sub is TRUE else g
+    if isinstance(g, Val):
+        return g.sub if g.sub is TRUE or g.sub is FALSE else g
+    if isinstance(g, TrueConst):
+        return TRUE
+    if isinstance(g, FalseConst):
+        return FALSE
+    if isinstance(g, Atom):
+        return g
+    a, b = g.left, g.right
+    if isinstance(g, (And, Or)):
+        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
+        if a is zero or b is zero:
+            return zero
+        if a is unit:
+            return b
+        if b is unit:
+            return a
+        if a == b:
+            return a
+        if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
+            return zero
+        return g
+    if isinstance(g, Implies):
+        if a is FALSE or b is TRUE:
+            return TRUE
+        if a is TRUE:
+            return b
+        if b is FALSE:
+            return fold(Not(a))
+        return TRUE if a == b else g
+    # Iff
+    if a is TRUE:
+        return b
+    if b is TRUE:
+        return a
+    if a is FALSE:
+        return fold(Not(b))
+    if b is FALSE:
+        return fold(Not(a))
+    if a == b:
+        return TRUE
+    if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
+        return FALSE
+    return g
+
+
+def join(op: type, parts: Iterable[Formula]) -> Formula:
+    """Left fold of op (And or Or) over simplified parts, each node folded
+    as it is built: simplify(conj(parts)) or simplify(disj(parts))."""
+    out: Formula | None = None
+    for p in parts:
+        out = p if out is None else fold(op(out, p))
+    if out is None:
+        return TRUE if op is And else FALSE
+    return out
+
+
 def leaves(f: Formula) -> Iterator[Formula]:
     """The Boolean-level leaves, left to right: atoms, constants, and
     L/N/V formulas taken whole.  Iterative, so width costs no stack."""
@@ -304,19 +387,13 @@ def assign(f: Formula, env: Mapping[Formula, bool]) -> Formula:
 
     Only Not and the binary connectives are entered; a leaf (an atom, or
     a modal or V formula) is looked up whole, so occurrences nested
-    inside it stay put.  A subtree with nothing to replace comes back as
-    the same object.
+    inside it stay put.  Each rebuilt node is folded, so the result is
+    simplified when f is; a subtree with nothing to replace comes back
+    as the same object.
     """
-    if isinstance(f, Not):
-        sub = assign(f.sub, env)
-        if sub is f.sub:
-            return f
-        return FALSE if sub is TRUE else TRUE if sub is FALSE else Not(sub)
-    if isinstance(f, BINARY):
-        left, right = assign(f.left, env), assign(f.right, env)
-        if left is f.left and right is f.right:
-            return f
-        return type(f)(left, right)
+    if isinstance(f, (Not, *BINARY)):
+        g = rebuild(f, lambda h: assign(h, env))
+        return f if g is f else fold(g)
     hit = env.get(f)
     if hit is None:
         return f

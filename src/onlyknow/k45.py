@@ -36,12 +36,10 @@ from .formula import (
     assign,
     conj,
     is_basic,
+    simplify,
     to_text,
 )
-from .normal_form import simplify
 from .kripke import KripkeStructure
-
-_MEMO: dict[tuple, "_Tree | None"] = {}
 
 
 @dataclass
@@ -62,14 +60,14 @@ def _require_basic(f: Formula, n_agents: int | None) -> None:
 def sat(f: Formula, n_agents: int | None = None) -> bool:
     """K45 satisfiability of a basic formula."""
     _require_basic(f, n_agents)
-    return _solve((f,), {}, None) is not None
+    return _solve((f,), {}, None, {}) is not None
 
 
 def find_model(f: Formula, n_agents: int | None = None) -> KripkeStructure | None:
     """A finite K45 witness structure with the formula true at world w0,
     or None when unsatisfiable."""
     _require_basic(f, n_agents)
-    tree = _solve((f,), {}, None)
+    tree = _solve((f,), {}, None, {})
     return None if tree is None else _to_structure(tree)
 
 
@@ -106,9 +104,9 @@ def _assignments(f: Formula, preset: dict[Formula, bool]):
         leaf = _first_leaf(g)
         assert leaf is not None
         for value in (True, False):
-            yield from go(simplify(assign(g, {leaf: value})), {**env, leaf: value})
+            yield from go(assign(g, {leaf: value}), {**env, leaf: value})
 
-    yield from go(simplify(assign(f, preset)), dict(preset))
+    yield from go(assign(simplify(f), preset), dict(preset))
 
 
 def _own_closure(agent: int, content: list[Formula]) -> list[L]:
@@ -136,14 +134,15 @@ def _solve(
     formulas: tuple[Formula, ...],
     preset: dict[Formula, bool],
     skip_agent: int | None,
+    memo: dict,
 ) -> _Tree | None:
     key = (
         frozenset(formulas),
         frozenset(preset.items()),
         skip_agent,
     )
-    if key in _MEMO:
-        return _MEMO[key]
+    if key in memo:
+        return memo[key]
     result = None
     for env in _assignments(conj(formulas), preset):
         clusters: dict[int, list[_Tree]] = {}
@@ -155,7 +154,7 @@ def _solve(
             diamonds = [leaf.sub for leaf, v in env.items() if isinstance(leaf, L) and leaf.agent == agent and not v]
             if not diamonds:
                 continue
-            cluster = _cluster(agent, boxes, diamonds)
+            cluster = _cluster(agent, boxes, diamonds, memo)
             if cluster is None:
                 failed = True
                 break
@@ -166,11 +165,11 @@ def _solve(
                 clusters=clusters,
             )
             break
-    _MEMO[key] = result
+    memo[key] = result
     return result
 
 
-def _cluster(agent: int, boxes: list[Formula], diamonds: list[Formula]) -> list[_Tree] | None:
+def _cluster(agent: int, boxes: list[Formula], diamonds: list[Formula], memo: dict) -> list[_Tree] | None:
     content = list(dict.fromkeys(boxes + diamonds))
     forced: dict[L, bool] = {L(agent, b): True for b in boxes}
     for d in diamonds:
@@ -183,7 +182,7 @@ def _cluster(agent: int, boxes: list[Formula], diamonds: list[Formula]) -> list[
         carried = tuple(m.sub for m in domain if valuation[m])
         members: list[_Tree] = []
         for denied in (m.sub for m in domain if not valuation[m]):
-            tree = _solve((Not(denied),) + carried, dict(valuation), agent)
+            tree = _solve((Not(denied),) + carried, dict(valuation), agent, memo)
             if tree is None:
                 break
             members.append(tree)

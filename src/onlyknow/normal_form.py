@@ -1,8 +1,9 @@
-"""Formula rewrites: ``simplify`` (constant folding, on any formula)
-and, for V-free formulas, ``normalize`` (modalities pushed down to
-objective arguments), the clause form the decision procedure searches
-(``to_clauses``), and the disjunctive normal form, streamed one
-disjunct at a time (``to_normal_form``).
+"""Normal forms of V-free formulas: ``normalize`` (modalities pushed
+down to objective arguments), the clause form the decision procedure
+searches (``to_clauses``, on a normalized formula), and the
+disjunctive normal form, streamed one disjunct at a time
+(``to_normal_form``).  Every rewrite here folds each node as it builds
+it (``formula.fold``/``join``), so its output is simplified.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -23,14 +24,13 @@ literal of the same modality subsumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .formula import (
     FALSE,
     MODAL,
     TRUE,
     And,
-    Atom,
     FalseConst,
     Formula,
     Iff,
@@ -45,108 +45,45 @@ from .formula import (
     assign,
     conj,
     disj,
+    fold,
     is_i_objective,
+    join,
     rebuild,
 )
 
-def simplify(f: Formula) -> Formula:
-    """Constant folding, double negation, idempotence and complements.
-
-    Also folds L/N/V of true to true (necessitation); L of false is kept,
-    it is satisfiable but not valid.  The rewrites build their output
-    simplified, so on the decide path this runs only on a query's input.
-    """
-    # Folding after rebuild returns keeps the recursion at two frames a level.
-    return fold(rebuild(f, simplify))
+Tick = Callable[[], None]
 
 
-def fold(g: Formula) -> Formula:
-    """One folding step on a node whose children are simplified; the
-    result is simplified."""
-    if isinstance(g, Not):
-        a = g.sub
-        if a is TRUE:
-            return FALSE
-        if a is FALSE:
-            return TRUE
-        return a.sub if isinstance(a, Not) else g
-    if isinstance(g, MODAL):
-        return TRUE if g.sub is TRUE else g
-    if isinstance(g, Val):
-        return g.sub if g.sub is TRUE or g.sub is FALSE else g
-    if isinstance(g, TrueConst):
-        return TRUE
-    if isinstance(g, FalseConst):
-        return FALSE
-    if isinstance(g, Atom):
-        return g
-    a, b = g.left, g.right
-    if isinstance(g, (And, Or)):
-        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
-        if a is zero or b is zero:
-            return zero
-        if a is unit:
-            return b
-        if b is unit:
-            return a
-        if a == b:
-            return a
-        if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
-            return zero
-        return g
-    if isinstance(g, Implies):
-        if a is FALSE or b is TRUE:
-            return TRUE
-        if a is TRUE:
-            return b
-        if b is FALSE:
-            return fold(Not(a))
-        return TRUE if a == b else g
-    # Iff
-    if a is TRUE:
-        return b
-    if b is TRUE:
-        return a
-    if a is FALSE:
-        return fold(Not(b))
-    if b is FALSE:
-        return fold(Not(a))
-    if a == b:
-        return TRUE
-    if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
-        return FALSE
-    return g
+def _untimed() -> None:
+    pass
 
 
-def join(op: type, parts: Iterable[Formula]) -> Formula:
-    """Left fold of op (And or Or) over simplified parts, each node folded
-    as it is built: simplify(conj(parts)) or simplify(disj(parts))."""
-    out: Formula | None = None
-    for p in parts:
-        out = p if out is None else fold(op(out, p))
-    if out is None:
-        return TRUE if op is And else FALSE
-    return out
-
-
-def normalize(f: Formula) -> Formula:
+def normalize(f: Formula, tick: Tick | None = None) -> Formula:
     """Equivalent simplified formula in which every modal subformula is a
     "modal atom": an L/N whose argument is objective for its agent (and
-    itself normalized).
+    itself normalized).  Its output is its own normal form.  tick, when
+    given, is called once per clause a modality is pushed over, so a
+    deadline check can stop a blow-up.
     """
-    if isinstance(f, Val):
-        raise ValPresentError("normal form is defined for V-free formulas only")
-    if isinstance(f, MODAL):
-        return _push(type(f), f.agent, normalize(f.sub))
-    return fold(rebuild(f, normalize))
+    tick = tick or _untimed
+
+    def go(g: Formula) -> Formula:
+        if isinstance(g, Val):
+            raise ValPresentError("normal form is defined for V-free formulas only")
+        if isinstance(g, MODAL):
+            return _push(type(g), g.agent, go(g.sub), tick)
+        return fold(rebuild(g, go))
+
+    return go(f)
 
 
-def _push(op: type, agent: int, arg: Formula) -> Formula:
+def _push(op: type, agent: int, arg: Formula, tick: Tick) -> Formula:
     """Push one modality over a normalized argument."""
     if arg is TRUE:
         return TRUE
     parts: list[Formula] = []
-    for clause in _cnf(_nnf(arg), agent):
+    for clause in _cnf(_nnf(arg), agent, tick):
+        tick()
         subjective: list[Formula] = []
         objective: list[Formula] = []
         has_own_positive = False
@@ -206,17 +143,19 @@ def _nnf(f: Formula, neg: bool = False) -> Formula:
 Clause = tuple[tuple[Formula, bool], ...]
 
 
-def _cnf(f: Formula, agent: int) -> list[Clause]:
+def _cnf(f: Formula, agent: int, tick: Tick) -> list[Clause]:
     """Clauses of an NNF formula over leaves; tautologies dropped.  A
     compound subformula that is objective for the agent is one leaf."""
     if isinstance(f, (And, Or)) and is_i_objective(f, agent):
         return [((f, True),)]
     if isinstance(f, And):
-        return _cnf(f.left, agent) + _cnf(f.right, agent)
+        return _cnf(f.left, agent, tick) + _cnf(f.right, agent, tick)
     if isinstance(f, Or):
         out = []
-        for c1 in _cnf(f.left, agent):
-            for c2 in _cnf(f.right, agent):
+        right = _cnf(f.right, agent, tick)
+        for c1 in _cnf(f.left, agent, tick):
+            for c2 in right:
+                tick()
                 merged = _merge_clause(c1, c2)
                 if merged is not None:
                     out.append(merged)
@@ -243,8 +182,10 @@ def _merge_clause(c1: Clause, c2: Clause) -> Clause | None:
     return tuple(out)
 
 
-def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
-    """Clause form of the normalized skeleton of a V-free formula.
+def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
+    """Clause form of the Boolean skeleton of a normalized formula,
+    whose leaves are atoms and modal atoms.  tick, when given, is called
+    once per conjunct the clause loop takes apart.
 
     Returns (variables, clauses).  Variable v stands for variables[v - 1],
     an atom or a modal atom, or for a definition when that entry is None.
@@ -253,15 +194,15 @@ def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
     only a conjunction under a disjunction gets a fresh variable t, with
     the one-way clauses ~t | c.  The count is linear only without <->,
     since _nnf copies both sides of each one: p0 <-> ... <-> p14 gives
-    45,053 clauses.  An
-    assignment satisfying the clauses makes the formula true on its
-    leaves, and every model of the formula extends to one satisfying
-    them.  The skeleton's clauses come first, then the definitions,
-    outer before inner.
+    45,053 clauses.  An assignment satisfying the clauses makes the
+    formula true on its leaves, and every model of the formula extends
+    to one satisfying them.  The skeleton's clauses come first, then
+    the definitions, outer before inner.
     """
     variables: list[Formula | None] = []
     index: dict[Formula, int] = {}
     definitions: list[list[int]] = []
+    tick = tick or _untimed
 
     def literal(leaf: Formula) -> int:
         positive = not isinstance(leaf, Not)
@@ -277,6 +218,7 @@ def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
         out: list[list[int]] = []
         stack = [g]
         while stack:
+            tick()
             h = stack.pop()
             if isinstance(h, And):
                 stack += (h.right, h.left)
@@ -319,7 +261,7 @@ def to_clauses(f: Formula) -> tuple[list[Formula | None], list[list[int]]]:
             return None
         return list(lits)
 
-    clauses = clause_set(_nnf(normalize(f)))
+    clauses = clause_set(_nnf(f))
     return variables, clauses + definitions
 
 
@@ -424,7 +366,7 @@ def _dnf_stream(
             # Feed the decided literals into the remaining conjunct:
             # satisfied parts disappear (absorption), so the stream never
             # splits on a clause an earlier choice already settled.
-            yield from _dnf_stream(simplify(assign(f.right, extended)), extended)
+            yield from _dnf_stream(assign(f.right, extended), extended)
         return
     leaf, positive = (f.sub, False) if isinstance(f, Not) else (f, True)
     old = partial.get(leaf)

@@ -21,10 +21,11 @@ from onlyknow.formula import (
     modal_depth,
     only_knows,
     parse,
+    simplify,
     to_text,
     walk,
 )
-from onlyknow.normal_form import simplify, to_normal_form
+from onlyknow.normal_form import normalize, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -226,6 +227,24 @@ def test_trace_logs_memo_hits_and_keeps_the_verdict():
     assert traced.status == Decider().consistent(f).status == "satisfiable"
 
 
+def test_every_searched_formula_is_normal():
+    # A query is normalized where it enters; the group subqueries are
+    # built from modal-atom arguments and need no second pass.
+    searched = 0
+    for profile, agents, size in (("basic", 2, 20), ("full", 2, 14), ("onl_minus", 2, 14), ("full", 1, 14)):
+        for seed in range(100):
+            f = generate_random(seed + 4000, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size)
+            events = []
+            decider = Decider(trace=lambda *event: events.append(event))
+            decider.consistent(f)
+            decider.valid(f)
+            for level, rule, g in events:
+                if rule == "satisfiable?":
+                    searched += 1
+                    assert normalize(g) == g, (to_text(f), level, to_text(g))
+    assert searched > 500
+
+
 def test_deep_basic_formula_decides_at_the_default_recursion_limit():
     # Its outer L1 argument has two own-agent modal atoms.  Distributing
     # the objective parts too gave 36,864 clauses, and hashing their
@@ -289,6 +308,19 @@ def test_budget_exceeded_raises():
     d = Decider(deadline=time.monotonic() - 1)
     with pytest.raises(BudgetExceededError):
         d.consistent(parse("L1 p & ~L1 q", 2))
+
+
+@pytest.mark.parametrize("mode", ["consistent", "valid"])
+def test_budget_stops_a_normal_form_blow_up(mode):
+    # Pushing the outer L1 over its argument makes about 80,000 clauses;
+    # the deadline is checked per clause, inside normalize and to_clauses.
+    import time
+
+    f = generate_random(50798, "basic", max_modal_depth=4, n_atoms=4, size=40)
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        getattr(Decider(deadline=start + 0.5), mode)(f)
+    assert time.monotonic() - start < 1.0
 
 
 def test_only_knowing_block_recursion_example():

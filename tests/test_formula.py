@@ -30,6 +30,7 @@ from onlyknow.formula import (
     only_knows,
     parse,
     rebuild,
+    simplify,
     to_text,
     walk,
 )
@@ -231,12 +232,25 @@ def test_atoms_and_walk():
 
 def test_assign_replaces_boolean_level_leaves_only():
     f = parse("~p & (L1 p -> q)", 1)
-    assert assign(f, {p: True}) == And(FALSE, parse("L1 p -> q", 1))
-    assert assign(f, {L(1, p): False}) == And(Not(p), parse("false -> q", 1))
+    # each rebuilt node is folded
+    assert assign(f, {p: True}) is FALSE
+    assert assign(f, {L(1, p): False}) == Not(p)
     # a subtree with nothing decided comes back as the same object
-    g = assign(f, {q: True})
-    assert g.left is f.left and g.right.left is f.right.left
+    assert assign(f, {q: True}) is f.left
+    assert assign(f, {p: False}) is f.right
     assert assign(f, {Atom("r"): True}) is f
+
+
+def test_assign_folds_a_simplified_formula_as_simplify_would():
+    decided = 0
+    for seed in range(200):
+        g = simplify(generate_random(seed, "full", max_modal_depth=2, n_atoms=3, n_agents=2))
+        for k, leaf in enumerate(dict.fromkeys(leaves(g))):
+            env = {leaf: k % 2 == 0}
+            h = assign(g, env)
+            decided += h is not g
+            assert h == simplify(h), (to_text(g), env)
+    assert decided > 200
 
 
 def test_rebuild_keeps_unchanged_nodes():

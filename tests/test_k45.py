@@ -77,3 +77,25 @@ def test_multi_agent_nesting():
     assert k45.sat(parse("L1 L2 p & ~L2 p", 2)) is True
     assert k45.sat(parse("L1 (L2 p & ~p) & ~L1 false", 2)) is True
     assert k45.sat(parse("L1 p & L1 ~p & ~L1 false", 1)) is False
+
+
+def test_memory_stays_bounded_across_calls():
+    # The memo lives for one call, so a warm batch stops growing.
+    import gc
+    import tracemalloc
+
+    def decide(seeds):
+        for seed in seeds:
+            k45.sat(generate_random(seed, "basic", max_modal_depth=3, n_atoms=3, n_agents=2, size=20))
+
+    decide(range(100))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decide(range(100, 400))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024

@@ -13,13 +13,13 @@ from onlyknow.formula import (
     conj,
     is_i_objective,
     parse,
+    simplify,
     to_text,
     walk,
 )
 from onlyknow.normal_form import (
     merge_positive,
     reassemble,
-    simplify,
     to_normal_form,
 )
 

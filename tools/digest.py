@@ -10,11 +10,13 @@ modal depth 3 over 3 atoms; formula k of family j has seed
   nf        the first 50 to_normal_form disjuncts
   rewrites  simplify(f), simplify(eliminate_val(f)), substitute_atom, assign
   classes   is_i_objective and is_i_subjective for agents 1 and 2
-  clauses   to_clauses variable and clause counts
+  clauses   to_clauses(normalize(...)) variable and clause counts
 
 Two versions of the engine that print the same digests agree on every
-one of these outputs.  The V-free inputs of nf, assign and to_clauses
-are simplify(eliminate_val(f)).
+one of these outputs.  The V-free inputs of nf, assign and normalize
+are simplify(eliminate_val(f)).  The rewrites line changed on purpose
+when assign began to fold each node it rebuilds: it now equals what
+the earlier engine printed for simplify(assign(g, ENV)).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from onlyknow import simplify  # noqa: E402
 from onlyknow.corpus import generate_random  # noqa: E402
 from onlyknow.decision import Decider  # noqa: E402
 from onlyknow.formula import (  # noqa: E402
@@ -38,7 +41,7 @@ from onlyknow.formula import (  # noqa: E402
     substitute_atom,
     to_text,
 )
-from onlyknow.normal_form import simplify, to_clauses, to_normal_form  # noqa: E402
+from onlyknow.normal_form import normalize, to_clauses, to_normal_form  # noqa: E402
 
 FAMILIES = (  # (profile, agents, size)
     ("basic", 2, 20),
@@ -54,7 +57,7 @@ ENV = {Atom("p"): True, Atom("p1"): False, L(1, Atom("p")): True}
 def records(f) -> dict[str, str]:
     decider = Decider()
     g = simplify(decider.eliminate_val(f))
-    variables, clauses = to_clauses(g)
+    variables, clauses = to_clauses(normalize(g))
     return {
         "verdicts": f"{decider.consistent(f).status} {decider.valid(f).status}",
         "nf": " || ".join(to_text(d.to_formula()) for d in islice(to_normal_form(g), 50)),
