@@ -1,9 +1,13 @@
-"""Normal forms of V-free formulas: ``normalize`` (modalities pushed
-down to objective arguments), the clause form the decision procedure
-searches (``to_clauses``, on a normalized formula), and the
-disjunctive normal form, streamed one disjunct at a time
-(``to_normal_form``).  Every rewrite here folds each node as it builds
-it (``formula.fold``/``join``), so its output is simplified.
+"""Normal forms of V-free formulas: the clause form the decision
+procedure searches (``to_clauses``, with L/N formulas kept whole as
+leaves), ``normalize`` (modalities pushed down to objective arguments)
+and the disjunctive normal form built on it, streamed one disjunct at a
+time (``to_normal_form``).  The decision procedure does not normalize:
+it cofactors a modal argument over the agent's own modal atoms in the
+search, and its group test (``AgentBlock``) needs only arguments
+objective for the agent.  ``normalize`` serves ``onlyknow nf`` and the
+tests' reference for the search.  Every rewrite here folds each node as
+it builds it (``formula.fold``/``join``), so its output is simplified.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -58,32 +62,24 @@ def _untimed() -> None:
     pass
 
 
-def normalize(f: Formula, tick: Tick | None = None) -> Formula:
+def normalize(f: Formula) -> Formula:
     """Equivalent simplified formula in which every modal subformula is a
     "modal atom": an L/N whose argument is objective for its agent (and
-    itself normalized).  Its output is its own normal form.  tick, when
-    given, is called once per clause a modality is pushed over, so a
-    deadline check can stop a blow-up.
+    itself normalized).  Its output is its own normal form.
     """
-    tick = tick or _untimed
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Val):
-            raise ValPresentError("normal form is defined for V-free formulas only")
-        if isinstance(g, MODAL):
-            return _push(type(g), g.agent, go(g.sub), tick)
-        return fold(rebuild(g, go))
-
-    return go(f)
+    if isinstance(f, Val):
+        raise ValPresentError("normal form is defined for V-free formulas only")
+    if isinstance(f, MODAL):
+        return _push(type(f), f.agent, normalize(f.sub))
+    return fold(rebuild(f, normalize))
 
 
-def _push(op: type, agent: int, arg: Formula, tick: Tick) -> Formula:
+def _push(op: type, agent: int, arg: Formula) -> Formula:
     """Push one modality over a normalized argument."""
     if arg is TRUE:
         return TRUE
     parts: list[Formula] = []
-    for clause in _cnf(_nnf(arg), agent, tick):
-        tick()
+    for clause in _cnf(_nnf(arg), agent):
         subjective: list[Formula] = []
         objective: list[Formula] = []
         has_own_positive = False
@@ -111,25 +107,28 @@ def _push(op: type, agent: int, arg: Formula, tick: Tick) -> Formula:
     return join(And, parts)
 
 
-def _nnf(f: Formula, neg: bool = False) -> Formula:
-    """Negation normal form over leaves (atoms, constants, modal atoms),
-    each node folded as it is built, so the form of a simplified formula
-    is simplified too; _push takes objective parts from it whole."""
+def _nnf(f: Formula, neg: bool = False, tick: Tick = _untimed) -> Formula:
+    """Negation normal form over leaves (atoms, constants, L/N formulas
+    taken whole), each node folded as it is built, so the form of a
+    simplified formula is simplified too; _push takes objective parts
+    from it whole.  tick is called once per <-> node, the one case that
+    copies its operands."""
     if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
+        return _nnf(f.sub, not neg, tick)
     if isinstance(f, And):
         cls = Or if neg else And
-        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
+        return fold(cls(_nnf(f.left, neg, tick), _nnf(f.right, neg, tick)))
     if isinstance(f, Or):
         cls = And if neg else Or
-        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
+        return fold(cls(_nnf(f.left, neg, tick), _nnf(f.right, neg, tick)))
     if isinstance(f, Implies):
         if neg:
-            return fold(And(_nnf(f.left, False), _nnf(f.right, True)))
-        return fold(Or(_nnf(f.left, True), _nnf(f.right, False)))
+            return fold(And(_nnf(f.left, False, tick), _nnf(f.right, True, tick)))
+        return fold(Or(_nnf(f.left, True, tick), _nnf(f.right, False, tick)))
     if isinstance(f, Iff):
-        x, nx = _nnf(f.left, False), _nnf(f.left, True)
-        y, ny = _nnf(f.right, False), _nnf(f.right, True)
+        tick()
+        x, nx = _nnf(f.left, False, tick), _nnf(f.left, True, tick)
+        y, ny = _nnf(f.right, False, tick), _nnf(f.right, True, tick)
         if neg:
             return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
         return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
@@ -143,19 +142,18 @@ def _nnf(f: Formula, neg: bool = False) -> Formula:
 Clause = tuple[tuple[Formula, bool], ...]
 
 
-def _cnf(f: Formula, agent: int, tick: Tick) -> list[Clause]:
+def _cnf(f: Formula, agent: int) -> list[Clause]:
     """Clauses of an NNF formula over leaves; tautologies dropped.  A
     compound subformula that is objective for the agent is one leaf."""
     if isinstance(f, (And, Or)) and is_i_objective(f, agent):
         return [((f, True),)]
     if isinstance(f, And):
-        return _cnf(f.left, agent, tick) + _cnf(f.right, agent, tick)
+        return _cnf(f.left, agent) + _cnf(f.right, agent)
     if isinstance(f, Or):
         out = []
-        right = _cnf(f.right, agent, tick)
-        for c1 in _cnf(f.left, agent, tick):
+        right = _cnf(f.right, agent)
+        for c1 in _cnf(f.left, agent):
             for c2 in right:
-                tick()
                 merged = _merge_clause(c1, c2)
                 if merged is not None:
                     out.append(merged)
@@ -183,12 +181,13 @@ def _merge_clause(c1: Clause, c2: Clause) -> Clause | None:
 
 
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
-    """Clause form of the Boolean skeleton of a normalized formula,
-    whose leaves are atoms and modal atoms.  tick, when given, is called
-    once per conjunct the clause loop takes apart.
+    """Clause form of the Boolean skeleton of a V-free formula, whose
+    leaves are atoms and L/N formulas taken whole.  tick, when given, is
+    called once per <-> node _nnf expands and once per conjunct the
+    clause loop takes apart.
 
     Returns (variables, clauses).  Variable v stands for variables[v - 1],
-    an atom or a modal atom, or for a definition when that entry is None.
+    an atom or an L/N formula, or for a definition when that entry is None.
     A clause is a list of nonzero ints, negative meaning negated.  The
     conversion is polarity-aware Tseitin (Plaisted & Greenbaum, 1986):
     only a conjunction under a disjunction gets a fresh variable t, with
@@ -261,7 +260,7 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
             return None
         return list(lits)
 
-    clauses = clause_set(_nnf(f))
+    clauses = clause_set(_nnf(f, tick=tick))
     return variables, clauses + definitions
 
 

@@ -106,26 +106,29 @@ def test_believes_matches_finite_states_single_agent():
         assert by_proof == by_enumeration, (to_text(kb), to_text(query), states)
 
 
-@pytest.mark.parametrize("k", [6, 9])
+@pytest.mark.parametrize("k", [6, 9, 16, 20])
 def test_default_theory_decides_within_two_seconds(monkeypatch, k):
-    # k ordinary defaults ~L1 ~b_j -> f_j: only knowing them yields
-    # every f_j, and not b_j (the theory's constructed answers).  Pushing
-    # L1 over N1 ~kb gives 2^k clauses, whose conjunction must stay
-    # within the default recursion limit.
+    # k defaults of the benchmark's six variants, four questions each:
+    # ordinary defaults ~L1 ~b_j -> f_j and secret ones
+    # ~L1 L2 p_j -> ~L2 p_j, some blocked.  The search guesses the base's
+    # own modal atoms; pushing L1 over N1 ~kb instead gives 2^k clauses.
+    import random
     import sys
     import time
     from pathlib import Path
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import default_theory
+    from workloads import DEFAULT_VARIANTS, _question, _theory
 
-    theory = default_theory(k, secret=set(), blocked=set())
-    kb = parse(theory.kb, 2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for text, expected in ((theory.yes, True), (theory.no, False)):
-            decider = Decider(deadline=time.monotonic() + 2.0)
-            assert believes(1, kb, parse(text, 2), decider) is expected, text
+        for variant in range(len(DEFAULT_VARIANTS)):
+            theory = _theory(random.Random(variant), set(), k, variant)
+            kb = parse(theory.kb, 2)
+            for kind in ("yes", "no", "yes&no", "yes&other"):
+                text, expected = _question(theory, kind)
+                decider = Decider(deadline=time.monotonic() + 1.0)
+                assert believes(1, kb, parse(text, 2), decider) is expected, (variant, text)
     finally:
         sys.setrecursionlimit(limit)

@@ -9,6 +9,7 @@ from onlyknow.decision import BudgetExceededError, Decider
 from onlyknow.formula import (
     Atom,
     FALSE,
+    Iff,
     L,
     N,
     Not,
@@ -18,6 +19,7 @@ from onlyknow.formula import (
     atoms,
     conj,
     disj,
+    is_i_objective,
     modal_depth,
     only_knows,
     parse,
@@ -25,7 +27,7 @@ from onlyknow.formula import (
     to_text,
     walk,
 )
-from onlyknow.normal_form import normalize, to_normal_form
+from onlyknow.normal_form import reassemble, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -46,17 +48,23 @@ def test_eliminate_val_nested_and_under_modalities():
 
 
 def test_eliminate_val_returns_a_val_free_input_unchanged():
+    # A simplified V-free input comes back as the same object; any other
+    # V-free input comes back simplified.
     f = parse("(p & true | L1 (q & q)) -> ~~N2 p", 2)
-    assert Decider().eliminate_val(f) is f
+    g = simplify(f)
+    assert g != f
+    assert Decider().eliminate_val(f) == g
+    assert Decider().eliminate_val(g) is g
 
 
 def test_eliminate_val_keeps_a_simplified_input_simplified():
+    # Every node is folded, so the output is simplified whatever the input.
     for seed in range(80):
-        f = simplify(generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2))
-        g = Decider().eliminate_val(f)
-        assert simplify(g) == g
-    # Only the nodes it rebuilds are folded; the untouched L argument stays.
-    assert Decider().eliminate_val(parse("L1 (q | true) & V (p | ~p)", 1)) == L(1, q | TRUE)
+        f = generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2)
+        for h in (f, simplify(f)):
+            g = Decider().eliminate_val(h)
+            assert simplify(g) is g, to_text(h)
+    assert Decider().eliminate_val(parse("L1 (q | true) & V (p | ~p)", 1)) is TRUE
 
 
 def test_eliminate_val_is_val_free():
@@ -227,22 +235,47 @@ def test_trace_logs_memo_hits_and_keeps_the_verdict():
     assert traced.status == Decider().consistent(f).status == "satisfiable"
 
 
-def test_every_searched_formula_is_normal():
-    # A query is normalized where it enters; the group subqueries are
-    # built from modal-atom arguments and need no second pass.
+def test_every_group_subquery_is_objective_and_simplified():
+    # The search cofactors a modal argument over the agent's own modal
+    # atoms before the group test, so each group subquery is objective
+    # for its agent; it is folded as built, so it needs no second pass.
     searched = 0
     for profile, agents, size in (("basic", 2, 20), ("full", 2, 14), ("onl_minus", 2, 14), ("full", 1, 14)):
         for seed in range(100):
-            f = generate_random(seed + 4000, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size)
+            f = generate_random(
+                seed + 4000, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size, allow_val=False
+            )
             events = []
             decider = Decider(trace=lambda *event: events.append(event))
             decider.consistent(f)
             decider.valid(f)
+            agent_at = {}
             for level, rule, g in events:
-                if rule == "satisfiable?":
+                if rule.startswith("agent "):
+                    agent_at[level] = int(rule.split()[1].rstrip(":"))
+                elif rule == "satisfiable?" and level > 0:
                     searched += 1
-                    assert normalize(g) == g, (to_text(f), level, to_text(g))
+                    assert is_i_objective(g, agent_at[level - 1]), (to_text(f), level, to_text(g))
+                    assert simplify(g) is g, (to_text(f), level, to_text(g))
     assert searched > 500
+
+
+def test_an_own_modal_atom_under_iff_is_decided_before_sat():
+    # The argument holds N2 ~L1 p2 on both sides of the <->; the search
+    # may not stop with it unassigned, or the cofactor is never taken.
+    g = parse("L2 (p2 <-> N2 ~L1 p2)", 2)
+    assert Decider().consistent(g).status == "satisfiable"
+    assert Decider().valid(g).status == "invalid"
+    for h in (g, Not(g)):
+        reference = any(all(Decider().block_consistent(b) for b in nf.blocks) for nf in to_normal_form(h))
+        assert bool(Decider().consistent(h)) == reference
+    assert Decider().valid(Iff(g, reassemble(list(to_normal_form(g))))).status == "valid"
+
+
+def test_deep_basic_formulas_agree_with_the_k45_prover():
+    for seed in range(200):
+        f = generate_random(seed, "basic", max_modal_depth=4, n_atoms=4, size=40)
+        assert bool(Decider().consistent(f)) == k45.sat(f), to_text(f)
 
 
 def test_deep_basic_formula_decides_at_the_default_recursion_limit():
@@ -312,15 +345,29 @@ def test_budget_exceeded_raises():
 
 @pytest.mark.parametrize("mode", ["consistent", "valid"])
 def test_budget_stops_a_normal_form_blow_up(mode):
-    # Pushing the outer L1 over its argument makes about 80,000 clauses;
-    # the deadline is checked per clause, inside normalize and to_clauses.
+    # The negation normal form copies both sides of every <->, so the
+    # chain p0 <-> ... <-> p18 expands exponentially before the search;
+    # the deadline is checked per <-> node in _nnf, per conjunct in
+    # to_clauses and per clause in the search's setup.
     import time
+    from functools import reduce
 
-    f = generate_random(50798, "basic", max_modal_depth=4, n_atoms=4, size=40)
+    f = reduce(Iff, [Atom(f"p{i}") for i in range(19)])
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
         getattr(Decider(deadline=start + 0.5), mode)(f)
     assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("mode", ["consistent", "valid"])
+def test_modal_arguments_stay_whole_within_the_budget(mode):
+    # Pushing the outer L1 over its argument made about 80,000 clauses;
+    # searched with its modal arguments whole, it decides at once.
+    import time
+
+    f = generate_random(50798, "basic", max_modal_depth=4, n_atoms=4, size=40)
+    verdict = getattr(Decider(deadline=time.monotonic() + 2.0), mode)(f)
+    assert bool(verdict) == (k45.sat(f) if mode == "consistent" else not k45.sat(Not(f)))
 
 
 def test_only_knowing_block_recursion_example():

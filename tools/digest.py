@@ -11,12 +11,15 @@ modal depth 3 over 3 atoms; formula k of family j has seed
   rewrites  simplify(f), simplify(eliminate_val(f)), substitute_atom, assign
   classes   is_i_objective and is_i_subjective for agents 1 and 2
   clauses   to_clauses(normalize(...)) variable and clause counts
+  search    to_clauses(...) variable and clause counts, with L/N whole
 
 Two versions of the engine that print the same digests agree on every
-one of these outputs.  The V-free inputs of nf, assign and normalize
-are simplify(eliminate_val(f)).  The rewrites line changed on purpose
-when assign began to fold each node it rebuilds: it now equals what
-the earlier engine printed for simplify(assign(g, ENV)).
+one of these outputs.  The V-free inputs of nf, assign, normalize and
+the search line are simplify(eliminate_val(f)); the search line counts
+what the search clausifies at level 0 in consistent mode, before it
+adds the dependency variables of its modal atoms.  The rewrites line
+changed on purpose when assign began to fold each node it rebuilds: it
+now equals what the earlier engine printed for simplify(assign(g, ENV)).
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ def records(f) -> dict[str, str]:
     decider = Decider()
     g = simplify(decider.eliminate_val(f))
     variables, clauses = to_clauses(normalize(g))
+    searched, search_clauses = to_clauses(g)
     return {
         "verdicts": f"{decider.consistent(f).status} {decider.valid(f).status}",
         "nf": " || ".join(to_text(d.to_formula()) for d in islice(to_normal_form(g), 50)),
@@ -67,6 +71,7 @@ def records(f) -> dict[str, str]:
         ),
         "classes": " ".join(str(c(f, i)) for i in (1, 2) for c in (is_i_objective, is_i_subjective)),
         "clauses": f"{len(variables)} {len(clauses)}",
+        "search": f"{len(searched)} {len(search_clauses)}",
     }
 
 
