@@ -131,7 +131,7 @@ def _cmd_decide(args) -> int:
         return _verdict_code(record["verdict"])
 
     with open(args.batch) as handle:
-        lines = [ln.strip() for ln in handle if ln.strip() and not ln.startswith("#")]
+        lines = [ln for ln in map(str.strip, handle) if ln and not ln.startswith("#")]
     # time.monotonic() is system-wide on Linux, so workers compare the deadline directly.
     tasks = [(ln, args.mode, args.agents, deadline) for ln in lines]
     pool = ProcessPoolExecutor(args.jobs) if args.jobs > 1 else None
@@ -218,6 +218,19 @@ def _cmd_okn_sets(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for a count: an int no smaller than low, so a
+    smaller one is an input error (exit 2)."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="onlyknow", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="stream the normal-form disjuncts")
     p.add_argument("formula")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_at_least(0), default=None)
     common(p, fmt=False)
     p.set_defaults(func=_cmd_nf)
 
@@ -251,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--batch", default=None, help="file with one formula per line")
     p.add_argument("--mode", choices=("sat", "valid"), required=True)
     p.add_argument("--trace", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
     common(p)
     p.set_defaults(func=_cmd_decide)

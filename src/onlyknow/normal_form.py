@@ -335,60 +335,82 @@ class NormalFormDisjunct:
         return conj(parts)
 
 
+# The pending conjuncts: the next one and the agenda after it.
+_Agenda = tuple[Formula, "_Agenda"] | None
+# A disjunct's parts: sigma and {agent: (pos_l, neg_l, pos_n, neg_n)}.
+_Parts = tuple[Formula, dict[int, tuple]]
+_NO_ARGUMENTS = (TRUE, (), TRUE, ())
+
+
 def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     """Stream the normal-form disjuncts of a V-free formula.
 
     Disjuncts appear in left-to-right distribution order of the
     simplified Boolean skeleton; contradictory conjuncts are dropped.
-    The full disjunction is never materialized: only the current path of
-    the distribution (bookkeeping) and the yielded disjunct are alive.
+    One depth-first loop walks the skeleton: an And puts its right
+    operand on the agenda of pending conjuncts, an Or leaves a choice
+    point for its right operand, and a literal goes on the trail.  A
+    pending conjunct is cofactored by the literals chosen so far when it
+    is taken up, so one that an earlier literal satisfies never splits
+    the stream (absorption), and one it falsifies prunes the branch.
+    Each trail level keeps the disjunct's parts so far: sigma and each
+    agent's positive arguments as left folds, the negated arguments as
+    tuples.  The full disjunction is never materialized: only the trail,
+    the choice points with their agendas, the per-level parts and the
+    yielded disjunct are alive.
     """
-    skeleton = _nnf(normalize(f))
-    for literals in _dnf_stream(skeleton, {}):
-        yield _assemble(literals)
+    g: Formula = _nnf(normalize(f))
+    agenda: _Agenda = None
+    choices: list[tuple[Formula, _Agenda, int]] = []
+    literals: dict[Formula, bool] = {}
+    trail: list[Formula] = []
+    parts: list[_Parts] = [(TRUE, {})]  # parts[k]: the parts of trail[:k]
+    while True:
+        if isinstance(g, And):
+            agenda = (g.right, agenda)
+            g = g.left
+            continue
+        if isinstance(g, Or):
+            choices.append((g.right, agenda, len(trail)))
+            g = g.left
+            continue
+        consistent = not isinstance(g, FalseConst)
+        if consistent and not isinstance(g, TrueConst):
+            leaf, positive = (g.sub, False) if isinstance(g, Not) else (g, True)
+            old = literals.get(leaf)
+            if old is None:
+                literals[leaf] = positive
+                trail.append(leaf)
+                parts.append(_extend(parts[-1], leaf, positive))
+            else:
+                consistent = old == positive
+        if consistent:
+            if agenda is not None:
+                head, agenda = agenda
+                g = assign(head, literals)
+                continue
+            sigma, blocks = parts[-1]
+            yield NormalFormDisjunct(
+                sigma=sigma, blocks=tuple(AgentBlock(a, *blocks[a]) for a in sorted(blocks))
+            )
+        if not choices:
+            return
+        g, agenda, depth = choices.pop()
+        while len(trail) > depth:
+            del literals[trail.pop()]
+            parts.pop()
 
 
-def _dnf_stream(
-    f: Formula, partial: dict[Formula, bool]
-) -> Iterator[dict[Formula, bool]]:
-    if isinstance(f, TrueConst):
-        yield partial
-        return
-    if isinstance(f, FalseConst):
-        return
-    if isinstance(f, Or):
-        yield from _dnf_stream(f.left, partial)
-        yield from _dnf_stream(f.right, partial)
-        return
-    if isinstance(f, And):
-        for extended in _dnf_stream(f.left, partial):
-            # Feed the decided literals into the remaining conjunct:
-            # satisfied parts disappear (absorption), so the stream never
-            # splits on a clause an earlier choice already settled.
-            yield from _dnf_stream(assign(f.right, extended), extended)
-        return
-    leaf, positive = (f.sub, False) if isinstance(f, Not) else (f, True)
-    old = partial.get(leaf)
-    if old is None:
-        extended = dict(partial)
-        extended[leaf] = positive
-        yield extended
-    elif old == positive:
-        yield partial
-
-
-def _assemble(literals: dict[Formula, bool]) -> NormalFormDisjunct:
-    sigma_parts: list[Formula] = []
-    groups: dict[int, list[tuple[Formula, bool]]] = {}
-    for leaf, positive in literals.items():
-        if isinstance(leaf, MODAL):
-            groups.setdefault(leaf.agent, []).append((leaf, positive))
-        else:
-            sigma_parts.append(leaf if positive else Not(leaf))
-    blocks = tuple(
-        merge_positive(agent, *modal_arguments(g)) for agent, g in sorted(groups.items())
-    )
-    return NormalFormDisjunct(sigma=join(And, sigma_parts), blocks=blocks)
+def _extend(level: _Parts, leaf: Formula, positive: bool) -> _Parts:
+    """The disjunct's parts with one more literal: a propositional one is
+    folded into sigma, a modal one into its agent's argument slot."""
+    sigma, blocks = level
+    if not isinstance(leaf, MODAL):
+        return fold(And(sigma, leaf if positive else Not(leaf))), blocks
+    args = list(blocks.get(leaf.agent, _NO_ARGUMENTS))
+    slot = 2 * isinstance(leaf, N) + (not positive)
+    args[slot] = fold(And(args[slot], leaf.sub)) if positive else args[slot] + (leaf.sub,)
+    return sigma, {**blocks, leaf.agent: tuple(args)}
 
 
 def reassemble(disjuncts: Iterator[NormalFormDisjunct] | list[NormalFormDisjunct]) -> Formula:

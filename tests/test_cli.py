@@ -88,7 +88,7 @@ def test_decide_jsonl_record_fields(capsys):
 
 def test_batch_mode_deterministic_verdicts(tmp_path, capsys):
     batch = tmp_path / "batch.txt"
-    batch.write_text("p & ~p\nL1 p & ~L1 L1 p\nO1 ~O2 p\n# comment\n\n")
+    batch.write_text("p & ~p\nL1 p & ~L1 L1 p\nO1 ~O2 p\n# comment\n  # indented comment\n\n")
     args = ("decide", "--mode", "sat", "--agents", "2", "--format", "jsonl", "--batch", str(batch))
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
@@ -189,6 +189,22 @@ def test_agent_option_out_of_range_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "agent index" in err and "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--mode", "sat", "--jobs", "0", "p"),
+        ("decide", "--mode", "sat", "--jobs", "-2", "p"),
+        ("nf", "--limit", "-1", "p"),
+    ],
+)
+def test_out_of_range_count_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert argv[-3] in err and "must be at least" in err
 
 
 def test_okn_sets_subcommand(capsys):

@@ -1,3 +1,5 @@
+import pytest
+
 from onlyknow.corpus import generate_random
 from onlyknow.decision import Decider
 from onlyknow.formula import (
@@ -138,6 +140,32 @@ def test_streaming_gauge_counts_one_at_a_time():
     stream = to_normal_form(conj(Or(a, Atom(f"q{k}")) for k, a in enumerate(ps)))
     assert next(stream).sigma == conj(ps)
     assert next(stream).sigma == conj(ps[:-1] + [Atom("q63")])
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a pending conjunct an earlier literal satisfies does not split the stream
+        ("(p | q) & (p | r)", ["p", "q & p", "q & r"]),
+        # a contradiction found mid-stream prunes the branch
+        ("(p | q) & ~p & (q | r)", ["q & ~p"]),
+        (
+            "(L2 p | L1 q) & (~L1 r | N2 s) & (p | ~N1 q)",
+            [
+                "p & ~L1 r & L2 p",
+                "~L1 r & ~N1 q & L2 p",
+                "p & (L2 p & N2 s)",
+                "~N1 q & (L2 p & N2 s)",
+                "p & (L1 q & ~L1 r)",
+                "L1 q & ~L1 r & ~N1 q",
+                "p & L1 q & N2 s",
+                "L1 q & ~N1 q & N2 s",
+            ],
+        ),
+    ],
+)
+def test_stream_order_and_absorption(text, expected):
+    assert [to_text(d.to_formula()) for d in nf(text)] == expected
 
 
 def test_contradictory_conjuncts_are_dropped():
