@@ -27,6 +27,19 @@ argument, implied by every cofactor it can still get.  All recursive
 work happens on group arguments, which sit one modal level lower, so
 the recursion terminates.  Occurrences of V are removed first,
 innermost out, each body replaced by its own verdict.
+
+Two things keep the repeated group tests of one search cheap.  A
+positive argument is split into components, its top-level conjuncts
+joined where they share an atom or the agent of a Boolean-level modal
+leaf (Bayardo & Pehoushek, AAAI 2000): components share no atom and no
+agent, so their models combine.  Each negated conjunct is searched
+against the components it touches only.  The components none touches
+are searched together, once, and each is then recorded in the memo,
+which answers it for every later group.  And a modal argument that is
+a conjunction, or the negation of one, is cofactored one top-level
+conjunct at a time, each conjunct's cofactor cached for the search by
+the values of its own dependencies, so a test rebuilds only the
+conjuncts whose dependencies changed since the last.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ from .formula import (
     MODAL,
     TRUE,
     And,
+    Atom,
     Formula,
     Not,
     Or,
@@ -47,6 +61,7 @@ from .formula import (
     assign,
     conj,
     fold,
+    join,
     leaves,
     rebuild,
 )
@@ -125,10 +140,11 @@ class Decider:
             return True
         if f is FALSE:
             return False
-        if f in self._memo:
+        known = self._memo.get(f)
+        if known is not None:
             if self.trace:
                 self.trace(level, "memo hit", f)
-            return self._memo[f]
+            return known
         if self.trace:
             self.trace(level, "satisfiable?", f)
         result = self._search(f, level)
@@ -168,10 +184,11 @@ class Decider:
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
+        cofactor = _Cofactors(modal, deps, s.value) if deps else None
         decisions: list[tuple[int, int, bool]] = []  # (trail length, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s, modal, deps, tested, level):
+            if s.propagate() and self._groups_ok(s, modal, cofactor, tested, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -196,7 +213,7 @@ class Decider:
         self,
         s: _Trail,
         modal: dict[int, Formula],
-        deps: dict[int, tuple[int, ...]],
+        cofactor: _Cofactors | None,
         tested: dict[frozenset[int], bool],
         level: int,
     ) -> bool:
@@ -216,8 +233,7 @@ class Decider:
             ok = tested.get(key)
             if ok is None:
                 args = modal_arguments(
-                    (_cofactor(modal[abs(x)], x > 0, deps.get(abs(x), ()), modal, s.value), x > 0)
-                    for x in sorted(key, key=abs)
+                    (cofactor(abs(x), x > 0) if cofactor else modal[abs(x)], x > 0) for x in sorted(key, key=abs)
                 )
                 pos_l, neg_l, pos_n, neg_n = args
                 if neg_l or neg_n or (pos_l and pos_n):
@@ -232,21 +248,70 @@ class Decider:
         return True
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
-        alpha, gamma = b.pos_l, b.pos_n
-        for phi in b.neg_l:
-            if self.trace:
-                self.trace(level, f"agent {b.agent}: negated L against the positive part", phi)
-            if not self._sat(fold(And(alpha, fold(Not(phi)))), level + 1):
-                return False
-        for psi in b.neg_n:
-            if self.trace:
-                self.trace(level, f"agent {b.agent}: negated N against the positive part", psi)
-            if not self._sat(fold(And(gamma, fold(Not(psi)))), level + 1):
-                return False
-        union = fold(Or(alpha, gamma))
+        if b.neg_l and not self._negated_ok(b.agent, "L", b.pos_l, b.neg_l, level):
+            return False
+        if b.neg_n and not self._negated_ok(b.agent, "N", b.pos_n, b.neg_n, level):
+            return False
+        union = fold(Or(b.pos_l, b.pos_n))
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
+
+    def _negated_ok(self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int) -> bool:
+        """Is pos & ~phi satisfiable for each phi in negs?  A conjunction
+        pos is searched only in the part each ~phi touches."""
+        partners = self._partners(agent, kind, pos, negs, level) if isinstance(pos, And) else [pos] * len(negs)
+        if partners is None:
+            return False
+        for phi, partner in zip(negs, partners):
+            if self.trace:
+                self.trace(level, f"agent {agent}: negated {kind} against the positive part", phi)
+            if not self._sat(fold(And(partner, fold(Not(phi)))), level + 1):
+                return False
+        return True
+
+    def _partners(
+        self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int
+    ) -> list[Formula] | None:
+        """The part of the conjunction pos that each phi in negs must be
+        searched against, or None when pos is unsatisfiable.  The
+        conjuncts of pos fall into components that share no atom and no
+        agent of a Boolean-level modal leaf; V is gone, so models of
+        separate components combine.  So ~phi needs only the components
+        it touches.  The components that no ~phi touches must be
+        satisfiable too.  A lone atom or negated atom is; the memo
+        answers the others it knows, and the rest are searched together,
+        each then recorded as satisfiable, so the memo serves it from
+        one group to the next."""
+        parts = _conjuncts(pos)
+        component, members = _components(parts)
+        if len(members) == 1:
+            return [pos] * len(negs)
+        touched = [{component[k] for k in _keys(phi) if k in component} for phi in negs]
+        fresh = []
+        for c in sorted(set(range(len(members))).difference(*touched)):
+            alone = join(And, (parts[i] for i in members[c]))
+            if isinstance(alone.sub if isinstance(alone, Not) else alone, Atom):
+                continue
+            known = self._memo.get(alone)
+            if known is None:
+                fresh.append(alone)
+                continue
+            if self.trace:
+                self.trace(level + 1, "memo hit", alone)
+            if not known:
+                return None
+        if fresh:
+            together = join(And, fresh)
+            if self.trace:
+                self.trace(level, f"agent {agent}: components of the positive {kind} part", together)
+            if not self._sat(together, level + 1):
+                return None
+            self._memo.update(dict.fromkeys(fresh, True))
+        return [
+            pos if len(cs) == len(members) else join(And, (parts[i] for i in sorted(i for c in cs for i in members[c])))
+            for cs in touched
+        ]
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -255,23 +320,143 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of f, left to right."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _keys(f: Formula) -> set[str | int]:
+    """What ties f to other conjuncts: the names of its Boolean-level
+    atoms and the agents of its Boolean-level modal leaves."""
+    g = f.sub if isinstance(f, Not) else f
+    if isinstance(g, Atom):
+        return {g.name}
+    if isinstance(g, MODAL):
+        return {g.agent}
+    keys: set[str | int] = set()
+    for g in leaves(f):
+        if isinstance(g, Atom):
+            keys.add(g.name)
+        elif isinstance(g, MODAL):
+            keys.add(g.agent)
+    return keys
+
+
+def _components(parts: list[Formula]) -> tuple[dict[str | int, int], list[list[int]]]:
+    """Union-find over the parts, joined where their keys meet.  Returns
+    each key's component and each component's parts, in order.  Part i
+    stays a root while its own keys are joined, since every other root
+    is hung under it."""
+    parent = list(range(len(parts)))
+    owner: dict[str | int, int] = {}
+    for i, part in enumerate(parts):
+        for k in _keys(part):
+            j = owner.setdefault(k, i)
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[j] = i
+    number: dict[int, int] = {}
+    members: list[list[int]] = []
+    component: list[int] = []
+    for i in range(len(parts)):
+        j = i
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if j not in number:
+            number[j] = len(members)
+            members.append([])
+        component.append(number[j])
+        members[number[j]].append(i)
+    return {k: component[i] for k, i in owner.items()}, members
+
+
+class _Cofactors:
+    """The cofactored modal atoms of one search, M_i phi with phi
+    cofactored by the values the trail gives its dependencies.  An
+    argument that is a conjunction, or the negation of one, goes one
+    top-level part at a time: a part's cofactor is cached by the values
+    of its own dependencies, and a part with none is taken as it is, so
+    a group test rebuilds only the parts whose dependencies changed."""
+
+    def __init__(
+        self, modal: dict[int, Formula], deps: dict[int, tuple[int, ...]], value: list[bool | None]
+    ) -> None:
+        self.modal = modal
+        self.deps = deps
+        self.value = value
+        self.split: dict[int, tuple[type, list[tuple[Formula, tuple[int, ...]]]] | tuple[()]] = {}
+        self.cache: dict[tuple[int, int, bool, tuple[bool | None, ...]], Formula] = {}
+
+    def __call__(self, v: int, positive: bool) -> Formula:
+        leaf = self.modal[v]
+        ws = self.deps.get(v)
+        if not ws:
+            return leaf
+        split = self.split.get(v)
+        if split is None:
+            split = self.split[v] = _split(leaf, ws, self.modal)
+        if not split:
+            arg = _cofactor(leaf.sub, ws, positive, self.modal, self.value)
+        else:
+            op, parts = split
+            out = []
+            for k, (part, own) in enumerate(parts):
+                if own:
+                    key = (v, k, positive, tuple(self.value[w] for w in own))
+                    done = self.cache.get(key)
+                    if done is None:
+                        done = self.cache[key] = _cofactor(part, own, positive, self.modal, self.value)
+                    part = done
+                out.append(part)
+            arg = join(op, out)
+        return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+
+
+def _split(
+    leaf: Formula, ws: tuple[int, ...], modal: dict[int, Formula]
+) -> tuple[type, list[tuple[Formula, tuple[int, ...]]]] | tuple[()]:
+    """The parts of a modal atom's argument, each with its own
+    dependencies among ws, and the connective that joins them: the
+    conjuncts of a conjunction under And, the negated conjuncts of a
+    negated one under Or.  Empty for an argument of one part."""
+    negated = isinstance(leaf.sub, Not) and isinstance(leaf.sub.sub, And)
+    whole = leaf.sub.sub if negated else leaf.sub
+    if not isinstance(whole, And):
+        return ()
+    parts = _conjuncts(whole)
+    if negated:
+        parts = [fold(Not(c)) for c in parts]
+    var = {modal[w]: w for w in ws}
+    return Or if negated else And, [
+        (c, tuple(dict.fromkeys(var[g] for g in leaves(c) if isinstance(g, MODAL) and g.agent == leaf.agent)))
+        for c in parts
+    ]
+
+
 def _cofactor(
-    leaf: Formula, positive: bool, ws: tuple[int, ...], modal: dict[int, Formula], value: list[bool | None]
+    arg: Formula, ws: tuple[int, ...], positive: bool, modal: dict[int, Formula], value: list[bool | None]
 ) -> Formula:
-    """M_i phi with phi cofactored by the values of its dependencies ws.
-    With some still unassigned, phi goes to negation normal form and each
-    literal over one becomes true in a positive literal and false in a
-    negated one: that argument is implied by every cofactor phi can still
-    get (implies it, when negated), and L and N are monotone, so a group
-    that fails with it fails under every extension."""
-    if not ws:
-        return leaf
+    """The argument arg of a modal literal cofactored by the values of
+    its dependencies ws.  With some still unassigned, arg goes to
+    negation normal form and each literal over one becomes true in a
+    positive literal and false in a negated one: that argument is
+    implied by every cofactor arg can still get (implies it, when
+    negated), and L and N are monotone, so a group that fails with it
+    fails under every extension."""
     env = {modal[w]: value[w] for w in ws if value[w] is not None}
-    arg = assign(leaf.sub, env)
+    out = assign(arg, env) if env else arg
     if len(env) < len(ws):
         pending = {modal[w] for w in ws if value[w] is None}
-        arg = _weaken(_nnf(arg), pending, TRUE if positive else FALSE)
-    return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+        out = _weaken(_nnf(out), pending, TRUE if positive else FALSE)
+    return out
 
 
 def _weaken(f: Formula, pending: set[Formula], value: Formula) -> Formula:

@@ -132,3 +132,20 @@ def test_default_theory_decides_within_two_seconds(monkeypatch, k):
                 assert believes(1, kb, parse(text, 2), decider) is expected, (variant, text)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_a_default_theory_question_searches_few_formulas(monkeypatch):
+    # Not believing one of 40 defaults' conclusions: each group test of
+    # the base asks about each default's atoms apart from the others, so
+    # the memo answers them from one group to the next.  Searching every
+    # negated conjunct against the whole base took 901 searches here.
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import default_theory
+
+    theory = default_theory(40, set(), set())
+    events = []
+    decider = Decider(trace=lambda *event: events.append(event))
+    assert believes(1, parse(theory.kb, 2), parse(theory.no, 2), decider) is False
+    assert sum(rule == "satisfiable?" for _, rule, _ in events) <= 200

@@ -6,7 +6,9 @@ import pytest
 from onlyknow import k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider
+from onlyknow.finite_semantics import oracle_valid
 from onlyknow.formula import (
+    And,
     Atom,
     FALSE,
     Iff,
@@ -24,6 +26,7 @@ from onlyknow.formula import (
     only_knows,
     parse,
     simplify,
+    substitute_atom,
     to_text,
     walk,
 )
@@ -165,6 +168,67 @@ def test_search_matches_the_normal_form_reference():
             assert bool(Decider().consistent(g)) == reference, to_text(g)
             verdicts.append(reference)
     assert verdicts.count(False) >= 30  # unsatisfiable cases are in the sample too
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("L1 p & N1 q", False),  # one agent: the union p | q must be valid
+        ("L1 p & N2 q", True),
+        ("p & L1 ~p", True),  # no truth axiom: the world need not be believed
+        ("(p | q) & ~p & ~q", False),  # joined through shared atoms
+        ("s & L1 p & N1 q", False),  # an unsatisfiable component beside another
+    ],
+)
+def test_group_components_join_on_shared_atoms_and_agents(text, expected):
+    # Each conjunct is satisfiable on its own, and the memo of d then
+    # says so.  Under L3 with a negated conjunct over a fresh atom, the
+    # positive argument is split into components that the memo answers,
+    # so a split that separated conjuncts sharing an atom or an agent
+    # would call the unsatisfiable ones satisfiable.
+    f = parse(text, 3)
+    d = Decider()
+    assert all(d.consistent(g) for g in _conjuncts(f))
+    assert bool(d.consistent(f)) is expected
+    assert bool(d.consistent(parse(f"L3 ({text}) & ~L3 z", 3))) is expected
+
+
+def _conjuncts(f):
+    return _conjuncts(f.left) + _conjuncts(f.right) if isinstance(f, And) else [f]
+
+
+def _renamed_apart(f, names, suffix):
+    for name in names:
+        f = substitute_atom(f, name, Atom(name + suffix))
+    return f
+
+
+def test_conjunctions_of_independent_parts_agree_with_the_oracles():
+    # f = a & b, with b's atoms renamed apart from a's, and L1 f & ~L1 c:
+    # there the positive argument a & b splits into components, and ~c,
+    # over a's atoms, is searched against a's side only.  One Decider
+    # per family, so components come back from the memo too.
+    d = Decider()
+    for seed in range(100):
+        a, b, c = (
+            generate_random(seed + k, "basic", max_modal_depth=2, n_atoms=3, n_agents=2, size=8)
+            for k in (7000, 8000, 8500)
+        )
+        f = a & _renamed_apart(b, ("p", "p1", "p2"), "b")
+        for g in (f, L(1, f) & Not(L(1, c))):
+            assert bool(d.consistent(g)) == k45.sat(g), to_text(g)
+            assert bool(d.valid(g)) == (not k45.sat(Not(g))), to_text(g)
+    d = Decider()
+    for seed in range(100):
+        a, b, c = (
+            generate_random(seed + k, "full", max_modal_depth=2, n_atoms=1, n_agents=1, size=6, allow_val=False)
+            for k in (9000, 9500, 9700)
+        )
+        f = a & _renamed_apart(b, ("p",), "b")
+        for g in (f, L(1, f) & Not(L(1, c))):
+            assert bool(d.valid(g)) == oracle_valid(g, ("p", "pb"), semantics="extended").valid, to_text(g)
+            consistent = not oracle_valid(Not(g), ("p", "pb"), semantics="extended").valid
+            assert bool(d.consistent(g)) == consistent, to_text(g)
 
 
 # -- axiom instances ---------------------------------------------------

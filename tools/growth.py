@@ -1,0 +1,136 @@
+"""Growth curves of the engine on six seeded families.
+
+Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
+
+Each point of a family is timed three times in this process and one
+line is printed per point: family, size, case, the median wall time,
+the verdict, and whether it matches the answer the family is built to
+have (``?`` where no such answer is known).  With --out the table is
+also written as JSON.  The recursion limit is 20,000, as in the CLI.
+
+  believes   believes(1, kb, q) on default_theory(k) of
+             perfbench/workloads.py, its "yes" and "no" questions
+  nf         disjuncts of the normal form of (L1 p_j | ~L2 q_j), j < k
+  3cnf       consistency of random_3cnf(Random(1), n, round(4.26 n))
+  iff-chain  validity of p0 <-> ... <-> p(n-1)
+  and-chain  consistency of p0 & ... & p(n-1)
+  nested-l   disjuncts of the normal form of L1 over the disjunction
+             of (p_j & L1 q_j), and over the conjunction of (p_j | L1 q_j)
+
+The sizes are fixed below, so two versions of the engine run the same
+points.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import random
+import statistics
+import sys
+import time
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from onlyknow.autoepistemic import believes  # noqa: E402
+from onlyknow.decision import Decider  # noqa: E402
+from onlyknow.formula import parse  # noqa: E402
+from onlyknow.normal_form import to_normal_form  # noqa: E402
+from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
+
+SIZES = {
+    "believes": (10, 20, 30, 40, 60),
+    "nf": (8, 10, 12, 14),
+    "3cnf": (50, 100, 130),
+    "iff-chain": (10, 12, 14, 15),
+    "and-chain": (500, 1000, 2000),
+    "nested-l": (2, 3, 4, 5, 6),
+}
+RUNS = 3
+# Answers of the seeded 3-CNF instances at ratio 4.26.
+CNF_ANSWERS = {50: False, 100: True, 130: False}
+
+# (case, thunk returning the verdict, the answer by construction or None)
+Point = tuple[str, Callable[[], object], object]
+
+
+def _count(text: str) -> Callable[[], int]:
+    f = parse(text)
+    return lambda: sum(1 for _ in to_normal_form(f))
+
+
+def points(family: str, size: int) -> list[Point]:
+    """The cases of one family at one size."""
+    if family == "believes":
+        theory = default_theory(size, set(), set())
+        kb = parse(theory.kb, 2)
+        return [
+            (case, lambda q=parse(text, 2): believes(1, kb, q), answer)
+            for case, text, answer in (("yes", theory.yes, True), ("no", theory.no, False))
+        ]
+    if family == "nf":
+        return [("", _count(" & ".join(f"(L1 p{j} | ~L2 q{j})" for j in range(size))), 2**size)]
+    if family == "3cnf":
+        f = parse(cnf_text(random_3cnf(random.Random(1), size, round(4.26 * size)), "x"))
+        return [("", lambda: bool(Decider().consistent(f)), CNF_ANSWERS.get(size))]
+    if family == "iff-chain":
+        f = parse(" <-> ".join(f"p{j}" for j in range(size)))
+        return [("", lambda: bool(Decider().valid(f)), False)]
+    if family == "and-chain":
+        f = parse(" & ".join(f"p{j}" for j in range(size)))
+        return [("", lambda: bool(Decider().consistent(f)), True)]
+    if family == "nested-l":
+        return [
+            ("or-of-and", _count("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(size)) + ")"), None),
+            ("and-of-or", _count("L1 (" + " & ".join(f"(p{j} | L1 q{j})" for j in range(size)) + ")"), 2**size),
+        ]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def measure(family: str, size: int) -> list[dict]:
+    rows = []
+    for case, thunk, answer in points(family, size):
+        times, verdicts = [], set()
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            verdicts.add(thunk())
+            times.append(time.perf_counter() - start)
+        (verdict,) = verdicts
+        rows.append({"size": size, "case": case, "median_s": statistics.median(times),
+                     "runs_s": times, "verdict": verdict, "answer": answer})
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--families", default=",".join(SIZES), help="comma-separated, from: " + ", ".join(SIZES))
+    parser.add_argument("--out", type=Path, help="write the table as JSON here")
+    args = parser.parse_args()
+    families = args.families.split(",")
+    unknown = [f for f in families if f not in SIZES]
+    if unknown:
+        parser.error(f"unknown families: {', '.join(unknown)}")
+    sys.setrecursionlimit(20000)
+    table: dict[str, list[dict]] = {}
+    wrong = 0
+    for family in families:
+        for size in SIZES[family]:
+            for row in measure(family, size):
+                table.setdefault(family, []).append(row)
+                check = "?" if row["answer"] is None else "ok" if row["verdict"] == row["answer"] else "WRONG"
+                wrong += check == "WRONG"
+                print(f"{family:10} {size:6} {row['case']:10} {row['median_s']:10.4f} s  {row['verdict']!s:8} {check}",
+                      flush=True)
+    if args.out:
+        args.out.write_text(json.dumps({"python": platform.python_version(), "runs": RUNS, "families": table},
+                                       indent=1) + "\n")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
