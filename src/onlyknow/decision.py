@@ -60,9 +60,11 @@ from .formula import (
     Val,
     assign,
     conj,
+    conjuncts,
     fold,
     join,
     leaves,
+    own_modal_leaves,
     rebuild,
 )
 from .normal_form import AgentBlock, Tick, _nnf, merge_positive, modal_arguments, to_clauses
@@ -169,7 +171,7 @@ class Decider:
             if not isinstance(leaf, MODAL):
                 continue
             modal[v] = leaf
-            own = [g for g in leaves(leaf.sub) if isinstance(g, MODAL) and g.agent == leaf.agent]
+            own = list(own_modal_leaves(leaf.sub, leaf.agent))
             if not own:
                 continue
             if not index:
@@ -283,7 +285,7 @@ class Decider:
         answers the others it knows, and the rest are searched together,
         each then recorded as satisfiable, so the memo serves it from
         one group to the next."""
-        parts = _conjuncts(pos)
+        parts = conjuncts(pos)
         component, members = _components(parts)
         if len(members) == 1:
             return [pos] * len(negs)
@@ -318,19 +320,6 @@ class Decider:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The top-level conjuncts of f, left to right."""
-    out: list[Formula] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
 
 
 def _keys(f: Formula) -> set[str | int]:
@@ -431,12 +420,12 @@ def _split(
     whole = leaf.sub.sub if negated else leaf.sub
     if not isinstance(whole, And):
         return ()
-    parts = _conjuncts(whole)
+    parts = conjuncts(whole)
     if negated:
         parts = [fold(Not(c)) for c in parts]
     var = {modal[w]: w for w in ws}
     return Or if negated else And, [
-        (c, tuple(dict.fromkeys(var[g] for g in leaves(c) if isinstance(g, MODAL) and g.agent == leaf.agent)))
+        (c, tuple(dict.fromkeys(var[g] for g in own_modal_leaves(c, leaf.agent))))
         for c in parts
     ]
 

@@ -274,6 +274,25 @@ def leaves(f: Formula) -> Iterator[Formula]:
             raise FormulaError(f"unknown node {g!r}")
 
 
+def own_modal_leaves(f: Formula, agent: int) -> Iterator[Formula]:
+    """The agent's own L/N formulas among the Boolean-level leaves of f,
+    left to right."""
+    return (g for g in leaves(f) if isinstance(g, MODAL) and g.agent == agent)
+
+
+def conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of f, left to right."""
+    out: list[Formula] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
 def walk(f: Formula) -> Iterator[Formula]:
     """Preorder traversal of all subformula occurrences."""
     stack = [f]

@@ -1,13 +1,14 @@
 """Normal forms of V-free formulas: the clause form the decision
 procedure searches (``to_clauses``, with L/N formulas kept whole as
-leaves), ``normalize`` (modalities pushed down to objective arguments)
-and the disjunctive normal form built on it, streamed one disjunct at a
-time (``to_normal_form``).  The decision procedure does not normalize:
-it cofactors a modal argument over the agent's own modal atoms in the
-search, and its group test (``AgentBlock``) needs only arguments
-objective for the agent.  ``normalize`` serves ``onlyknow nf`` and the
-tests' reference for the search.  Every rewrite here folds each node as
-it builds it (``formula.fold``/``join``), so its output is simplified.
+leaves), ``normalize`` (modalities expanded until every argument is
+objective for its agent) and the disjunctive normal form built on it,
+streamed one disjunct at a time (``to_normal_form``).  The decision
+procedure does not normalize: it cofactors a modal argument over the
+agent's own modal atoms in the search, and its group test
+(``AgentBlock``) needs only arguments objective for the agent.
+``normalize`` serves ``onlyknow nf`` and the tests' reference for the
+search.  Every rewrite here folds each node as it builds it
+(``formula.fold``/``join``), so its output is simplified.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -15,14 +16,23 @@ conjunctions
     sigma & L1 a & ~L1 b1 & ... & N1 c & ~N1 d1 & ...   (one group per agent)
 
 where sigma is propositional and each argument inside an agent's group
-is objective for that agent.  Modalities are pushed inward clause-wise:
-a modality distributes over conjunctions, and over a disjunctive clause
-it swallows the objective part while the clause's own-agent modal
-literals hop out of the scope unchanged (introspective agents assign
-them the same value at every world they entertain).  Pushing over a
-clause with no objective part leaves an ``L<i> false`` disjunct, which
-an empty belief set realizes; it is dropped only when a positive
-literal of the same modality subsumes it.
+is objective for that agent.  ``normalize`` gets there with the
+introspection rule the search uses: an introspective agent gives its
+own modal atoms the same value at every world it entertains, so for an
+agent-i modal atom a at the Boolean level of phi (the stable-expansion
+reading of Levesque, 1990)
+
+    M_i phi  ==  (a & M_i phi[a]) | (~a & M_i phi[~a])
+
+A modality whose argument has no such atom keeps the argument whole, as
+written.  Otherwise each top-level conjunct of the argument is expanded
+on its own, over its own first such atom, since L_i and N_i distribute
+over &; a conjunct that does not mention a is not copied into both
+branches.  A branch that folds to true is absorbed: M_i phi[~a] | a,
+or M_i phi[a] | ~a.  On the ~a side of an atom a of M's own modality,
+a leaf M_i false is dropped, since it implies a there and so is
+contradictory (or, beside a, subsumed).  Elsewhere an ``L<i> false``
+disjunct stays; an empty belief set realizes it.
 """
 
 from __future__ import annotations
@@ -48,10 +58,11 @@ from .formula import (
     ValPresentError,
     assign,
     conj,
+    conjuncts,
     disj,
     fold,
-    is_i_objective,
     join,
+    own_modal_leaves,
     rebuild,
 )
 
@@ -65,54 +76,47 @@ def _untimed() -> None:
 def normalize(f: Formula) -> Formula:
     """Equivalent simplified formula in which every modal subformula is a
     "modal atom": an L/N whose argument is objective for its agent (and
-    itself normalized).  Its output is its own normal form.
+    itself normalized).  A modality is expanded over its agent's own
+    modal atoms by the introspection rule (see the module docstring).
+    Its output is its own normal form.
     """
     if isinstance(f, Val):
         raise ValPresentError("normal form is defined for V-free formulas only")
     if isinstance(f, MODAL):
-        return _push(type(f), f.agent, normalize(f.sub))
+        return _expand(type(f), f.agent, normalize(f.sub))
     return fold(rebuild(f, normalize))
 
 
-def _push(op: type, agent: int, arg: Formula) -> Formula:
-    """Push one modality over a normalized argument."""
-    if arg is TRUE:
-        return TRUE
+def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
+    """M arg, where M is op(agent, .) and arg is normalized, expanded by
+    the introspection rule: each top-level conjunct of arg over its first
+    own modal atom a, then each branch again.  below: M sits on the ~a
+    side of an atom a of its own modality, where M false implies a, so
+    it is dropped."""
+    if next(own_modal_leaves(arg, agent), None) is None:
+        return FALSE if below and arg is FALSE else fold(op(agent, arg))
     parts: list[Formula] = []
-    for clause in _cnf(_nnf(arg), agent):
-        subjective: list[Formula] = []
-        objective: list[Formula] = []
-        has_own_positive = False
-        for leaf, positive in clause:
-            literal = leaf if positive else Not(leaf)
-            if isinstance(leaf, MODAL) and leaf.agent == agent:
-                subjective.append(literal)
-                if positive and isinstance(leaf, op):
-                    has_own_positive = True
-            else:
-                objective.append(literal)
-        psi = join(Or, objective)
-        if psi is TRUE:
+    for c in conjuncts(arg):
+        a = next(own_modal_leaves(c, agent), None)
+        if a is None:
+            parts.append(fold(op(agent, c)))
             continue
-        literals = list(subjective)
-        if not (psi is FALSE and has_own_positive):
-            # L<i> false is implied by any positive L<i> literal; keep it
-            # only when nothing subsumes it.
-            literals.insert(0, op(agent, psi))
-        parts.append(join(Or, literals))
-    # A balanced fold: a left-deep chain of 2^k clauses overruns the
-    # recursion limit in the recursive walks after it, such as _nnf.
-    while len(parts) > 2:
-        parts = [join(And, parts[i : i + 2]) for i in range(0, len(parts), 2)]
+        yes = _expand(op, agent, assign(c, {a: True}), below)
+        no = _expand(op, agent, assign(c, {a: False}), below or isinstance(a, op))
+        if yes is TRUE:
+            parts.append(join(Or, (no, a)))
+        elif no is TRUE:
+            parts.append(join(Or, (yes, Not(a))))
+        else:
+            parts.append(join(Or, (join(And, (a, yes)), join(And, (Not(a), no)))))
     return join(And, parts)
 
 
 def _nnf(f: Formula, neg: bool = False, tick: Tick = _untimed) -> Formula:
     """Negation normal form over leaves (atoms, constants, L/N formulas
     taken whole), each node folded as it is built, so the form of a
-    simplified formula is simplified too; _push takes objective parts
-    from it whole.  tick is called once per <-> node, the one case that
-    copies its operands."""
+    simplified formula is simplified too.  tick is called once per <->
+    node, the one case that copies its operands."""
     if isinstance(f, Not):
         return _nnf(f.sub, not neg, tick)
     if isinstance(f, And):
@@ -137,47 +141,6 @@ def _nnf(f: Formula, neg: bool = False, tick: Tick = _untimed) -> Formula:
     if isinstance(f, FalseConst):
         return TRUE if neg else FALSE
     return Not(f) if neg else f
-
-
-Clause = tuple[tuple[Formula, bool], ...]
-
-
-def _cnf(f: Formula, agent: int) -> list[Clause]:
-    """Clauses of an NNF formula over leaves; tautologies dropped.  A
-    compound subformula that is objective for the agent is one leaf."""
-    if isinstance(f, (And, Or)) and is_i_objective(f, agent):
-        return [((f, True),)]
-    if isinstance(f, And):
-        return _cnf(f.left, agent) + _cnf(f.right, agent)
-    if isinstance(f, Or):
-        out = []
-        right = _cnf(f.right, agent)
-        for c1 in _cnf(f.left, agent):
-            for c2 in right:
-                merged = _merge_clause(c1, c2)
-                if merged is not None:
-                    out.append(merged)
-        return out
-    if isinstance(f, TrueConst):
-        return []
-    if isinstance(f, FalseConst):
-        return [()]
-    if isinstance(f, Not):
-        return [((f.sub, False),)]
-    return [((f, True),)]
-
-
-def _merge_clause(c1: Clause, c2: Clause) -> Clause | None:
-    seen: dict[Formula, bool] = dict(c1)
-    out = list(c1)
-    for leaf, positive in c2:
-        old = seen.get(leaf)
-        if old is None:
-            seen[leaf] = positive
-            out.append((leaf, positive))
-        elif old != positive:
-            return None
-    return tuple(out)
 
 
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:

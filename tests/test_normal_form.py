@@ -1,5 +1,8 @@
+from itertools import islice
+
 import pytest
 
+from onlyknow import k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import Decider
 from onlyknow.formula import (
@@ -13,6 +16,7 @@ from onlyknow.formula import (
     Or,
     TRUE,
     conj,
+    conjuncts,
     is_i_objective,
     parse,
     simplify,
@@ -21,6 +25,7 @@ from onlyknow.formula import (
 )
 from onlyknow.normal_form import (
     merge_positive,
+    normalize,
     reassemble,
     to_normal_form,
 )
@@ -39,10 +44,10 @@ def test_disjunction_under_l_splits():
 
 def test_objective_part_of_a_modal_argument_stays_whole():
     # Only the agent's own modal atoms split out of an argument; the
-    # objective rest goes under the modality as one formula.
+    # objective rest goes under the modality as one formula, as written.
     assert [to_text(d.to_formula()) for d in nf("L1 ((p & q) | L1 r)")] == ["L1 (p & q)", "L1 r"]
     ds = nf("L1 (p & q) & ~N1 (p | q -> L2 r)")
-    assert [to_text(d.to_formula()) for d in ds] == ["L1 (p & q) & ~N1 (~p & ~q | L2 r)"]
+    assert [to_text(d.to_formula()) for d in ds] == ["L1 (p & q) & ~N1 (p | q -> L2 r)"]
 
 
 def test_same_agent_l_collapses():
@@ -91,21 +96,19 @@ def test_sigma_is_propositional_and_blocks_objective():
             # sigma is true or a conjunction of atom literals, no atom
             # both ways: the decider relies on it and never searches sigma
             signs = {}
-            for lit in [] if d.sigma is TRUE else _conjuncts(d.sigma):
+            for lit in [] if d.sigma is TRUE else conjuncts(d.sigma):
                 atom, positive = (lit.sub, False) if isinstance(lit, Not) else (lit, True)
                 assert isinstance(atom, Atom), (to_text(f), to_text(d.sigma))
                 assert signs.setdefault(atom, positive) == positive, (to_text(f), to_text(d.sigma))
             for b in d.blocks:
                 for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
                     assert is_i_objective(g, b.agent), (to_text(f), b.agent, to_text(g))
-
-
-def _conjuncts(f):
-    if isinstance(f, And):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
+                # L<i> false implies every L<i> x, so beside a negated
+                # L<i> literal it is contradictory; the expansion drops it
+                # on the ~a side of an own atom a (likewise for N), and
+                # these inputs give it nowhere else to arise
+                assert not (b.pos_l is FALSE and b.neg_l), (to_text(f), to_text(d.to_formula()))
+                assert not (b.pos_n is FALSE and b.neg_n), (to_text(f), to_text(d.to_formula()))
 
 
 def test_basic_inputs_give_basic_blocks():
@@ -123,6 +126,30 @@ def test_equivalence_with_reassembled_disjunction():
         f = generate_random(seed + 7000, "full", max_modal_depth=3, n_atoms=3, n_agents=2, allow_val=False)
         back = reassemble(list(to_normal_form(f)))
         assert bool(d.valid(Iff(f, back))), to_text(f)
+
+
+def test_reassembled_normal_form_agrees_with_the_k45_prover():
+    # k45 shares no code with normal_form or decision, unlike the Decider
+    # check above, whose search uses the same introspection rule.
+    formulas = [generate_random(seed + 8000, "basic", max_modal_depth=3, n_atoms=3, size=20) for seed in range(200)]
+    formulas.append(generate_random(50798, "basic", max_modal_depth=4, n_atoms=4, size=40))
+    for f in formulas:
+        back = reassemble(to_normal_form(f))
+        assert not k45.sat(And(f, Not(back))), to_text(f)
+        assert not k45.sat(And(Not(f), back)), to_text(f)
+
+
+def test_expansion_does_not_copy_the_argument_into_both_branches():
+    f = generate_random(50798, "basic", max_modal_depth=4, n_atoms=4, size=40)
+    assert sum(1 for _ in walk(normalize(f))) < 1000
+    # L1 over the disjunction of (p_j & L1 q_j): one disjunct per nonempty
+    # set of the q_j believed
+    f = parse("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(6)) + ")", 1)
+    assert sum(1 for _ in islice(to_normal_form(f), 65)) == 2**6 - 1
+    # over the conjunction of (p_j | L1 q_j) each conjunct expands alone
+    f = parse("L1 (" + " & ".join(f"(p{j} | L1 q{j})" for j in range(10)) + ")", 1)
+    assert sum(1 for _ in walk(normalize(f))) <= 59
+    assert sum(1 for _ in to_normal_form(f)) == 2**10
 
 
 def test_stream_is_deterministic():

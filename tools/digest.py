@@ -20,6 +20,10 @@ what the search clausifies at level 0 in consistent mode, before it
 adds the dependency variables of its modal atoms.  The rewrites line
 changed on purpose when assign began to fold each node it rebuilds: it
 now equals what the earlier engine printed for simplify(assign(g, ENV)).
+The nf and clauses lines changed on purpose when normalize began to
+expand each modality over its agent's own modal atoms instead of
+distributing it over a clause form of the argument: both are outputs of
+normalize, and an objective argument is now kept as written.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ also written as JSON.  The recursion limit is 20,000, as in the CLI.
   iff-chain  validity of p0 <-> ... <-> p(n-1)
   and-chain  consistency of p0 & ... & p(n-1)
   nested-l   disjuncts of the normal form of L1 over the disjunction
-             of (p_j & L1 q_j), and over the conjunction of (p_j | L1 q_j)
+             of (p_j & L1 q_j), 2^k - 1 of them, and over the conjunction
+             of (p_j | L1 q_j), 2^k
 
 The sizes are fixed below, so two versions of the engine run the same
 points.
@@ -86,7 +87,7 @@ def points(family: str, size: int) -> list[Point]:
         return [("", lambda: bool(Decider().consistent(f)), True)]
     if family == "nested-l":
         return [
-            ("or-of-and", _count("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(size)) + ")"), None),
+            ("or-of-and", _count("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(size)) + ")"), 2**size - 1),
             ("and-of-or", _count("L1 (" + " & ".join(f"(p{j} | L1 q{j})" for j in range(size)) + ")"), 2**size),
         ]
     raise ValueError(f"unknown family {family!r}")
