@@ -36,7 +36,6 @@ from .formula import (
 from .normal_form import (
     AgentBlock,
     NormalFormDisjunct,
-    merge_positive,
     reassemble,
     to_normal_form,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "k45_sat",
     "kb_coherent",
     "load_corpus",
-    "merge_positive",
     "modal_depth",
     "only_knowing_sets",
     "only_knows",

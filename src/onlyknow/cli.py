@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import autoepistemic, finite_semantics, k45, kripke
 from .decision import BudgetExceededError, Decider
-from .formula import FormulaError, classify, max_agent, parse, to_text
+from .formula import FormulaError, classify, parse, to_text
 from .normal_form import to_normal_form
 
 _POSITIVE = ("SAT", "VALID", "YES")
@@ -34,11 +34,6 @@ def _budget_deadline(budget: float | None) -> float | None:
             return None
         budget = float(raw)
     return time.monotonic() + budget
-
-
-def _parse_formula(text: str, declared: int | None):
-    f = parse(text, declared)
-    return f, (declared if declared is not None else max(1, max_agent(f)))
 
 
 def _check_agent(args) -> None:
@@ -67,14 +62,14 @@ def _verdict_code(verdict: str) -> int:
 
 
 def _cmd_parse(args) -> int:
-    f, _ = _parse_formula(args.formula, args.agents)
+    f = parse(args.formula, args.agents)
     print(to_text(f))
     return 0
 
 
 def _cmd_classify(args) -> int:
     _check_agent(args)
-    f, _ = _parse_formula(args.formula, args.agents)
+    f = parse(args.formula, args.agents)
     flags = classify(f, args.agent)
     if args.format == "jsonl":
         print(json.dumps({"input": args.formula, **flags.__dict__}, sort_keys=True))
@@ -85,7 +80,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_nf(args) -> int:
-    f, _ = _parse_formula(args.formula, args.agents)
+    f = parse(args.formula, args.agents)
     for count, d in enumerate(to_normal_form(f)):
         if args.limit is not None and count >= args.limit:
             print("...")
@@ -99,7 +94,7 @@ def _trace_to_stderr(level: int, rule: str, g) -> None:
 
 
 def _decide_one(text: str, mode: str, agents: int | None, trace, deadline: float | None) -> dict:
-    f, _ = _parse_formula(text, agents)
+    f = parse(text, agents)
     started = time.monotonic()
     decider = Decider(trace=trace, deadline=deadline)
     verdict = decider.consistent(f) if mode == "sat" else decider.valid(f)
@@ -150,7 +145,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_k45(args) -> int:
-    f, _ = _parse_formula(args.formula, args.agents)
+    f = parse(args.formula, args.agents)
     model = k45.find_model(f)
     print("SAT" if model is not None else "UNSAT")
     if model is not None and args.witness:
@@ -159,7 +154,7 @@ def _cmd_k45(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    f, _ = _parse_formula(args.formula, None)
+    f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     result = finite_semantics.oracle_valid(f, phi, semantics=args.semantics, bound=args.bound)
     record = {"input": args.formula, "verdict": "VALID" if result.valid else "INVALID"}
@@ -170,7 +165,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    f, _ = _parse_formula(args.formula, None)
+    f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     print(to_text(finite_semantics.reduce_n_to_l(f, phi, bound=args.bound)))
     return 0
@@ -186,7 +181,7 @@ def _cmd_kripke(args) -> int:
             print(f"euclidean violation agent {agent}: ({u},{v}) and ({u},{w}) but not ({v},{w})")
         print("OK" if report.ok else "NOT-K45")
         return 0 if report.ok else 1
-    f, _ = _parse_formula(args.formula, None)
+    f = parse(args.formula)
     checker = {
         "basic": kripke.check_basic,
         "naive": kripke.check_naive_n,
@@ -200,15 +195,15 @@ def _cmd_kripke(args) -> int:
 def _cmd_believes(args) -> int:
     _check_agent(args)
     deadline = _budget_deadline(args.budget)
-    kb, _ = _parse_formula(args.kb, args.agents)
-    query, _ = _parse_formula(args.query, args.agents)
+    kb = parse(args.kb, args.agents)
+    query = parse(args.query, args.agents)
     answer = autoepistemic.believes(args.agent, kb, query, Decider(deadline=deadline))
     _emit(args, {"input": f"{args.kb} |= {args.query}", "verdict": "YES" if answer else "NO"})
     return 0 if answer else 1
 
 
 def _cmd_okn_sets(args) -> int:
-    f, _ = _parse_formula(args.formula, None)
+    f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     sets = autoepistemic.only_knowing_sets(f, phi, bound=args.bound)
     for possible in sets:
@@ -237,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, agents=True, fmt=True):
         if agents:
-            p.add_argument("--agents", type=int, default=None, help="declared agent count (default: largest index mentioned)")
+            p.add_argument(
+                "--agents", type=int, default=None, help="highest agent index accepted (default: any index >= 1)"
+            )
         if fmt:
             p.add_argument("--format", choices=("text", "jsonl"), default="text")
 

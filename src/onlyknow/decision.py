@@ -67,7 +67,7 @@ from .formula import (
     own_modal_leaves,
     rebuild,
 )
-from .normal_form import AgentBlock, Tick, _nnf, merge_positive, modal_arguments, to_clauses
+from .normal_form import AgentBlock, Tick, _nnf, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -234,22 +234,18 @@ class Decider:
             key = frozenset(by_agent[agent])
             ok = tested.get(key)
             if ok is None:
-                args = modal_arguments(
-                    (cofactor(abs(x), x > 0) if cofactor else modal[abs(x)], x > 0) for x in sorted(key, key=abs)
-                )
-                pos_l, neg_l, pos_n, neg_n = args
-                if neg_l or neg_n or (pos_l and pos_n):
-                    ok = self._block_ok(merge_positive(agent, *args), level + 1)
-                else:
-                    # Positives of one modality: the other argument is true,
-                    # so the union is valid and nothing is negated.
-                    ok = True
-                tested[key] = ok
+                b = AgentBlock(agent)
+                for x in sorted(key, key=abs):
+                    b = b.add(cofactor(abs(x), x > 0) if cofactor else modal[abs(x)], x > 0)
+                ok = tested[key] = self._block_ok(b, level + 1)
             if not ok:
                 return False
         return True
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
+        if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
+            # Nothing negated and one positive side true: the union is valid.
+            return True
         if b.neg_l and not self._negated_ok(b.agent, "L", b.pos_l, b.neg_l, level):
             return False
         if b.neg_n and not self._negated_ok(b.agent, "N", b.pos_n, b.neg_n, level):
@@ -261,7 +257,9 @@ class Decider:
 
     def _negated_ok(self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int) -> bool:
         """Is pos & ~phi satisfiable for each phi in negs?  A conjunction
-        pos is searched only in the part each ~phi touches."""
+        pos is searched only in the part each ~phi touches.  Repeated
+        arguments are tested once."""
+        negs = tuple(dict.fromkeys(negs))
         partners = self._partners(agent, kind, pos, negs, level) if isinstance(pos, And) else [pos] * len(negs)
         if partners is None:
             return False

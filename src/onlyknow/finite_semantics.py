@@ -17,7 +17,6 @@ from itertools import product
 from typing import Iterable, Iterator
 
 from .formula import (
-    TRUE,
     And,
     Atom,
     FalseConst,
@@ -38,9 +37,10 @@ from .formula import (
     fold,
     is_propositional,
     join,
+    rebuild,
     walk,
 )
-from .normal_form import to_normal_form
+from .normal_form import normalize
 
 World = frozenset[str]
 
@@ -211,29 +211,23 @@ def _prop_holds(w: World, f: Formula) -> bool:
 
 def reduce_n_to_l(f: Formula, phi: Iterable[str], bound: int = 2) -> Formula:
     """Rewrite a single-agent formula into an N-free equivalent over the
-    alphabet: nesting is flattened by the normal form, after which every
-    N argument is propositional and ``N a`` says exactly that every
-    world falsifying a is entertained, i.e. the conjunction of ``~L1 ~w``
-    over the worlds of ``~a``.
+    alphabet.  ``normalize`` flattens the nesting: with one agent, every
+    modal argument it leaves is propositional.  Its output is then
+    rewritten in place, each Boolean-level ``N1 a`` replaced by what it
+    says over the alphabet: every world falsifying a is entertained,
+    i.e. the conjunction of ``~L1 ~w`` over the worlds of ``~a``.
     """
     alphabet = tuple(sorted(set(phi)))
     if len(alphabet) > bound:
         raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
     _check_formula(f, alphabet)
-    out: list[Formula] = []
-    for d in to_normal_form(f):
-        parts: list[Formula] = []
-        if d.sigma is not TRUE:
-            parts.append(d.sigma)
-        for b in d.blocks:
-            if b.pos_l is not TRUE:
-                parts.append(L(1, b.pos_l))
-            parts.extend(Not(L(1, g)) for g in b.neg_l)
-            if b.pos_n is not TRUE:
-                parts.append(_n_expansion(b.pos_n, alphabet))
-            parts.extend(fold(Not(_n_expansion(g, alphabet))) for g in b.neg_n)
-        out.append(join(And, parts))
-    return join(Or, out)
+
+    def reduce(g: Formula) -> Formula:
+        if isinstance(g, N):
+            return _n_expansion(g.sub, alphabet)
+        return g if isinstance(g, L) else fold(rebuild(g, reduce))
+
+    return reduce(normalize(f))
 
 
 def _n_expansion(arg: Formula, phi: tuple[str, ...]) -> Formula:

@@ -310,10 +310,6 @@ def agents(f: Formula) -> frozenset[int]:
     return frozenset(g.agent for g in walk(f) if isinstance(g, MODAL))
 
 
-def max_agent(f: Formula) -> int:
-    return max(agents(f), default=0)
-
-
 def is_propositional(f: Formula) -> bool:
     return not any(isinstance(g, (L, N, Val)) for g in walk(f))
 

@@ -4,11 +4,15 @@ leaves), ``normalize`` (modalities expanded until every argument is
 objective for its agent) and the disjunctive normal form built on it,
 streamed one disjunct at a time (``to_normal_form``).  The decision
 procedure does not normalize: it cofactors a modal argument over the
-agent's own modal atoms in the search, and its group test
-(``AgentBlock``) needs only arguments objective for the agent.
-``normalize`` serves ``onlyknow nf`` and the tests' reference for the
-search.  Every rewrite here folds each node as it builds it
+agent's own modal atoms in the search, and its group test needs only
+arguments objective for the agent.  ``normalize`` serves ``onlyknow
+nf``, ``finite_semantics.reduce_n_to_l`` and the tests' reference for
+the search.  Every rewrite here folds each node as it builds it
 (``formula.fold``/``join``), so its output is simplified.
+
+One agent's group of modal literals is an ``AgentBlock``, and only it
+knows the group's layout: the stream and the search's group test both
+build one literal at a time with ``AgentBlock.add``.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -31,14 +35,16 @@ over &; a conjunct that does not mention a is not copied into both
 branches.  A branch that folds to true is absorbed: M_i phi[~a] | a,
 or M_i phi[a] | ~a.  On the ~a side of an atom a of M's own modality,
 a leaf M_i false is dropped, since it implies a there and so is
-contradictory (or, beside a, subsumed).  Elsewhere an ``L<i> false``
-disjunct stays; an empty belief set realizes it.
+contradictory (or, beside a, subsumed).  The stream drops a disjunct
+in which ``M_i false`` meets a negated ``M_i`` literal from another
+part of the formula.  Elsewhere an ``L<i> false`` disjunct stays; an
+empty belief set realizes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .formula import (
     FALSE,
@@ -227,13 +233,14 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
     return variables, clauses + definitions
 
 
-@dataclass(frozen=True)
-class AgentBlock:
-    """One agent's conjunct group inside a normal-form disjunct.
+class AgentBlock(NamedTuple):
+    """One agent's conjunct group inside a normal-form disjunct, and the
+    one place that knows its layout.
 
     pos_l/pos_n are the merged arguments of the positive L/N conjuncts
     (true when absent); neg_l/neg_n collect the arguments of the negated
-    ones.  All stored formulas are objective for this agent.
+    ones.  All stored formulas are objective for this agent.  A group is
+    built one modal literal at a time with ``add``.
     """
 
     agent: int
@@ -241,6 +248,26 @@ class AgentBlock:
     neg_l: tuple[Formula, ...] = ()
     pos_n: Formula = TRUE
     neg_n: tuple[Formula, ...] = ()
+
+    def add(self, leaf: Formula, positive: bool) -> AgentBlock:
+        """The group with one more literal, leaf (an L or N of this
+        agent) or its negation: L a & L b is L (a & b), so a positive
+        argument is folded into pos_l or pos_n, left to right; a negated
+        one is appended to neg_l or neg_n.  The argument must be
+        simplified."""
+        agent, pos_l, neg_l, pos_n, neg_n = self
+        if isinstance(leaf, N):
+            if positive:
+                return AgentBlock(agent, pos_l, neg_l, fold(And(pos_n, leaf.sub)), neg_n)
+            return AgentBlock(agent, pos_l, neg_l, pos_n, neg_n + (leaf.sub,))
+        if positive:
+            return AgentBlock(agent, fold(And(pos_l, leaf.sub)), neg_l, pos_n, neg_n)
+        return AgentBlock(agent, pos_l, neg_l + (leaf.sub,), pos_n, neg_n)
+
+    def contradictory(self) -> bool:
+        """M_i false implies every M_i x, so it contradicts a negated
+        literal of its modality."""
+        return bool(self.neg_l and self.pos_l is FALSE or self.neg_n and self.pos_n is FALSE)
 
     def to_formula(self) -> Formula:
         parts: list[Formula] = []
@@ -251,35 +278,6 @@ class AgentBlock:
             parts.append(N(self.agent, self.pos_n))
         parts.extend(Not(N(self.agent, g)) for g in self.neg_n)
         return conj(parts)
-
-
-def merge_positive(
-    agent: int,
-    pos_l: tuple[Formula, ...] = (),
-    neg_l: tuple[Formula, ...] = (),
-    pos_n: tuple[Formula, ...] = (),
-    neg_n: tuple[Formula, ...] = (),
-) -> AgentBlock:
-    """Collapse repeated positive conjuncts: L a & L b is L (a & b), and
-    likewise for N; absent positives default to true.  The arguments
-    must be simplified.
-    """
-    return AgentBlock(
-        agent=agent,
-        pos_l=join(And, pos_l),
-        neg_l=tuple(dict.fromkeys(neg_l)),
-        pos_n=join(And, pos_n),
-        neg_n=tuple(dict.fromkeys(neg_n)),
-    )
-
-
-def modal_arguments(literals: Iterable[tuple[Formula, bool]]) -> tuple[tuple[Formula, ...], ...]:
-    """Sort one agent's (modal atom, positive) pairs into the four
-    argument tuples merge_positive takes: pos_l, neg_l, pos_n, neg_n."""
-    args: tuple[list[Formula], ...] = ([], [], [], [])
-    for leaf, positive in literals:
-        args[2 * isinstance(leaf, N) + (not positive)].append(leaf.sub)
-    return tuple(map(tuple, args))
 
 
 @dataclass(frozen=True)
@@ -300,9 +298,8 @@ class NormalFormDisjunct:
 
 # The pending conjuncts: the next one and the agenda after it.
 _Agenda = tuple[Formula, "_Agenda"] | None
-# A disjunct's parts: sigma and {agent: (pos_l, neg_l, pos_n, neg_n)}.
-_Parts = tuple[Formula, dict[int, tuple]]
-_NO_ARGUMENTS = (TRUE, (), TRUE, ())
+# A disjunct's parts: sigma and each agent's group.
+_Parts = tuple[Formula, dict[int, AgentBlock]]
 
 
 def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
@@ -317,10 +314,11 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     is taken up, so one that an earlier literal satisfies never splits
     the stream (absorption), and one it falsifies prunes the branch.
     Each trail level keeps the disjunct's parts so far: sigma and each
-    agent's positive arguments as left folds, the negated arguments as
-    tuples.  The full disjunction is never materialized: only the trail,
-    the choice points with their agendas, the per-level parts and the
-    yielded disjunct are alive.
+    agent's group, and a disjunct hands out the groups of its level.  A
+    literal that makes a group contradictory (M_i false beside a negated
+    M_i literal) prunes the branch.  The full disjunction is never
+    materialized: only the trail, the choice points with their agendas,
+    the per-level parts and the yielded disjunct are alive.
     """
     g: Formula = _nnf(normalize(f))
     agenda: _Agenda = None
@@ -342,9 +340,12 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
             leaf, positive = (g.sub, False) if isinstance(g, Not) else (g, True)
             old = literals.get(leaf)
             if old is None:
-                literals[leaf] = positive
-                trail.append(leaf)
-                parts.append(_extend(parts[-1], leaf, positive))
+                level = _extend(parts[-1], leaf, positive)
+                consistent = level is not None
+                if consistent:
+                    literals[leaf] = positive
+                    trail.append(leaf)
+                    parts.append(level)
             else:
                 consistent = old == positive
         if consistent:
@@ -353,9 +354,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
                 g = assign(head, literals)
                 continue
             sigma, blocks = parts[-1]
-            yield NormalFormDisjunct(
-                sigma=sigma, blocks=tuple(AgentBlock(a, *blocks[a]) for a in sorted(blocks))
-            )
+            yield NormalFormDisjunct(sigma=sigma, blocks=tuple(blocks[a] for a in sorted(blocks)))
         if not choices:
             return
         g, agenda, depth = choices.pop()
@@ -364,16 +363,17 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
             parts.pop()
 
 
-def _extend(level: _Parts, leaf: Formula, positive: bool) -> _Parts:
+def _extend(level: _Parts, leaf: Formula, positive: bool) -> _Parts | None:
     """The disjunct's parts with one more literal: a propositional one is
-    folded into sigma, a modal one into its agent's argument slot."""
+    folded into sigma, a modal one added to its agent's group.  None when
+    that group becomes contradictory."""
     sigma, blocks = level
     if not isinstance(leaf, MODAL):
         return fold(And(sigma, leaf if positive else Not(leaf))), blocks
-    args = list(blocks.get(leaf.agent, _NO_ARGUMENTS))
-    slot = 2 * isinstance(leaf, N) + (not positive)
-    args[slot] = fold(And(args[slot], leaf.sub)) if positive else args[slot] + (leaf.sub,)
-    return sigma, {**blocks, leaf.agent: tuple(args)}
+    block = (blocks.get(leaf.agent) or AgentBlock(leaf.agent)).add(leaf, positive)
+    if block.contradictory():
+        return None
+    return sigma, {**blocks, leaf.agent: block}
 
 
 def reassemble(disjuncts: Iterator[NormalFormDisjunct] | list[NormalFormDisjunct]) -> Formula:

@@ -10,7 +10,7 @@ DIGEST = Path(__file__).resolve().parents[1] / "tools" / "digest.py"
 # names every formula whose record differs.
 EXPECTED = {
     "verdicts": "703d42725b76e015f0f2ae884e921b776f01eb10923bd61bc3961005adbe197b",
-    "nf": "383e6cdb4fa021670fefa4d9dc64bca92b3c5a09fc5a0ef267c01a18b5b8357f",
+    "nf": "ffff9c4c7d98bf9b66b18b42dbb0db450b101a19a639072c47ec449e79c7fcea",
     "rewrites": "88d2b227a5adbc1ea6bf907dd74739041224a04c1aa6233ad97c30495ae30958",
     "classes": "22a400f4cf4a3087901475857fa035a376d82202222e4012da35c65357ee3c8d",
     "clauses": "d37dc9d3f87bc6efcb1bd1b9f802d3d04660e450efb83dc64e5ee0322eb25ee1",

@@ -23,6 +23,7 @@ from onlyknow.formula import (
     FormulaError,
     L,
     N,
+    conj,
     disj,
     is_propositional,
     parse,
@@ -204,9 +205,24 @@ def test_reduce_examples():
 
 
 def test_reduce_output_is_n_free_and_equivalent():
-    for seed in range(120):
-        f = generate_random(seed, "full", max_modal_depth=2, n_atoms=1, n_agents=1, size=6, allow_val=False)
-        g = reduce_n_to_l(f, PHI1)
+    for phi, seed in product((PHI1, ("p", "p1")), range(120)):  # generate_random's atom names
+        f = generate_random(
+            seed, "full", max_modal_depth=2, n_atoms=len(phi), n_agents=1, size=6, allow_val=False
+        )
+        g = reduce_n_to_l(f, phi)
         assert not any(isinstance(x, N) for x in walk(g)), to_text(f)
-        for s in situations(PHI1):
+        for s in situations(phi):
             assert evaluate(s, f) == evaluate(s, g), (to_text(f), to_text(g), s.describe())
+
+
+def test_reduce_of_a_wide_conjunction_stays_small():
+    # Twelve conjuncts N1 a_j | L1 b_j have 2^12 normal-form disjuncts;
+    # the reduction must grow with the input, not with the disjuncts.
+    texts = ("p", "q", "~p", "~q", "p & q", "p | q", "p -> q", "q -> p", "p <-> q", "~(p & q)", "~(p | q)", "p & ~q")
+    args = [parse(t) for t in texts]
+    f = conj(N(1, args[j]) | L(1, args[(j + 5) % 12]) for j in range(12))
+    g = reduce_n_to_l(f, PHI2)
+    assert sum(1 for _ in walk(g)) < 1000
+    assert not any(isinstance(x, N) for x in walk(g))
+    for s in situations(PHI2):
+        assert evaluate(s, f) == evaluate(s, g), s.describe()

@@ -24,7 +24,7 @@ from onlyknow.formula import (
     walk,
 )
 from onlyknow.normal_form import (
-    merge_positive,
+    AgentBlock,
     normalize,
     reassemble,
     to_normal_form,
@@ -79,19 +79,32 @@ def test_l_over_n_collapse_is_exact_under_nonempty_guard():
     assert bool(d.valid(parse("N1 p -> L1 N1 p", 1)))
 
 
-def test_merge_positive_examples():
-    b = merge_positive(1, pos_l=(p, q))
+def test_agent_block_add_examples():
+    empty = AgentBlock(1)
+    assert empty.pos_l is TRUE and empty.pos_n is TRUE
+    assert empty.neg_l == () and empty.neg_n == ()
+    # positives fold in order; the side not added to stays true
+    b = empty.add(L(1, p), True).add(L(1, q), True)
     assert b.pos_l == p & q
     assert b.pos_n is TRUE
-    empty = merge_positive(1)
-    assert empty.pos_l is TRUE and empty.pos_n is TRUE
-    b2 = merge_positive(1, pos_n=(p, p >> q))
+    b2 = empty.add(N(1, p), True).add(N(1, p >> q), True)
     assert b2.pos_n == p & (p >> q)
+    assert b2.pos_l is TRUE
+    # negated arguments are appended in order, each to its own modality
+    b3 = b.add(N(1, q), False).add(L(1, p), False).add(N(1, p), False)
+    assert b3.neg_l == (p,) and b3.neg_n == (q, p)
+    assert b3.pos_l == p & q and b3.pos_n is TRUE
+    assert b3 == AgentBlock(1, pos_l=p & q, neg_l=(p,), neg_n=(q, p))
 
 
 def test_sigma_is_propositional_and_blocks_objective():
-    for seed in range(150):
-        f = generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, allow_val=False)
+    randoms = (
+        generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, allow_val=False)
+        for seed in range(150)
+    )
+    # M_i false and the negated M_i literal come from different conjuncts
+    meets = [parse("L1 N1 p & ~L1 q", 1), parse("N1 false & ~N1 p | q", 1)]
+    for f in (*meets, *randoms):
         for d in to_normal_form(f):
             # sigma is true or a conjunction of atom literals, no atom
             # both ways: the decider relies on it and never searches sigma
@@ -104,9 +117,7 @@ def test_sigma_is_propositional_and_blocks_objective():
                 for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
                     assert is_i_objective(g, b.agent), (to_text(f), b.agent, to_text(g))
                 # L<i> false implies every L<i> x, so beside a negated
-                # L<i> literal it is contradictory; the expansion drops it
-                # on the ~a side of an own atom a (likewise for N), and
-                # these inputs give it nowhere else to arise
+                # L<i> literal it is contradictory (likewise for N)
                 assert not (b.pos_l is FALSE and b.neg_l), (to_text(f), to_text(d.to_formula()))
                 assert not (b.pos_n is FALSE and b.neg_n), (to_text(f), to_text(d.to_formula()))
 
