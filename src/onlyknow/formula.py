@@ -8,6 +8,15 @@ operator ``V`` whose dual ``C`` reads "is satisfiable".  ``O<i> x``
 ``L<i> x & N<i> ~x`` and folded back by the printer; it is never a node
 of its own.
 
+Nodes are hash-consed (Filliâtre & Conchon, Type-safe modular
+hash-consing, ML Workshop 2006): each constructor looks its class and
+fields up in one module-level table and returns the live node it finds,
+so structurally equal formulas are one object, equality is identity,
+and hashing takes constant time however deep the formula is.  The table
+holds its nodes weakly, so an entry lasts only as long as some caller
+keeps its node, and memory stays bounded per query.  Threads may build
+and drop nodes concurrently: they agree on one node per key.
+
 ``rebuild`` maps a function over a node's children, and ``fold`` and
 ``join`` fold constants, so a rewrite folds each node as it builds it.
 """
@@ -15,6 +24,8 @@ of its own.
 from __future__ import annotations
 
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -40,7 +51,41 @@ class NotBasicError(FormulaError):
 
 
 class Formula:
-    __slots__ = ()
+    """A formula node.  Nodes are interned: a constructor returns the one
+    live node of its class with the same fields, so two structurally
+    equal formulas are the same object, and equality and hashing are
+    those of ``object``.  Nodes are immutable, and pickling or copying
+    one gives back the interned node.  ``__match_args__`` names the
+    fields in constructor order.
+
+    Each shape of fields has its own ``__new__``: look the key up, and on
+    a miss build the node and ``_intern`` it.  A field-less class (the
+    constants) uses this one."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls) -> Formula:
+        key = (cls,)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        return _intern(key, _new(cls))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable formula")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable formula")
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
     def __str__(self) -> str:
         return to_text(self)
@@ -58,65 +103,163 @@ class Formula:
         return Implies(self, other)
 
 
-@dataclass(frozen=True, slots=True)
+class _Ref(weakref.ref):
+    """The intern table's reference to a node, holding the node's key."""
+
+    __slots__ = ("key",)
+
+
+# (class, *fields) -> a weak reference to the live node with them.  An
+# entry goes when its node dies, so the table holds only live formulas.
+_table: dict[tuple[object, ...], _Ref] = {}
+
+
+def _intern(key: tuple[object, ...], node: Formula) -> Formula:
+    """Store the new node under key, or return the node another thread
+    stored there first."""
+    ref = _Ref(node, _drop)
+    ref.key = key
+    while True:
+        held = _table.setdefault(key, ref)
+        if held is ref:
+            return node
+        winner = held()
+        if winner is not None:
+            return winner
+        # The entry of a node that died with its callback not yet run.
+        _remove_dead_weakref(_table, key)
+
+
+def _drop(
+    ref: _Ref, table: dict[tuple[object, ...], _Ref] = _table, remove: Callable[..., None] = _remove_dead_weakref
+) -> None:
+    # Removes the entry only while it holds a dead reference, so a late
+    # callback never removes the entry of a newer node with the same key.
+    # Bound as defaults, so it still works while the interpreter clears
+    # module globals at exit.
+    remove(table, ref.key)
+
+
 class Atom(Formula):
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
     name: str
 
+    def __new__(cls, name: str) -> Formula:
+        key = (cls, name)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_name(node, name)
+        return _intern(key, node)
 
-@dataclass(frozen=True, slots=True)
+
 class TrueConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class FalseConst(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
+class _Unary(Formula):
+    __slots__ = ("sub",)
+    __match_args__ = ("sub",)
     sub: Formula
 
+    def __new__(cls, sub: Formula) -> Formula:
+        key = (cls, sub)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_sub(node, sub)
+        return _intern(key, node)
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
-
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True, slots=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+    def __new__(cls, left: Formula, right: Formula) -> Formula:
+        key = (cls, left, right)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        return _intern(key, node)
 
 
-@dataclass(frozen=True, slots=True)
-class L(Formula):
+class _Modal(Formula):
+    __slots__ = ("agent", "sub")
+    __match_args__ = ("agent", "sub")
     agent: int
     sub: Formula
 
+    def __new__(cls, agent: int, sub: Formula) -> Formula:
+        key = (cls, agent, sub)
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_agent(node, agent)
+        _set_modal_sub(node, sub)
+        return _intern(key, node)
 
-@dataclass(frozen=True, slots=True)
-class N(Formula):
-    agent: int
-    sub: Formula
+
+# The fields are set once, through their slots, since __setattr__ refuses.
+_new = object.__new__
+_set_name = Atom.__dict__["name"].__set__
+_set_sub = _Unary.__dict__["sub"].__set__
+_set_left = _Binary.__dict__["left"].__set__
+_set_right = _Binary.__dict__["right"].__set__
+_set_agent = _Modal.__dict__["agent"].__set__
+_set_modal_sub = _Modal.__dict__["sub"].__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Val(Formula):
-    sub: Formula
+class Not(_Unary):
+    __slots__ = ()
+
+
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Iff(_Binary):
+    __slots__ = ()
+
+
+class L(_Modal):
+    __slots__ = ()
+
+
+class N(_Modal):
+    __slots__ = ()
+
+
+class Val(_Unary):
+    __slots__ = ()
 
 
 TRUE = TrueConst()
@@ -218,9 +361,9 @@ def fold(g: Formula) -> Formula:
             return b
         if b is unit:
             return a
-        if a == b:
+        if a is b:
             return a
-        if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
+        if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
             return zero
         return g
     if isinstance(g, Implies):
@@ -230,7 +373,7 @@ def fold(g: Formula) -> Formula:
             return b
         if b is FALSE:
             return fold(Not(a))
-        return TRUE if a == b else g
+        return TRUE if a is b else g
     # Iff
     if a is TRUE:
         return b
@@ -240,9 +383,9 @@ def fold(g: Formula) -> Formula:
         return fold(Not(b))
     if b is FALSE:
         return fold(Not(a))
-    if a == b:
+    if a is b:
         return TRUE
-    if isinstance(a, Not) and a.sub == b or isinstance(b, Not) and b.sub == a:
+    if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
         return FALSE
     return g
 
@@ -565,7 +708,8 @@ def _match_only_knows(f: Formula) -> tuple[int, Formula] | None:
         and isinstance(f.left, L)
         and isinstance(f.right, N)
         and f.left.agent == f.right.agent
-        and f.right.sub == Not(f.left.sub)
+        and isinstance(f.right.sub, Not)
+        and f.right.sub.sub is f.left.sub
     ):
         return f.left.agent, f.left.sub
     return None

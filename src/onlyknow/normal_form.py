@@ -43,7 +43,6 @@ empty belief set realizes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .formula import (
@@ -68,6 +67,7 @@ from .formula import (
     disj,
     fold,
     join,
+    leaves,
     own_modal_leaves,
     rebuild,
 )
@@ -280,8 +280,10 @@ class AgentBlock(NamedTuple):
         return conj(parts)
 
 
-@dataclass(frozen=True)
-class NormalFormDisjunct:
+class NormalFormDisjunct(NamedTuple):
+    """One disjunct of the normal form: its propositional part and one
+    group per agent, in agent order."""
+
     sigma: Formula
     blocks: tuple[AgentBlock, ...]
 
@@ -296,8 +298,10 @@ class NormalFormDisjunct:
         return conj(parts)
 
 
-# The pending conjuncts: the next one and the agenda after it.
-_Agenda = tuple[Formula, "_Agenda"] | None
+# The pending conjuncts: a cell [the next one, its leaves once needed,
+# the agenda after it].  Choice points share cells, so a cell's leaves
+# are collected once and live as long as the cell.
+_Agenda = list | None
 # A disjunct's parts: sigma and each agent's group.
 _Parts = tuple[Formula, dict[int, AgentBlock]]
 
@@ -312,7 +316,9 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     point for its right operand, and a literal goes on the trail.  A
     pending conjunct is cofactored by the literals chosen so far when it
     is taken up, so one that an earlier literal satisfies never splits
-    the stream (absorption), and one it falsifies prunes the branch.
+    the stream (absorption), and one it falsifies prunes the branch.  A
+    conjunct that shares no leaf with the trail is taken up as it is,
+    without a rebuild.
     Each trail level keeps the disjunct's parts so far: sigma and each
     agent's group, and a disjunct hands out the groups of its level.  A
     literal that makes a group contradictory (M_i false beside a negated
@@ -328,7 +334,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     parts: list[_Parts] = [(TRUE, {})]  # parts[k]: the parts of trail[:k]
     while True:
         if isinstance(g, And):
-            agenda = (g.right, agenda)
+            agenda = [g.right, None, agenda]
             g = g.left
             continue
         if isinstance(g, Or):
@@ -350,8 +356,12 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
                 consistent = old == positive
         if consistent:
             if agenda is not None:
-                head, agenda = agenda
-                g = assign(head, literals)
+                head, touched, rest = agenda
+                if touched is None:
+                    touched = agenda[1] = frozenset(leaves(head))
+                # assign returns head itself when it decides none of its leaves.
+                g = head if touched.isdisjoint(literals) else assign(head, literals)
+                agenda = rest
                 continue
             sigma, blocks = parts[-1]
             yield NormalFormDisjunct(sigma=sigma, blocks=tuple(blocks[a] for a in sorted(blocks)))

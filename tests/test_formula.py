@@ -1,14 +1,22 @@
+import copy
+import gc
+import pickle
 import sys
+import threading
 
 import pytest
 
-from onlyknow import k45
+from onlyknow import formula, k45
 from onlyknow.corpus import generate_random
+from onlyknow.decision import Decider
 from onlyknow.formula import (
     And,
     Atom,
     FALSE,
+    Formula,
     FormulaError,
+    Iff,
+    Implies,
     L,
     N,
     Not,
@@ -282,3 +290,100 @@ def test_classifiers_of_wide_conjunctions_at_the_default_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert objective is True and subjective is True
+
+
+def test_equal_formulas_are_one_node():
+    text = "L1 (p & ~q) | N2 (p -> q) <-> V true"
+    f = parse(text, 2)
+    assert parse(text, 2) is f
+    built = Iff(Or(L(1, And(p, Not(q))), N(2, Implies(p, q))), Val(TRUE))
+    assert built is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.deepcopy(f) is f
+    # Equality and hashing are object identity, defined by no node class.
+    for cls in (Atom, And, L, Not, type(TRUE)):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    with pytest.raises(AttributeError):
+        f.left = p
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    assert repr(L(1, p)) == "L(agent=1, sub=Atom(name='p'))"
+
+
+def test_deep_formulas_hash_and_compare_at_the_default_recursion_limit():
+    def chain():
+        return conj(Atom(f"p{k}") for k in range(5000))
+
+    def nested():
+        g = p
+        for _ in range(5000):
+            g = L(1, g)
+        return g
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for build in (chain, nested):
+            f, g = build(), build()
+            assert hash(f) == hash(g)
+            assert f == g
+            assert {f: 1}[g] == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_threads_parsing_the_same_texts_get_the_same_nodes():
+    texts = [f"L1 (p{k} & q) | ~N2 (q -> p{k % 7})" for k in range(40)]
+    barrier = threading.Barrier(4)
+    results: list[list[Formula]] = [[] for _ in range(4)]
+
+    def work(out):
+        barrier.wait(timeout=10)
+        for _ in range(20):
+            out[:] = [parse(t, 2) for t in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == 40 for out in results)
+    for k in range(40):
+        assert all(out[k] is results[0][k] for out in results)
+
+
+def test_intern_table_holds_only_live_nodes():
+    gc.collect()
+    start = len(formula._table)
+    for seed in range(100):
+        f = generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, size=20)
+        Decider().consistent(f)
+        Decider().valid(f)
+    del f
+    gc.collect()
+    assert len(formula._table) == start
+
+
+def test_a_dead_entry_gives_way_to_a_new_node():
+    # A node freed by the cycle collector can leave its entry dead for a
+    # moment, its callback not yet run.  A constructor replaces the entry,
+    # and the late callback leaves the new one alone.
+    class Gone:
+        pass
+
+    key = (Atom, "dead_entry")
+    gone = Gone()
+    stale = formula._Ref(gone, None)
+    stale.key = key
+    formula._table[key] = stale
+    del gone
+    fresh = Atom("dead_entry")
+    assert formula._table[key]() is fresh
+    formula._drop(stale)
+    assert Atom("dead_entry") is fresh
