@@ -187,7 +187,7 @@ class Decider:
         if s.conflict:
             return False
         cofactor = _Cofactors(modal, deps, s.value) if deps else None
-        decisions: list[tuple[int, int, bool]] = []  # (trail length, literal, flipped)
+        decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
             if s.propagate() and self._groups_ok(s, modal, cofactor, tested, level):
@@ -198,14 +198,14 @@ class Decider:
                         literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in chosen)
                         self.trace(level + 1, "satisfying literals", literals)
                     return True
-                decisions.append((len(s.trail), lit, False))
+                decisions.append((len(s.trail), s.first, lit, False))
                 s.assign(lit)
                 continue
             while decisions:
-                at, lit, flipped = decisions.pop()
-                s.undo(at)
+                at, first, lit, flipped = decisions.pop()
+                s.undo(at, first)
                 if not flipped:
-                    decisions.append((at, -lit, True))
+                    decisions.append((at, first, -lit, True))
                     s.assign(-lit)
                     break
             else:
@@ -457,8 +457,9 @@ def _weaken(f: Formula, pending: set[Formula], value: Formula) -> Formula:
 
 class _Trail:
     """Assignment state of one search: a value per literal (list index
-    -v wraps to the upper half), the trail of assigned literals, and two
-    watched literals per clause of two or more."""
+    -v wraps to the upper half), the trail of assigned literals, two
+    watched literals per clause of two or more, and the cursor of
+    choose."""
 
     def __init__(self, n_vars: int, clauses: list[list[int]], tick: Tick) -> None:
         size = 2 * n_vars + 1
@@ -467,6 +468,7 @@ class _Trail:
         self.trail: list[int] = []
         self.head = 0  # trail[:head] is propagated
         self.clauses = clauses  # original literal order, read by choose
+        self.first = 0  # every clause before clauses[first] is satisfied
         self.conflict = False
         for c in clauses:
             tick()
@@ -484,11 +486,14 @@ class _Trail:
         self.value[-lit] = False
         self.trail.append(lit)
 
-    def undo(self, at: int) -> None:
+    def undo(self, at: int, first: int) -> None:
+        """Back to the first at literals of the trail, and to first, the
+        cursor choose left at that length."""
         for lit in self.trail[at:]:
             self.value[lit] = self.value[-lit] = None
         del self.trail[at:]
         self.head = at
+        self.first = first
 
     def propagate(self) -> bool:
         """Unit propagation; False on a conflict."""
@@ -522,15 +527,22 @@ class _Trail:
 
     def choose(self) -> int | None:
         """The first unassigned literal of the first unsatisfied clause,
-        None when every clause is satisfied."""
-        value = self.value
-        for c in self.clauses:
+        None when every clause is satisfied.  The scan starts at the
+        cursor, since the clauses before it are satisfied, and leaves it
+        on the clause it picks from.  Assigning keeps those clauses
+        satisfied, and undo puts back the cursor saved at the trail
+        length it returns to, so each pick is the one a scan from the
+        first clause would make."""
+        value, clauses = self.value, self.clauses
+        for k in range(self.first, len(clauses)):
             free = None
-            for lit in c:
+            for lit in clauses[k]:
                 if value[lit]:
                     break
                 if free is None and value[lit] is None:
                     free = lit
             else:
+                self.first = k
                 return free
+        self.first = len(clauses)
         return None

@@ -54,9 +54,9 @@ class Formula:
     """A formula node.  Nodes are interned: a constructor returns the one
     live node of its class with the same fields, so two structurally
     equal formulas are the same object, and equality and hashing are
-    those of ``object``.  Nodes are immutable, and pickling or copying
-    one gives back the interned node.  ``__match_args__`` names the
-    fields in constructor order.
+    those of ``object``.  Nodes are immutable: copying one returns the
+    node itself, at any depth, and unpickling gives back the interned
+    node.  ``__match_args__`` names the fields in constructor order.
 
     Each shape of fields has its own ``__new__``: look the key up, and on
     a miss build the node and ``_intern`` it.  A field-less class (the
@@ -82,6 +82,12 @@ class Formula:
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __copy__(self) -> Formula:
+        return self
+
+    def __deepcopy__(self, memo: dict[int, object]) -> Formula:
+        return self
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -335,6 +341,20 @@ def simplify(f: Formula) -> Formula:
 def fold(g: Formula) -> Formula:
     """One folding step on a node whose children are simplified; the
     result is simplified."""
+    if isinstance(g, (And, Or)):  # the common case, tested first
+        a, b = g.left, g.right
+        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
+        if a is zero or b is zero:
+            return zero
+        if a is unit:
+            return b
+        if b is unit:
+            return a
+        if a is b:
+            return a
+        if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
+            return zero
+        return g
     if isinstance(g, Not):
         a = g.sub
         if a is TRUE:
@@ -353,19 +373,6 @@ def fold(g: Formula) -> Formula:
     if isinstance(g, Atom):
         return g
     a, b = g.left, g.right
-    if isinstance(g, (And, Or)):
-        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
-        if a is zero or b is zero:
-            return zero
-        if a is unit:
-            return b
-        if b is unit:
-            return a
-        if a is b:
-            return a
-        if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
-            return zero
-        return g
     if isinstance(g, Implies):
         if a is FALSE or b is TRUE:
             return TRUE
@@ -715,40 +722,42 @@ def _match_only_knows(f: Formula) -> tuple[int, Formula] | None:
     return None
 
 
+# (separator, binding strength, needed by the left operand, by the right)
+_INFIX = {And: (" & ", 4, 4, 5), Or: (" | ", 3, 3, 4), Implies: (" -> ", 2, 3, 2), Iff: (" <-> ", 1, 1, 2)}
+
+
 def to_text(f: Formula) -> str:
-    """Minimally parenthesized concrete syntax; parse(to_text(f)) == f."""
-    return _render(f, 1)
-
-
-def _render(f: Formula, need: int) -> str:
-    folded = _match_only_knows(f)
-    if folded is not None:
-        agent, sub = folded
-        return _wrap(f"O{agent} {_render(sub, 5)}", 5, need)
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, TrueConst):
-        return "true"
-    if isinstance(f, FalseConst):
-        return "false"
-    if isinstance(f, Not):
-        return _wrap(f"~{_render(f.sub, 5)}", 5, need)
-    if isinstance(f, L):
-        return _wrap(f"L{f.agent} {_render(f.sub, 5)}", 5, need)
-    if isinstance(f, N):
-        return _wrap(f"N{f.agent} {_render(f.sub, 5)}", 5, need)
-    if isinstance(f, Val):
-        return _wrap(f"V {_render(f.sub, 5)}", 5, need)
-    if isinstance(f, And):
-        return _wrap(f"{_render(f.left, 4)} & {_render(f.right, 5)}", 4, need)
-    if isinstance(f, Or):
-        return _wrap(f"{_render(f.left, 3)} | {_render(f.right, 4)}", 3, need)
-    if isinstance(f, Implies):
-        return _wrap(f"{_render(f.left, 3)} -> {_render(f.right, 2)}", 2, need)
-    if isinstance(f, Iff):
-        return _wrap(f"{_render(f.left, 1)} <-> {_render(f.right, 2)}", 1, need)
-    raise FormulaError(f"unknown node {f!r}")
-
-
-def _wrap(text: str, level: int, need: int) -> str:
-    return f"({text})" if level < need else text
+    """Minimally parenthesized concrete syntax; parse(to_text(f)) is f.
+    Iterative, so depth costs no stack: text is written left to right,
+    and what comes after a node's first piece waits on a stack of text
+    and (node, binding strength its place needs) pairs.  Unary
+    operators bind at 5, and leaves never take parentheses."""
+    out: list[str] = []
+    stack: list[str | tuple[Formula, int]] = [(f, 1)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, need = item
+        kind = type(g)
+        if kind is Atom or kind is TrueConst or kind is FalseConst:
+            out.append(g.name if kind is Atom else "true" if kind is TrueConst else "false")
+            continue
+        folded = _match_only_knows(g) if kind is And else None
+        infix = None if folded else _INFIX.get(kind)
+        if (infix[1] if infix else 5) < need:
+            out.append("(")
+            stack.append(")")
+        if infix:
+            op, _, left, right = infix
+            stack += ((g.right, right), op, (g.left, left))
+        elif folded:
+            out.append(f"O{folded[0]} ")
+            stack.append((folded[1], 5))
+        elif kind in (Not, Val, L, N):
+            out.append("~" if kind is Not else "V " if kind is Val else f"{kind.__name__}{g.agent} ")
+            stack.append((g.sub, 5))
+        else:
+            raise FormulaError(f"unknown node {g!r}")
+    return "".join(out)

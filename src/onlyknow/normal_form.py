@@ -73,6 +73,7 @@ from .formula import (
 )
 
 Tick = Callable[[], None]
+_tuple = tuple.__new__  # _tuple(cls, fields) builds a NamedTuple in C, past its generated __new__
 
 
 def _untimed() -> None:
@@ -230,6 +231,7 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
         return list(lits)
 
     clauses = clause_set(_nnf(f, tick=tick))
+    del clause  # clause and clause_set call each other: break the cycle, so the tables go on return
     return variables, clauses + definitions
 
 
@@ -239,8 +241,8 @@ class AgentBlock(NamedTuple):
 
     pos_l/pos_n are the merged arguments of the positive L/N conjuncts
     (true when absent); neg_l/neg_n collect the arguments of the negated
-    ones.  All stored formulas are objective for this agent.  A group is
-    built one modal literal at a time with ``add``.
+    ones, all objective for this agent.  ``add`` returns the group with
+    one more literal, so the stream's trail levels share their blocks.
     """
 
     agent: int
@@ -252,17 +254,21 @@ class AgentBlock(NamedTuple):
     def add(self, leaf: Formula, positive: bool) -> AgentBlock:
         """The group with one more literal, leaf (an L or N of this
         agent) or its negation: L a & L b is L (a & b), so a positive
-        argument is folded into pos_l or pos_n, left to right; a negated
-        one is appended to neg_l or neg_n.  The argument must be
-        simplified."""
+        argument is folded into pos_l or pos_n, left to right (an absent
+        side becomes the argument itself); a negated one is appended to
+        neg_l or neg_n.  The argument must be simplified."""
         agent, pos_l, neg_l, pos_n, neg_n = self
+        arg = leaf.sub
         if isinstance(leaf, N):
             if positive:
-                return AgentBlock(agent, pos_l, neg_l, fold(And(pos_n, leaf.sub)), neg_n)
-            return AgentBlock(agent, pos_l, neg_l, pos_n, neg_n + (leaf.sub,))
-        if positive:
-            return AgentBlock(agent, fold(And(pos_l, leaf.sub)), neg_l, pos_n, neg_n)
-        return AgentBlock(agent, pos_l, neg_l + (leaf.sub,), pos_n, neg_n)
+                pos_n = arg if pos_n is TRUE else fold(And(pos_n, arg))
+            else:
+                neg_n += (arg,)
+        elif positive:
+            pos_l = arg if pos_l is TRUE else fold(And(pos_l, arg))
+        else:
+            neg_l += (arg,)
+        return _tuple(AgentBlock, (agent, pos_l, neg_l, pos_n, neg_n))
 
     def contradictory(self) -> bool:
         """M_i false implies every M_i x, so it contradicts a negated
@@ -302,8 +308,6 @@ class NormalFormDisjunct(NamedTuple):
 # the agenda after it].  Choice points share cells, so a cell's leaves
 # are collected once and live as long as the cell.
 _Agenda = list | None
-# A disjunct's parts: sigma and each agent's group.
-_Parts = tuple[Formula, dict[int, AgentBlock]]
 
 
 def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
@@ -317,10 +321,11 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     pending conjunct is cofactored by the literals chosen so far when it
     is taken up, so one that an earlier literal satisfies never splits
     the stream (absorption), and one it falsifies prunes the branch.  A
-    conjunct that shares no leaf with the trail is taken up as it is,
+    conjunct none of whose leaves is on the trail is taken up as it is,
     without a rebuild.
-    Each trail level keeps the disjunct's parts so far: sigma and each
-    agent's group, and a disjunct hands out the groups of its level.  A
+    Each trail level is one tuple, the disjunct so far: sigma and the
+    groups present, in agent order.  A modal literal replaces or inserts
+    its agent's group by position, and a disjunct is its level's tuple.  A
     literal that makes a group contradictory (M_i false beside a negated
     M_i literal) prunes the branch.  The full disjunction is never
     materialized: only the trail, the choice points with their agendas,
@@ -329,29 +334,37 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     g: Formula = _nnf(normalize(f))
     agenda: _Agenda = None
     choices: list[tuple[Formula, _Agenda, int]] = []
-    literals: dict[Formula, bool] = {}
-    trail: list[Formula] = []
-    parts: list[_Parts] = [(TRUE, {})]  # parts[k]: the parts of trail[:k]
+    literals: dict[Formula, bool] = {}  # the trail, in order
+    parts: list[tuple[Formula, tuple[AgentBlock, ...]]] = [(TRUE, ())]  # parts[k]: the parts of the first k literals
     while True:
-        if isinstance(g, And):
+        kind = type(g)
+        if kind is And:
             agenda = [g.right, None, agenda]
             g = g.left
             continue
-        if isinstance(g, Or):
-            choices.append((g.right, agenda, len(trail)))
+        if kind is Or:
+            choices.append((g.right, agenda, len(parts)))
             g = g.left
             continue
-        consistent = not isinstance(g, FalseConst)
-        if consistent and not isinstance(g, TrueConst):
-            leaf, positive = (g.sub, False) if isinstance(g, Not) else (g, True)
+        consistent = g is not FALSE
+        if consistent and g is not TRUE:
+            leaf, positive = (g.sub, False) if kind is Not else (g, True)
             old = literals.get(leaf)
             if old is None:
-                level = _extend(parts[-1], leaf, positive)
-                consistent = level is not None
+                sigma, blocks = parts[-1]
+                if isinstance(leaf, MODAL):
+                    agent, i = leaf.agent, 0
+                    while i < len(blocks) and blocks[i].agent < agent:
+                        i += 1
+                    j = i + (i < len(blocks) and blocks[i].agent == agent)
+                    block = (blocks[i] if j > i else AgentBlock(agent)).add(leaf, positive)
+                    consistent = not block.contradictory()
+                    blocks = (*blocks[:i], block, *blocks[j:])
+                else:
+                    sigma = g if sigma is TRUE else fold(And(sigma, g))
                 if consistent:
                     literals[leaf] = positive
-                    trail.append(leaf)
-                    parts.append(level)
+                    parts.append((sigma, blocks))
             else:
                 consistent = old == positive
         if consistent:
@@ -360,30 +373,16 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
                 if touched is None:
                     touched = agenda[1] = frozenset(leaves(head))
                 # assign returns head itself when it decides none of its leaves.
-                g = head if touched.isdisjoint(literals) else assign(head, literals)
+                g = head if literals.keys().isdisjoint(touched) else assign(head, literals)
                 agenda = rest
                 continue
-            sigma, blocks = parts[-1]
-            yield NormalFormDisjunct(sigma=sigma, blocks=tuple(blocks[a] for a in sorted(blocks)))
+            yield _tuple(NormalFormDisjunct, parts[-1])
         if not choices:
             return
         g, agenda, depth = choices.pop()
-        while len(trail) > depth:
-            del literals[trail.pop()]
+        while len(parts) > depth:
+            literals.popitem()
             parts.pop()
-
-
-def _extend(level: _Parts, leaf: Formula, positive: bool) -> _Parts | None:
-    """The disjunct's parts with one more literal: a propositional one is
-    folded into sigma, a modal one added to its agent's group.  None when
-    that group becomes contradictory."""
-    sigma, blocks = level
-    if not isinstance(leaf, MODAL):
-        return fold(And(sigma, leaf if positive else Not(leaf))), blocks
-    block = (blocks.get(leaf.agent) or AgentBlock(leaf.agent)).add(leaf, positive)
-    if block.contradictory():
-        return None
-    return sigma, {**blocks, leaf.agent: block}
 
 
 def reassemble(disjuncts: Iterator[NormalFormDisjunct] | list[NormalFormDisjunct]) -> Formula:

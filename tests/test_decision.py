@@ -5,7 +5,7 @@ import pytest
 
 from onlyknow import k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import BudgetExceededError, Decider
+from onlyknow.decision import BudgetExceededError, Decider, _Trail
 from onlyknow.finite_semantics import oracle_valid
 from onlyknow.formula import (
     And,
@@ -357,6 +357,46 @@ def test_deep_basic_formula_decides_at_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_trail_cursor_picks_what_a_scan_from_the_first_clause_picks():
+    # A seeded 3-CNF near the threshold: assign, propagate, undo to a
+    # random decision (flipping it or not) and choose again, and check
+    # each pick against a scan of every clause from the first.
+    rng = random.Random(15)
+    n = 40
+    clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)] for _ in range(170)]
+    s = _Trail(n, [list(c) for c in clauses], lambda: None)
+
+    def scan():
+        for c in clauses:
+            if not any(s.value[x] for x in c):
+                return next(x for x in c if s.value[x] is None)
+        return None
+
+    decisions = []
+    picks = undos = 0
+    for _ in range(3000):
+        if s.propagate():
+            lit = s.choose()
+            assert lit == scan()
+            assert all(any(s.value[x] for x in c) for c in clauses[: s.first])
+            picks += 1
+            if lit is not None and (not decisions or rng.random() < 0.8):
+                decisions.append((len(s.trail), s.first, lit))
+                s.assign(lit)
+                continue
+        if not decisions:
+            break
+        r = rng.randrange(len(decisions))
+        at, first, lit = decisions[r]
+        del decisions[r:]
+        s.undo(at, first)
+        undos += 1
+        if rng.random() < 0.5:
+            decisions.append((at, first, -lit))
+            s.assign(-lit)
+    assert picks > 1000 and undos > 200
+
+
 @pytest.mark.parametrize("head", [(), (Val(p | ~p),)], ids=["atoms", "valid-head"])
 def test_pre_search_work_is_linear_on_a_wide_conjunction(head):
     # p0 & ... & p1999, left-deep, optionally over a V at the bottom.
@@ -397,6 +437,25 @@ def test_memory_stays_bounded_across_a_batch():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+def test_queries_leave_no_reference_cycles():
+    # A cycle outlives its query until the collector runs, and it holds
+    # whatever its objects refer to, such as a search's clause tables.
+    import gc
+
+    fs = [generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2, size=20) for seed in range(40)]
+    gc.collect()
+    gc.disable()
+    try:
+        for f in fs:
+            Decider().consistent(f)
+            Decider().valid(f)
+            list(to_normal_form(Decider().eliminate_val(f)))
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_budget_exceeded_raises():

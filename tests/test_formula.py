@@ -332,6 +332,25 @@ def test_deep_formulas_hash_and_compare_at_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_deep_formulas_print_reparse_and_copy_at_the_default_recursion_limit():
+    chain = conj(Atom(f"p{k}") for k in range(5000))
+    nested = p
+    for _ in range(900):
+        nested = L(1, nested)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f in (chain, nested):
+            text = str(f)
+            assert text == to_text(f)
+            assert parse(text) is f
+            assert copy.copy(f) is f
+            assert copy.deepcopy(f) is f
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(chain).startswith("p0 & p1 & ") and str(nested) == "L1 " * 900 + "p"
+
+
 def test_threads_parsing_the_same_texts_get_the_same_nodes():
     texts = [f"L1 (p{k} & q) | ~N2 (q -> p{k % 7})" for k in range(40)]
     barrier = threading.Barrier(4)

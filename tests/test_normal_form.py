@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from onlyknow.formula import (
     conj,
     conjuncts,
     is_i_objective,
+    join,
     parse,
     simplify,
     to_text,
@@ -204,6 +205,50 @@ def test_streaming_gauge_counts_one_at_a_time():
 )
 def test_stream_order_and_absorption(text, expected):
     assert [to_text(d.to_formula()) for d in nf(text)] == expected
+
+
+def test_blocks_come_in_agent_order_whatever_order_the_literals_arrive_in():
+    ds = nf("(L3 p | N1 q) & (~L2 r | L1 s)", 3)
+    assert [[b.agent for b in d.blocks] for d in ds] == [[2, 3], [1, 3], [1, 2], [1]]
+    assert [to_text(d.to_formula()) for d in ds] == [
+        "~L2 r & L3 p",
+        "L1 s & L3 p",
+        "N1 q & ~L2 r",
+        "L1 s & N1 q",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("(L1 false | p) & (~L1 q | r)", ["r & L1 false", "p & ~L1 q", "p & r"]),
+        ("(~L1 q | r) & (L1 false | p)", ["p & ~L1 q", "r & L1 false", "r & p"]),
+    ],
+)
+def test_m_false_meeting_a_negated_literal_of_another_conjunct_prunes_the_branch(text, expected):
+    # L1 false implies L1 q, so the branch that holds it beside ~L1 q is
+    # dropped whichever of the two the stream meets first.
+    ds = nf(text, 1)
+    assert [to_text(d.to_formula()) for d in ds] == expected
+    assert not any(b.pos_l is FALSE and b.neg_l for d in ds for b in d.blocks)
+
+
+def test_deep_trail_hands_out_each_disjunct_its_own_groups():
+    # (L1 p_j | ~L2 q_j), j < 8: the digest formulas never reach 20
+    # disjuncts, so this covers the trail at depth 8.
+    k = 8
+    ps, qs = [Atom(f"p{j}") for j in range(k)], [Atom(f"q{j}") for j in range(k)]
+    ds = nf(" & ".join(f"(L1 p{j} | ~L2 q{j})" for j in range(k)))
+    assert len(ds) == 2**k
+    # distribution order: conjunct 0 is the outermost choice, left first
+    for d, rights in zip(ds, product((False, True), repeat=k)):
+        assert d.sigma is TRUE
+        lefts = [ps[j] for j in range(k) if not rights[j]]
+        negated = tuple(qs[j] for j in range(k) if rights[j])
+        expected = ([AgentBlock(1, pos_l=join(And, lefts))] if lefts else []) + (
+            [AgentBlock(2, neg_l=negated)] if negated else []
+        )
+        assert list(d.blocks) == expected
 
 
 def test_contradictory_conjuncts_are_dropped():
