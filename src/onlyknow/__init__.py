@@ -44,27 +44,56 @@ from .decision import (
     Decider,
     Verdict,
 )
-from .k45 import find_model, independent, sat as k45_sat
-from .kripke import (
-    KripkeStructure,
-    ModelError,
-    check_basic,
-    check_fixed_n,
-    check_naive_n,
-    validate,
-)
-from .finite_semantics import (
-    ExtendedSituation,
-    OracleResult,
-    Situation,
-    evaluate,
-    evaluate_x,
-    oracle_valid,
-    reduce_n_to_l,
-    worlds_over,
-)
-from .autoepistemic import believes, kb_coherent, only_knowing_sets
-from .corpus import CorpusEntry, cross_check, generate_random, load_corpus
+
+# The oracles and the query layer load on first use, so that deciding a
+# formula imports only the three modules above.  A name resolves through
+# the module __getattr__ (PEP 562), which keeps it in the globals.
+_LAZY = {
+    "find_model": ("k45", "find_model"),
+    "independent": ("k45", "independent"),
+    "k45_sat": ("k45", "sat"),
+    "KripkeStructure": ("kripke", "KripkeStructure"),
+    "ModelError": ("kripke", "ModelError"),
+    "check_basic": ("kripke", "check_basic"),
+    "check_fixed_n": ("kripke", "check_fixed_n"),
+    "check_naive_n": ("kripke", "check_naive_n"),
+    "validate": ("kripke", "validate"),
+    "ExtendedSituation": ("finite_semantics", "ExtendedSituation"),
+    "OracleResult": ("finite_semantics", "OracleResult"),
+    "Situation": ("finite_semantics", "Situation"),
+    "evaluate": ("finite_semantics", "evaluate"),
+    "evaluate_x": ("finite_semantics", "evaluate_x"),
+    "oracle_valid": ("finite_semantics", "oracle_valid"),
+    "reduce_n_to_l": ("finite_semantics", "reduce_n_to_l"),
+    "worlds_over": ("finite_semantics", "worlds_over"),
+    "believes": ("autoepistemic", "believes"),
+    "kb_coherent": ("autoepistemic", "kb_coherent"),
+    "only_knowing_sets": ("autoepistemic", "only_knowing_sets"),
+    "CorpusEntry": ("corpus", "CorpusEntry"),
+    "cross_check": ("corpus", "cross_check"),
+    "generate_random": ("corpus", "generate_random"),
+    "load_corpus": ("corpus", "load_corpus"),
+}
+_LAZY_MODULES = ("k45", "kripke", "finite_semantics", "autoepistemic", "corpus")
+
+
+def __getattr__(name: str) -> object:
+    from importlib import import_module
+
+    if name in _LAZY_MODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _LAZY:
+        module, attr = _LAZY[name]
+        value = getattr(import_module(f"{__name__}.{module}"), attr)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})
+
 
 __version__ = "0.1.0"
 

@@ -12,18 +12,13 @@ of the base.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .decision import Decider
 from .formula import Formula, only_knows, L
-from .finite_semantics import (
-    BoundExceededError,
-    Situation,
-    World,
-    _check_formula,
-    evaluate,
-    worlds_over,
-)
+
+if TYPE_CHECKING:
+    from .finite_semantics import World
 
 
 def believes(agent: int, kb: Formula, query: Formula, decider: Decider | None = None) -> bool:
@@ -43,6 +38,9 @@ def only_knowing_sets(
 ) -> tuple[frozenset[World], ...]:
     """All world sets W over the alphabet where only knowing kb holds:
     a world is in W exactly when kb is true there with W entertained."""
+    # Imported here, so that believes and kb_coherent load no oracle.
+    from .finite_semantics import BoundExceededError, Situation, _check_formula, evaluate, worlds_over
+
     alphabet = tuple(sorted(set(phi)))
     if len(alphabet) > bound:
         raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")

@@ -12,14 +12,13 @@ variable, in seconds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
+import traceback  # up front, so the internal-error handler needs no import
 
-from . import autoepistemic, finite_semantics, k45, kripke
+# A subcommand imports what only it uses (the oracles, the query layer,
+# the process pool, json), so that deciding a formula loads no more.
 from .decision import BudgetExceededError, Decider
 from .formula import FormulaError, classify, parse, to_text
 from .normal_form import to_normal_form
@@ -44,6 +43,8 @@ def _check_agent(args) -> None:
 
 def _emit(args, record: dict) -> None:
     if args.format == "jsonl":
+        import json
+
         print(json.dumps(record, sort_keys=True))
     else:
         line = record["verdict"]
@@ -70,11 +71,13 @@ def _cmd_parse(args) -> int:
 def _cmd_classify(args) -> int:
     _check_agent(args)
     f = parse(args.formula, args.agents)
-    flags = classify(f, args.agent)
+    flags = classify(f, args.agent)._asdict()
     if args.format == "jsonl":
-        print(json.dumps({"input": args.formula, **flags.__dict__}, sort_keys=True))
+        import json
+
+        print(json.dumps({"input": args.formula, **flags}, sort_keys=True))
     else:
-        for key, value in flags.__dict__.items():
+        for key, value in flags.items():
             print(f"{key}: {value}")
     return 0
 
@@ -129,7 +132,11 @@ def _cmd_decide(args) -> int:
         lines = [ln for ln in map(str.strip, handle) if ln and not ln.startswith("#")]
     # time.monotonic() is system-wide on Linux, so workers compare the deadline directly.
     tasks = [(ln, args.mode, args.agents, deadline) for ln in lines]
-    pool = ProcessPoolExecutor(args.jobs) if args.jobs > 1 else None
+    pool = None
+    if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(args.jobs)
     try:
         code = 0
         for record in pool.map(_decide_line, tasks) if pool else map(_decide_line, tasks):
@@ -145,6 +152,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_k45(args) -> int:
+    from . import k45
+
     f = parse(args.formula, args.agents)
     model = k45.find_model(f)
     print("SAT" if model is not None else "UNSAT")
@@ -154,6 +163,8 @@ def _cmd_k45(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import finite_semantics
+
     f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     result = finite_semantics.oracle_valid(f, phi, semantics=args.semantics, bound=args.bound)
@@ -165,6 +176,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import finite_semantics
+
     f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     print(to_text(finite_semantics.reduce_n_to_l(f, phi, bound=args.bound)))
@@ -172,6 +185,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_kripke(args) -> int:
+    from . import kripke
+
     model = kripke.KripkeStructure.load(args.model)
     if args.kripke_command == "validate":
         report = kripke.validate(model)
@@ -193,6 +208,8 @@ def _cmd_kripke(args) -> int:
 
 
 def _cmd_believes(args) -> int:
+    from . import autoepistemic
+
     _check_agent(args)
     deadline = _budget_deadline(args.budget)
     kb = parse(args.kb, args.agents)
@@ -203,6 +220,8 @@ def _cmd_believes(args) -> int:
 
 
 def _cmd_okn_sets(args) -> int:
+    from . import autoepistemic, finite_semantics
+
     f = parse(args.formula)
     phi = [a for a in args.phi.split(",") if a]
     sets = autoepistemic.only_knowing_sets(f, phi, bound=args.bound)
@@ -325,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError:
         print("PARTIAL: time budget exceeded", file=sys.stderr)
         return 3
-    except (FormulaError, kripke.ModelError, OSError, ValueError) as exc:
+    except (FormulaError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # an internal failure must never read as a verdict

@@ -45,7 +45,6 @@ conjuncts whose dependencies changed since the last.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from .formula import (
@@ -74,7 +73,6 @@ class BudgetExceededError(RuntimeError):
     """The configured wall-clock budget ran out before a verdict."""
 
 
-@dataclass
 class Verdict:
     """Outcome of a satisfiability or validity query.
 
@@ -82,7 +80,20 @@ class Verdict:
     statuses are duals of one another.
     """
 
-    status: str  # satisfiable | unsatisfiable | valid | invalid
+    __slots__ = ("status",)
+    __match_args__ = ("status",)
+    __hash__ = None  # equal verdicts compare equal, and a verdict is mutable
+
+    def __init__(self, status: str) -> None:
+        self.status = status  # satisfiable | unsatisfiable | valid | invalid
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.status == other.status
+
+    def __repr__(self) -> str:
+        return f"Verdict(status={self.status!r})"
 
     def __bool__(self) -> bool:
         return self.status in ("satisfiable", "valid")

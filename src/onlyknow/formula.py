@@ -26,8 +26,7 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class FormulaError(ValueError):
@@ -90,8 +89,24 @@ class Formula:
         return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        """Constructor syntax, ``Not(sub=Atom(name='p'))``.  Iterative,
+        like ``to_text``: what follows a node's opening text waits on a
+        stack of text and nodes, so depth costs no stack."""
+        out: list[str] = []
+        stack: list[str | Formula] = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            out.append(f"{type(item).__name__}(")
+            stack.append(")")
+            names = item.__match_args__
+            for k in range(len(names) - 1, -1, -1):
+                value = getattr(item, names[k])
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f", {names[k]}=" if k else f"{names[k]}=")
+        return "".join(out)
 
     def __str__(self) -> str:
         return to_text(self)
@@ -517,8 +532,7 @@ def modal_depth(f: Formula) -> int:
     return max(modal_depth(c) for c in children(f))
 
 
-@dataclass(frozen=True)
-class FormulaClass:
+class FormulaClass(NamedTuple):
     propositional: bool
     basic: bool
     i_objective: bool
@@ -664,36 +678,41 @@ class _Parser:
         return out
 
     def unary(self) -> Formula:
-        kind, text, pos = self.take()
-        if kind == "neg":
-            return Not(self.unary())
-        if kind == "modal":
-            agent = int(text[1:])
-            if agent < 1 or (self.n_agents is not None and agent > self.n_agents):
-                raise ParseError(f"agent index {agent} out of range", pos)
-            sub = self.unary()
-            if text[0] == "L":
-                return L(agent, sub)
-            if text[0] == "N":
-                return N(agent, sub)
-            return only_knows(agent, sub)
-        if kind == "val":
-            return Val(self.unary())
-        if kind == "con":
-            return con(self.unary())
-        if kind == "lpar":
-            out = self.formula()
-            kind, _, pos = self.take()
-            if kind != "rpar":
-                raise ParseError("expected ')'", pos)
-            return out
-        if kind == "ident":
-            if text == "true":
-                return TRUE
-            if text == "false":
-                return FALSE
-            return Atom(text)
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+        """A run of prefix operators and the operand they apply to.  The
+        run is read in a loop and applied inside out, so its length
+        costs no stack."""
+        prefixes: list[tuple[Callable[..., Formula], int | None]] = []
+        tokens = self.tokens
+        while True:
+            kind, text, pos = tokens[self.pos]
+            self.pos += 1
+            if kind == "ident":
+                out = TRUE if text == "true" else FALSE if text == "false" else Atom(text)
+                break
+            if kind == "modal":
+                agent = int(text[1:])
+                if agent < 1 or (self.n_agents is not None and agent > self.n_agents):
+                    raise ParseError(f"agent index {agent} out of range", pos)
+                prefixes.append((_PREFIX[text[0]], agent))
+            elif kind in _PREFIX:
+                prefixes.append((_PREFIX[kind], None))
+            elif kind == "lpar":
+                out = self.formula()
+                kind, _, pos = self.take()
+                if kind != "rpar":
+                    raise ParseError("expected ')'", pos)
+                break
+            else:
+                raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+        while prefixes:
+            make, agent = prefixes.pop()
+            out = make(out) if agent is None else make(agent, out)
+        return out
+
+
+# A prefix operator's constructor, by token kind, or by letter for a
+# modal token, which passes its agent first.
+_PREFIX = {"neg": Not, "val": Val, "con": con, "L": L, "N": N, "O": only_knows}
 
 
 def parse(text: str, n_agents: int | None = None) -> Formula:

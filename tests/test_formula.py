@@ -351,6 +351,55 @@ def test_deep_formulas_print_reparse_and_copy_at_the_default_recursion_limit():
     assert str(chain).startswith("p0 & p1 & ") and str(nested) == "L1 " * 900 + "p"
 
 
+def test_runs_of_prefix_operators_parse_at_the_default_recursion_limit():
+    nested = p
+    for _ in range(5000):
+        nested = L(1, nested)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        negated = parse("~" * 5000 + "p")
+        believed = parse("L1 " * 5000 + "p")
+        reparsed = parse(to_text(nested))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert believed is nested and reparsed is nested
+    for _ in range(5000):
+        negated = negated.sub
+    assert negated is p
+    # A mixed run applies inside out, and an agent out of range is still
+    # reported where it stands.
+    assert parse("~L1 V N2 O1 C (p)", 2) is Not(L(1, Val(N(2, only_knows(1, Not(Val(Not(p))))))))
+    with pytest.raises(ParseError) as err:
+        parse("~L1 N3 p", 2)
+    assert err.value.position == 4
+
+
+def test_repr_is_iterative_and_evaluates_back_to_the_node():
+    def recursive_repr(f):
+        fields = (
+            f"{name}={recursive_repr(v) if isinstance(v, Formula) else repr(v)}"
+            for name in f.__match_args__
+            for v in [getattr(f, name)]
+        )
+        return f"{type(f).__name__}({', '.join(fields)})"
+
+    chain = conj(Atom(f"p{k}") for k in range(5000))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = repr(chain)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.startswith("And(left=And(left=And(") and text.endswith(", right=Atom(name='p4999'))")
+    assert repr(TRUE) == "TrueConst()"
+    scope = vars(formula)
+    for seed in range(200):
+        f = generate_random(seed, "full", n_agents=3, size=12)
+        assert repr(f) == recursive_repr(f)
+        assert eval(repr(f), scope) is f
+
+
 def test_threads_parsing_the_same_texts_get_the_same_nodes():
     texts = [f"L1 (p{k} & q) | ~N2 (q -> p{k % 7})" for k in range(40)]
     barrier = threading.Barrier(4)

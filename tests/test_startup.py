@@ -1,0 +1,68 @@
+"""Start-up: deciding a formula loads only formula, normal_form and
+decision, and the rest of the package loads on first use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Modules that the oracles, the query layer or a process pool need, and
+# that a decide must not load.
+OFF_THE_DECIDE_PATH = (
+    "onlyknow.k45",
+    "onlyknow.kripke",
+    "onlyknow.finite_semantics",
+    "onlyknow.corpus",
+    "onlyknow.autoepistemic",
+    "dataclasses",
+    "concurrent.futures",
+)
+
+DECIDES = {
+    "library": "import onlyknow\nassert onlyknow.Decider().consistent(onlyknow.parse('p & ~L1 q'))\n",
+    "cli": "from onlyknow.cli import main\nassert main(['decide', '--mode', 'sat', 'p & ~L1 q']) == 0\n",
+    "batch": "from onlyknow.cli import main\n"
+    "assert main(['decide', '--batch', 'lines.txt', '--jobs', '1', '--mode', 'sat']) == 0\n",
+}
+
+
+def _fresh_python(code: str, cwd: Path) -> str:
+    """Run code in a fresh interpreter without site packages and return
+    its standard output."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("case", sorted(DECIDES))
+def test_a_decide_loads_only_the_decide_path(case, tmp_path):
+    (tmp_path / "lines.txt").write_text("p & ~L1 q\nL1 p | N2 q\n")
+    check = f"import sys\nprint(sorted(set({OFF_THE_DECIDE_PATH!r}) & set(sys.modules)))\n"
+    assert _fresh_python(DECIDES[case] + check, tmp_path).splitlines()[-1] == "[]"
+
+
+def test_every_public_name_resolves_after_a_bare_import(tmp_path):
+    code = (
+        "import onlyknow, sys\n"
+        "assert 'onlyknow.k45' not in sys.modules\n"
+        "assert onlyknow.k45.sat(onlyknow.parse('L1 p & ~L1 ~p'))\n"
+        "assert onlyknow.k45_sat is onlyknow.k45.sat\n"
+        "names = {}\n"
+        "exec('from onlyknow import *', names)\n"
+        "assert all(names[n] is getattr(onlyknow, n) for n in onlyknow.__all__)\n"
+        "assert set(onlyknow.__all__) <= set(dir(onlyknow))\n"
+        "assert not hasattr(onlyknow, 'no_such_name')\n"
+        "print('ok')\n"
+    )
+    assert _fresh_python(code, tmp_path).strip() == "ok"
