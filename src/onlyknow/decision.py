@@ -19,27 +19,18 @@ search variables too, and the search guesses them, as in the
 stable-expansion reading of only knowing (Levesque, 1990).
 
 Such a set is found by a DPLL search over the clause form of the
-skeleton (the KSAT construction of Giunchiglia & Sebastiani, 2000).
-A group that fails fails under every larger set of literals, so the
-test runs after each unit propagation and prunes the search; a literal
-whose own atoms are not all assigned yet is tested with a weakened
-argument, implied by every cofactor it can still get.  All recursive
-work happens on group arguments, which sit one modal level lower, so
-the recursion terminates.  Occurrences of V are removed first,
-innermost out, each body replaced by its own verdict.
-
-Two things keep the repeated group tests of one search cheap.  A
-positive argument is split into components, its top-level conjuncts
-joined where they share an atom or the agent of a Boolean-level modal
-leaf (Bayardo & Pehoushek, AAAI 2000): components share no atom and no
-agent, so their models combine.  Each negated conjunct is searched
-against the components it touches only.  The components none touches
-are searched together, once, and each is then recorded in the memo,
-which answers it for every later group.  And a modal argument that is
-a conjunction, or the negation of one, is cofactored one top-level
-conjunct at a time, each conjunct's cofactor cached for the search by
-the values of its own dependencies, so a test rebuilds only the
-conjuncts whose dependencies changed since the last.
+skeleton (the KSAT construction of Giunchiglia & Sebastiani, 2000).  A
+group that fails fails under every larger set of literals, so the test
+runs after each unit propagation and prunes the search.  A literal whose
+own atoms are not all assigned yet is tested with a weakened argument,
+implied by every cofactor it can still get: each literal over such an
+atom becomes true (false under a negated modality).  The clause form and
+the cofactors are read off the formula as written, by polarity.  Group
+arguments sit one modal level lower, so the recursion terminates.  V
+goes first, innermost out, each body replaced by its own verdict.  The
+group tests of one search stay cheap: a positive argument is searched
+by independent components (Bayardo & Pehoushek, AAAI 2000), and an
+argument is cofactored one cached part at a time.
 """
 
 from __future__ import annotations
@@ -54,10 +45,13 @@ from .formula import (
     And,
     Atom,
     Formula,
+    Iff,
+    Implies,
+    L,
+    N,
     Not,
     Or,
     Val,
-    assign,
     conj,
     conjuncts,
     fold,
@@ -66,7 +60,7 @@ from .formula import (
     own_modal_leaves,
     rebuild,
 )
-from .normal_form import AgentBlock, Tick, _nnf, to_clauses
+from .normal_form import AgentBlock, Tick, to_clauses
 
 
 class BudgetExceededError(RuntimeError):
@@ -105,15 +99,15 @@ class Decider:
     The trace is a callable on (level, rule, formula), called as each
     step happens.  A Decider is deterministic and single-threaded.  The
     memo is always on; a traced run logs each memo hit, so it takes the
-    same path as an untraced one.
+    same path.  The conjuncts' component keys are kept as long, too.
     """
 
-    def __init__(
-        self, trace: Callable[[int, str, Formula], None] | None = None, deadline: float | None = None
-    ) -> None:
+    def __init__(self, trace: Callable[[int, str, Formula], None] | None = None, deadline: float | None = None) -> None:
         self.trace = trace
         self.deadline = deadline
         self._memo: dict[Formula, bool] = {}
+        self._key_sets: dict[Formula, set[str | int]] = {}  # see _keys
+        self._rewrites: dict[Formula, Formula] | None = None  # the current eliminate_val call's
 
     # -- public operations ------------------------------------------------
 
@@ -127,21 +121,23 @@ class Decider:
 
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict, and
-        fold each node: the result is simplify of the V-free formula,
-        and a simplified V-free f comes back as the same object."""
+        fold each node, each distinct one once per call: the result is
+        simplify of the V-free formula, and a simplified one is f itself."""
         self._tick()
         if isinstance(f, Val):
             body = self.eliminate_val(f.sub)
             if self.trace:
                 self.trace(0, "resolve validity operator", body)
             return FALSE if self._sat(fold(Not(body)), 1) else TRUE
-        return fold(rebuild(f, self.eliminate_val))
+        outer, self._rewrites = self._rewrites, {}
+        out = self._rewrite(f)
+        self._rewrites = outer
+        return out
 
     def block_consistent(self, b: AgentBlock) -> bool:
-        """The group test for one agent's conjuncts.  The arguments need
-        only be objective for that agent (the normal form guarantees it,
-        and so does the search's cofactoring); they need not be
-        normalized."""
+        """The group test for one agent's conjuncts, whose arguments need
+        only be objective for that agent, as the normal form's and the
+        search's cofactors are; they need not be normalized."""
         return self._block_ok(b, 0)
 
     # -- recursion ----------------------------------------------------------
@@ -168,12 +164,10 @@ class Decider:
         """DPLL over the clause form of f: unit propagation, decisions on
         the trail, the group test on the modal literals after each
         propagation, and SAT once every clause is satisfied, so the
-        literals still unassigned stay don't-care.
-
-        A modal variable M_i phi depends on the agent-i modal atoms at
-        phi's Boolean level; they become variables too (their own
-        dependencies with them), and each gets the clause -w | w, so the
-        search cannot stop before it decides them all."""
+        literals still unassigned stay don't-care.  A modal variable
+        M_i phi depends on the agent-i modal atoms at phi's Boolean
+        level; they become variables too (their own dependencies with
+        them), each with the clause -w | w, so the search decides them."""
         variables, clauses = to_clauses(f, self._tick)
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
@@ -197,11 +191,11 @@ class Decider:
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
-        cofactor = _Cofactors(modal, deps, s.value) if deps else None
+        cofactor = _Cofactors(modal, deps, s.value)
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s, modal, cofactor, tested, level):
+            if s.propagate() and self._groups_ok(s, cofactor, tested, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -222,18 +216,12 @@ class Decider:
             else:
                 return False
 
-    def _groups_ok(
-        self,
-        s: _Trail,
-        modal: dict[int, Formula],
-        cofactor: _Cofactors | None,
-        tested: dict[frozenset[int], bool],
-        level: int,
-    ) -> bool:
+    def _groups_ok(self, s: _Trail, cofactor: _Cofactors, tested: dict[frozenset[int], bool], level: int) -> bool:
         """The group test for each agent's modal literals on the trail,
         their arguments cofactored.  A failing group fails under every
         extension, so it prunes.  An agent's literal set fixes the
         cofactors, since every dependency is one of its modal atoms."""
+        modal = cofactor.modal
         if not modal:
             return True
         by_agent: dict[int, list[int]] = {}
@@ -247,7 +235,7 @@ class Decider:
             if ok is None:
                 b = AgentBlock(agent)
                 for x in sorted(key, key=abs):
-                    b = b.add(cofactor(abs(x), x > 0) if cofactor else modal[abs(x)], x > 0)
+                    b = b.add(cofactor(abs(x), x > 0), x > 0)
                 ok = tested[key] = self._block_ok(b, level + 1)
             if not ok:
                 return False
@@ -285,20 +273,17 @@ class Decider:
         self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int
     ) -> list[Formula] | None:
         """The part of the conjunction pos that each phi in negs must be
-        searched against, or None when pos is unsatisfiable.  The
-        conjuncts of pos fall into components that share no atom and no
-        agent of a Boolean-level modal leaf; V is gone, so models of
-        separate components combine.  So ~phi needs only the components
-        it touches.  The components that no ~phi touches must be
-        satisfiable too.  A lone atom or negated atom is; the memo
-        answers the others it knows, and the rest are searched together,
-        each then recorded as satisfiable, so the memo serves it from
-        one group to the next."""
+        searched against, or None when pos is unsatisfiable.  Conjuncts
+        that share no atom and no agent of a Boolean-level modal leaf
+        fall into components whose models combine, so ~phi needs only
+        the components it touches.  Each of the others must be
+        satisfiable too: a lone literal is, the memo answers those it
+        knows, and the rest are searched together, then memoized."""
         parts = conjuncts(pos)
-        component, members = _components(parts)
+        component, members = _components([self._keys(p) for p in parts])
         if len(members) == 1:
             return [pos] * len(negs)
-        touched = [{component[k] for k in _keys(phi) if k in component} for phi in negs]
+        touched = [{component[k] for k in self._keys(phi) if k in component} for phi in negs]
         fresh = []
         for c in sorted(set(range(len(members))).difference(*touched)):
             alone = join(And, (parts[i] for i in members[c]))
@@ -326,37 +311,36 @@ class Decider:
 
     # -- bookkeeping ----------------------------------------------------
 
+    def _keys(self, f: Formula) -> set[str | int]:
+        """What ties f to other conjuncts: its Boolean-level atoms' names and
+        modal leaves' agents, kept by node, since parts recur across tests."""
+        keys = self._key_sets.get(f)
+        if keys is None:
+            keys = {g.agent if isinstance(g, MODAL) else g.name for g in leaves(f) if isinstance(g, (Atom, L, N))}
+            self._key_sets[f] = keys
+        return keys
+
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
 
-
-def _keys(f: Formula) -> set[str | int]:
-    """What ties f to other conjuncts: the names of its Boolean-level
-    atoms and the agents of its Boolean-level modal leaves."""
-    g = f.sub if isinstance(f, Not) else f
-    if isinstance(g, Atom):
-        return {g.name}
-    if isinstance(g, MODAL):
-        return {g.agent}
-    keys: set[str | int] = set()
-    for g in leaves(f):
-        if isinstance(g, Atom):
-            keys.add(g.name)
-        elif isinstance(g, MODAL):
-            keys.add(g.agent)
-    return keys
+    def _rewrite(self, f: Formula) -> Formula:
+        """eliminate_val of f, through the memo of the current call."""
+        out = self._rewrites.get(f)
+        if out is None:
+            self._tick()
+            out = self._rewrites[f] = self.eliminate_val(f) if isinstance(f, Val) else fold(rebuild(f, self._rewrite))
+        return out
 
 
-def _components(parts: list[Formula]) -> tuple[dict[str | int, int], list[list[int]]]:
-    """Union-find over the parts, joined where their keys meet.  Returns
-    each key's component and each component's parts, in order.  Part i
-    stays a root while its own keys are joined, since every other root
-    is hung under it."""
+def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:
+    """Union-find over the parts' keys.  Returns each key's component and
+    each component's parts, in order.  Part i stays a root while its own
+    keys are joined, since every other root is hung under it."""
     parent = list(range(len(parts)))
     owner: dict[str | int, int] = {}
-    for i, part in enumerate(parts):
-        for k in _keys(part):
+    for i, keys in enumerate(parts):
+        for k in keys:
             j = owner.setdefault(k, i)
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]
@@ -378,20 +362,17 @@ def _components(parts: list[Formula]) -> tuple[dict[str | int, int], list[list[i
 
 class _Cofactors:
     """The cofactored modal atoms of one search, M_i phi with phi
-    cofactored by the values the trail gives its dependencies.  An
-    argument that is a conjunction, or the negation of one, goes one
-    top-level part at a time: a part's cofactor is cached by the values
-    of its own dependencies, and a part with none is taken as it is, so
-    a group test rebuilds only the parts whose dependencies changed."""
+    cofactored by the values the trail gives its dependencies, one part
+    at a time: the conjuncts of a conjunction, joined by And, of a
+    negated one, each negated, joined by Or, or phi alone.  A part is
+    cached by the values of its own dependencies, and one with none is
+    taken as it is, so a group test rebuilds only the parts that changed."""
 
-    def __init__(
-        self, modal: dict[int, Formula], deps: dict[int, tuple[int, ...]], value: list[bool | None]
-    ) -> None:
-        self.modal = modal
-        self.deps = deps
-        self.value = value
-        self.split: dict[int, tuple[type, list[tuple[Formula, tuple[int, ...]]]] | tuple[()]] = {}
+    def __init__(self, modal: dict[int, Formula], deps: dict[int, tuple[int, ...]], value: list[bool | None]) -> None:
+        self.modal, self.deps, self.value = modal, deps, value
+        self.split: dict[int, tuple[bool, dict[Formula, int], list[tuple[Formula, tuple[int, ...]]]]] = {}
         self.cache: dict[tuple[int, int, bool, tuple[bool | None, ...]], Formula] = {}
+        self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
 
     def __call__(self, v: int, positive: bool) -> Formula:
         leaf = self.modal[v]
@@ -400,70 +381,87 @@ class _Cofactors:
             return leaf
         split = self.split.get(v)
         if split is None:
-            split = self.split[v] = _split(leaf, ws, self.modal)
-        if not split:
-            arg = _cofactor(leaf.sub, ws, positive, self.modal, self.value)
-        else:
-            op, parts = split
-            out = []
-            for k, (part, own) in enumerate(parts):
-                if own:
-                    key = (v, k, positive, tuple(self.value[w] for w in own))
-                    done = self.cache.get(key)
-                    if done is None:
-                        done = self.cache[key] = _cofactor(part, own, positive, self.modal, self.value)
-                    part = done
-                out.append(part)
-            arg = join(op, out)
+            negated = isinstance(leaf.sub, Not) and isinstance(leaf.sub.sub, And)
+            var = {self.modal[w]: w for w in ws}
+            parts = []
+            for c in conjuncts(leaf.sub.sub if negated else leaf.sub):
+                own = tuple(dict.fromkeys(var[g] for g in own_modal_leaves(c, leaf.agent)))
+                parts.append((c if own or not negated else fold(Not(c)), own))
+            split = self.split[v] = negated, var, parts
+        negated, var, parts = split
+        value, out = self.value, []
+        for k, (part, own) in enumerate(parts):
+            if own:
+                key = (v, k, positive, tuple(value[w] for w in own))
+                done = self.cache.get(key)
+                if done is None:
+                    done = self.cache[key] = self.settle(part, negated, var, TRUE if positive else FALSE)
+                part = done
+            out.append(part)
+        arg = join(Or if negated else And, out)
         return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
 
+    def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
+        """f, negated when neg, cofactored by the dependencies var names,
+        keeping each subtree with no dependency whole.  A literal over
+        one still unassigned, read by its polarity (both, under <->),
+        becomes pending: true in a positive modal literal, false in a
+        negated one, so f is implied by every cofactor it can still get
+        (implies it, negated), and a group that fails with it fails under
+        every extension.  The negation normal form's folds come first."""
+        self.var, self.pending = var, pending
+        g, weak = self._part(f, neg)
+        if g is None:
+            return fold(Not(f)) if neg else f
+        return pending if not weak and (g.sub if type(g) is Not else g) in var else g
 
-def _split(
-    leaf: Formula, ws: tuple[int, ...], modal: dict[int, Formula]
-) -> tuple[type, list[tuple[Formula, tuple[int, ...]]]] | tuple[()]:
-    """The parts of a modal atom's argument, each with its own
-    dependencies among ws, and the connective that joins them: the
-    conjuncts of a conjunction under And, the negated conjuncts of a
-    negated one under Or.  Empty for an argument of one part."""
-    negated = isinstance(leaf.sub, Not) and isinstance(leaf.sub.sub, And)
-    whole = leaf.sub.sub if negated else leaf.sub
-    if not isinstance(whole, And):
-        return ()
-    parts = conjuncts(whole)
-    if negated:
-        parts = [fold(Not(c)) for c in parts]
-    var = {modal[w]: w for w in ws}
-    return Or if negated else And, [
-        (c, tuple(dict.fromkeys(var[g] for g in own_modal_leaves(c, leaf.agent))))
-        for c in parts
-    ]
+    def _part(self, f: Formula, neg: bool) -> tuple[Formula | None, bool]:
+        """(g, weak), g None when f holds no dependency.  g is the folded
+        normal form of f's cofactor, weak when its pending literals are
+        replaced; not weak, it holds one only when it is one."""
+        while type(f) is Not:
+            f, neg = f.sub, not neg
+        kind = type(f)
+        if kind is And or kind is Or or kind is Implies:
+            return self._both(Or if (kind is And) == neg else And, f.left, neg != (kind is Implies), f.right, neg)
+        if kind is Iff:
+            x, y = f.left, f.right
+            if neg:
+                a = self._both(And, x, False, y, True)
+                return a if a[0] is None else self._pair(Or, a, self._both(And, x, True, y, False))
+            a = self._both(Or, x, True, y, False)
+            return a if a[0] is None else self._pair(And, a, self._both(Or, y, True, x, False))
+        w = self.var.get(f)
+        if w is None:
+            return None, False
+        x = self.value[w]
+        return ((Not(f) if neg else f) if x is None else TRUE if x != neg else FALSE), False
 
+    def _both(self, op: type, x: Formula, xneg: bool, y: Formula, yneg: bool) -> tuple[Formula | None, bool]:
+        a, b = self._part(x, xneg), self._part(y, yneg)
+        if a[0] is None and b[0] is None:
+            return a
+        if a[0] is None:
+            a = (fold(Not(x)) if xneg else x), False
+        if b[0] is None:
+            b = (fold(Not(y)) if yneg else y), False
+        return self._pair(op, a, b)
 
-def _cofactor(
-    arg: Formula, ws: tuple[int, ...], positive: bool, modal: dict[int, Formula], value: list[bool | None]
-) -> Formula:
-    """The argument arg of a modal literal cofactored by the values of
-    its dependencies ws.  With some still unassigned, arg goes to
-    negation normal form and each literal over one becomes true in a
-    positive literal and false in a negated one: that argument is
-    implied by every cofactor arg can still get (implies it, when
-    negated), and L and N are monotone, so a group that fails with it
-    fails under every extension."""
-    env = {modal[w]: value[w] for w in ws if value[w] is not None}
-    out = assign(arg, env) if env else arg
-    if len(env) < len(ws):
-        pending = {modal[w] for w in ws if value[w] is None}
-        out = _weaken(_nnf(out), pending, TRUE if positive else FALSE)
-    return out
-
-
-def _weaken(f: Formula, pending: set[Formula], value: Formula) -> Formula:
-    """The NNF formula f with every literal over a pending leaf replaced
-    by value, each rebuilt node folded."""
-    if isinstance(f, (And, Or)):
-        g = rebuild(f, lambda h: _weaken(h, pending, value))
-        return f if g is f else fold(g)
-    return value if (f.sub if isinstance(f, Not) else f) in pending else f
+    def _pair(self, op: type, a: tuple[Formula, bool], b: tuple[Formula, bool]) -> tuple[Formula, bool]:
+        """op over two parts, folded as the normal form folds (a constant
+        no weakening made, pending literals that merge or cancel), then weakened."""
+        (g, wg), (h, wh) = a, b
+        zero, unit = (FALSE, TRUE) if op is And else (TRUE, FALSE)
+        if g is zero and not wg or h is zero and not wh:
+            return zero, False
+        if g is unit and not wg or h is unit and not wh:
+            return b if g is unit and not wg else a
+        pg = not wg and (g.sub if type(g) is Not else g) in self.var
+        ph = not wh and (h.sub if type(h) is Not else h) in self.var
+        if pg and ph:
+            out = fold(op(g, h))
+            return (out, False) if out is g or out is zero else (self.pending, True)
+        return fold(op(self.pending if pg else g, self.pending if ph else h)), wg or wh or pg or ph
 
 
 class _Trail:

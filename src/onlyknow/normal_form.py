@@ -1,14 +1,14 @@
 """Normal forms of V-free formulas: the clause form the decision
-procedure searches (``to_clauses``, with L/N formulas kept whole as
-leaves), ``normalize`` (modalities expanded until every argument is
-objective for its agent) and the disjunctive normal form built on it,
-streamed one disjunct at a time (``to_normal_form``).  The decision
-procedure does not normalize: it cofactors a modal argument over the
-agent's own modal atoms in the search, and its group test needs only
-arguments objective for the agent.  ``normalize`` serves ``onlyknow
-nf``, ``finite_semantics.reduce_n_to_l`` and the tests' reference for
-the search.  Every rewrite here folds each node as it builds it
-(``formula.fold``/``join``), so its output is simplified.
+procedure searches (``to_clauses``, read off the formula by polarity,
+with L/N formulas kept whole as leaves), ``normalize`` (modalities
+expanded until every argument is objective for its agent) and the
+disjunctive normal form built on it, streamed one disjunct at a time
+(``to_normal_form``).  The decision procedure does not normalize: its
+group test needs only arguments objective for the agent, which the
+search's cofactoring gives.  ``normalize`` serves ``onlyknow nf``,
+``finite_semantics.reduce_n_to_l`` and the tests' reference for the
+search.  Every rewrite here folds each node as it builds it, so its
+output is simplified.
 
 One agent's group of modal literals is an ``AgentBlock``, and only it
 knows the group's layout: the stream and the search's group test both
@@ -50,6 +50,7 @@ from .formula import (
     MODAL,
     TRUE,
     And,
+    Atom,
     FalseConst,
     Formula,
     Iff,
@@ -74,10 +75,6 @@ from .formula import (
 
 Tick = Callable[[], None]
 _tuple = tuple.__new__  # _tuple(cls, fields) builds a NamedTuple in C, past its generated __new__
-
-
-def _untimed() -> None:
-    pass
 
 
 def normalize(f: Formula) -> Formula:
@@ -119,119 +116,123 @@ def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
     return join(And, parts)
 
 
-def _nnf(f: Formula, neg: bool = False, tick: Tick = _untimed) -> Formula:
+def _nnf(f: Formula, neg: bool = False) -> Formula:
     """Negation normal form over leaves (atoms, constants, L/N formulas
-    taken whole), each node folded as it is built, so the form of a
-    simplified formula is simplified too.  tick is called once per <->
-    node, the one case that copies its operands."""
+    taken whole), each node folded as it is built; for the stream."""
     if isinstance(f, Not):
-        return _nnf(f.sub, not neg, tick)
-    if isinstance(f, And):
-        cls = Or if neg else And
-        return fold(cls(_nnf(f.left, neg, tick), _nnf(f.right, neg, tick)))
-    if isinstance(f, Or):
-        cls = And if neg else Or
-        return fold(cls(_nnf(f.left, neg, tick), _nnf(f.right, neg, tick)))
+        return _nnf(f.sub, not neg)
+    if isinstance(f, (And, Or)):
+        cls = (Or if isinstance(f, And) else And) if neg else type(f)
+        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
     if isinstance(f, Implies):
-        if neg:
-            return fold(And(_nnf(f.left, False, tick), _nnf(f.right, True, tick)))
-        return fold(Or(_nnf(f.left, True, tick), _nnf(f.right, False, tick)))
+        return fold((And if neg else Or)(_nnf(f.left, not neg), _nnf(f.right, neg)))
     if isinstance(f, Iff):
-        tick()
-        x, nx = _nnf(f.left, False, tick), _nnf(f.left, True, tick)
-        y, ny = _nnf(f.right, False, tick), _nnf(f.right, True, tick)
+        x, nx = _nnf(f.left, False), _nnf(f.left, True)
+        y, ny = _nnf(f.right, False), _nnf(f.right, True)
         if neg:
             return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
         return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
-    if isinstance(f, TrueConst):
-        return FALSE if neg else TRUE
-    if isinstance(f, FalseConst):
-        return TRUE if neg else FALSE
+    if isinstance(f, (TrueConst, FalseConst)):
+        return TRUE if (f is TRUE) != neg else FALSE
     return Not(f) if neg else f
 
 
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
     """Clause form of the Boolean skeleton of a V-free formula, whose
     leaves are atoms and L/N formulas taken whole.  tick, when given, is
-    called once per <-> node _nnf expands and once per conjunct the
-    clause loop takes apart.
+    called once per conjunct taken apart and once per <-> definition.
 
     Returns (variables, clauses).  Variable v stands for variables[v - 1],
     an atom or an L/N formula, or for a definition when that entry is None.
     A clause is a list of nonzero ints, negative meaning negated.  The
-    conversion is polarity-aware Tseitin (Plaisted & Greenbaum, 1986):
-    only a conjunction under a disjunction gets a fresh variable t, with
-    the one-way clauses ~t | c.  The count is linear only without <->,
-    since _nnf copies both sides of each one: p0 <-> ... <-> p14 gives
-    45,053 clauses.  An assignment satisfying the clauses makes the
-    formula true on its leaves, and every model of the formula extends
-    to one satisfying them.  The skeleton's clauses come first, then
-    the definitions, outer before inner.
+    form is polarity-aware Tseitin (Plaisted & Greenbaum, 1986), read off
+    the formula as written by a walk over (node, negated) pairs.  Only a
+    conjunction under a disjunction gets a variable t, with one-way
+    clauses ~t | c, and each <-> operand that is no literal one variable
+    d per node, defined both ways, so the count is linear: p0 <-> ... <->
+    p14 gives 93 clauses.  An assignment satisfying the clauses makes the
+    formula true on its leaves, and every model of the formula extends to
+    one satisfying them.  The skeleton's clauses come first, then the
+    definitions, outer before inner.
     """
     variables: list[Formula | None] = []
-    index: dict[Formula, int] = {}
+    index: dict[Formula, int] = {}  # a leaf's or a <-> operand's variable
+    queue: list[tuple[Formula, int]] = []  # <-> operands and variables, to define
     definitions: list[list[int]] = []
-    tick = tick or _untimed
+    tick = tick or (lambda: None)
 
-    def literal(leaf: Formula) -> int:
-        positive = not isinstance(leaf, Not)
-        if not positive:
-            leaf = leaf.sub
-        v = index.get(leaf)
+    def split(h, neg: bool):
+        """h, negated when neg: a literal, or (joined by &, its operands as
+        (node, negated) pairs, last first); true is & and false | of none.
+        A node is a formula, a variable, or literals (x, y) for x -> y."""
+        while type(h) is Not:
+            h, neg = h.sub, not neg
+        kind = type(h)
+        if kind is And or kind is Or:
+            return (kind is And) != neg, ((h.right, neg), (h.left, neg))
+        if kind is Implies or kind is tuple:
+            x, y = (h.left, h.right) if kind is Implies else h
+            return neg, ((y, neg), (x, not neg))
+        if kind is Iff:
+            x, y = operand(h.left), operand(h.right)
+            return (False, (((-x, -y), True), ((x, y), True))) if neg else (True, (((y, x), False), ((x, y), False)))
+        if h is TRUE or h is FALSE:
+            return (h is TRUE) != neg, ()
+        if kind is not int:
+            v = index.get(h)
+            if v is None:
+                variables.append(h)
+                v = index[h] = len(variables)
+            h = v
+        return -h if neg else h
+
+    def operand(g: Formula, neg: bool = False) -> int:
+        while type(g) is Not:
+            g, neg = g.sub, not neg
+        if isinstance(g, (Atom, L, N, Val)):
+            return split(g, neg)
+        v = index.get(g)
         if v is None:
-            variables.append(leaf)
-            v = index[leaf] = len(variables)
-        return v if positive else -v
+            variables.append(None)
+            v = index[g] = len(variables)
+            queue.append((g, v))
+        return -v if neg else v
 
-    def clause_set(g: Formula) -> list[list[int]]:
-        out: list[list[int]] = []
-        stack = [g]
+    def walk(stack: list, conj: bool):
+        """The clauses of the items' conjunction, or (not conj) the clause of their disjunction or None."""
+        out: list = []
         while stack:
-            tick()
-            h = stack.pop()
-            if isinstance(h, And):
-                stack += (h.right, h.left)
-            elif isinstance(h, Or):
-                c = clause(h)
-                if c is not None:
+            if conj:
+                tick()
+            s = split(*stack.pop())
+            if type(s) is int:
+                out.append([s] if conj else s)
+            elif s[0] == conj:
+                stack += s[1]
+            elif conj:
+                if (c := walk([*s[1]], False)) is not None:
                     out.append(c)
-            elif isinstance(h, FalseConst):
-                out.append([])
-            elif not isinstance(h, TrueConst):
-                out.append([literal(h)])
-        return out
-
-    def clause(g: Formula) -> list[int] | None:
-        """One clause for a disjunction; None when it is a tautology."""
-        lits: dict[int, None] = {}
-        stack = [g]
-        while stack:
-            h = stack.pop()
-            if isinstance(h, Or):
-                stack += (h.right, h.left)
-                continue
-            if isinstance(h, And):
+            else:
                 at = len(definitions)
-                parts = clause_set(h)
+                parts = walk([*s[1]], True)
                 if not parts:
                     return None
-                if len(parts) == 1:
-                    lits.update(dict.fromkeys(parts[0]))
-                    continue
-                variables.append(None)
-                t = len(variables)
-                definitions[at:at] = [[-t, *c] for c in parts]
-                lits[t] = None
-            elif isinstance(h, TrueConst):
-                return None
-            elif not isinstance(h, FalseConst):
-                lits[literal(h)] = None
-        if any(-x in lits for x in lits):
-            return None
-        return list(lits)
+                if len(parts) > 1:
+                    variables.append(None)
+                    definitions[at:at] = [[-len(variables), *c] for c in parts]
+                    parts = [[len(variables)]]
+                out += parts[0]
+        if conj:
+            return out
+        lits = dict.fromkeys(out)
+        return None if any(-x in lits for x in lits) else list(lits)
 
-    clauses = clause_set(_nnf(f, tick=tick))
-    del clause  # clause and clause_set call each other: break the cycle, so the tables go on return
+    clauses = walk([(f, False)], True)
+    for g, d in queue:  # grows while it is read
+        tick()
+        at = len(definitions)
+        definitions[at:at] = [[-d, *c] for c in walk([(g, False)], True)] + [[d, *c] for c in walk([(g, True)], True)]
+    del walk, operand  # they call themselves or each other: break the cycles, so the tables go on return
     return variables, clauses + definitions
 
 

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from itertools import product
 
@@ -5,32 +7,37 @@ import pytest
 
 from onlyknow import k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import BudgetExceededError, Decider, _Trail
+from onlyknow.decision import BudgetExceededError, Decider, _Cofactors, _Trail
 from onlyknow.finite_semantics import oracle_valid
 from onlyknow.formula import (
     And,
     Atom,
     FALSE,
     Iff,
+    Implies,
     L,
     N,
     Not,
+    Or,
     TRUE,
     Val,
     assign,
     atoms,
     conj,
     disj,
+    fold,
     is_i_objective,
+    leaves,
     modal_depth,
     only_knows,
     parse,
+    rebuild,
     simplify,
     substitute_atom,
     to_text,
     walk,
 )
-from onlyknow.normal_form import reassemble, to_normal_form
+from onlyknow.normal_form import _nnf, reassemble, to_clauses, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -229,6 +236,121 @@ def test_conjunctions_of_independent_parts_agree_with_the_oracles():
             assert bool(d.valid(g)) == oracle_valid(g, ("p", "pb"), semantics="extended").valid, to_text(g)
             consistent = not oracle_valid(Not(g), ("p", "pb"), semantics="extended").valid
             assert bool(d.consistent(g)) == consistent, to_text(g)
+
+
+# -- clause form and cofactors -------------------------------------------
+
+_LEAVES = (p, q, Atom("r"), L(1, p), N(1, q), L(1, Atom("r")), L(2, p), N(2, q))
+
+
+def _random_skeleton(rng, depth):
+    """A random Boolean combination of _LEAVES, with <->, ->, nested ~."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(_LEAVES)
+    kind = rng.choice((And, Or, Implies, Iff, Iff, Not))
+    if kind is Not:
+        return Not(_random_skeleton(rng, depth - 1))
+    return kind(_random_skeleton(rng, depth - 1), _random_skeleton(rng, depth - 1))
+
+
+def _column(j, n):
+    """The truth column of bit j over the 2^n assignments to n bits."""
+    block = ((1 << (1 << j)) - 1) << (1 << j)
+    return block * (((1 << (1 << n)) - 1) // ((1 << (1 << (j + 1))) - 1))
+
+
+def _table(f, columns, full):
+    """The truth column of f, given a column for each Boolean-level leaf."""
+    if f is TRUE or f is FALSE:
+        return full if f is TRUE else 0
+    if isinstance(f, Not):
+        return full & ~_table(f.sub, columns, full)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        a, b = _table(f.left, columns, full), _table(f.right, columns, full)
+        if isinstance(f, And):
+            return a & b
+        if isinstance(f, Or):
+            return a | b
+        return (full & ~a) | b if isinstance(f, Implies) else full & ~(a ^ b)
+    return columns[f]
+
+
+def test_polarity_clause_form_is_equisatisfiable_on_every_leaf_assignment():
+    # Truth tables over every leaf and definition value: the leaf
+    # assignments that extend to a model of the clauses are exactly the
+    # models of the formula.
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(400):
+        f = _random_skeleton(rng, 4)
+        variables, clauses = to_clauses(f)
+        names = list(dict.fromkeys(leaves(f)))
+        k, n = len(names), len(names) + variables.count(None)
+        if n > 14:
+            continue
+        bit = {g: j for j, g in enumerate(names)}
+        defs = iter(range(k, n))
+        full = (1 << (1 << n)) - 1
+        columns = [_column(bit[g] if g is not None else next(defs), n) for g in variables]
+        models = full
+        for c in clauses:
+            literals = (columns[x - 1] if x > 0 else full & ~columns[-x - 1] for x in c)
+            models &= functools.reduce(operator.or_, literals, 0)
+        width = 1 << k
+        extendable = functools.reduce(operator.or_, (models >> (d * width) for d in range(1 << (n - k))), 0)
+        leaf_columns = {g: _column(j, k) for j, g in enumerate(names)}
+        assert extendable & ((1 << width) - 1) == _table(f, leaf_columns, (1 << width) - 1), to_text(f)
+        checked += 1
+    assert checked > 250
+
+
+def _weaken(f, pending, value):
+    """Reference: the NNF formula f with every literal over a pending
+    leaf replaced by value, each rebuilt node folded."""
+    if isinstance(f, (And, Or)):
+        g = rebuild(f, lambda h: _weaken(h, pending, value))
+        return f if g is f else fold(g)
+    return value if (f.sub if isinstance(f, Not) else f) in pending else f
+
+
+def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
+    # The agent-1 modal leaves are the dependencies, some assigned and
+    # some pending; the reference assigns, puts the result in negation
+    # normal form and then weakens it.
+    rng = random.Random(23)
+    deps = [g for g in _LEAVES if isinstance(g, (L, N)) and g.agent == 1]
+    var = {g: w for w, g in enumerate(deps)}
+    pending_seen = 0
+    for _ in range(1500):
+        f = simplify(_random_skeleton(rng, 4))
+        value = [rng.choice((True, False, None)) for _ in deps]
+        env = {g: value[w] for g, w in var.items() if value[w] is not None}
+        pending = {g for g, w in var.items() if value[w] is None}
+        pending_seen += bool(pending)
+        for neg in (False, True):
+            for weak in (TRUE, FALSE):
+                got = _Cofactors({}, {}, value).settle(f, neg, var, weak)
+                want = _weaken(_nnf(assign(f, env), neg), pending, weak)
+                names = list(dict.fromkeys([*leaves(got), *leaves(want)]))
+                columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
+                full = (1 << (1 << len(names))) - 1
+                assert _table(got, columns, full) == _table(want, columns, full), (to_text(f), neg, weak)
+    assert pending_seen > 800
+
+
+def test_a_long_iff_chain_decides_at_the_default_recursion_limit():
+    import sys
+    import time
+
+    f = functools.reduce(Iff, [Atom(f"p{i}") for i in range(200)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        start = time.perf_counter()
+        assert Decider().valid(f).status == "invalid"
+        assert time.perf_counter() - start < 0.1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # -- axiom instances ---------------------------------------------------
@@ -468,14 +590,17 @@ def test_budget_exceeded_raises():
 
 @pytest.mark.parametrize("mode", ["consistent", "valid"])
 def test_budget_stops_a_normal_form_blow_up(mode):
-    # The negation normal form copies both sides of every <->, so the
-    # chain p0 <-> ... <-> p18 expands exponentially before the search;
-    # the deadline is checked per <-> node in _nnf, per conjunct in
-    # to_clauses and per clause in the search's setup.
+    # f(k+1) = (f(k) & p_k) | (f(k) & q_k) shares each f(k), so its node
+    # graph is linear while its tree doubles per level.  V elimination
+    # rewrites each node once, and the clause form walks the tree, so
+    # the clause setup outlasts the deadline; it is checked per conjunct
+    # and per definition in to_clauses and per clause in the search's
+    # setup.
     import time
-    from functools import reduce
 
-    f = reduce(Iff, [Atom(f"p{i}") for i in range(19)])
+    f = p
+    for k in range(30):
+        f = (f & Atom(f"p{k}")) | (f & Atom(f"q{k}"))
     start = time.monotonic()
     with pytest.raises(BudgetExceededError):
         getattr(Decider(deadline=start + 0.5), mode)(f)

@@ -13,8 +13,8 @@ EXPECTED = {
     "nf": "ffff9c4c7d98bf9b66b18b42dbb0db450b101a19a639072c47ec449e79c7fcea",
     "rewrites": "88d2b227a5adbc1ea6bf907dd74739041224a04c1aa6233ad97c30495ae30958",
     "classes": "22a400f4cf4a3087901475857fa035a376d82202222e4012da35c65357ee3c8d",
-    "clauses": "d37dc9d3f87bc6efcb1bd1b9f802d3d04660e450efb83dc64e5ee0322eb25ee1",
-    "search": "4c5a1b6aa686bc5f76718ee2ffa4866b7f4561b1b90b5b0fac63362ed098c319",
+    "clauses": "6bad6eb0cda274fec56d2b704857b70132a18c18c75f263d0718e5ef08559b5f",
+    "search": "b72ea0567900b088d61f718272cbf561c219a51788e27d7bafab748abe52f1e0",
 }
 
 
@@ -24,3 +24,17 @@ def test_output_digest_is_unchanged():
     )
     printed = dict(line.split() for line in done.stdout.splitlines())
     assert printed == EXPECTED
+
+
+def test_records_name_each_formula_and_component(monkeypatch, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.setattr(digest, "PER_FAMILY", 2)
+    monkeypatch.setattr(sys, "argv", ["digest.py", "--records"])
+    digest.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * len(digest.FAMILIES) * len(EXPECTED)
+    assert [line.split(" ", 2)[:2] for line in lines[: len(EXPECTED)]] == [["100000", name] for name in EXPECTED]

@@ -1,6 +1,6 @@
 """Fixed output digest of the engine on 3,200 seeded random formulas.
 
-Usage: python tools/digest.py
+Usage: python tools/digest.py [--records]
 
 Draws 640 formulas from each of five generate_random families (all at
 modal depth 3 over 3 atoms; formula k of family j has seed
@@ -12,6 +12,11 @@ modal depth 3 over 3 atoms; formula k of family j has seed
   classes   is_i_objective and is_i_subjective for agents 1 and 2
   clauses   to_clauses(normalize(...)) variable and clause counts
   search    to_clauses(...) variable and clause counts, with L/N whole
+
+With --records it prints, instead of the hashes, every formula's
+record, one line per component: the seed, the component's name and the
+line the hash takes in.  Diffing the records of two versions names the
+formulas whose outputs differ.
 
 Two versions of the engine that print the same digests agree on every
 one of these outputs.  The V-free inputs of nf, assign, normalize and
@@ -26,11 +31,17 @@ distributing it over a clause form of the argument: both are outputs of
 normalize, and an objective argument is now kept as written.  The nf
 line changed on purpose again when the stream began to drop a disjunct
 in which M_i false meets a negated M_i literal, which it contradicts:
-26 of the 3,200 records list fewer disjuncts.
+26 of the 3,200 records list fewer disjuncts.  The clauses and search
+lines changed on purpose when to_clauses began to read the clauses off
+the formula by polarity, with one definition per <-> operand that is no
+literal: 197 clauses and 144 search records differ, each of a formula
+with <->, except seed 400343, p | (p1 -> ~p1) -> L1 p, which gets one
+clause more because the negation normal form had folded p1 -> ~p1.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from itertools import islice
@@ -83,14 +94,19 @@ def records(f) -> dict[str, str]:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--records", action="store_true", help="print each formula's record instead of the hashes")
+    show = parser.parse_args().records
     hashes = {}
     for family, (profile, agents, size) in enumerate(FAMILIES):
         for k in range(PER_FAMILY):
-            f = generate_random(
-                100000 * (family + 1) + k, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size
-            )
+            seed = 100000 * (family + 1) + k
+            f = generate_random(seed, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size)
             for name, line in records(f).items():
-                hashes.setdefault(name, hashlib.sha256()).update(f"{line}\n".encode())
+                if show:
+                    print(seed, name, line)
+                else:
+                    hashes.setdefault(name, hashlib.sha256()).update(f"{line}\n".encode())
     for name, h in hashes.items():
         print(f"{name:9} {h.hexdigest()}")
 

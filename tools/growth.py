@@ -48,7 +48,7 @@ SIZES = {
     "believes": (10, 20, 30, 40, 60),
     "nf": (8, 10, 12, 14),
     "3cnf": (50, 100, 130),
-    "iff-chain": (10, 12, 14, 15),
+    "iff-chain": (10, 12, 14, 15, 40, 200),
     "and-chain": (500, 1000, 2000),
     "nested-l": (2, 3, 4, 5, 6),
 }
