@@ -58,7 +58,7 @@ from .formula import (
     join,
     leaves,
     own_modal_leaves,
-    rebuild,
+    transform,
 )
 from .normal_form import AgentBlock, Tick, to_clauses
 
@@ -107,7 +107,6 @@ class Decider:
         self.deadline = deadline
         self._memo: dict[Formula, bool] = {}
         self._key_sets: dict[Formula, set[str | int]] = {}  # see _keys
-        self._rewrites: dict[Formula, Formula] | None = None  # the current eliminate_val call's
 
     # -- public operations ------------------------------------------------
 
@@ -123,16 +122,16 @@ class Decider:
         """Replace every V body, innermost out, by its own verdict, and
         fold each node, each distinct one once per call: the result is
         simplify of the V-free formula, and a simplified one is f itself."""
-        self._tick()
-        if isinstance(f, Val):
-            body = self.eliminate_val(f.sub)
+
+        def resolve(g: Formula, h: Formula) -> Formula:
+            self._tick()
+            if type(g) is not Val:
+                return fold(h)
             if self.trace:
-                self.trace(0, "resolve validity operator", body)
-            return FALSE if self._sat(fold(Not(body)), 1) else TRUE
-        outer, self._rewrites = self._rewrites, {}
-        out = self._rewrite(f)
-        self._rewrites = outer
-        return out
+                self.trace(0, "resolve validity operator", h.sub)
+            return FALSE if self._sat(fold(Not(h.sub)), 1) else TRUE
+
+        return transform(f, resolve)
 
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, whose arguments need
@@ -323,14 +322,6 @@ class Decider:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
-
-    def _rewrite(self, f: Formula) -> Formula:
-        """eliminate_val of f, through the memo of the current call."""
-        out = self._rewrites.get(f)
-        if out is None:
-            self._tick()
-            out = self._rewrites[f] = self.eliminate_val(f) if isinstance(f, Val) else fold(rebuild(f, self._rewrite))
-        return out
 
 
 def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:

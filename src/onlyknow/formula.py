@@ -17,8 +17,12 @@ holds its nodes weakly, so an entry lasts only as long as some caller
 keeps its node, and memory stays bounded per query.  Threads may build
 and drop nodes concurrently: they agree on one node per key.
 
-``rebuild`` maps a function over a node's children, and ``fold`` and
-``join`` fold constants, so a rewrite folds each node as it builds it.
+``transform`` is the one rewrite walk: bottom up on an explicit stack,
+each distinct node once per call, so depth costs no stack and a shared
+subformula is rewritten once.  ``fold`` and ``join`` fold constants, so
+a rewrite folds each node as it builds it.  ``parse`` reads its tokens
+in one loop over an operand and an operator stack, and ``to_text`` and
+``repr`` print from a stack, so no part of the syntax recurses either.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 
 class FormulaError(ValueError):
@@ -79,8 +83,9 @@ class Formula:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of an immutable formula")
 
-    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def __reduce__(self) -> tuple[Callable[..., Formula], tuple[str]]:
+        # Pickled as its text, which prints and parses at any depth.
+        return parse, (to_text(self),)
 
     def __copy__(self) -> Formula:
         return self
@@ -316,30 +321,70 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return FALSE if out is None else out
 
 
+# How the walks enter a node of each class: 2 by its left and right
+# operands, 1 by its sub, 3 by its sub under its agent, 0 not at all.
+_SHAPE = {And: 2, Or: 2, Implies: 2, Iff: 2, Not: 1, Val: 1, L: 3, N: 3, Atom: 0, TrueConst: 0, FalseConst: 0}
+_BOOLEAN_SHAPE = {**_SHAPE, Val: 0, L: 0, N: 0}
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, BINARY):
-        return (f.left, f.right)
-    if isinstance(f, (Not, Val)):
-        return (f.sub,)
-    if isinstance(f, MODAL):
-        return (f.sub,)
-    return ()
+    shape = _SHAPE.get(type(f))
+    return (f.left, f.right) if shape == 2 else (f.sub,) if shape else ()
 
 
 def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
     """f with fn applied to each child; f itself when no child changed."""
-    if isinstance(f, BINARY):
-        left, right = fn(f.left), fn(f.right)
-        return f if left is f.left and right is f.right else type(f)(left, right)
-    if isinstance(f, (Not, Val)):
-        sub = fn(f.sub)
-        return f if sub is f.sub else type(f)(sub)
-    if isinstance(f, MODAL):
-        sub = fn(f.sub)
-        return f if sub is f.sub else type(f)(f.agent, sub)
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return f
-    raise FormulaError(f"unknown node {f!r}")
+    shape = _SHAPE.get(type(f))
+    if shape is None:
+        raise FormulaError(f"unknown node {f!r}")
+    kids = children(f)
+    new = tuple(map(fn, kids))
+    return f if new == kids else type(f)(f.agent, *new) if shape == 3 else type(f)(*new)
+
+
+def transform(f: Formula, step: Callable[[Formula, Formula], Formula], boolean: bool = False) -> Formula:
+    """Rewrite f bottom up: step(g, h) is called once per distinct node g,
+    children first, left to right, where h is g over its children's
+    results (g itself when none changed).  The walk keeps an explicit
+    stack and a memo for the call, so depth costs no stack.  boolean:
+    enter only Not and the binary connectives; L, N and V come whole."""
+    shapes = _BOOLEAN_SHAPE if boolean else _SHAPE
+    done: dict[Formula, Formula] = {}
+    stack = [f]  # a path down from f, so no node is on it twice
+    while stack:
+        g = stack[-1]
+        shape = shapes.get(type(g))
+        if shape == 2:
+            a, b = g.left, g.right
+            x = done.get(a)
+            if x is None:
+                if shapes.get(type(a)) != 0:
+                    stack.append(a)
+                    continue
+                x = done[a] = step(a, a)  # a leaf, at once
+            y = done.get(b)
+            if y is None:
+                if shapes.get(type(b)) != 0:
+                    stack.append(b)
+                    continue
+                y = done[b] = step(b, b)
+            h = g if x is a and y is b else type(g)(x, y)
+        elif shape:
+            a = g.sub
+            x = done.get(a)
+            if x is None:
+                if shapes.get(type(a)) != 0:
+                    stack.append(a)
+                    continue
+                x = done[a] = step(a, a)
+            h = g if x is a else type(g)(x) if shape == 1 else type(g)(g.agent, x)
+        elif shape is None:
+            raise FormulaError(f"unknown node {g!r}")
+        else:
+            h = g
+        stack.pop()
+        done[g] = step(g, h)
+    return done[f]
 
 
 def simplify(f: Formula) -> Formula:
@@ -349,16 +394,16 @@ def simplify(f: Formula) -> Formula:
     it is satisfiable but not valid.  The rewrites fold each node as
     they build it, so their output needs no second pass.
     """
-    # Folding after rebuild returns keeps the recursion at two frames a level.
-    return fold(rebuild(f, simplify))
+    return transform(f, lambda g, h: fold(h))
 
 
 def fold(g: Formula) -> Formula:
     """One folding step on a node whose children are simplified; the
     result is simplified."""
-    if isinstance(g, (And, Or)):  # the common case, tested first
+    kind = type(g)
+    if kind is And or kind is Or:  # the common case, tested first
         a, b = g.left, g.right
-        unit, zero = (TRUE, FALSE) if isinstance(g, And) else (FALSE, TRUE)
+        unit, zero = (TRUE, FALSE) if kind is And else (FALSE, TRUE)
         if a is zero or b is zero:
             return zero
         if a is unit:
@@ -367,28 +412,24 @@ def fold(g: Formula) -> Formula:
             return a
         if a is b:
             return a
-        if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
+        if type(a) is Not and a.sub is b or type(b) is Not and b.sub is a:
             return zero
         return g
-    if isinstance(g, Not):
+    if kind is Atom or kind is TrueConst or kind is FalseConst:  # interned, so a constant is TRUE or FALSE
+        return g
+    if kind is Not:
         a = g.sub
         if a is TRUE:
             return FALSE
         if a is FALSE:
             return TRUE
-        return a.sub if isinstance(a, Not) else g
-    if isinstance(g, MODAL):
+        return a.sub if type(a) is Not else g
+    if kind is L or kind is N:
         return TRUE if g.sub is TRUE else g
-    if isinstance(g, Val):
+    if kind is Val:
         return g.sub if g.sub is TRUE or g.sub is FALSE else g
-    if isinstance(g, TrueConst):
-        return TRUE
-    if isinstance(g, FalseConst):
-        return FALSE
-    if isinstance(g, Atom):
-        return g
     a, b = g.left, g.right
-    if isinstance(g, Implies):
+    if kind is Implies:
         if a is FALSE or b is TRUE:
             return TRUE
         if a is TRUE:
@@ -407,7 +448,7 @@ def fold(g: Formula) -> Formula:
         return fold(Not(a))
     if a is b:
         return TRUE
-    if isinstance(a, Not) and a.sub is b or isinstance(b, Not) and b.sub is a:
+    if type(a) is Not and a.sub is b or type(b) is Not and b.sub is a:
         return FALSE
     return g
 
@@ -556,9 +597,7 @@ def classify(f: Formula, i: int) -> FormulaClass:
 
 def substitute_atom(f: Formula, name: str, value: Formula) -> Formula:
     """Replace every occurrence of the named atom, including under modalities."""
-    if isinstance(f, Atom):
-        return value if f.name == name else f
-    return rebuild(f, lambda g: substitute_atom(g, name, value))
+    return transform(f, lambda g, h: value if type(g) is Atom and g.name == name else h)
 
 
 def assign(f: Formula, env: Mapping[Formula, bool]) -> Formula:
@@ -570,13 +609,14 @@ def assign(f: Formula, env: Mapping[Formula, bool]) -> Formula:
     simplified when f is; a subtree with nothing to replace comes back
     as the same object.
     """
-    if isinstance(f, (Not, *BINARY)):
-        g = rebuild(f, lambda h: assign(h, env))
-        return f if g is f else fold(g)
-    hit = env.get(f)
-    if hit is None:
-        return f
-    return TRUE if hit else FALSE
+
+    def step(g: Formula, h: Formula) -> Formula:
+        if _BOOLEAN_SHAPE[type(g)]:  # Not or a binary connective
+            return g if h is g else fold(h)
+        hit = env.get(g)
+        return g if hit is None else TRUE if hit else FALSE
+
+    return transform(f, step, boolean=True)
 
 
 def build_independent(i: int, n_agents: int, depth_bound: int, atom: str | Atom) -> Formula:
@@ -603,128 +643,72 @@ def build_independent(i: int, n_agents: int, depth_bound: int, atom: str | Atom)
 
 # --- concrete syntax ---------------------------------------------------
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
-    r"|(?P<imp>->)"
-    r"|(?P<conj>&)"
-    r"|(?P<disj>\|)"
-    r"|(?P<neg>~)"
-    r"|(?P<lpar>\()"
-    r"|(?P<rpar>\))"
-    r"|(?P<modal>[LNO][0-9]+)"
-    r"|(?P<val>V)"
-    r"|(?P<con>C)"
-    r"|(?P<ident>[a-z][a-z0-9_]*)"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            out.append((kind, m.group(), pos))
-        pos = m.end()
-    out.append(("eof", "", len(text)))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], n_agents: int | None):
-        self.tokens = tokens
-        self.pos = 0
-        self.n_agents = n_agents
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def formula(self) -> Formula:
-        out = self.implication()
-        while self.peek()[0] == "iff":
-            self.take()
-            out = Iff(out, self.implication())
-        return out
-
-    def implication(self) -> Formula:
-        out = self.disjunction()
-        if self.peek()[0] == "imp":
-            self.take()
-            return Implies(out, self.implication())
-        return out
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek()[0] == "disj":
-            self.take()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.peek()[0] == "conj":
-            self.take()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        """A run of prefix operators and the operand they apply to.  The
-        run is read in a loop and applied inside out, so its length
-        costs no stack."""
-        prefixes: list[tuple[Callable[..., Formula], int | None]] = []
-        tokens = self.tokens
-        while True:
-            kind, text, pos = tokens[self.pos]
-            self.pos += 1
-            if kind == "ident":
-                out = TRUE if text == "true" else FALSE if text == "false" else Atom(text)
-                break
-            if kind == "modal":
-                agent = int(text[1:])
-                if agent < 1 or (self.n_agents is not None and agent > self.n_agents):
-                    raise ParseError(f"agent index {agent} out of range", pos)
-                prefixes.append((_PREFIX[text[0]], agent))
-            elif kind in _PREFIX:
-                prefixes.append((_PREFIX[kind], None))
-            elif kind == "lpar":
-                out = self.formula()
-                kind, _, pos = self.take()
-                if kind != "rpar":
-                    raise ParseError("expected ')'", pos)
-                break
-            else:
-                raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
-        while prefixes:
-            make, agent = prefixes.pop()
-            out = make(out) if agent is None else make(agent, out)
-        return out
-
-
-# A prefix operator's constructor, by token kind, or by letter for a
-# modal token, which passes its agent first.
-_PREFIX = {"neg": Not, "val": Val, "con": con, "L": L, "N": N, "O": only_knows}
+# A token after optional white space: an operator, an identifier, a
+# modality with its agent, or any other single character.
+_TOKEN = re.compile(r"\s*(<->|->|[a-z][a-z0-9_]*|[LNO][0-9]+|\S)")
+# The parser's operator stack holds (binding strength, constructor, agent
+# or None) for "(", a prefix operator or a modality, and a binary operator.
+# A binary operator first reduces the entries above its bound, so -> groups
+# to the right and the others to the left.
+_PREFIX = {"(": (0, None, None), "~": (5, Not, None), "V": (5, Val, None), "C": (5, con, None)}
+_MODAL = {"L": L, "N": N, "O": only_knows}
+_BINARY = {"<->": ((1, Iff, None), 0), "->": ((2, Implies, None), 2), "|": ((3, Or, None), 2), "&": ((4, And, None), 3)}
 
 
 def parse(text: str, n_agents: int | None = None) -> Formula:
     """Parse concrete syntax.  When n_agents is given, agent indices are
-    checked against it; otherwise any index >= 1 is accepted.
-    """
-    parser = _Parser(_tokenize(text), n_agents)
-    out = parser.formula()
-    kind, tok, pos = parser.peek()
-    if kind != "eof":
-        raise ParseError(f"trailing input {tok!r}", pos)
-    return out
+    checked against it; otherwise any index >= 1 is accepted.  One loop
+    reads the tokens onto an operand and an operator stack, so nesting
+    costs no stack."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of input
+    args: list[Formula] = []  # the left operands of the pending binary operators
+    ops: list[tuple[int, Callable[..., Formula] | None, int | None]] = []
+    k = 0
+    while True:
+        tok = tokens[k]
+        k += 1
+        if "a" <= tok[:1] <= "z":
+            x = TRUE if tok == "true" else FALSE if tok == "false" else Atom(tok)
+        elif tok in _PREFIX:
+            ops.append(_PREFIX[tok])
+            continue
+        elif tok[1:].isdigit() and tok[0] in _MODAL:
+            agent = int(tok[1:])
+            if agent < 1 or (n_agents is not None and agent > n_agents):
+                _fail(text, tokens, k - 1, f"agent index {agent} out of range")
+            ops.append((5, _MODAL[tok[0]], agent))
+            continue
+        else:
+            _fail(text, tokens, k - 1, f"unexpected token {tok!r}" if tok else "unexpected end of input")
+        # After an operand: reduce, then go on after a binary operator or ")".
+        while True:
+            tok = tokens[k]
+            k += 1
+            entry, bound = _BINARY.get(tok, (None, 0))
+            while ops and ops[-1][0] > bound:
+                strength, make, agent = ops.pop()
+                x = make(args.pop(), x) if strength < 5 else make(x) if agent is None else make(agent, x)
+            if entry:
+                args.append(x)
+                ops.append(entry)
+                break
+            if ops and tok == ")":
+                ops.pop()
+            elif ops or tok:
+                _fail(text, tokens, k - 1, "expected ')'" if ops else f"trailing input {tok!r}")
+            else:
+                return x
+
+
+def _fail(text: str, tokens: list[str], k: int, message: str) -> NoReturn:
+    """Raise the error at token k, or the first character no token
+    starts with, which is reported first."""
+    at = [m.start(1) for m in _TOKEN.finditer(text)] + [len(text)]
+    for j, tok in enumerate(tokens):
+        if len(tok) == 1 and not ("a" <= tok <= "z" or tok in _PREFIX or tok in _BINARY or tok == ")"):
+            raise ParseError(f"unexpected character {tok!r}", at[j])
+    raise ParseError(message, at[k])
 
 
 # Binding strength: iff=1 < imp=2 < or=3 < and=4 < unary=5 < leaf=6.

@@ -51,7 +51,6 @@ from .formula import (
     TRUE,
     And,
     Atom,
-    FalseConst,
     Formula,
     Iff,
     Implies,
@@ -59,7 +58,6 @@ from .formula import (
     N,
     Not,
     Or,
-    TrueConst,
     Val,
     ValPresentError,
     assign,
@@ -70,7 +68,7 @@ from .formula import (
     join,
     leaves,
     own_modal_leaves,
-    rebuild,
+    transform,
 )
 
 Tick = Callable[[], None]
@@ -84,11 +82,16 @@ def normalize(f: Formula) -> Formula:
     modal atoms by the introspection rule (see the module docstring).
     Its output is its own normal form.
     """
-    if isinstance(f, Val):
-        raise ValPresentError("normal form is defined for V-free formulas only")
-    if isinstance(f, MODAL):
-        return _expand(type(f), f.agent, normalize(f.sub))
-    return fold(rebuild(f, normalize))
+
+    def step(g: Formula, h: Formula) -> Formula:
+        kind = type(g)
+        if kind is L or kind is N:
+            return _expand(kind, g.agent, h.sub)
+        if kind is Val:
+            raise ValPresentError("normal form is defined for V-free formulas only")
+        return fold(h)
+
+    return transform(f, step)
 
 
 def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
@@ -118,23 +121,41 @@ def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
 
 def _nnf(f: Formula, neg: bool = False) -> Formula:
     """Negation normal form over leaves (atoms, constants, L/N formulas
-    taken whole), each node folded as it is built; for the stream."""
-    if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
-    if isinstance(f, (And, Or)):
-        cls = (Or if isinstance(f, And) else And) if neg else type(f)
-        return fold(cls(_nnf(f.left, neg), _nnf(f.right, neg)))
-    if isinstance(f, Implies):
-        return fold((And if neg else Or)(_nnf(f.left, not neg), _nnf(f.right, neg)))
-    if isinstance(f, Iff):
-        x, nx = _nnf(f.left, False), _nnf(f.left, True)
-        y, ny = _nnf(f.right, False), _nnf(f.right, True)
-        if neg:
-            return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
-        return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
-    if isinstance(f, (TrueConst, FalseConst)):
-        return TRUE if (f is TRUE) != neg else FALSE
-    return Not(f) if neg else f
+    taken whole), each node folded as it is built; for the stream.  Each
+    (node, negated) pair is rewritten once, after the pairs it needs, on
+    an explicit stack."""
+    done: tuple[dict[Formula, Formula], dict[Formula, Formula]] = ({}, {})  # by polarity
+    stack = [(f, neg)]
+    while stack:
+        g, pol = stack[-1]
+        kind = type(g)
+        if kind is Iff:
+            needs: tuple[tuple[Formula, bool], ...] = ((g.left, False), (g.left, True), (g.right, False), (g.right, True))
+        elif kind is And or kind is Or or kind is Implies:
+            needs = ((g.left, pol != (kind is Implies)), (g.right, pol))
+        else:
+            needs = ((g.sub, not pol),) if kind is Not else ()
+        r = []
+        for a, p in needs:
+            x = done[p].get(a)
+            if x is None and type(a) in _INNER:
+                stack.append((a, p))
+                break
+            r.append((fold(Not(a)) if p else a) if x is None else x)  # a leaf at once
+        else:
+            stack.pop()
+            if kind is Iff:
+                x, nx, y, ny = r
+                out = fold(Or(fold(And(x, ny)), fold(And(nx, y)))) if pol else fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
+            elif len(r) == 2:
+                out = fold(((Or if kind is And else And) if pol else Or if kind is Implies else kind)(*r))
+            else:
+                out = r[0] if r else fold(Not(g)) if pol else g  # of a Not, or f a leaf
+            done[pol][g] = out
+    return done[neg][f]
+
+
+_INNER = {And, Or, Implies, Iff, Not}
 
 
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:

@@ -528,11 +528,59 @@ def test_pre_search_work_is_linear_on_a_wide_conjunction(head):
 
     f = conj([*head, *(Atom(f"p{i}") for i in range(2000))])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20_000)
+    sys.setrecursionlimit(1000)
     try:
         start = time.perf_counter()
         assert Decider().consistent(f).status == "satisfiable"
         assert time.perf_counter() - start < 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _chain(op, n):
+    """p0 op p1 op ... op p(n-1), grouped to the left."""
+    return functools.reduce(op, [Atom(f"p{i}") for i in range(n)])
+
+
+def _right(op, n):
+    """The same, grouped to the right."""
+    return functools.reduce(lambda right, i: op(Atom(f"p{i}"), right), range(n - 2, -1, -1), Atom(f"p{n - 1}"))
+
+
+# (name, what to run, the answer it must give, seconds allowed).  The
+# formulas are built inside the runs, so none outlives its test.
+_DEEP = [
+    ("consistent-and", lambda: Decider().consistent(_chain(And, 10_000)).status, "satisfiable", 2),
+    ("valid-and", lambda: Decider().valid(_chain(And, 10_000)).status, "invalid", 2),
+    ("consistent-or", lambda: Decider().consistent(_chain(Or, 10_000)).status, "satisfiable", 2),
+    ("valid-or", lambda: Decider().valid(_chain(Or, 10_000)).status, "invalid", 2),
+    (
+        "nf-clauses",
+        lambda: next(to_normal_form(conj(Or(Atom(f"p{i}"), Atom(f"q{i}")) for i in range(10_000))))
+        == (_chain(And, 10_000), ()),
+        True,
+        3,
+    ),
+    ("simplify", lambda: simplify(_chain(And, 10_000)) is _chain(And, 10_000), True, 1),
+    ("substitute", lambda: simplify(substitute_atom(_chain(And, 10_000), "p5", FALSE)), FALSE, 1),
+    ("assign", lambda: assign(_chain(Or, 10_000), {Atom("p0"): True}), TRUE, 1),
+    ("parse-parens", lambda: parse("(" * 5000 + "p" + ")" * 5000), p, 1),
+    ("parse-nested", lambda: parse(" & (".join(f"p{i}" for i in range(5000)) + ")" * 4999) is _right(And, 5000), True, 1),
+    ("parse-implies", lambda: parse(" -> ".join(f"p{i}" for i in range(10_000))) is _right(Implies, 10_000), True, 1),
+]
+
+
+@pytest.mark.parametrize("run, answer, seconds", [case[1:] for case in _DEEP], ids=[case[0] for case in _DEEP])
+def test_deep_and_wide_formulas_at_the_default_recursion_limit(run, answer, seconds):
+    import sys
+    import time
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        start = time.perf_counter()
+        assert run() == answer
+        assert time.perf_counter() - start < seconds
     finally:
         sys.setrecursionlimit(limit)
 

@@ -74,6 +74,37 @@ def test_parse_error_carries_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("p & & q", "unexpected token '&'", 4),
+        ("(p q)", "expected ')'", 3),
+        ("(p", "expected ')'", 2),
+        ("p)", "trailing input ')'", 1),
+        ("p q", "trailing input 'q'", 2),
+        ("", "unexpected end of input", 0),
+        ("p &", "unexpected end of input", 3),
+        ("p & ", "unexpected end of input", 4),
+        ("L0 p", "agent index 0 out of range", 0),
+        ("~L1 N3 p", "agent index 3 out of range", 4),
+        ("p $ q", "unexpected character '$'", 2),
+        ("L0 $", "unexpected character '$'", 3),  # a bad character comes first
+        ("(p q $", "unexpected character '$'", 5),
+        ("L1", "unexpected end of input", 2),
+        ("((p)", "expected ')'", 4),
+        ("()", "unexpected token ')'", 1),
+        ("x -> (y", "expected ')'", 7),
+        ("p -> -> q", "unexpected token '->'", 5),
+        ("p <- q", "unexpected character '<'", 2),
+    ],
+)
+def test_parse_errors_name_what_and_where(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_agent_index_out_of_range():
     with pytest.raises(ParseError):
         parse("L3 p", 2)
@@ -95,6 +126,18 @@ def test_print_round_trip_random():
     for seed in range(300):
         f = generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2)
         assert parse(to_text(f), 2) == f
+
+
+def test_pickle_round_trips_at_the_default_recursion_limit():
+    chain = conj(Atom(f"p{k}") for k in range(5000))
+    randoms = [generate_random(seed, "full", max_modal_depth=3, n_atoms=3, n_agents=2) for seed in range(300)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert pickle.loads(pickle.dumps(chain)) is chain
+        assert all(pickle.loads(pickle.dumps(f)) is f for f in randoms)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_printer_folds_only_knowing():

@@ -1,4 +1,4 @@
-"""Growth curves of the engine on six seeded families.
+"""Growth curves of the engine on seven seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -17,6 +17,9 @@ also written as JSON.  The recursion limit is 20,000, as in the CLI.
   nested-l   disjuncts of the normal form of L1 over the disjunction
              of (p_j & L1 q_j), 2^k - 1 of them, and over the conjunction
              of (p_j | L1 q_j), 2^k
+  parse      parse the text of an n-term chain and count the distinct
+             nodes, 2n - 1: p0 & ... & p(n-1), p0 -> ... -> p(n-1), and
+             p0 & (p1 & (... & p(n-1))) with n - 1 nested parentheses
 
 The sizes are fixed below, so two versions of the engine run the same
 points.
@@ -40,7 +43,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from onlyknow.autoepistemic import believes  # noqa: E402
 from onlyknow.decision import Decider  # noqa: E402
-from onlyknow.formula import parse  # noqa: E402
+from onlyknow.formula import children, parse  # noqa: E402
 from onlyknow.normal_form import to_normal_form  # noqa: E402
 from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
@@ -49,8 +52,9 @@ SIZES = {
     "nf": (8, 10, 12, 14),
     "3cnf": (50, 100, 130),
     "iff-chain": (10, 12, 14, 15, 40, 200),
-    "and-chain": (500, 1000, 2000),
+    "and-chain": (500, 1000, 2000, 10_000),
     "nested-l": (2, 3, 4, 5, 6),
+    "parse": (1000, 10_000, 100_000),
 }
 RUNS = 3
 # Answers of the seeded 3-CNF instances at ratio 4.26.
@@ -63,6 +67,17 @@ Point = tuple[str, Callable[[], object], object]
 def _count(text: str) -> Callable[[], int]:
     f = parse(text)
     return lambda: sum(1 for _ in to_normal_form(f))
+
+
+def _nodes(text: str) -> int:
+    """The number of distinct nodes of the parsed text."""
+    seen, stack = set(), [parse(text)]
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            stack += children(g)
+    return len(seen)
 
 
 def points(family: str, size: int) -> list[Point]:
@@ -90,6 +105,10 @@ def points(family: str, size: int) -> list[Point]:
             ("or-of-and", _count("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(size)) + ")"), 2**size - 1),
             ("and-of-or", _count("L1 (" + " & ".join(f"(p{j} | L1 q{j})" for j in range(size)) + ")"), 2**size),
         ]
+    if family == "parse":
+        terms = [f"p{j}" for j in range(size)]
+        texts = (" & ".join(terms), " -> ".join(terms), " & (".join(terms) + ")" * (size - 1))
+        return [(case, lambda text=text: _nodes(text), 2 * size - 1) for case, text in zip(("and", "implies", "parens"), texts)]
     raise ValueError(f"unknown family {family!r}")
 
 
