@@ -37,7 +37,7 @@ from .formula import (
     fold,
     is_propositional,
     join,
-    rebuild,
+    transform,
     walk,
 )
 from .normal_form import normalize
@@ -222,12 +222,10 @@ def reduce_n_to_l(f: Formula, phi: Iterable[str], bound: int = 2) -> Formula:
         raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
     _check_formula(f, alphabet)
 
-    def reduce(g: Formula) -> Formula:
-        if isinstance(g, N):
-            return _n_expansion(g.sub, alphabet)
-        return g if isinstance(g, L) else fold(rebuild(g, reduce))
+    def step(g: Formula, h: Formula) -> Formula:
+        return _n_expansion(g.sub, alphabet) if type(g) is N else fold(h)
 
-    return reduce(normalize(f))
+    return transform(normalize(f), step, boolean=True)
 
 
 def _n_expansion(arg: Formula, phi: tuple[str, ...]) -> Formula:

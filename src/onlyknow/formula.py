@@ -332,16 +332,6 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return (f.left, f.right) if shape == 2 else (f.sub,) if shape else ()
 
 
-def rebuild(f: Formula, fn: Callable[[Formula], Formula]) -> Formula:
-    """f with fn applied to each child; f itself when no child changed."""
-    shape = _SHAPE.get(type(f))
-    if shape is None:
-        raise FormulaError(f"unknown node {f!r}")
-    kids = children(f)
-    new = tuple(map(fn, kids))
-    return f if new == kids else type(f)(f.agent, *new) if shape == 3 else type(f)(*new)
-
-
 def transform(f: Formula, step: Callable[[Formula, Formula], Formula], boolean: bool = False) -> Formula:
     """Rewrite f bottom up: step(g, h) is called once per distinct node g,
     children first, left to right, where h is g over its children's
@@ -542,35 +532,34 @@ def is_i_subjective(f: Formula, i: int) -> bool:
 
 
 def in_onl_minus(f: Formula) -> bool:
-    """No V, and no N<j> inside the scope of an L<i>/N<i> with i != j."""
-
-    def go(g: Formula, allowed: frozenset[int] | None) -> bool:
-        if isinstance(g, Val):
+    """No V, and no N<j> inside the scope of an L<i>/N<i> with i != j.
+    Iterative over (node, agents allowed an N) pairs, None at the top."""
+    stack: list[tuple[Formula, frozenset[int] | None]] = [(f, None)]
+    while stack:
+        g, allowed = stack.pop()
+        if isinstance(g, Val) or isinstance(g, N) and allowed is not None and g.agent not in allowed:
             return False
-        if isinstance(g, N):
-            if allowed is not None and g.agent not in allowed:
-                return False
-            return go(g.sub, _narrow(allowed, g.agent))
-        if isinstance(g, L):
-            return go(g.sub, _narrow(allowed, g.agent))
-        return all(go(c, allowed) for c in children(g))
-
-    return go(f, None)
-
-
-def _narrow(allowed: frozenset[int] | None, agent: int) -> frozenset[int]:
-    return frozenset({agent}) if allowed is None else allowed & {agent}
+        if isinstance(g, MODAL):
+            stack.append((g.sub, frozenset({g.agent}) if allowed is None else allowed & {g.agent}))
+        else:
+            stack += ((c, allowed) for c in children(g))
+    return True
 
 
 def modal_depth(f: Formula) -> int:
-    """Nesting depth of L/N, with N ranked like L.  V-free input only."""
-    if isinstance(f, Val):
-        raise ValPresentError("modal depth is defined for V-free formulas only")
-    if isinstance(f, (Atom, TrueConst, FalseConst)):
-        return 0
-    if isinstance(f, MODAL):
-        return 1 + modal_depth(f.sub)
-    return max(modal_depth(c) for c in children(f))
+    """Nesting depth of L/N, with N ranked like L.  V-free input only.
+    Iterative over (node, depth) pairs."""
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if isinstance(g, Val):
+            raise ValPresentError("modal depth is defined for V-free formulas only")
+        if isinstance(g, MODAL):
+            depth += 1
+            deepest = max(deepest, depth)
+        stack += ((c, depth) for c in children(g))
+    return deepest
 
 
 class FormulaClass(NamedTuple):

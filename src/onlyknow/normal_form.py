@@ -1,9 +1,10 @@
 """Normal forms of V-free formulas: the clause form the decision
-procedure searches (``to_clauses``, read off the formula by polarity,
-with L/N formulas kept whole as leaves), ``normalize`` (modalities
-expanded until every argument is objective for its agent) and the
-disjunctive normal form built on it, streamed one disjunct at a time
-(``to_normal_form``).  The decision procedure does not normalize: its
+procedure searches (``to_clauses``), ``normalize`` (modalities expanded
+until every argument is objective for its agent) and the disjunctive
+normal form built on it, streamed one disjunct at a time
+(``to_normal_form``).  Both forms are read off the formula as written,
+by polarity, with L/N formulas kept whole as leaves: neither builds a
+negation normal form.  The decision procedure does not normalize: its
 group test needs only arguments objective for the agent, which the
 search's cofactoring gives.  ``normalize`` serves ``onlyknow nf``,
 ``finite_semantics.reduce_n_to_l`` and the tests' reference for the
@@ -117,45 +118,6 @@ def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
         else:
             parts.append(join(Or, (join(And, (a, yes)), join(And, (Not(a), no)))))
     return join(And, parts)
-
-
-def _nnf(f: Formula, neg: bool = False) -> Formula:
-    """Negation normal form over leaves (atoms, constants, L/N formulas
-    taken whole), each node folded as it is built; for the stream.  Each
-    (node, negated) pair is rewritten once, after the pairs it needs, on
-    an explicit stack."""
-    done: tuple[dict[Formula, Formula], dict[Formula, Formula]] = ({}, {})  # by polarity
-    stack = [(f, neg)]
-    while stack:
-        g, pol = stack[-1]
-        kind = type(g)
-        if kind is Iff:
-            needs: tuple[tuple[Formula, bool], ...] = ((g.left, False), (g.left, True), (g.right, False), (g.right, True))
-        elif kind is And or kind is Or or kind is Implies:
-            needs = ((g.left, pol != (kind is Implies)), (g.right, pol))
-        else:
-            needs = ((g.sub, not pol),) if kind is Not else ()
-        r = []
-        for a, p in needs:
-            x = done[p].get(a)
-            if x is None and type(a) in _INNER:
-                stack.append((a, p))
-                break
-            r.append((fold(Not(a)) if p else a) if x is None else x)  # a leaf at once
-        else:
-            stack.pop()
-            if kind is Iff:
-                x, nx, y, ny = r
-                out = fold(Or(fold(And(x, ny)), fold(And(nx, y)))) if pol else fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
-            elif len(r) == 2:
-                out = fold(((Or if kind is And else And) if pol else Or if kind is Implies else kind)(*r))
-            else:
-                out = r[0] if r else fold(Not(g)) if pol else g  # of a Not, or f a leaf
-            done[pol][g] = out
-    return done[neg][f]
-
-
-_INNER = {And, Or, Implies, Iff, Not}
 
 
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
@@ -326,9 +288,10 @@ class NormalFormDisjunct(NamedTuple):
         return conj(parts)
 
 
-# The pending conjuncts: a cell [the next one, its leaves once needed,
-# the agenda after it].  Choice points share cells, so a cell's leaves
-# are collected once and live as long as the cell.
+# The pending conjuncts: a cell [the next one, whether it is negated,
+# its leaves once needed, the agenda after it].  Choice points share
+# cells, so a cell's leaves are collected once and live as long as the
+# cell.
 _Agenda = list | None
 
 
@@ -336,15 +299,20 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     """Stream the normal-form disjuncts of a V-free formula.
 
     Disjuncts appear in left-to-right distribution order of the
-    simplified Boolean skeleton; contradictory conjuncts are dropped.
-    One depth-first loop walks the skeleton: an And puts its right
-    operand on the agenda of pending conjuncts, an Or leaves a choice
-    point for its right operand, and a literal goes on the trail.  A
-    pending conjunct is cofactored by the literals chosen so far when it
-    is taken up, so one that an earlier literal satisfies never splits
-    the stream (absorption), and one it falsifies prunes the branch.  A
-    conjunct none of whose leaves is on the trail is taken up as it is,
-    without a rebuild.
+    simplified Boolean skeleton read by polarity (the order of its
+    negation normal form); contradictory conjuncts are dropped.  One
+    depth-first loop walks the skeleton of ``normalize(f)`` as written,
+    over (node, negated) pairs as ``to_clauses`` does: ~ flips the
+    polarity, a conjunction under its polarity (x & y, ~(x | y) or
+    ~(x -> y)) puts its right operand on the agenda of pending
+    conjuncts, a disjunction leaves a choice point for it, and a literal
+    goes on the trail.  x <-> y is (x -> y) & (y -> x), negated
+    ~(x -> y) | ~(x | ~y); x -> ~x is ~x and ~x -> x is x, so neither
+    leaves a choice point.  A pending conjunct is cofactored by the
+    literals chosen so far when it is taken up, so one that an earlier
+    literal satisfies never splits the stream (absorption), and one it
+    falsifies prunes the branch.  A conjunct none of whose leaves is on
+    the trail is taken up as it is, without a rebuild.
     Each trail level is one tuple, the disjunct so far: sigma and the
     groups present, in agent order.  A modal literal replaces or inserts
     its agent's group by position, and a disjunct is its level's tuple.  A
@@ -353,47 +321,71 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     materialized: only the trail, the choice points with their agendas,
     the per-level parts and the yielded disjunct are alive.
     """
-    g: Formula = _nnf(normalize(f))
+    g: Formula = normalize(f)
+    neg = False
     agenda: _Agenda = None
-    choices: list[tuple[Formula, _Agenda, int]] = []
+    choices: list[tuple[Formula, bool, _Agenda, int]] = []
     literals: dict[Formula, bool] = {}  # the trail, in order
     parts: list[tuple[Formula, tuple[AgentBlock, ...]]] = [(TRUE, ())]  # parts[k]: the parts of the first k literals
     while True:
         kind = type(g)
-        if kind is And:
-            agenda = [g.right, None, agenda]
+        if kind is And or kind is Or:
+            if (kind is And) != neg:
+                agenda = [g.right, neg, None, agenda]
+            else:
+                choices.append((g.right, neg, agenda, len(parts)))
             g = g.left
             continue
-        if kind is Or:
-            choices.append((g.right, agenda, len(parts)))
-            g = g.left
+        if kind is Not:
+            g, neg = g.sub, not neg
             continue
-        consistent = g is not FALSE
-        if consistent and g is not TRUE:
-            leaf, positive = (g.sub, False) if kind is Not else (g, True)
-            old = literals.get(leaf)
+        if kind is Implies:
+            x, y = g.left, g.right
+            if type(y) is Not and y.sub is x or type(x) is Not and x.sub is y:
+                g = y  # x -> ~x is ~x, and ~x -> x is x
+                continue
+            if neg:
+                agenda = [y, neg, None, agenda]
+            else:
+                choices.append((y, neg, agenda, len(parts)))
+            g, neg = x, not neg
+            continue
+        if kind is Iff:
+            x, y = g.left, g.right
+            if neg:
+                choices.append((Or(x, Not(y)), neg, agenda, len(parts)))
+            else:
+                agenda = [Implies(y, x), neg, None, agenda]
+            g = Implies(x, y)
+            continue
+        if g is TRUE or g is FALSE:
+            consistent = (g is TRUE) != neg
+        else:  # a literal over the leaf g
+            old = literals.get(g)
             if old is None:
                 sigma, blocks = parts[-1]
-                if isinstance(leaf, MODAL):
-                    agent, i = leaf.agent, 0
+                consistent = True
+                if isinstance(g, MODAL):
+                    agent, i = g.agent, 0
                     while i < len(blocks) and blocks[i].agent < agent:
                         i += 1
                     j = i + (i < len(blocks) and blocks[i].agent == agent)
-                    block = (blocks[i] if j > i else AgentBlock(agent)).add(leaf, positive)
+                    block = (blocks[i] if j > i else AgentBlock(agent)).add(g, not neg)
                     consistent = not block.contradictory()
                     blocks = (*blocks[:i], block, *blocks[j:])
                 else:
-                    sigma = g if sigma is TRUE else fold(And(sigma, g))
+                    literal = Not(g) if neg else g
+                    sigma = literal if sigma is TRUE else fold(And(sigma, literal))
                 if consistent:
-                    literals[leaf] = positive
+                    literals[g] = not neg
                     parts.append((sigma, blocks))
             else:
-                consistent = old == positive
+                consistent = old != neg
         if consistent:
             if agenda is not None:
-                head, touched, rest = agenda
+                head, neg, touched, rest = agenda
                 if touched is None:
-                    touched = agenda[1] = frozenset(leaves(head))
+                    touched = agenda[2] = frozenset(leaves(head))
                 # assign returns head itself when it decides none of its leaves.
                 g = head if literals.keys().isdisjoint(touched) else assign(head, literals)
                 agenda = rest
@@ -401,7 +393,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
             yield _tuple(NormalFormDisjunct, parts[-1])
         if not choices:
             return
-        g, agenda, depth = choices.pop()
+        g, neg, agenda, depth = choices.pop()
         while len(parts) > depth:
             literals.popitem()
             parts.pop()

@@ -8,7 +8,7 @@ import pytest
 from onlyknow import k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider, _Cofactors, _Trail
-from onlyknow.finite_semantics import oracle_valid
+from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
 from onlyknow.formula import (
     And,
     Atom,
@@ -27,17 +27,17 @@ from onlyknow.formula import (
     disj,
     fold,
     is_i_objective,
+    join,
     leaves,
     modal_depth,
     only_knows,
     parse,
-    rebuild,
     simplify,
     substitute_atom,
     to_text,
     walk,
 )
-from onlyknow.normal_form import _nnf, reassemble, to_clauses, to_normal_form
+from onlyknow.normal_form import reassemble, to_clauses, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -304,12 +304,31 @@ def test_polarity_clause_form_is_equisatisfiable_on_every_leaf_assignment():
     assert checked > 250
 
 
+def _nnf(f, neg=False):
+    """Reference: the negation normal form of f, negated when neg, over
+    its leaves (atoms, constants, L/N formulas taken whole), each node
+    folded as it is built."""
+    if isinstance(f, Not):
+        return _nnf(f.sub, not neg)
+    if isinstance(f, (And, Or)):
+        op = (Or if isinstance(f, And) else And) if neg else type(f)
+        return fold(op(_nnf(f.left, neg), _nnf(f.right, neg)))
+    if isinstance(f, Implies):
+        return fold((And if neg else Or)(_nnf(f.left, not neg), _nnf(f.right, neg)))
+    if isinstance(f, Iff):
+        x, nx, y, ny = (_nnf(g, s) for g in (f.left, f.right) for s in (False, True))
+        if neg:
+            return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
+        return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
+    return fold(Not(f)) if neg else f
+
+
 def _weaken(f, pending, value):
     """Reference: the NNF formula f with every literal over a pending
     leaf replaced by value, each rebuilt node folded."""
     if isinstance(f, (And, Or)):
-        g = rebuild(f, lambda h: _weaken(h, pending, value))
-        return f if g is f else fold(g)
+        x, y = _weaken(f.left, pending, value), _weaken(f.right, pending, value)
+        return f if x is f.left and y is f.right else fold(type(f)(x, y))
     return value if (f.sub if isinstance(f, Not) else f) in pending else f
 
 
@@ -567,6 +586,13 @@ _DEEP = [
     ("parse-parens", lambda: parse("(" * 5000 + "p" + ")" * 5000), p, 1),
     ("parse-nested", lambda: parse(" & (".join(f"p{i}" for i in range(5000)) + ")" * 4999) is _right(And, 5000), True, 1),
     ("parse-implies", lambda: parse(" -> ".join(f"p{i}" for i in range(10_000))) is _right(Implies, 10_000), True, 1),
+    (
+        "reduce-n-to-l",
+        lambda: reduce_n_to_l(conj([N(1, p), q] * 750), ("p", "q"))
+        is join(And, [reduce_n_to_l(N(1, p), ("p", "q")), q] * 750),
+        True,
+        1,
+    ),
 ]
 
 

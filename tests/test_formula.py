@@ -37,7 +37,6 @@ from onlyknow.formula import (
     modal_depth,
     only_knows,
     parse,
-    rebuild,
     simplify,
     to_text,
     walk,
@@ -304,35 +303,34 @@ def test_assign_folds_a_simplified_formula_as_simplify_would():
     assert decided > 200
 
 
-def test_rebuild_keeps_unchanged_nodes():
-    for seed in range(40):
-        f = generate_random(seed, "full", max_modal_depth=2, n_atoms=2, n_agents=2)
-        assert rebuild(f, lambda g: g) is f
-    f = parse("L1 p & ~V q", 1)
-    g = rebuild(f, lambda h: Atom("r") if h == L(1, p) else h)
-    assert g == parse("r & ~V q") and g.right is f.right
-
-
 def test_leaves_stop_at_modal_and_val_formulas():
     f = parse("~(p & L1 q) | (true -> V r) <-> N2 p", 2)
     assert list(leaves(f)) == [p, L(1, q), TRUE, Val(Atom("r")), N(2, p)]
     with pytest.raises(FormulaError):
         list(leaves(And(p, "q")))
     with pytest.raises(FormulaError):
-        rebuild("p", lambda g: g)
+        simplify(And(p, "q"))
 
 
 def test_classifiers_of_wide_conjunctions_at_the_default_recursion_limit():
     wide_objective = conj(Atom(f"p{k}") for k in range(5000))
     wide_subjective = conj(L(1, Atom(f"p{k}")) for k in range(5000))
+    chain = conj(Atom(f"p{k}") for k in range(10_000))
+    nested = p
+    for _ in range(5000):
+        nested = L(1, nested)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         objective = is_i_objective(wide_objective, 1)
         subjective = is_i_subjective(wide_subjective, 1)
+        of_chain = classify(chain, 1)
+        of_nested = classify(nested, 1)
     finally:
         sys.setrecursionlimit(limit)
     assert objective is True and subjective is True
+    assert of_chain == (True, True, True, False, True, 0)
+    assert of_nested == (False, True, False, True, True, 5000)
 
 
 def test_equal_formulas_are_one_node():

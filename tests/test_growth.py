@@ -18,7 +18,7 @@ def growth():
 @pytest.mark.parametrize("family", ["believes", "nf", "3cnf", "iff-chain", "and-chain", "nested-l", "parse"])
 def test_smallest_point_of_each_family_has_its_answer(growth, family):
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20000)
+    sys.setrecursionlimit(1000)
     try:
         cases = growth.points(family, growth.SIZES[family][0])
         assert cases

@@ -51,6 +51,25 @@ def test_objective_part_of_a_modal_argument_stays_whole():
     assert [to_text(d.to_formula()) for d in ds] == ["L1 (p & q) & ~N1 (p | q -> L2 r)"]
 
 
+@pytest.mark.parametrize(
+    "text, disjuncts",
+    [
+        # x -> ~x is ~x and ~x -> x is x: one disjunct, no choice point.
+        ("p -> ~p", ["~p"]),
+        ("~p -> p", ["p"]),
+        ("L1 p -> ~L1 p", ["~L1 p"]),
+        ("(p & q) -> ~(p & q)", ["~p", "~q"]),
+        # <-> is (~x | y) & (~y | x), negated (x & ~y) | (~x & y).
+        ("p <-> q", ["~p & ~q", "q & p"]),
+        ("~(p <-> q)", ["p & ~q", "~p & q"]),
+        ("~(p -> q)", ["p & ~q"]),
+        ("~(p & L1 q)", ["~p", "~L1 q"]),
+    ],
+)
+def test_stream_reads_the_skeleton_by_polarity(text, disjuncts):
+    assert [to_text(d.to_formula()) for d in nf(text)] == disjuncts
+
+
 def test_same_agent_l_collapses():
     ds = nf("L1 L1 p")
     assert len(ds) == 1
