@@ -18,25 +18,29 @@ the values a the literal set gives them.  Those atoms are therefore
 search variables too, and the search guesses them, as in the
 stable-expansion reading of only knowing (Levesque, 1990).
 
-Such a set is found by a DPLL search over the clause form of the
-skeleton (the KSAT construction of Giunchiglia & Sebastiani, 2000).  A
-group that fails fails under every larger set of literals, so the test
-runs after each unit propagation and prunes the search.  A literal whose
-own atoms are not all assigned yet is tested with a weakened argument,
-implied by every cofactor it can still get: each literal over such an
-atom becomes true (false under a negated modality).  The clause form and
-the cofactors are read off the formula as written, by polarity.  Group
-arguments sit one modal level lower, so the recursion terminates.  V
-goes first, innermost out, each body replaced by its own verdict.  The
-group tests of one search stay cheap: a positive argument is searched
-by independent components (Bayardo & Pehoushek, AAAI 2000), and an
-argument is cofactored one cached part at a time.
+A skeleton that, read by polarity, is a conjunction of literals over
+atoms and modal atoms without such dependencies is its own only
+candidate, and is tested as it is.  Any other set is found by a DPLL
+search over the clause form of the skeleton (the KSAT construction of
+Giunchiglia & Sebastiani, 2000).  A group that fails fails under every
+larger set of literals, so the test runs after each unit propagation
+and prunes the search.  A literal whose own atoms are not all assigned
+yet is tested with a weakened argument, implied by every cofactor it
+can still get: each literal over such an atom becomes true (false under
+a negated modality).  The clause form and the cofactors are read off
+the formula as written, by polarity.  Group arguments sit one modal
+level lower, so the recursion terminates.  V goes first, innermost out,
+each body replaced by its own verdict.  The group tests of one search
+stay cheap: a positive argument is searched by independent components
+(Bayardo & Pehoushek, AAAI 2000), and an argument is cofactored one
+cached part at a time, then re-folded from the first part whose
+dependencies changed since the last test.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable
+from typing import Callable, Iterable
 
 from .formula import (
     FALSE,
@@ -99,7 +103,8 @@ class Decider:
     The trace is a callable on (level, rule, formula), called as each
     step happens.  A Decider is deterministic and single-threaded.  The
     memo is always on; a traced run logs each memo hit, so it takes the
-    same path.  The conjuncts' component keys are kept as long, too.
+    same path.  The conjuncts' component keys are kept as long, too,
+    and the own modal atoms of each modal argument and its conjuncts.
     """
 
     def __init__(self, trace: Callable[[int, str, Formula], None] | None = None, deadline: float | None = None) -> None:
@@ -107,6 +112,7 @@ class Decider:
         self.deadline = deadline
         self._memo: dict[Formula, bool] = {}
         self._key_sets: dict[Formula, set[str | int]] = {}  # see _keys
+        self._own_sets: dict[tuple[Formula, int], tuple[Formula, ...]] = {}  # see _own
 
     # -- public operations ------------------------------------------------
 
@@ -166,7 +172,11 @@ class Decider:
         literals still unassigned stay don't-care.  A modal variable
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
-        them), each with the clause -w | w, so the search decides them."""
+        them), each with the clause -w | w, so the search decides them.
+        A literal set has nothing to search, and is tested as it is."""
+        found = self._literal_set_ok(f, level)
+        if found is not None:
+            return found
         variables, clauses = to_clauses(f, self._tick)
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
@@ -175,7 +185,7 @@ class Decider:
             if not isinstance(leaf, MODAL):
                 continue
             modal[v] = leaf
-            own = list(own_modal_leaves(leaf.sub, leaf.agent))
+            own = self._own(leaf.sub, leaf.agent)
             if not own:
                 continue
             if not index:
@@ -190,7 +200,7 @@ class Decider:
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
-        cofactor = _Cofactors(modal, deps, s.value)
+        cofactor = _Cofactors(modal, deps, s.value, self._own)
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
@@ -214,6 +224,42 @@ class Decider:
                     break
             else:
                 return False
+
+    def _literal_set_ok(self, f: Formula, level: int) -> bool | None:
+        """The search's verdict on f when f, read by polarity as
+        to_clauses reads it, is a conjunction of literals over atoms and
+        modal atoms with no dependency, else None.  That set is the only
+        candidate: a complementary pair refutes it, as the clauses' unit
+        conflict does, and otherwise each agent's group is tested as
+        _groups_ok builds it, the literals in first-appearance order,
+        which is the order of their variables."""
+        literals: dict[Formula, bool] = {}
+        stack = [(f, False)]
+        while stack:
+            self._tick()
+            g, neg = stack.pop()
+            while type(g) is Not:
+                g, neg = g.sub, not neg
+            kind = type(g)
+            if kind is (Or if neg else And):
+                stack += ((g.right, neg), (g.left, neg))
+            elif kind is Implies and neg:
+                stack += ((g.right, True), (g.left, False))
+            elif kind is Atom or (kind is L or kind is N) and not self._own(g.sub, g.agent):
+                if literals.setdefault(g, not neg) is neg:
+                    return False
+            else:
+                return None
+        blocks: dict[int, AgentBlock] = {}
+        for g, positive in literals.items():
+            if type(g) is not Atom:
+                blocks[g.agent] = (blocks.get(g.agent) or AgentBlock(g.agent)).add(g, positive)
+        for agent in sorted(blocks):
+            if not self._block_ok(blocks[agent], level + 1):
+                return False
+        if self.trace:
+            self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
+        return True
 
     def _groups_ok(self, s: _Trail, cofactor: _Cofactors, tested: dict[frozenset[int], bool], level: int) -> bool:
         """The group test for each agent's modal literals on the trail,
@@ -319,6 +365,28 @@ class Decider:
             self._key_sets[f] = keys
         return keys
 
+    def _own(self, f: Formula, agent: int) -> tuple[Formula, ...]:
+        """The agent's own modal atoms at f's Boolean level, each once,
+        left to right, kept by (node, agent).  Those of a conjunction, or
+        of a negated one, are gathered from its conjuncts' entries, so
+        L1 kb, N1 ~kb and the cofactors' split of kb walk kb once."""
+        sets = self._own_sets
+        own = sets.get((f, agent))
+        if own is None:
+            g = f.sub if type(f) is Not else f
+            if type(g) is And:
+                found: list[Formula] = []
+                for c in conjuncts(g):
+                    part = sets.get((c, agent))
+                    if part is None:
+                        part = sets[c, agent] = tuple(dict.fromkeys(own_modal_leaves(c, agent)))
+                    found += part
+                own = tuple(dict.fromkeys(found))
+            else:
+                own = tuple(dict.fromkeys(own_modal_leaves(g, agent)))
+            sets[f, agent] = own
+        return own
+
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
@@ -355,42 +423,71 @@ class _Cofactors:
     """The cofactored modal atoms of one search, M_i phi with phi
     cofactored by the values the trail gives its dependencies, one part
     at a time: the conjuncts of a conjunction, joined by And, of a
-    negated one, each negated, joined by Or, or phi alone.  A part is
-    cached by the values of its own dependencies, and one with none is
-    taken as it is, so a group test rebuilds only the parts that changed."""
+    negated one, each negated, joined by Or, or phi alone.  A part with
+    no dependency is taken as it is.  For each modal literal a call
+    keeps the values each dependent part was last settled under, the
+    parts, and the left fold's prefixes, fold(op(prefix[k - 1],
+    part[k])).  The next call re-settles only the parts whose values
+    changed (a settled part is cached by its values, so a value that
+    reverts costs a lookup) and re-folds from the first of them, so the
+    argument is join(op, parts), rebuilt only where it changed."""
 
-    def __init__(self, modal: dict[int, Formula], deps: dict[int, tuple[int, ...]], value: list[bool | None]) -> None:
-        self.modal, self.deps, self.value = modal, deps, value
-        self.split: dict[int, tuple[bool, dict[Formula, int], list[tuple[Formula, tuple[int, ...]]]]] = {}
-        self.cache: dict[tuple[int, int, bool, tuple[bool | None, ...]], Formula] = {}
+    def __init__(
+        self,
+        modal: dict[int, Formula],
+        deps: dict[int, tuple[int, ...]],
+        value: list[bool | None],
+        own: Callable[[Formula, int], Iterable[Formula]] = own_modal_leaves,
+    ) -> None:
+        self.modal, self.deps, self.value, self.own = modal, deps, value, own
+        # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some):
+        # one dependency is a variable, several a tuple of them
+        self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, int | tuple]]]] = {}
+        self.folds: dict[int, list] = {}  # literal +-v -> [values settled under, parts, prefixes, the modal atom]
+        self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal, part, values) -> settled part
         self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
 
     def __call__(self, v: int, positive: bool) -> Formula:
         leaf = self.modal[v]
-        ws = self.deps.get(v)
-        if not ws:
+        if v not in self.deps:
             return leaf
         split = self.split.get(v)
         if split is None:
-            negated = isinstance(leaf.sub, Not) and isinstance(leaf.sub.sub, And)
-            var = {self.modal[w]: w for w in ws}
-            parts = []
-            for c in conjuncts(leaf.sub.sub if negated else leaf.sub):
-                own = tuple(dict.fromkeys(var[g] for g in own_modal_leaves(c, leaf.agent)))
-                parts.append((c if own or not negated else fold(Not(c)), own))
-            split = self.split[v] = negated, var, parts
-        negated, var, parts = split
-        value, out = self.value, []
-        for k, (part, own) in enumerate(parts):
-            if own:
-                key = (v, k, positive, tuple(value[w] for w in own))
-                done = self.cache.get(key)
+            negated = type(leaf.sub) is Not and type(leaf.sub.sub) is And
+            var = {self.modal[w]: w for w in self.deps[v]}
+            raw, dependent = [], []
+            for k, c in enumerate(conjuncts(leaf.sub.sub if negated else leaf.sub)):
+                own = tuple(dict.fromkeys(var[g] for g in self.own(c, leaf.agent)))
+                raw.append(c if own or not negated else fold(Not(c)))
+                if own:
+                    dependent.append((k, own[0] if len(own) == 1 else own))
+            split = self.split[v] = Or if negated else And, var, raw, dependent
+        op, var, raw, dependent = split
+        x = v if positive else -v
+        state = self.folds.get(x)
+        if state is None:  # nothing settled yet: fold from the first part
+            state = self.folds[x] = [[None] * len(dependent), list(raw), [None] * len(raw), None]
+        seen, parts, prefix, result = state
+        value = self.value
+        first = len(parts) if result is not None else 0
+        for i, (k, own) in enumerate(dependent):
+            now = value[own] if type(own) is int else tuple([value[w] for w in own])
+            if now != seen[i] or result is None:
+                seen[i] = now
+                done = self.cache.get((x, k, now))
                 if done is None:
-                    done = self.cache[key] = self.settle(part, negated, var, TRUE if positive else FALSE)
-                part = done
-            out.append(part)
-        arg = join(Or if negated else And, out)
-        return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+                    done = self.cache[x, k, now] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
+                if done is not parts[k]:
+                    parts[k] = done
+                    if first > k:
+                        first = k
+        if first == len(parts):
+            return result
+        for k in range(first, len(parts)):
+            prefix[k] = fold(op(prefix[k - 1], parts[k])) if k else parts[0]
+        arg = prefix[-1]
+        state[3] = result = leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+        return result
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
         """f, negated when neg, cofactored by the dependencies var names,
@@ -452,7 +549,9 @@ class _Cofactors:
         if pg and ph:
             out = fold(op(g, h))
             return (out, False) if out is g or out is zero else (self.pending, True)
-        return fold(op(self.pending if pg else g, self.pending if ph else h)), wg or wh or pg or ph
+        if pg or ph:  # op with a constant: the other part, or zero
+            return (h if pg else g) if self.pending is unit else zero, True
+        return fold(op(g, h)), wg or wh
 
 
 class _Trail:

@@ -460,14 +460,15 @@ def leaves(f: Formula) -> Iterator[Formula]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, BINARY):
+        shape = _BOOLEAN_SHAPE.get(type(g))
+        if shape == 2:
             stack += (g.right, g.left)
-        elif isinstance(g, Not):
+        elif shape:
             stack.append(g.sub)
-        elif isinstance(g, (Atom, TrueConst, FalseConst, L, N, Val)):
-            yield g
-        else:
+        elif shape is None:
             raise FormulaError(f"unknown node {g!r}")
+        else:
+            yield g
 
 
 def own_modal_leaves(f: Formula, agent: int) -> Iterator[Formula]:

@@ -57,6 +57,46 @@ def test_decide_trace_goes_to_stderr(capsys):
     assert "    memo hit: ~p" in err.splitlines()
 
 
+@pytest.mark.parametrize(
+    "text, code, lines",
+    [
+        (
+            "L1 p & ~L1 q",
+            0,
+            [
+                "satisfiable?: L1 p & ~L1 q",
+                "  agent 1: negated L against the positive part: q",
+                "    satisfiable?: p & ~q",
+                "      satisfying literals: p & ~q",
+                "  agent 1: union of positive parts must be valid: true",
+                "  satisfying literals: L1 p & ~L1 q",
+            ],
+        ),
+        (
+            "~(L1 p | ~N1 q)",
+            0,
+            [
+                "satisfiable?: ~(L1 p | ~N1 q)",
+                "  agent 1: negated L against the positive part: p",
+                "    satisfiable?: ~p",
+                "      satisfying literals: ~p",
+                "  agent 1: union of positive parts must be valid: true",
+                "  satisfying literals: ~L1 p & N1 q",
+            ],
+        ),
+        ("p & ~p & L1 q", 1, []),
+        ("p & L1 q & ~p", 1, ["satisfiable?: p & L1 q & ~p"]),
+    ],
+)
+def test_decide_trace_of_literal_sets(capsys, text, code, lines):
+    # Sets of literals are tested without a search; their trace is the
+    # one the search printed: the group tests, then the literals in the
+    # order of first appearance, and nothing after a complementary pair.
+    got, _, err = run(capsys, "decide", "--mode", "sat", "--trace", text)
+    assert got == code
+    assert err.splitlines() == lines
+
+
 def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
     import random
     import time

@@ -2,10 +2,11 @@ import functools
 import operator
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from onlyknow import k45
+from onlyknow import decision, k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider, _Cofactors, _Trail
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
@@ -24,6 +25,7 @@ from onlyknow.formula import (
     assign,
     atoms,
     conj,
+    conjuncts,
     disj,
     fold,
     is_i_objective,
@@ -355,6 +357,148 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
                 full = (1 << (1 << len(names))) - 1
                 assert _table(got, columns, full) == _table(want, columns, full), (to_text(f), neg, weak)
     assert pending_seen > 800
+
+
+def _cofactor_reference(c, leaf, var, value, positive):
+    """Reference: every part of leaf's argument settled afresh, then joined."""
+    negated = isinstance(leaf.sub, Not) and isinstance(leaf.sub.sub, And)
+    parts = []
+    for part in conjuncts(leaf.sub.sub if negated else leaf.sub):
+        if any(g in var for g in leaves(part)):
+            parts.append(c.settle(part, negated, var, TRUE if positive else FALSE))
+        else:
+            parts.append(fold(Not(part)) if negated else part)
+    arg = join(Or if negated else And, parts)
+    return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+
+
+def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
+    # L1 kb and N1 ~kb of a default theory with blocked defaults, their
+    # dependencies the L1 ~b atoms of kb, driven through seeded
+    # assign/undo steps in which values also revert; each call must
+    # give the very node a from-scratch settle-and-join gives.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import default_theory
+
+    kb = parse(default_theory(6, {2}, {1, 2, 4}).kb, 2)
+    own = list(dict.fromkeys(g for g in leaves(kb) if isinstance(g, (L, N)) and g.agent == 1))
+    modal = {1: L(1, kb), 2: N(1, Not(kb)), **{w: g for w, g in enumerate(own, 3)}}
+    ws = tuple(range(3, 3 + len(own)))
+    var = {g: w for w, g in enumerate(own, 3)}
+    value = [None] * (3 + len(own))
+    c = _Cofactors(modal, {1: ws, 2: ws}, value, Decider()._own)
+    rng = random.Random(20)
+    history, reverted = [], 0
+    for _ in range(500):
+        w = rng.choice(ws)
+        value[w] = rng.choice((True, False, None))
+        state = tuple(value)
+        reverted += state in history
+        history.append(state)
+        for v in (1, 2):
+            for positive in (True, False):
+                assert c(v, positive) is _cofactor_reference(c, modal[v], var, value, positive), (state, v, positive)
+    assert len(own) >= 5 and reverted > 100
+
+
+class _SearchOnly(Decider):
+    """The search with no literal-set shortcut: every formula is clausified."""
+
+    def _literal_set_ok(self, f, level):
+        return None
+
+
+def _random_literal_set(rng):
+    """A conjunction of literals over p, q (and r, with two agents) and L/N
+    atoms with no own modal atom, written with &, ~(x | y) and ~(x -> y),
+    with repeats and complementary pairs.  A set of one agent keeps to p
+    and q, the finite oracle's alphabet."""
+    agents = (1,) if rng.random() < 0.3 else (1, 2)
+    names = ("p", "q") if agents == (1,) else ("p", "q", "r")
+
+    def argument(agent):
+        other = [j for j in agents if j != agent]
+        x = Atom(rng.choice(names))
+        if other and rng.random() < 0.4:
+            x = rng.choice((L, N))(other[0], x)
+        if rng.random() < 0.4:
+            x = Not(x)
+        if rng.random() < 0.3:
+            x = rng.choice((And, Or))(x, Atom(rng.choice(names)))
+        return x
+
+    def literal():
+        if rng.random() < 0.3:
+            leaf = Atom(rng.choice(names))
+        else:
+            agent = rng.choice(agents)
+            leaf = rng.choice((L, N))(agent, argument(agent))
+        return leaf if rng.random() < 0.5 else Not(leaf)
+
+    lits = [literal() for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        lits.append(rng.choice(lits))
+    if rng.random() < 0.25:
+        x = rng.choice(lits)
+        lits.append(x.sub if isinstance(x, Not) else Not(x))
+    rng.shuffle(lits)
+
+    def write(xs):
+        if len(xs) == 1:
+            return xs[0]
+        k = rng.randrange(1, len(xs))
+        x, y = write(xs[:k]), write(xs[k:])
+        form = rng.randrange(3)
+        if form == 0:
+            return And(x, y)
+        return Not(Or(Not(x), Not(y))) if form == 1 else Not(Implies(x, Not(y)))
+
+    return write(lits), agents
+
+
+def test_literal_sets_skip_the_search_and_agree_with_the_oracles():
+    # The search without the shortcut checks every set; the K45 prover the
+    # basic ones, and the finite oracle, once per simplified set, those of
+    # one agent.
+    rng = random.Random(2020)
+    counts = {"literal path": 0, "k45": 0, "oracle": 0, "unsatisfiable": 0}
+    by_oracle = {}
+    for _ in range(2000):
+        f, agents = _random_literal_set(rng)
+        g = Decider().eliminate_val(f)
+        if g is not TRUE and g is not FALSE:
+            assert Decider()._literal_set_ok(g, 0) is not None, to_text(f)
+            counts["literal path"] += 1
+        verdict = bool(Decider().consistent(f))
+        assert verdict == bool(_SearchOnly().consistent(f)), to_text(f)
+        counts["unsatisfiable"] += not verdict
+        if not any(isinstance(h, N) for h in walk(f)):
+            assert verdict == k45.sat(f), to_text(f)
+            counts["k45"] += 1
+        if agents == (1,):
+            if g not in by_oracle:
+                by_oracle[g] = not oracle_valid(fold(Not(g)), ("p", "q"), semantics="extended").valid
+            assert verdict == by_oracle[g], to_text(f)
+            counts["oracle"] += 1
+    assert counts["literal path"] > 1600 and min(counts.values()) > 300, counts
+
+
+@pytest.mark.parametrize(
+    "text, oracle",
+    [
+        ("L1 (p | L1 q) & ~L1 r", lambda f: k45.sat(f)),
+        ("N1 (p & ~L1 q) & ~L1 ~q", lambda f: not oracle_valid(Not(f), ("p", "q"), semantics="extended").valid),
+    ],
+)
+def test_a_literal_over_a_dependent_modal_atom_is_searched(monkeypatch, text, oracle):
+    # The leaf's argument holds its own agent's modal atom, which the
+    # search must guess, so the formula goes to the clause form.
+    clausified = []
+    original = decision.to_clauses
+    monkeypatch.setattr(decision, "to_clauses", lambda f, tick=None: clausified.append(f) or original(f, tick))
+    f = parse(text, 1)
+    assert bool(Decider().consistent(f)) == oracle(f)
+    assert clausified[0] is f
 
 
 def test_a_long_iff_chain_decides_at_the_default_recursion_limit():

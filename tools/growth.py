@@ -1,4 +1,4 @@
-"""Growth curves of the engine on seven seeded families.
+"""Growth curves of the engine on eight seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -10,7 +10,11 @@ also written as JSON.  It runs at Python's default recursion limit
 (the CLI raises it to 20,000).
 
   believes   believes(1, kb, q) on default_theory(k) of
-             perfbench/workloads.py, its "yes" and "no" questions
+             perfbench/workloads.py, its "yes" and "no" questions, and
+             ("blocked-no") a retracted conclusion of the theory with
+             every third default blocked, default_theory(k, set(),
+             set(range(0, k, 3))), where group tests fail and the
+             search backtracks
   nf         disjuncts of the normal form of (L1 p_j | ~L2 q_j), j < k
   3cnf       consistency of random_3cnf(Random(1), n, round(4.26 n))
   iff-chain  validity of p0 <-> ... <-> p(n-1)
@@ -18,6 +22,7 @@ also written as JSON.  It runs at Python's default recursion limit
   nested-l   disjuncts of the normal form of L1 over the disjunction
              of (p_j & L1 q_j), 2^k - 1 of them, and over the conjunction
              of (p_j | L1 q_j), 2^k
+  nested-l-sat  consistency of n nested L1 over p, L1 L1 ... L1 p
   parse      parse the text of an n-term chain and count the distinct
              nodes, 2n - 1: p0 & ... & p(n-1), p0 -> ... -> p(n-1), and
              p0 & (p1 & (... & p(n-1))) with n - 1 nested parentheses
@@ -55,6 +60,7 @@ SIZES = {
     "iff-chain": (10, 12, 14, 15, 40, 200),
     "and-chain": (500, 1000, 2000, 10_000),
     "nested-l": (2, 3, 4, 5, 6),
+    "nested-l-sat": (100, 200, 400),
     "parse": (1000, 10_000, 100_000),
 }
 RUNS = 3
@@ -85,10 +91,14 @@ def points(family: str, size: int) -> list[Point]:
     """The cases of one family at one size."""
     if family == "believes":
         theory = default_theory(size, set(), set())
-        kb = parse(theory.kb, 2)
+        blocked = default_theory(size, set(), set(range(0, size, 3)))
         return [
-            (case, lambda q=parse(text, 2): believes(1, kb, q), answer)
-            for case, text, answer in (("yes", theory.yes, True), ("no", theory.no, False))
+            (case, lambda kb=parse(t.kb, 2), q=parse(text, 2): believes(1, kb, q), answer)
+            for case, t, text, answer in (
+                ("yes", theory, theory.yes, True),
+                ("no", theory, theory.no, False),
+                ("blocked-no", blocked, blocked.no, False),
+            )
         ]
     if family == "nf":
         return [("", _count(" & ".join(f"(L1 p{j} | ~L2 q{j})" for j in range(size))), 2**size)]
@@ -106,6 +116,9 @@ def points(family: str, size: int) -> list[Point]:
             ("or-of-and", _count("L1 (" + " | ".join(f"(p{j} & L1 q{j})" for j in range(size)) + ")"), 2**size - 1),
             ("and-of-or", _count("L1 (" + " & ".join(f"(p{j} | L1 q{j})" for j in range(size)) + ")"), 2**size),
         ]
+    if family == "nested-l-sat":
+        f = parse("L1 " * size + "p")
+        return [("", lambda: bool(Decider().consistent(f)), True)]
     if family == "parse":
         terms = [f"p{j}" for j in range(size)]
         texts = (" & ".join(terms), " -> ".join(terms), " & (".join(terms) + ")" * (size - 1))
