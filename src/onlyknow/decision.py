@@ -10,6 +10,13 @@ makes the skeleton true and passes, agent by agent, the group test:
   * the disjunction of the positive L and N arguments is valid, so the
     two world sets the group describes can cover everything.
 
+Only knowing's pair O_i a = L_i a & N_i ~a is tested as one: when N_i ~a
+is the group's only N literal, the union (a & X) | ~a, X the other
+positive L arguments, is valid iff a entails X, so the group passes iff
+a & ~X is unsatisfiable, and ~a is neither cofactored nor searched.
+While a's own modal atoms are unassigned (below), a is weakened as
+under a negated L_i a, so that it implies every cofactor it can get.
+
 The group test needs arguments objective for the agent.  An argument
 that holds the agent's own modal atoms at its Boolean level is
 cofactored first: introspective agents give those atoms the same value
@@ -181,10 +188,13 @@ class Decider:
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
         index: dict[Formula, int] = {}
+        ns: list[int] = []
         for v, leaf in enumerate(variables, 1):  # also visits the variables appended below
             if not isinstance(leaf, MODAL):
                 continue
             modal[v] = leaf
+            if type(leaf) is N:
+                ns.append(v)
             own = self._own(leaf.sub, leaf.agent)
             if not own:
                 continue
@@ -196,6 +206,7 @@ class Decider:
                     index[g] = len(variables)
             deps[v] = tuple(dict.fromkeys(index[g] for g in own))
         clauses += ([-w, w] for w in dict.fromkeys(w for ws in deps.values() for w in ws))
+        pairs = _pairs(modal, ns) if ns else {}
         tested: dict[frozenset[int], bool] = {}
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
@@ -204,7 +215,7 @@ class Decider:
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s, cofactor, tested, level):
+            if s.propagate() and self._groups_ok(s, cofactor, pairs, tested, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -231,7 +242,7 @@ class Decider:
         modal atoms with no dependency, else None.  That set is the only
         candidate: a complementary pair refutes it, as the clauses' unit
         conflict does, and otherwise each agent's group is tested as
-        _groups_ok builds it, the literals in first-appearance order,
+        _groups_ok tests it, the literals in first-appearance order,
         which is the order of their variables."""
         literals: dict[Formula, bool] = {}
         stack = [(f, False)]
@@ -255,17 +266,32 @@ class Decider:
             if type(g) is not Atom:
                 blocks[g.agent] = (blocks.get(g.agent) or AgentBlock(g.agent)).add(g, positive)
         for agent in sorted(blocks):
-            if not self._block_ok(blocks[agent], level + 1):
+            b, base = blocks[agent], None
+            if b.pos_l is not TRUE and b.pos_n is not TRUE and not b.neg_n:  # perhaps O_i a's group
+                group = [(g, x) for g, x in literals.items() if type(g) is not Atom and g.agent == agent]
+                ns = [g for g, _ in group if type(g) is N]
+                if len(ns) == 1:
+                    a = next((g for g, x in group if x and type(g) is L and _negates(g.sub, ns[0].sub)), None)
+                    if a is not None:
+                        b, base = AgentBlock(agent), a.sub
+                        for g, x in group:
+                            if g is not a and g is not ns[0]:
+                                b = b.add(g, x)
+            if not (self._block_ok(b, level + 1) if base is None else self._pair_ok(b, level + 1, base)):
                 return False
         if self.trace:
             self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
         return True
 
-    def _groups_ok(self, s: _Trail, cofactor: _Cofactors, tested: dict[frozenset[int], bool], level: int) -> bool:
+    def _groups_ok(
+        self, s: _Trail, cofactor: _Cofactors, pairs: dict[int, int], tested: dict[frozenset[int], bool], level: int
+    ) -> bool:
         """The group test for each agent's modal literals on the trail,
         their arguments cofactored.  A failing group fails under every
         extension, so it prunes.  An agent's literal set fixes the
-        cofactors, since every dependency is one of its modal atoms."""
+        cofactors, since every dependency is one of its modal atoms.  A
+        group whose only N literal is the positive half N_i ~a of a pair
+        in pairs, with L_i a positive too, is tested as O_i a's group."""
         modal = cofactor.modal
         if not modal:
             return True
@@ -278,13 +304,44 @@ class Decider:
             key = frozenset(by_agent[agent])
             ok = tested.get(key)
             if ok is None:
+                lits, base, low = sorted(key, key=abs), None, None
+                if pairs:
+                    ns = [x for x in lits if type(modal[abs(x)]) is N]
+                    v = pairs.get(ns[0]) if len(ns) == 1 else None
+                    if v in key:
+                        lits.remove(v)
+                        lits.remove(ns[0])
+                        base, low = cofactor(v, True).sub, lambda v=v: cofactor(v, False).sub
                 b = AgentBlock(agent)
-                for x in sorted(key, key=abs):
+                for x in lits:
                     b = b.add(cofactor(abs(x), x > 0), x > 0)
-                ok = tested[key] = self._block_ok(b, level + 1)
+                ok = self._block_ok(b, level + 1) if base is None else self._pair_ok(b, level + 1, base, low)
+                tested[key] = ok
             if not ok:
                 return False
         return True
+
+    def _pair_ok(self, b: AgentBlock, level: int, base: Formula, low: Callable[[], Formula] | None = None) -> bool:
+        """The group test of O_i a, L_i a & N_i ~a with base the cofactored
+        a, when N_i ~a is the group's only N literal; b holds the group's
+        other literals.  The union of the positive parts, (a & X) | ~a
+        with X the other positive L arguments, is valid iff a entails X,
+        so the group passes iff low() & ~X is unsatisfiable, low() being
+        a with its unassigned dependencies read as false (base itself
+        when low is None).  While some are unassigned, low() implies a
+        and ~X implies ~X, whatever the completion, so a group that
+        fails fails under all of them."""
+        x = b.pos_l
+        if b.neg_l and not self._negated_ok(b.agent, "L", fold(And(base, x)), b.neg_l, level):
+            return False
+        if self.trace:
+            self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
+        if x is TRUE:
+            return True
+        a = low() if low else base
+        if set(conjuncts(x)) <= set(conjuncts(a)):
+            return True
+        return not self._sat(fold(And(a, fold(Not(x)))), level + 1)
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
@@ -392,6 +449,24 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
+def _pairs(modal: dict[int, Formula], ns: list[int]) -> dict[int, int]:
+    """The only-knowing pairs among the modal variables: each N_i ~a of
+    the N variables ns that has an L_i a, to that L_i a."""
+    return {
+        w: v
+        for w in ns
+        for v, g in modal.items()
+        if type(g) is L and g.agent == modal[w].agent and _negates(g.sub, modal[w].sub)
+    }
+
+
+def _negates(a: Formula, b: Formula) -> bool:
+    """Is b fold(Not(a)), for a and b the arguments of an L and an N
+    leaf?  Leaves are simplified, so neither argument is true and a
+    constant never pairs, and the test needs no node."""
+    return b.sub is a if type(b) is Not else type(a) is Not and a.sub is b
+
+
 def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:
     """Union-find over the parts' keys.  Returns each key's component and
     each component's parts, in order.  Part i stays a root while its own
@@ -429,7 +504,8 @@ class _Cofactors:
     parts, and the left fold's prefixes, fold(op(prefix[k - 1],
     part[k])).  The next call re-settles only the parts whose values
     changed (a settled part is cached by its values, so a value that
-    reverts costs a lookup) and re-folds from the first of them, so the
+    reverts costs a lookup, and once every value is set both signs of
+    the literal share it) and re-folds from the first of them, so the
     argument is join(op, parts), rebuilt only where it changed."""
 
     def __init__(
@@ -444,7 +520,7 @@ class _Cofactors:
         # one dependency is a variable, several a tuple of them
         self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, int | tuple]]]] = {}
         self.folds: dict[int, list] = {}  # literal +-v -> [values settled under, parts, prefixes, the modal atom]
-        self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal, part, values) -> settled part
+        self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal or variable, part, values) -> settled part
         self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
 
     def __call__(self, v: int, positive: bool) -> Formula:
@@ -474,9 +550,10 @@ class _Cofactors:
             now = value[own] if type(own) is int else tuple([value[w] for w in own])
             if now != seen[i] or result is None:
                 seen[i] = now
-                done = self.cache.get((x, k, now))
+                key = (x if now is None or type(now) is tuple and None in now else v, k, now)
+                done = self.cache.get(key)
                 if done is None:
-                    done = self.cache[x, k, now] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
+                    done = self.cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
                 if done is not parts[k]:
                     parts[k] = done
                     if first > k:

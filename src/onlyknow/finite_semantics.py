@@ -191,15 +191,16 @@ def oracle_valid(
     alphabet = tuple(sorted(set(phi)))
     if len(alphabet) > bound:
         raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
-    _check_formula(f, alphabet)
+    _check_formula(f, alphabet)  # once: each situation is then evaluated unchecked
     if semantics == "levesque":
+        everything = frozenset(worlds_over(alphabet))
         for s in situations(alphabet):
-            if not evaluate(s, f):
+            if not _eval(s.possible, everything - s.possible, s.real, f):
                 return OracleResult(False, s)
         return OracleResult(True)
     if semantics == "extended":
         for sx in extended_situations(alphabet):
-            if not evaluate_x(sx, f):
+            if not _eval(sx.in_l, sx.in_n, sx.real, f):
                 return OracleResult(False, sx)
         return OracleResult(True)
     raise FormulaError(f"unknown semantics {semantics!r}")

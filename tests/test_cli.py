@@ -97,6 +97,28 @@ def test_decide_trace_of_literal_sets(capsys, text, code, lines):
     assert err.splitlines() == lines
 
 
+def test_decide_trace_of_an_only_knowing_pair(capsys):
+    # O1 kb's group is tested as the pair: the negated L conjunct, then
+    # whether the base, its dependency L1 ~p read as false, entails the
+    # other positive L parts (true until L1 ~p is guessed true, then ~p).
+    code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~L1 ~p -> q) -> L1 q")
+    assert (code, out.strip()) == (0, "VALID")
+    assert err.splitlines() == [
+        "satisfiable?: ~(O1 (~L1 ~p -> q) -> L1 q)",
+        "  agent 1: negated L against the positive part: q",
+        "    satisfiable?: ~q",
+        "      satisfying literals: ~q",
+        "  agent 1: only-knowing base must entail the other positive L parts: true",
+        "  agent 1: negated L against the positive part: q",
+        "  agent 1: negated L against the positive part: q",
+        "    satisfiable?: ~p & ~q",
+        "      satisfying literals: ~p & ~q",
+        "  agent 1: only-knowing base must entail the other positive L parts: ~p",
+        "    satisfiable?: p",
+        "      satisfying literals: p",
+    ]
+
+
 def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
     import random
     import time

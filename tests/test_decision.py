@@ -164,19 +164,35 @@ def test_necessitation_closure_on_sampled_valid_formulas():
 def test_search_matches_the_normal_form_reference():
     # a V-free formula is satisfiable iff some normal-form disjunct
     # passes every group test; the search must agree, on each random
-    # formula and on its negation
-    verdicts = []
+    # formula and on its negation.  The O-pairs O1 a & L1 b & ~L1 c and
+    # O1 a & O2 b & ~L2 c, a with dependencies, take the pair rule in
+    # the search, while the reference's block_consistent keeps the union.
+    inputs = []
     for seed in range(320):
         profile = ("basic", "full")[seed % 2]
-        f = generate_random(
-            seed + 3000, profile, max_modal_depth=2, n_atoms=3, n_agents=2, size=4 + seed % 9, allow_val=False
+        inputs.append(
+            generate_random(
+                seed + 3000, profile, max_modal_depth=2, n_atoms=3, n_agents=2, size=4 + seed % 9, allow_val=False
+            )
         )
+    for seed in range(200):
+        a, b, c = (
+            generate_random(seed + k, "full", max_modal_depth=2, n_atoms=2, n_agents=2, size=6, allow_val=False)
+            for k in (3500, 3800, 4100)
+        )
+        rest = L(1, b) & Not(L(1, c)) if seed % 2 else only_knows(2, b) & Not(L(2, c))
+        inputs.append(only_knows(1, L(1, a) | a) & rest)
+    verdicts, fired = [], 0
+    for f in inputs:
         for g in (f, Not(f)):
             d = Decider()
             reference = any(all(d.block_consistent(b) for b in nf.blocks) for nf in to_normal_form(g))
-            assert bool(Decider().consistent(g)) == reference, to_text(g)
+            rules = []
+            assert bool(Decider(trace=lambda level, rule, h: rules.append(rule)).consistent(g)) == reference, to_text(g)
             verdicts.append(reference)
+            fired += any("only-knowing base" in rule for rule in rules)
     assert verdicts.count(False) >= 30  # unsatisfiable cases are in the sample too
+    assert fired >= 120, fired  # 145 of the 800 searches test a pair
 
 
 @pytest.mark.parametrize(
@@ -499,6 +515,27 @@ def test_a_literal_over_a_dependent_modal_atom_is_searched(monkeypatch, text, or
     f = parse(text, 1)
     assert bool(Decider().consistent(f)) == oracle(f)
     assert clausified[0] is f
+
+
+def test_only_knowing_pairs_agree_with_the_extended_oracle():
+    # O1 kb -> M over bases of up to two conjuncts, most with their own
+    # modal atoms: refuting a query L1 x or ~L1 x leaves O1 kb's pair the
+    # group's only N literal, so the group is tested as the pair; ~N1 x
+    # adds a second N literal, and the union rule tests it.
+    bases = [parse(a) for a in ("~L1 ~p -> q", "~L1 q -> ~p", "L1 p | q", "N1 ~p -> q", "~L1 p -> ~L1 q", "p -> q")]
+    bases += [a & b for i, a in enumerate(bases) for b in bases[i + 1 :]]
+    xs = [parse(x) for x in ("p", "~q", "p | q", "p & ~q", "q -> p")]
+    queries = [m for x in xs for m in (L(1, x), Not(L(1, x)), Not(N(1, x)))]
+    cases = fired = 0
+    for kb in bases:
+        for query in queries:
+            f = Implies(only_knows(1, kb), query)
+            rules = []
+            verdict = Decider(trace=lambda level, rule, g: rules.append(rule)).valid(f)
+            assert bool(verdict) == oracle_valid(f, ("p", "q"), semantics="extended").valid, to_text(f)
+            cases += 1
+            fired += any("only-knowing base" in rule for rule in rules)
+    assert (cases, fired) == (315, 210)  # the pair rule tests every L1 x and ~L1 x query
 
 
 def test_a_long_iff_chain_decides_at_the_default_recursion_limit():

@@ -54,7 +54,7 @@ from onlyknow.normal_form import to_normal_form  # noqa: E402
 from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
 SIZES = {
-    "believes": (10, 20, 30, 40, 60),
+    "believes": (10, 20, 30, 40, 60, 120),
     "nf": (8, 10, 12, 14),
     "3cnf": (50, 100, 130),
     "iff-chain": (10, 12, 14, 15, 40, 200),
