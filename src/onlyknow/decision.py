@@ -29,7 +29,8 @@ A skeleton that, read by polarity, is a conjunction of literals over
 atoms and modal atoms without such dependencies is its own only
 candidate, and is tested as it is.  Any other set is found by a DPLL
 search over the clause form of the skeleton (the KSAT construction of
-Giunchiglia & Sebastiani, 2000).  A group that fails fails under every
+Giunchiglia & Sebastiani, 2000).  One routine tests a group on either
+path, the pair rule included.  A group that fails fails under every
 larger set of literals, so the test runs after each unit propagation
 and prunes the search.  A literal whose own atoms are not all assigned
 yet is tested with a weakened argument, implied by every cofactor it
@@ -180,7 +181,8 @@ class Decider:
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
         them), each with the clause -w | w, so the search decides them.
-        A literal set has nothing to search, and is tested as it is."""
+        A literal set has nothing to search, and its groups are tested
+        as they are, by the same _group_ok."""
         found = self._literal_set_ok(f, level)
         if found is not None:
             return found
@@ -188,13 +190,10 @@ class Decider:
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
         index: dict[Formula, int] = {}
-        ns: list[int] = []
         for v, leaf in enumerate(variables, 1):  # also visits the variables appended below
             if not isinstance(leaf, MODAL):
                 continue
             modal[v] = leaf
-            if type(leaf) is N:
-                ns.append(v)
             own = self._own(leaf.sub, leaf.agent)
             if not own:
                 continue
@@ -206,7 +205,6 @@ class Decider:
                     index[g] = len(variables)
             deps[v] = tuple(dict.fromkeys(index[g] for g in own))
         clauses += ([-w, w] for w in dict.fromkeys(w for ws in deps.values() for w in ws))
-        pairs = _pairs(modal, ns) if ns else {}
         tested: dict[frozenset[int], bool] = {}
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
@@ -215,7 +213,7 @@ class Decider:
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s, cofactor, pairs, tested, level):
+            if s.propagate() and self._groups_ok(s.trail, cofactor, tested, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -241,9 +239,9 @@ class Decider:
         to_clauses reads it, is a conjunction of literals over atoms and
         modal atoms with no dependency, else None.  That set is the only
         candidate: a complementary pair refutes it, as the clauses' unit
-        conflict does, and otherwise each agent's group is tested as
-        _groups_ok tests it, the literals in first-appearance order,
-        which is the order of their variables."""
+        conflict does, and otherwise _group_ok tests each agent's group,
+        the literals numbered in first-appearance order, which is the
+        order of their variables, and each cofactor the leaf itself."""
         literals: dict[Formula, bool] = {}
         stack = [(f, False)]
         while stack:
@@ -261,42 +259,32 @@ class Decider:
                     return False
             else:
                 return None
-        blocks: dict[int, AgentBlock] = {}
-        for g, positive in literals.items():
+        modal: dict[int, Formula] = {}
+        by_agent: dict[int, list[int]] = {}
+        for v, (g, positive) in enumerate(literals.items(), 1):
             if type(g) is not Atom:
-                blocks[g.agent] = (blocks.get(g.agent) or AgentBlock(g.agent)).add(g, positive)
-        for agent in sorted(blocks):
-            b, base = blocks[agent], None
-            if b.pos_l is not TRUE and b.pos_n is not TRUE and not b.neg_n:  # perhaps O_i a's group
-                group = [(g, x) for g, x in literals.items() if type(g) is not Atom and g.agent == agent]
-                ns = [g for g, _ in group if type(g) is N]
-                if len(ns) == 1:
-                    a = next((g for g, x in group if x and type(g) is L and _negates(g.sub, ns[0].sub)), None)
-                    if a is not None:
-                        b, base = AgentBlock(agent), a.sub
-                        for g, x in group:
-                            if g is not a and g is not ns[0]:
-                                b = b.add(g, x)
-            if not (self._block_ok(b, level + 1) if base is None else self._pair_ok(b, level + 1, base)):
+                modal[v] = g
+                by_agent.setdefault(g.agent, []).append(v if positive else -v)
+        cofactor = _Cofactors(modal, {}, [], self._own)
+        for agent in sorted(by_agent):
+            if not self._group_ok(agent, by_agent[agent], cofactor, level):
                 return False
         if self.trace:
             self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
         return True
 
     def _groups_ok(
-        self, s: _Trail, cofactor: _Cofactors, pairs: dict[int, int], tested: dict[frozenset[int], bool], level: int
+        self, trail: list[int], cofactor: _Cofactors, tested: dict[frozenset[int], bool], level: int
     ) -> bool:
         """The group test for each agent's modal literals on the trail,
-        their arguments cofactored.  A failing group fails under every
+        each set tested once.  A failing group fails under every
         extension, so it prunes.  An agent's literal set fixes the
-        cofactors, since every dependency is one of its modal atoms.  A
-        group whose only N literal is the positive half N_i ~a of a pair
-        in pairs, with L_i a positive too, is tested as O_i a's group."""
+        cofactors, since every dependency is one of its modal atoms."""
         modal = cofactor.modal
         if not modal:
             return True
         by_agent: dict[int, list[int]] = {}
-        for lit in s.trail:
+        for lit in trail:
             leaf = modal.get(abs(lit))
             if leaf is not None:
                 by_agent.setdefault(leaf.agent, []).append(lit)
@@ -304,31 +292,39 @@ class Decider:
             key = frozenset(by_agent[agent])
             ok = tested.get(key)
             if ok is None:
-                lits, base, low = sorted(key, key=abs), None, None
-                if pairs:
-                    ns = [x for x in lits if type(modal[abs(x)]) is N]
-                    v = pairs.get(ns[0]) if len(ns) == 1 else None
-                    if v in key:
-                        lits.remove(v)
-                        lits.remove(ns[0])
-                        base, low = cofactor(v, True).sub, lambda v=v: cofactor(v, False).sub
-                b = AgentBlock(agent)
-                for x in lits:
-                    b = b.add(cofactor(abs(x), x > 0), x > 0)
-                ok = self._block_ok(b, level + 1) if base is None else self._pair_ok(b, level + 1, base, low)
-                tested[key] = ok
+                ok = tested[key] = self._group_ok(agent, sorted(key, key=abs), cofactor, level)
             if not ok:
                 return False
         return True
 
-    def _pair_ok(self, b: AgentBlock, level: int, base: Formula, low: Callable[[], Formula] | None = None) -> bool:
+    def _group_ok(self, agent: int, lits: list[int], cofactor: _Cofactors, level: int) -> bool:
+        """The group test for the agent's modal literals lits, signed
+        variables in variable order, their arguments cofactored.  A group
+        whose only N literal is a positive N_i ~a, with L_i a positive
+        too, is O_i a's group, which _pair_ok tests; any other, _block_ok."""
+        modal = cofactor.modal
+        ns = [x for x in lits if type(modal[abs(x)]) is N]
+        pair = None
+        if len(ns) == 1 and ns[0] > 0:
+            n = modal[ns[0]].sub
+            pair = next((x for x in lits if x > 0 and type(modal[x]) is L and _negates(modal[x].sub, n)), None)
+        skip = (pair, ns[0]) if pair else ()
+        b = AgentBlock(agent)
+        for x in lits:
+            if x not in skip:
+                b = b.add(cofactor(abs(x), x > 0), x > 0)
+        if pair is None:
+            return self._block_ok(b, level + 1)
+        return self._pair_ok(b, level + 1, cofactor(pair, True).sub, lambda: cofactor(pair, False).sub)
+
+    def _pair_ok(self, b: AgentBlock, level: int, base: Formula, low: Callable[[], Formula]) -> bool:
         """The group test of O_i a, L_i a & N_i ~a with base the cofactored
         a, when N_i ~a is the group's only N literal; b holds the group's
         other literals.  The union of the positive parts, (a & X) | ~a
         with X the other positive L arguments, is valid iff a entails X,
         so the group passes iff low() & ~X is unsatisfiable, low() being
         a with its unassigned dependencies read as false (base itself
-        when low is None).  While some are unassigned, low() implies a
+        when it has none).  While some are unassigned, low() implies a
         and ~X implies ~X, whatever the completion, so a group that
         fails fails under all of them."""
         x = b.pos_l
@@ -338,7 +334,7 @@ class Decider:
             self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
         if x is TRUE:
             return True
-        a = low() if low else base
+        a = low()
         if set(conjuncts(x)) <= set(conjuncts(a)):
             return True
         return not self._sat(fold(And(a, fold(Not(x)))), level + 1)
@@ -449,17 +445,6 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _pairs(modal: dict[int, Formula], ns: list[int]) -> dict[int, int]:
-    """The only-knowing pairs among the modal variables: each N_i ~a of
-    the N variables ns that has an L_i a, to that L_i a."""
-    return {
-        w: v
-        for w in ns
-        for v, g in modal.items()
-        if type(g) is L and g.agent == modal[w].agent and _negates(g.sub, modal[w].sub)
-    }
-
-
 def _negates(a: Formula, b: Formula) -> bool:
     """Is b fold(Not(a)), for a and b the arguments of an L and an N
     leaf?  Leaves are simplified, so neither argument is true and a
@@ -513,7 +498,7 @@ class _Cofactors:
         modal: dict[int, Formula],
         deps: dict[int, tuple[int, ...]],
         value: list[bool | None],
-        own: Callable[[Formula, int], Iterable[Formula]] = own_modal_leaves,
+        own: Callable[[Formula, int], Iterable[Formula]],
     ) -> None:
         self.modal, self.deps, self.value, self.own = modal, deps, value, own
         # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some):

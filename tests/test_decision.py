@@ -366,7 +366,7 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
         pending_seen += bool(pending)
         for neg in (False, True):
             for weak in (TRUE, FALSE):
-                got = _Cofactors({}, {}, value).settle(f, neg, var, weak)
+                got = _Cofactors({}, {}, value, Decider()._own).settle(f, neg, var, weak)
                 want = _weaken(_nnf(assign(f, env), neg), pending, weak)
                 names = list(dict.fromkeys([*leaves(got), *leaves(want)]))
                 columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
@@ -536,6 +536,34 @@ def test_only_knowing_pairs_agree_with_the_extended_oracle():
             cases += 1
             fired += any("only-knowing base" in rule for rule in rules)
     assert (cases, fired) == (315, 210)  # the pair rule tests every L1 x and ~L1 x query
+
+
+@pytest.mark.parametrize(
+    "text, pair",
+    [
+        ("L1 p & N1 ~p", True),
+        ("L1 p & N1 ~p & ~L1 q", True),
+        ("L1 p & N1 ~p & ~L1 (p | q)", False),  # the pair's negated L fails before its entailment line
+        ("L1 p & N1 ~p & L1 q", True),  # p does not entail q
+        ("L1 p & N1 ~p & N1 q", False),  # a second positive N literal
+        ("L1 p & N1 ~p & ~N1 q", False),  # a negated N literal
+        ("~L1 p & N1 ~p", False),  # L1 p negated
+        ("L2 p & N2 ~p & L1 q & ~L1 r", True),  # agent 2's pair beside agent 1's union
+        ("L1 p & N1 ~p & L1 q & N1 ~q", False),  # O1 p & O1 q: two N literals
+    ],
+)
+def test_the_literal_set_and_the_search_pick_the_same_group_rule(text, pair):
+    # Both paths test a group through one routine, so a literal set and
+    # its clause form give the same verdict and the same group lines.
+    f = parse(text, 2)
+    assert Decider()._literal_set_ok(f, 0) is not None
+    runs = []
+    for decider in (Decider, _SearchOnly):
+        lines = []
+        verdict = decider(trace=lambda level, rule, g: lines.append((rule, g))).consistent(f)
+        runs.append((bool(verdict), [line for line in lines if line[0].startswith("agent ")]))
+    assert runs[0] == runs[1], text
+    assert any("only-knowing base" in rule for rule, _ in runs[0][1]) == pair, runs[0]
 
 
 def test_a_long_iff_chain_decides_at_the_default_recursion_limit():
