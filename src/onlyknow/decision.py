@@ -553,22 +553,20 @@ class _Cofactors:
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
         """f, negated when neg, cofactored by the dependencies var names,
-        keeping each subtree with no dependency whole.  A literal over
-        one still unassigned, read by its polarity (both, under <->),
-        becomes pending: true in a positive modal literal, false in a
-        negated one, so f is implied by every cofactor it can still get
-        (implies it, negated), and a group that fails with it fails under
-        every extension.  The negation normal form's folds come first."""
+        keeping each subtree with no dependency whole and folding each
+        node it rebuilds.  A literal over an assigned dependency becomes
+        its value, and one over a dependency still unassigned, read by
+        its polarity (both, under <->), becomes pending: true in a
+        positive modal literal, false in a negated one, so f is implied
+        by every cofactor it can still get (implies it, negated), and a
+        group that fails with it fails under every extension."""
         self.var, self.pending = var, pending
-        g, weak = self._part(f, neg)
-        if g is None:
-            return fold(Not(f)) if neg else f
-        return pending if not weak and (g.sub if type(g) is Not else g) in var else g
+        g = self._part(f, neg)
+        return g if g is not None else fold(Not(f)) if neg else f
 
-    def _part(self, f: Formula, neg: bool) -> tuple[Formula | None, bool]:
-        """(g, weak), g None when f holds no dependency.  g is the folded
-        normal form of f's cofactor, weak when its pending literals are
-        replaced; not weak, it holds one only when it is one."""
+    def _part(self, f: Formula, neg: bool) -> Formula | None:
+        """The folded cofactor of f, negated when neg, or None when f
+        holds no dependency."""
         while type(f) is Not:
             f, neg = f.sub, not neg
         kind = type(f)
@@ -578,42 +576,24 @@ class _Cofactors:
             x, y = f.left, f.right
             if neg:
                 a = self._both(And, x, False, y, True)
-                return a if a[0] is None else self._pair(Or, a, self._both(And, x, True, y, False))
+                return a if a is None else fold(Or(a, self._both(And, x, True, y, False)))
             a = self._both(Or, x, True, y, False)
-            return a if a[0] is None else self._pair(And, a, self._both(Or, y, True, x, False))
+            return a if a is None else fold(And(a, self._both(Or, y, True, x, False)))
         w = self.var.get(f)
         if w is None:
-            return None, False
+            return None
         x = self.value[w]
-        return ((Not(f) if neg else f) if x is None else TRUE if x != neg else FALSE), False
+        return self.pending if x is None else TRUE if x != neg else FALSE
 
-    def _both(self, op: type, x: Formula, xneg: bool, y: Formula, yneg: bool) -> tuple[Formula | None, bool]:
+    def _both(self, op: type, x: Formula, xneg: bool, y: Formula, yneg: bool) -> Formula | None:
         a, b = self._part(x, xneg), self._part(y, yneg)
-        if a[0] is None and b[0] is None:
-            return a
-        if a[0] is None:
-            a = (fold(Not(x)) if xneg else x), False
-        if b[0] is None:
-            b = (fold(Not(y)) if yneg else y), False
-        return self._pair(op, a, b)
-
-    def _pair(self, op: type, a: tuple[Formula, bool], b: tuple[Formula, bool]) -> tuple[Formula, bool]:
-        """op over two parts, folded as the normal form folds (a constant
-        no weakening made, pending literals that merge or cancel), then weakened."""
-        (g, wg), (h, wh) = a, b
-        zero, unit = (FALSE, TRUE) if op is And else (TRUE, FALSE)
-        if g is zero and not wg or h is zero and not wh:
-            return zero, False
-        if g is unit and not wg or h is unit and not wh:
-            return b if g is unit and not wg else a
-        pg = not wg and (g.sub if type(g) is Not else g) in self.var
-        ph = not wh and (h.sub if type(h) is Not else h) in self.var
-        if pg and ph:
-            out = fold(op(g, h))
-            return (out, False) if out is g or out is zero else (self.pending, True)
-        if pg or ph:  # op with a constant: the other part, or zero
-            return (h if pg else g) if self.pending is unit else zero, True
-        return fold(op(g, h)), wg or wh
+        if a is None and b is None:
+            return None
+        if a is None:
+            a = fold(Not(x)) if xneg else x
+        if b is None:
+            b = fold(Not(y)) if yneg else y
+        return fold(op(a, b))
 
 
 class _Trail:

@@ -322,38 +322,51 @@ def test_polarity_clause_form_is_equisatisfiable_on_every_leaf_assignment():
     assert checked > 250
 
 
-def _nnf(f, neg=False):
-    """Reference: the negation normal form of f, negated when neg, over
-    its leaves (atoms, constants, L/N formulas taken whole), each node
-    folded as it is built."""
+def _nnf(f, neg, leaf):
+    """Reference: the negation normal form of f, negated when neg, with
+    each Boolean-level leaf g read as leaf(g, negated), each node folded
+    as it is built."""
     if isinstance(f, Not):
-        return _nnf(f.sub, not neg)
+        return _nnf(f.sub, not neg, leaf)
     if isinstance(f, (And, Or)):
         op = (Or if isinstance(f, And) else And) if neg else type(f)
-        return fold(op(_nnf(f.left, neg), _nnf(f.right, neg)))
+        return fold(op(_nnf(f.left, neg, leaf), _nnf(f.right, neg, leaf)))
     if isinstance(f, Implies):
-        return fold((And if neg else Or)(_nnf(f.left, not neg), _nnf(f.right, neg)))
+        return fold((And if neg else Or)(_nnf(f.left, not neg, leaf), _nnf(f.right, neg, leaf)))
     if isinstance(f, Iff):
-        x, nx, y, ny = (_nnf(g, s) for g in (f.left, f.right) for s in (False, True))
+        x, nx, y, ny = (_nnf(g, s, leaf) for g in (f.left, f.right) for s in (False, True))
         if neg:
             return fold(Or(fold(And(x, ny)), fold(And(nx, y))))
         return fold(And(fold(Or(nx, y)), fold(Or(ny, x))))
-    return fold(Not(f)) if neg else f
+    return leaf(f, neg)
 
 
-def _weaken(f, pending, value):
-    """Reference: the NNF formula f with every literal over a pending
-    leaf replaced by value, each rebuilt node folded."""
-    if isinstance(f, (And, Or)):
-        x, y = _weaken(f.left, pending, value), _weaken(f.right, pending, value)
-        return f if x is f.left and y is f.right else fold(type(f)(x, y))
-    return value if (f.sub if isinstance(f, Not) else f) in pending else f
+def _settled_leaf(var, value, weak):
+    """A dependency becomes its value by polarity, or weak while it is
+    unassigned; any other leaf is kept."""
+
+    def leaf(g, neg):
+        if g not in var:
+            return fold(Not(g)) if neg else g
+        x = value[var[g]]
+        return weak if x is None else TRUE if x != neg else FALSE
+
+    return leaf
 
 
 def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
     # The agent-1 modal leaves are the dependencies, some assigned and
-    # some pending; the reference assigns, puts the result in negation
-    # normal form and then weakens it.
+    # some pending.  The reference reads each leaf as it builds the
+    # negation normal form: an assigned dependency becomes its constant
+    # by polarity, a pending one the weak value.  Under TRUE the result
+    # must be implied by every completion of the pending leaves, and
+    # under FALSE it must imply every one.  Literals of one pending atom
+    # do not cancel first: with L1 q pending and L1 r false, L1 q and
+    # ~L1 q each become the weak value.
+    f, var = parse("L1 q & (L1 r | ~L1 q)"), {parse("L1 q"): 0, parse("L1 r"): 1}
+    settle = _Cofactors({}, {}, [None, False], Decider()._own).settle
+    assert settle(f, False, var, TRUE) is TRUE
+    assert settle(f, True, var, FALSE) is FALSE
     rng = random.Random(23)
     deps = [g for g in _LEAVES if isinstance(g, (L, N)) and g.agent == 1]
     var = {g: w for w, g in enumerate(deps)}
@@ -361,17 +374,25 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
     for _ in range(1500):
         f = simplify(_random_skeleton(rng, 4))
         value = [rng.choice((True, False, None)) for _ in deps]
-        env = {g: value[w] for g, w in var.items() if value[w] is not None}
-        pending = {g for g, w in var.items() if value[w] is None}
+        pending = [w for w in range(len(deps)) if value[w] is None]
         pending_seen += bool(pending)
+        completions = [
+            [dict(zip(pending, bits)).get(w, x) for w, x in enumerate(value)]
+            for bits in product((True, False), repeat=len(pending))
+        ]
         for neg in (False, True):
+            each = [_nnf(f, neg, _settled_leaf(var, c, None)) for c in completions]
             for weak in (TRUE, FALSE):
                 got = _Cofactors({}, {}, value, Decider()._own).settle(f, neg, var, weak)
-                want = _weaken(_nnf(assign(f, env), neg), pending, weak)
-                names = list(dict.fromkeys([*leaves(got), *leaves(want)]))
+                want = _nnf(f, neg, _settled_leaf(var, value, weak))
+                names = list(dict.fromkeys([*leaves(got), *leaves(want), *(g for c in each for g in leaves(c))]))
                 columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
                 full = (1 << (1 << len(names))) - 1
-                assert _table(got, columns, full) == _table(want, columns, full), (to_text(f), neg, weak)
+                table = _table(got, columns, full)
+                assert table == _table(want, columns, full), (to_text(f), neg, weak)
+                for c in each:
+                    completion = _table(c, columns, full)
+                    assert (completion & ~table if weak is TRUE else table & ~completion) == 0, (to_text(f), neg, weak)
     assert pending_seen > 800
 
 

@@ -15,7 +15,10 @@ def growth():
     return module
 
 
-@pytest.mark.parametrize("family", ["believes", "nf", "3cnf", "iff-chain", "and-chain", "nested-l", "nested-l-sat", "parse"])
+@pytest.mark.parametrize(
+    "family",
+    ["believes", "believes-secret", "nf", "3cnf", "modal-cnf", "iff-chain", "and-chain", "nested-l", "nested-l-sat", "parse"],
+)
 def test_smallest_point_of_each_family_has_its_answer(growth, family):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)

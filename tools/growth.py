@@ -1,4 +1,4 @@
-"""Growth curves of the engine on eight seeded families.
+"""Growth curves of the engine on ten seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -15,8 +15,13 @@ also written as JSON.  It runs at Python's default recursion limit
              every third default blocked, default_theory(k, set(),
              set(range(0, k, 3))), where group tests fail and the
              search backtracks
+  believes-secret  believes(1, kb, q) on default_theory(k, even j
+             secret, every third j blocked), its "yes" and "no" questions
   nf         disjuncts of the normal form of (L1 p_j | ~L2 q_j), j < k
   3cnf       consistency of random_3cnf(Random(1), n, round(4.26 n))
+  modal-cnf  the same clauses under modalities: leaf i of each is x_i,
+             L1 (x_i | y_(i mod 4)) or L2 (x_i | ~y_(i mod 4)), chosen
+             by i mod 3
   iff-chain  validity of p0 <-> ... <-> p(n-1)
   and-chain  consistency of p0 & ... & p(n-1)
   nested-l   disjuncts of the normal form of L1 over the disjunction
@@ -55,8 +60,10 @@ from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
 SIZES = {
     "believes": (10, 20, 30, 40, 60, 120),
+    "believes-secret": (10, 14, 20),
     "nf": (8, 10, 12, 14),
     "3cnf": (50, 100, 130),
+    "modal-cnf": (30, 60, 90, 120),
     "iff-chain": (10, 12, 14, 15, 40, 200),
     "and-chain": (500, 1000, 2000, 10_000),
     "nested-l": (2, 3, 4, 5, 6),
@@ -87,24 +94,41 @@ def _nodes(text: str) -> int:
     return len(seen)
 
 
+def _modal_leaf(i: int) -> str:
+    """Leaf i of a modal-cnf clause."""
+    return (f"x{i}", f"L1 (x{i} | y{i % 4})", f"L2 (x{i} | ~y{i % 4})")[i % 3]
+
+
+def _believes(cases) -> list[Point]:
+    """A believes point per (case, theory, question, answer)."""
+    return [(case, lambda kb=parse(t.kb, 2), q=parse(text, 2): believes(1, kb, q), answer)
+            for case, t, text, answer in cases]
+
+
 def points(family: str, size: int) -> list[Point]:
     """The cases of one family at one size."""
     if family == "believes":
         theory = default_theory(size, set(), set())
         blocked = default_theory(size, set(), set(range(0, size, 3)))
-        return [
-            (case, lambda kb=parse(t.kb, 2), q=parse(text, 2): believes(1, kb, q), answer)
-            for case, t, text, answer in (
-                ("yes", theory, theory.yes, True),
-                ("no", theory, theory.no, False),
-                ("blocked-no", blocked, blocked.no, False),
-            )
-        ]
+        return _believes((
+            ("yes", theory, theory.yes, True),
+            ("no", theory, theory.no, False),
+            ("blocked-no", blocked, blocked.no, False),
+        ))
+    if family == "believes-secret":
+        theory = default_theory(size, set(range(0, size, 2)), set(range(0, size, 3)))
+        return _believes((("yes", theory, theory.yes, True), ("no", theory, theory.no, False)))
     if family == "nf":
         return [("", _count(" & ".join(f"(L1 p{j} | ~L2 q{j})" for j in range(size))), 2**size)]
     if family == "3cnf":
         f = parse(cnf_text(random_3cnf(random.Random(1), size, round(4.26 * size)), "x"))
         return [("", lambda: bool(Decider().consistent(f)), CNF_ANSWERS.get(size))]
+    if family == "modal-cnf":
+        clauses = random_3cnf(random.Random(1), size, round(4.26 * size))
+        f = parse(" & ".join(
+            "(" + " | ".join(_modal_leaf(v) if pos else f"~{_modal_leaf(v)}" for v, pos in c) + ")" for c in clauses
+        ))
+        return [("", lambda: bool(Decider().consistent(f)), None)]
     if family == "iff-chain":
         f = parse(" <-> ".join(f"p{j}" for j in range(size)))
         return [("", lambda: bool(Decider().valid(f)), False)]
