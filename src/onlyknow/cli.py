@@ -245,9 +245,17 @@ def _at_least(low: int):
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the arguments, it builds only the
+    subcommand they name, so a run pays for one subparser; it builds them
+    all when there are none, and for --help before a name or an unknown
+    name, so that argparse lists every command."""
     top = argparse.ArgumentParser(prog="onlyknow", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv or () if a in ("-h", "--help") or not a.startswith("-")), None)
+
+    def add(command, help):
+        return sub.add_parser(command, help=help) if named in (None, command) else None
 
     def common(p, agents=True, fmt=True):
         if agents:
@@ -257,88 +265,92 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p = sub.add_parser("parse", help="parse and reprint a formula")
-    p.add_argument("formula")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_parse)
+    if p := add("parse", "parse and reprint a formula"):
+        p.add_argument("formula")
+        common(p, fmt=False)
+        p.set_defaults(func=_cmd_parse)
 
-    p = sub.add_parser("classify", help="syntactic classification relative to an agent")
-    p.add_argument("formula")
-    p.add_argument("--agent", type=int, default=1)
-    common(p)
-    p.set_defaults(func=_cmd_classify)
+    if p := add("classify", "syntactic classification relative to an agent"):
+        p.add_argument("formula")
+        p.add_argument("--agent", type=int, default=1)
+        common(p)
+        p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("nf", help="stream the normal-form disjuncts")
-    p.add_argument("formula")
-    p.add_argument("--limit", type=_at_least(0), default=None)
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_nf)
+    if p := add("nf", "stream the normal-form disjuncts"):
+        p.add_argument("formula")
+        p.add_argument("--limit", type=_at_least(0), default=None)
+        common(p, fmt=False)
+        p.set_defaults(func=_cmd_nf)
 
-    p = sub.add_parser("decide", help="satisfiability or validity")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("formula", nargs="?")
-    source.add_argument("--batch", default=None, help="file with one formula per line")
-    p.add_argument("--mode", choices=("sat", "valid"), required=True)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    common(p)
-    p.set_defaults(func=_cmd_decide)
+    if p := add("decide", "satisfiability or validity"):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("formula", nargs="?")
+        source.add_argument("--batch", default=None, help="file with one formula per line")
+        p.add_argument("--mode", choices=("sat", "valid"), required=True)
+        p.add_argument("--trace", action="store_true")
+        p.add_argument("--jobs", type=_at_least(1), default=1)
+        p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
+        common(p)
+        p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("k45", help="K45 satisfiability of a basic formula")
-    p.add_argument("formula")
-    p.add_argument("--witness", default=None, help="write a witness model to this JSON file")
-    common(p, fmt=False)
-    p.set_defaults(func=_cmd_k45)
+    if p := add("k45", "K45 satisfiability of a basic formula"):
+        p.add_argument("formula")
+        p.add_argument("--witness", default=None, help="write a witness model to this JSON file")
+        common(p, fmt=False)
+        p.set_defaults(func=_cmd_k45)
 
-    p = sub.add_parser("oracle", help="finite-alphabet validity by enumeration")
-    p.add_argument("formula")
-    p.add_argument("--phi", required=True, help="comma-separated atom alphabet")
-    p.add_argument("--semantics", choices=("levesque", "extended"), default="levesque")
-    p.add_argument("--bound", type=int, default=2)
-    common(p, agents=False)
-    p.set_defaults(func=_cmd_oracle)
+    if p := add("oracle", "finite-alphabet validity by enumeration"):
+        p.add_argument("formula")
+        p.add_argument("--phi", required=True, help="comma-separated atom alphabet")
+        p.add_argument("--semantics", choices=("levesque", "extended"), default="levesque")
+        p.add_argument("--bound", type=int, default=2)
+        common(p, agents=False)
+        p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("reduce", help="rewrite N away over a finite alphabet")
-    p.add_argument("formula")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--bound", type=int, default=2)
-    common(p, agents=False, fmt=False)
-    p.set_defaults(func=_cmd_reduce)
+    if p := add("reduce", "rewrite N away over a finite alphabet"):
+        p.add_argument("formula")
+        p.add_argument("--phi", required=True)
+        p.add_argument("--bound", type=int, default=2)
+        common(p, agents=False, fmt=False)
+        p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("kripke", help="finite Kripke models")
-    ksub = p.add_subparsers(dest="kripke_command", required=True)
-    pv = ksub.add_parser("validate", help="report K45 frame violations")
-    pv.add_argument("model")
-    pv.set_defaults(func=_cmd_kripke)
-    pc = ksub.add_parser("check", help="model-check a formula at a world")
-    pc.add_argument("model")
-    pc.add_argument("formula")
-    pc.add_argument("--world", required=True)
-    pc.add_argument("--semantics", choices=("basic", "naive", "fixed"), default="basic")
-    pc.set_defaults(func=_cmd_kripke)
+    if p := add("kripke", "finite Kripke models"):
+        ksub = p.add_subparsers(dest="kripke_command", required=True)
+        pv = ksub.add_parser("validate", help="report K45 frame violations")
+        pv.add_argument("model")
+        pv.set_defaults(func=_cmd_kripke)
+        pc = ksub.add_parser("check", help="model-check a formula at a world")
+        pc.add_argument("model")
+        pc.add_argument("formula")
+        pc.add_argument("--world", required=True)
+        pc.add_argument("--semantics", choices=("basic", "naive", "fixed"), default="basic")
+        pc.set_defaults(func=_cmd_kripke)
 
-    p = sub.add_parser("believes", help="entailment under only knowing")
-    p.add_argument("--agent", type=int, required=True)
-    p.add_argument("--kb", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--budget", type=float, default=None)
-    common(p)
-    p.set_defaults(func=_cmd_believes)
+    if p := add("believes", "entailment under only knowing"):
+        p.add_argument("--agent", type=int, required=True)
+        p.add_argument("--kb", required=True)
+        p.add_argument("--query", required=True)
+        p.add_argument("--budget", type=float, default=None)
+        common(p)
+        p.set_defaults(func=_cmd_believes)
 
-    p = sub.add_parser("okn-sets", help="finite fixed points of only knowing")
-    p.add_argument("formula")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--bound", type=int, default=2)
-    common(p, agents=False, fmt=False)
-    p.set_defaults(func=_cmd_okn_sets)
+    if p := add("okn-sets", "finite fixed points of only knowing"):
+        p.add_argument("formula")
+        p.add_argument("--phi", required=True)
+        p.add_argument("--bound", type=int, default=2)
+        common(p, agents=False, fmt=False)
+        p.set_defaults(func=_cmd_okn_sets)
 
+    if not sub.choices:
+        return build_parser()
     return top
 
 
 def main(argv: list[str] | None = None) -> int:
     sys.setrecursionlimit(20000)
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError:

@@ -38,11 +38,18 @@ can still get: each literal over such an atom becomes true (false under
 a negated modality).  The clause form and the cofactors are read off
 the formula as written, by polarity.  Group arguments sit one modal
 level lower, so the recursion terminates.  V goes first, innermost out,
-each body replaced by its own verdict.  The group tests of one search
-stay cheap: a positive argument is searched by independent components
-(Bayardo & Pehoushek, AAAI 2000), and an argument is cofactored one
-cached part at a time, then re-folded from the first part whose
-dependencies changed since the last test.
+each body replaced by its own verdict.
+
+The group tests of one search pay only for what changed.  The group
+state follows the trail, as a DPLL(T) theory does (Nieuwenhuis,
+Oliveras & Tinelli, JACM 2006): each agent's block grows by a literal
+as the trail grows, keeping the agent's N literals and only knowing's
+pair as they come, and a backtrack pops it.  A watch list per
+dependency names the literals that read it, so an assignment or an
+unassignment re-cofactors only those, one cached part at a time.  The
+pair rule reads the base's settled parts, a positive argument is
+searched by independent components (Bayardo & Pehoushek, AAAI 2000),
+and a formula is joined only for a subquery that needs one.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .formula import (
     Val,
     conj,
     conjuncts,
+    connect,
     fold,
     join,
     leaves,
@@ -181,8 +189,9 @@ class Decider:
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
         them), each with the clause -w | w, so the search decides them.
+        The groups follow the trail, and a backtrack pops them with it.
         A literal set has nothing to search, and its groups are tested
-        as they are, by the same _group_ok."""
+        as they are, by the same _groups_ok."""
         found = self._literal_set_ok(f, level)
         if found is not None:
             return found
@@ -205,15 +214,14 @@ class Decider:
                     index[g] = len(variables)
             deps[v] = tuple(dict.fromkeys(index[g] for g in own))
         clauses += ([-w, w] for w in dict.fromkeys(w for ws in deps.values() for w in ws))
-        tested: dict[frozenset[int], bool] = {}
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
-        cofactor = _Cofactors(modal, deps, s.value, self._own)
+        groups = _Groups(modal, deps, s.value, self._own)
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s.trail, cofactor, tested, level):
+            if s.propagate() and self._groups_ok(s.trail, groups, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -226,6 +234,7 @@ class Decider:
                 continue
             while decisions:
                 at, first, lit, flipped = decisions.pop()
+                groups.undo(s.trail, at)
                 s.undo(at, first)
                 if not flipped:
                     decisions.append((at, first, -lit, True))
@@ -239,9 +248,10 @@ class Decider:
         to_clauses reads it, is a conjunction of literals over atoms and
         modal atoms with no dependency, else None.  That set is the only
         candidate: a complementary pair refutes it, as the clauses' unit
-        conflict does, and otherwise _group_ok tests each agent's group,
-        the literals numbered in first-appearance order, which is the
-        order of their variables, and each cofactor the leaf itself."""
+        conflict does, and otherwise _groups_ok tests each agent's group,
+        the literals numbered and pushed in first-appearance order, which
+        is the order of their variables and of the search's trail, and
+        each cofactor the leaf itself."""
         literals: dict[Formula, bool] = {}
         stack = [(f, False)]
         while stack:
@@ -260,131 +270,154 @@ class Decider:
             else:
                 return None
         modal: dict[int, Formula] = {}
-        by_agent: dict[int, list[int]] = {}
+        trail: list[int] = []
         for v, (g, positive) in enumerate(literals.items(), 1):
             if type(g) is not Atom:
                 modal[v] = g
-                by_agent.setdefault(g.agent, []).append(v if positive else -v)
-        cofactor = _Cofactors(modal, {}, [], self._own)
-        for agent in sorted(by_agent):
-            if not self._group_ok(agent, by_agent[agent], cofactor, level):
-                return False
+                trail.append(v if positive else -v)
+        if modal and not self._groups_ok(trail, _Groups(modal, {}, [], self._own), level):
+            return False
         if self.trace:
             self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
         return True
 
-    def _groups_ok(
-        self, trail: list[int], cofactor: _Cofactors, tested: dict[frozenset[int], bool], level: int
-    ) -> bool:
+    def _groups_ok(self, trail: list[int], groups: _Groups, level: int) -> bool:
         """The group test for each agent's modal literals on the trail,
-        each set tested once.  A failing group fails under every
-        extension, so it prunes.  An agent's literal set fixes the
-        cofactors, since every dependency is one of its modal atoms."""
-        modal = cofactor.modal
-        if not modal:
+        in agent order.  The blocks take in the literals assigned since
+        the last call; a backtrack has popped the others already.  An
+        agent's literal set fixes its cofactors, since every dependency
+        is one of its modal atoms, so each set is tested once: a block's
+        verdict is kept under its set's hash with the number of its
+        literal sequence, and a later block hits when its sequence has
+        that number, or its literals, in any order, that set.  A failing
+        group fails under every extension, so it prunes."""
+        if not groups.modal:
             return True
-        by_agent: dict[int, list[int]] = {}
-        for lit in trail:
-            leaf = modal.get(abs(lit))
-            if leaf is not None:
-                by_agent.setdefault(leaf.agent, []).append(lit)
-        for agent in sorted(by_agent):
-            key = frozenset(by_agent[agent])
-            ok = tested.get(key)
-            if ok is None:
-                ok = tested[key] = self._group_ok(agent, sorted(key, key=abs), cofactor, level)
+        groups.sync(trail)
+        tested = groups.tested
+        for agent in groups.agents:
+            block = groups.blocks[agent]
+            lits = block.lits
+            if not lits:
+                continue
+            number, key = block.keys[-1]
+            seen = tested.get(key)
+            if seen is not None and (seen[0] == number or groups.literal_set(seen[0]) == set(lits)):
+                ok = seen[1]
+            else:
+                ok = self._group_ok(block, groups, level)
+                tested[key] = number, ok
             if not ok:
                 return False
         return True
 
-    def _group_ok(self, agent: int, lits: list[int], cofactor: _Cofactors, level: int) -> bool:
-        """The group test for the agent's modal literals lits, signed
-        variables in variable order, their arguments cofactored.  A group
-        whose only N literal is a positive N_i ~a, with L_i a positive
-        too, is O_i a's group, which _pair_ok tests; any other, _block_ok."""
-        modal = cofactor.modal
-        ns = [x for x in lits if type(modal[abs(x)]) is N]
-        pair = None
-        if len(ns) == 1 and ns[0] > 0:
-            n = modal[ns[0]].sub
-            pair = next((x for x in lits if x > 0 and type(modal[x]) is L and _negates(modal[x].sub, n)), None)
-        skip = (pair, ns[0]) if pair else ()
-        b = AgentBlock(agent)
-        for x in lits:
-            if x not in skip:
-                b = b.add(cofactor(abs(x), x > 0), x > 0)
+    def _group_ok(self, block: _Block, cofactor: _Cofactors, level: int) -> bool:
+        """The group test for one agent's block.  A group whose only N
+        literal is a positive N_i ~a, with L_i a positive too, is O_i a's
+        group, which _pair_ok tests on a's settled parts; any other,
+        _block_ok.  The block keeps its N literals and finds the pair by
+        a lookup, and its AgentBlock of the other literals is rebuilt
+        only from the first literal whose cofactor changed."""
+        b, pair = block.group(cofactor)
         if pair is None:
             return self._block_ok(b, level + 1)
-        return self._pair_ok(b, level + 1, cofactor(pair, True).sub, lambda: cofactor(pair, False).sub)
+        return self._pair_ok(b, level + 1, pair, cofactor)
 
-    def _pair_ok(self, b: AgentBlock, level: int, base: Formula, low: Callable[[], Formula]) -> bool:
-        """The group test of O_i a, L_i a & N_i ~a with base the cofactored
-        a, when N_i ~a is the group's only N literal; b holds the group's
-        other literals.  The union of the positive parts, (a & X) | ~a
-        with X the other positive L arguments, is valid iff a entails X,
-        so the group passes iff low() & ~X is unsatisfiable, low() being
-        a with its unassigned dependencies read as false (base itself
-        when it has none).  While some are unassigned, low() implies a
-        and ~X implies ~X, whatever the completion, so a group that
-        fails fails under all of them."""
+    def _pair_ok(self, b: AgentBlock, level: int, v: int, cofactor: _Cofactors) -> bool:
+        """The group test of O_i a, L_i a & N_i ~a with L_i a the modal
+        variable v, when N_i ~a is the group's only N literal; b holds
+        the group's other literals.  The union of the positive parts,
+        (a & X) | ~a with X the other positive L arguments, is valid iff
+        a entails X, so the group passes iff low & ~X is unsatisfiable,
+        low being a with its unassigned dependencies read as false (a
+        itself when it has none).  While some are unassigned, low implies
+        a and ~X implies ~X, whatever the completion, so a group that
+        fails fails under all of them.  The negated tests split a & X
+        into components over a's settled parts and X's conjuncts, and the
+        entailment is read off low's parts first: a formula is joined
+        only for a subquery that needs one."""
         x = b.pos_l
-        if b.neg_l and not self._negated_ok(b.agent, "L", fold(And(base, x)), b.neg_l, level):
-            return False
+        xs = [] if x is TRUE else conjuncts(x)
+        if b.neg_l:
+            base = cofactor.literal(v, True)
+            whole = lambda: connect(And, base.argument(), x)  # noqa: E731
+            if not self._negated_ok(b.agent, "L", base.conjuncts() + xs, b.neg_l, level, whole):
+                return False
         if self.trace:
             self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
         if x is TRUE:
             return True
-        a = low()
-        if set(conjuncts(x)) <= set(conjuncts(a)):
-            return True
-        return not self._sat(fold(And(a, fold(Not(x)))), level + 1)
+        low = cofactor.literal(v, False)
+        return low.entails(xs) or not self._sat(connect(And, low.argument(), fold(Not(x))), level + 1)
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        if b.neg_l and not self._negated_ok(b.agent, "L", b.pos_l, b.neg_l, level):
+        if b.neg_l and not self._negated_ok(b.agent, "L", conjuncts(b.pos_l), b.neg_l, level, lambda: b.pos_l):
             return False
-        if b.neg_n and not self._negated_ok(b.agent, "N", b.pos_n, b.neg_n, level):
+        if b.neg_n and not self._negated_ok(b.agent, "N", conjuncts(b.pos_n), b.neg_n, level, lambda: b.pos_n):
             return False
-        union = fold(Or(b.pos_l, b.pos_n))
+        union = connect(Or, b.pos_l, b.pos_n)
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
 
-    def _negated_ok(self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int) -> bool:
-        """Is pos & ~phi satisfiable for each phi in negs?  A conjunction
-        pos is searched only in the part each ~phi touches.  Repeated
-        arguments are tested once."""
+    def _negated_ok(
+        self,
+        agent: int,
+        kind: str,
+        parts: list[Formula],
+        negs: tuple[Formula, ...],
+        level: int,
+        whole: Callable[[], Formula],
+    ) -> bool:
+        """Is pos & ~phi satisfiable for each phi in negs, pos the
+        conjunction of parts, which whole() joins?  pos is searched only
+        in the part each ~phi touches.  Repeated arguments are tested
+        once."""
         negs = tuple(dict.fromkeys(negs))
-        partners = self._partners(agent, kind, pos, negs, level) if isinstance(pos, And) else [pos] * len(negs)
+        partners = self._partners(agent, kind, parts, negs, level, whole)
         if partners is None:
             return False
         for phi, partner in zip(negs, partners):
             if self.trace:
                 self.trace(level, f"agent {agent}: negated {kind} against the positive part", phi)
-            if not self._sat(fold(And(partner, fold(Not(phi)))), level + 1):
+            if not self._sat(connect(And, partner, fold(Not(phi))), level + 1):
                 return False
         return True
 
     def _partners(
-        self, agent: int, kind: str, pos: Formula, negs: tuple[Formula, ...], level: int
+        self,
+        agent: int,
+        kind: str,
+        parts: list[Formula],
+        negs: tuple[Formula, ...],
+        level: int,
+        whole: Callable[[], Formula],
     ) -> list[Formula] | None:
-        """The part of the conjunction pos that each phi in negs must be
-        searched against, or None when pos is unsatisfiable.  Conjuncts
-        that share no atom and no agent of a Boolean-level modal leaf
-        fall into components whose models combine, so ~phi needs only
-        the components it touches.  Each of the others must be
-        satisfiable too: a lone literal is, the memo answers those it
-        knows, and the rest are searched together, then memoized."""
-        parts = conjuncts(pos)
+        """The part of pos, the conjunction of parts (each taken once)
+        that whole() joins, that each phi in negs must be searched
+        against, or None when pos is unsatisfiable.  Parts that share no
+        atom and no agent of a Boolean-level modal leaf fall into
+        components whose models combine, so ~phi needs only the
+        components it touches, joined from their parts, and whole() is
+        called only for a phi that touches them all.  Each of the others
+        must be satisfiable too: a lone literal is, the memo answers
+        those it knows, and the rest are searched together, then
+        memoized."""
+        if len(parts) > 1:
+            parts = list(dict.fromkeys(parts))
+        if len(parts) < 2:  # their conjunction is whole()
+            return [parts[0] if parts else TRUE] * len(negs)
         component, members = _components([self._keys(p) for p in parts])
         if len(members) == 1:
-            return [pos] * len(negs)
+            return [whole()] * len(negs)
         touched = [{component[k] for k in self._keys(phi) if k in component} for phi in negs]
         fresh = []
         for c in sorted(set(range(len(members))).difference(*touched)):
-            alone = join(And, (parts[i] for i in members[c]))
+            ms = members[c]
+            alone = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
             if isinstance(alone.sub if isinstance(alone, Not) else alone, Atom):
                 continue
             known = self._memo.get(alone)
@@ -402,10 +435,16 @@ class Decider:
             if not self._sat(together, level + 1):
                 return None
             self._memo.update(dict.fromkeys(fresh, True))
-        return [
-            pos if len(cs) == len(members) else join(And, (parts[i] for i in sorted(i for c in cs for i in members[c])))
-            for cs in touched
-        ]
+        pos = None
+        out = []
+        for cs in touched:
+            if len(cs) < len(members):
+                out.append(join(And, (parts[i] for i in sorted(i for c in cs for i in members[c]))))
+                continue
+            if pos is None:
+                pos = whole()
+            out.append(pos)
+        return out
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -445,13 +484,6 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _negates(a: Formula, b: Formula) -> bool:
-    """Is b fold(Not(a)), for a and b the arguments of an L and an N
-    leaf?  Leaves are simplified, so neither argument is true and a
-    constant never pairs, and the test needs no node."""
-    return b.sub is a if type(b) is Not else type(a) is Not and a.sub is b
-
-
 def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:
     """Union-find over the parts' keys.  Returns each key's component and
     each component's parts, in order.  Part i stays a root while its own
@@ -479,19 +511,65 @@ def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list
     return {k: component[i] for k, i in owner.items()}, members
 
 
+_UNSET = object()  # a part not settled yet: unequal to every value
+
+
+class _Cofactor:
+    """One modal literal's cofactored argument: op joins its parts, each
+    settled under the values in seen (one per dependent part), and what
+    is read off them, the joined argument, the modal atom over it and
+    the argument's conjuncts, is made when first asked for and kept
+    until a part changes."""
+
+    __slots__ = ("op", "seen", "parts", "arg", "leaf", "conj", "conj_set")
+
+    def __init__(self, op: type, dependent: int, raw: list[Formula], arg: Formula | None) -> None:
+        self.op, self.seen, self.parts = op, [_UNSET] * dependent, list(raw)
+        self.arg, self.leaf, self.conj, self.conj_set = arg, None, None, None
+
+    def argument(self) -> Formula:
+        if self.arg is None:
+            self.arg = join(self.op, self.parts)
+        return self.arg
+
+    def conjuncts(self) -> list[Formula]:
+        """The argument's top-level conjuncts, read off the parts: none
+        when it is true, only false when a part is false."""
+        if self.conj is None:
+            out: list[Formula] = []
+            if self.op is And:
+                for p in self.parts:
+                    if p is FALSE:
+                        out = [FALSE]
+                        break
+                    if type(p) is And:
+                        out += conjuncts(p)
+                    elif p is not TRUE:
+                        out.append(p)
+            elif self.argument() is not TRUE:
+                out = conjuncts(self.arg)
+            self.conj = out
+        return self.conj
+
+    def entails(self, xs: list[Formula]) -> bool:
+        """Is each of xs one of the argument's conjuncts?"""
+        if self.conj_set is None:
+            self.conj_set = set(self.conjuncts())
+        return self.conj_set.issuperset(xs)
+
+
 class _Cofactors:
     """The cofactored modal atoms of one search, M_i phi with phi
     cofactored by the values the trail gives its dependencies, one part
     at a time: the conjuncts of a conjunction, joined by And, of a
     negated one, each negated, joined by Or, or phi alone.  A part with
-    no dependency is taken as it is.  For each modal literal a call
-    keeps the values each dependent part was last settled under, the
-    parts, and the left fold's prefixes, fold(op(prefix[k - 1],
-    part[k])).  The next call re-settles only the parts whose values
-    changed (a settled part is cached by its values, so a value that
-    reverts costs a lookup, and once every value is set both signs of
-    the literal share it) and re-folds from the first of them, so the
-    argument is join(op, parts), rebuilt only where it changed."""
+    no dependency is taken as it is.  Each modal literal keeps a
+    _Cofactor, and literal re-settles only the parts whose values
+    changed since it last looked (a settled part is cached by its
+    values, so a value that reverts costs a lookup, and once every
+    value is set both signs of the literal share it).  A group test
+    reads the parts; nothing re-folds the argument, which is joined
+    only when a caller asks for it, as the call does."""
 
     def __init__(
         self,
@@ -504,36 +582,45 @@ class _Cofactors:
         # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some):
         # one dependency is a variable, several a tuple of them
         self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, int | tuple]]]] = {}
-        self.folds: dict[int, list] = {}  # literal +-v -> [values settled under, parts, prefixes, the modal atom]
+        self.literals: dict[int, _Cofactor] = {}  # literal +-v -> its cofactor
         self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal or variable, part, values) -> settled part
         self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
 
     def __call__(self, v: int, positive: bool) -> Formula:
+        """The literal's modal atom over its cofactored argument."""
         leaf = self.modal[v]
         if v not in self.deps:
             return leaf
+        c = self.literal(v, positive)
+        if c.leaf is None:
+            arg = c.argument()
+            c.leaf = leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+        return c.leaf
+
+    def literal(self, v: int, positive: bool) -> _Cofactor:
+        """The literal's cofactor, each part whose values changed since
+        the last call settled again."""
         split = self.split.get(v)
         if split is None:
+            leaf = self.modal[v]
             negated = type(leaf.sub) is Not and type(leaf.sub.sub) is And
-            var = {self.modal[w]: w for w in self.deps[v]}
+            var = {self.modal[w]: w for w in self.deps.get(v, ())}
             raw, dependent = [], []
             for k, c in enumerate(conjuncts(leaf.sub.sub if negated else leaf.sub)):
-                own = tuple(dict.fromkeys(var[g] for g in self.own(c, leaf.agent)))
+                own = tuple(dict.fromkeys(var[g] for g in self.own(c, leaf.agent))) if var else ()
                 raw.append(c if own or not negated else fold(Not(c)))
                 if own:
                     dependent.append((k, own[0] if len(own) == 1 else own))
             split = self.split[v] = Or if negated else And, var, raw, dependent
         op, var, raw, dependent = split
         x = v if positive else -v
-        state = self.folds.get(x)
-        if state is None:  # nothing settled yet: fold from the first part
-            state = self.folds[x] = [[None] * len(dependent), list(raw), [None] * len(raw), None]
-        seen, parts, prefix, result = state
-        value = self.value
-        first = len(parts) if result is not None else 0
+        c = self.literals.get(x)
+        if c is None:  # an argument without dependencies is kept as written
+            c = self.literals[x] = _Cofactor(op, len(dependent), raw, None if dependent else self.modal[v].sub)
+        seen, parts, value = c.seen, c.parts, self.value
         for i, (k, own) in enumerate(dependent):
             now = value[own] if type(own) is int else tuple([value[w] for w in own])
-            if now != seen[i] or result is None:
+            if now != seen[i]:
                 seen[i] = now
                 key = (x if now is None or type(now) is tuple and None in now else v, k, now)
                 done = self.cache.get(key)
@@ -541,15 +628,8 @@ class _Cofactors:
                     done = self.cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
                 if done is not parts[k]:
                     parts[k] = done
-                    if first > k:
-                        first = k
-        if first == len(parts):
-            return result
-        for k in range(first, len(parts)):
-            prefix[k] = fold(op(prefix[k - 1], parts[k])) if k else parts[0]
-        arg = prefix[-1]
-        state[3] = result = leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
-        return result
+                    c.arg = c.leaf = c.conj = c.conj_set = None
+        return c
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
         """f, negated when neg, cofactored by the dependencies var names,
@@ -576,9 +656,9 @@ class _Cofactors:
             x, y = f.left, f.right
             if neg:
                 a = self._both(And, x, False, y, True)
-                return a if a is None else fold(Or(a, self._both(And, x, True, y, False)))
+                return a if a is None else connect(Or, a, self._both(And, x, True, y, False))
             a = self._both(Or, x, True, y, False)
-            return a if a is None else fold(And(a, self._both(Or, y, True, x, False)))
+            return a if a is None else connect(And, a, self._both(Or, y, True, x, False))
         w = self.var.get(f)
         if w is None:
             return None
@@ -593,7 +673,152 @@ class _Cofactors:
             a = fold(Not(x)) if xneg else x
         if b is None:
             b = fold(Not(y)) if yneg else y
-        return fold(op(a, b))
+        return connect(op, a, b)
+
+
+class _Block:
+    """One agent's modal literals on the trail, in trail order, and what
+    its group test reads, kept as literals come and go: the N literals,
+    each positive L literal by its argument (so O_i a's pair is looked
+    up, not searched for), the memo key of each prefix (the number of
+    its sequence and a hash of its set), and chain, each prefix's
+    AgentBlock without the pair's two literals.  chain[:dirty] is
+    current; a literal whose cofactor changed, or that joins or leaves
+    the pair, moves dirty back to its position, so group rebuilds the
+    AgentBlock only from there."""
+
+    __slots__ = ("agent", "numbers", "links", "lits", "at", "keys", "ns", "ls", "skip", "chain", "dirty")
+
+    def __init__(self, agent: int, numbers: dict[tuple[int, int], int], links: list[tuple[int, int]]) -> None:
+        self.agent, self.numbers, self.links = agent, numbers, links  # the search's, see _Groups
+        self.lits: list[int] = []
+        self.at: dict[int, int] = {}  # variable -> its position in lits
+        self.keys = [(0, 0)]  # keys[k]: the number of the sequence lits[:k] and the hash of its set
+        self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
+        self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
+        self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when chain leaves them out
+        self.chain: list[AgentBlock] = []
+        self.dirty = 0
+
+    def push(self, x: int, leaf: Formula) -> None:
+        v = abs(x)
+        self.at[v] = len(self.lits)
+        self.lits.append(x)
+        number, key = self.keys[-1]
+        longer = self.numbers.get((number, x))
+        if longer is None:
+            longer = self.numbers[number, x] = len(self.links)
+            self.links.append((number, x))
+        self.keys.append((longer, key ^ hash((2 * x,))))  # hash(-1) is hash(-2); 2 * x is never -1
+        if type(leaf) is N:
+            self.ns.append((x, leaf))
+        elif x > 0:
+            self.ls[leaf.sub] = v
+
+    def pop(self, leaf: Formula) -> None:
+        x = self.lits.pop()
+        del self.at[abs(x)]
+        self.keys.pop()
+        if type(leaf) is N:
+            self.ns.pop()
+        elif x > 0:
+            del self.ls[leaf.sub]
+        if self.dirty > len(self.lits):
+            self.dirty = len(self.lits)
+
+    def touch(self, vs: list[int]) -> None:
+        """The cofactors of vs may have changed."""
+        for v in vs:
+            k = self.at.get(v)
+            if k is not None and k < self.dirty and v not in self.skip:
+                self.dirty = k
+
+    def group(self, cofactor: _Cofactors) -> tuple[AgentBlock, int | None]:
+        """The AgentBlock of the literals outside the pair, and the pair's
+        L variable, None when the group has no pair: its only N literal
+        is a positive N_i ~a and L_i a is positive too."""
+        pair = None
+        if len(self.ns) == 1 and self.ns[0][0] > 0:
+            n = self.ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
+            pair = self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
+        skip = (pair, self.ns[0][0]) if pair else ()
+        if skip != self.skip:
+            old, self.skip = self.skip, ()
+            self.touch(old + skip)
+            self.skip = skip
+        chain = self.chain
+        del chain[self.dirty :]
+        b = chain[-1] if chain else AgentBlock(self.agent)
+        for x in self.lits[self.dirty :]:
+            if x not in skip:
+                b = b.add(cofactor(abs(x), x > 0), x > 0)
+            chain.append(b)
+        self.dirty = len(chain)
+        return b, pair
+
+
+class _Groups(_Cofactors):
+    """The group state of one search, which follows its trail: the
+    cofactors, a block per agent, the group tests' verdicts by block,
+    and a watch list per dependency variable, the modal variables whose
+    arguments read it.  sync takes in the trail literals assigned since
+    the last call and undo pops them again, and each assignment or
+    unassignment of a dependency touches only the literals that read
+    it."""
+
+    def __init__(self, *args) -> None:  # _Cofactors' arguments
+        super().__init__(*args)
+        self.watch: dict[int, list[int]] = {}
+        for v, ws in self.deps.items():
+            for w in ws:
+                self.watch.setdefault(w, []).append(v)
+        self.blocks: dict[int, _Block] = {}
+        self.agents: list[int] = []  # the blocks' agents, in order
+        self.numbers: dict[tuple[int, int], int] = {}  # (number of a sequence, literal) -> number of the longer one
+        self.links: list[tuple[int, int]] = [(0, 0)]  # number -> (number of the sequence one shorter, last literal)
+        self.tested: dict[int, tuple[int, bool]] = {}  # hash of a literal set -> (a sequence's number, its verdict)
+        self.head = 0  # trail[:head] is in the blocks
+
+    def sync(self, trail: list[int]) -> None:
+        modal, blocks, watch = self.modal, self.blocks, self.watch
+        for x in trail[self.head :]:
+            v = abs(x)
+            leaf = modal.get(v)
+            if leaf is None:
+                continue
+            block = blocks.get(leaf.agent)
+            if block is None:
+                block = blocks[leaf.agent] = _Block(leaf.agent, self.numbers, self.links)
+                self.agents = sorted(blocks)
+            block.push(x, leaf)
+            readers = watch.get(v)
+            if readers:  # of v's agent, since v is one of their own modal atoms
+                block.touch(readers)
+        self.head = len(trail)
+
+    def literal_set(self, number: int) -> set[int]:
+        """The literals of the sequence number."""
+        out = set()
+        while number:
+            number, x = self.links[number]
+            out.add(x)
+        return out
+
+    def undo(self, trail: list[int], at: int) -> None:
+        """Pop the literals of trail[at:] that sync took in."""
+        modal, blocks, watch = self.modal, self.blocks, self.watch
+        for k in range(self.head - 1, at - 1, -1):
+            v = abs(trail[k])
+            leaf = modal.get(v)
+            if leaf is None:
+                continue
+            block = blocks[leaf.agent]
+            block.pop(leaf)
+            readers = watch.get(v)
+            if readers:
+                block.touch(readers)
+        if self.head > at:
+            self.head = at
 
 
 class _Trail:

@@ -443,12 +443,27 @@ def fold(g: Formula) -> Formula:
     return g
 
 
+def connect(op: type, a: Formula, b: Formula) -> Formula:
+    """fold(op(a, b)) for op And or Or and simplified a and b, without
+    building the node when it folds away."""
+    unit, zero = (TRUE, FALSE) if op is And else (FALSE, TRUE)
+    if a is zero or b is zero:
+        return zero
+    if a is unit:
+        return b
+    if b is unit or a is b:
+        return a
+    if type(a) is Not and a.sub is b or type(b) is Not and b.sub is a:
+        return zero
+    return op(a, b)
+
+
 def join(op: type, parts: Iterable[Formula]) -> Formula:
     """Left fold of op (And or Or) over simplified parts, each node folded
     as it is built: simplify(conj(parts)) or simplify(disj(parts))."""
     out: Formula | None = None
     for p in parts:
-        out = p if out is None else fold(op(out, p))
+        out = p if out is None else connect(op, out, p)
     if out is None:
         return TRUE if op is And else FALSE
     return out

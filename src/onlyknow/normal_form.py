@@ -64,6 +64,7 @@ from .formula import (
     assign,
     conj,
     conjuncts,
+    connect,
     disj,
     fold,
     join,
@@ -245,11 +246,11 @@ class AgentBlock(NamedTuple):
         arg = leaf.sub
         if isinstance(leaf, N):
             if positive:
-                pos_n = arg if pos_n is TRUE else fold(And(pos_n, arg))
+                pos_n = connect(And, pos_n, arg)
             else:
                 neg_n += (arg,)
         elif positive:
-            pos_l = arg if pos_l is TRUE else fold(And(pos_l, arg))
+            pos_l = connect(And, pos_l, arg)
         else:
             neg_l += (arg,)
         return _tuple(AgentBlock, (agent, pos_l, neg_l, pos_n, neg_n))

@@ -786,6 +786,36 @@ def test_pre_search_work_is_linear_on_a_wide_conjunction(head):
         sys.setrecursionlimit(limit)
 
 
+def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
+    # consistent of n nested L1 over p guesses the agent's own nested
+    # modal atoms one by one, with a group test after each.  A test that
+    # rebuilt the agent's group from the whole trail cofactored and added
+    # all n literals each time, 3.98 times as often at n = 200 as at 100;
+    # a group that follows the trail touches only the literals whose
+    # dependencies changed.
+    from onlyknow.normal_form import AgentBlock
+
+    calls = [0]
+    cofactor, add = _Cofactors.__call__, AgentBlock.add
+
+    def counted(method):
+        def run(*args):
+            calls[0] += 1
+            return method(*args)
+
+        return run
+
+    monkeypatch.setattr(_Cofactors, "__call__", counted(cofactor))
+    monkeypatch.setattr(AgentBlock, "add", counted(add))
+    counts = []
+    for n in (100, 200):
+        f = functools.reduce(lambda g, _: L(1, g), range(n), p)
+        calls[0] = 0
+        assert Decider().consistent(f).status == "satisfiable"
+        counts.append(calls[0])
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
 def _chain(op, n):
     """p0 op p1 op ... op p(n-1), grouped to the left."""
     return functools.reduce(op, [Atom(f"p{i}") for i in range(n)])

@@ -30,6 +30,8 @@ from onlyknow.formula import (
     build_independent,
     classify,
     conj,
+    connect,
+    fold,
     in_onl_minus,
     is_i_objective,
     is_i_subjective,
@@ -301,6 +303,17 @@ def test_assign_folds_a_simplified_formula_as_simplify_would():
             decided += h is not g
             assert h == simplify(h), (to_text(g), env)
     assert decided > 200
+
+
+def test_connect_is_the_fold_of_the_node_it_would_build():
+    # Pairs of simplified formulas that meet constants, repeats and
+    # complements as well as each other.
+    parts = [TRUE, FALSE, p, Not(p), q & p, Not(q & p)]
+    parts += [simplify(generate_random(seed, "full", max_modal_depth=2, n_atoms=2)) for seed in range(40)]
+    for a in parts:
+        for b in parts:
+            for op in (And, Or):
+                assert connect(op, a, b) is fold(op(a, b)), (op, to_text(a), to_text(b))
 
 
 def test_leaves_stop_at_modal_and_val_formulas():
