@@ -191,7 +191,7 @@ class Decider:
         them), each with the clause -w | w, so the search decides them.
         The groups follow the trail, and a backtrack pops them with it.
         A literal set has nothing to search, and its groups are tested
-        as they are, by the same _groups_ok."""
+        as they are, by the same _group_ok."""
         found = self._literal_set_ok(f, level)
         if found is not None:
             return found
@@ -217,7 +217,7 @@ class Decider:
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
-        groups = _Groups(modal, deps, s.value, self._own)
+        groups = _Groups(modal, deps, s.value, self._own) if modal else None
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
@@ -234,7 +234,8 @@ class Decider:
                 continue
             while decisions:
                 at, first, lit, flipped = decisions.pop()
-                groups.undo(s.trail, at)
+                if groups:
+                    groups.undo(s.trail, at)
                 s.undo(at, first)
                 if not flipped:
                     decisions.append((at, first, -lit, True))
@@ -248,7 +249,7 @@ class Decider:
         to_clauses reads it, is a conjunction of literals over atoms and
         modal atoms with no dependency, else None.  That set is the only
         candidate: a complementary pair refutes it, as the clauses' unit
-        conflict does, and otherwise _groups_ok tests each agent's group,
+        conflict does, and otherwise _group_ok tests each agent's block,
         the literals numbered and pushed in first-appearance order, which
         is the order of their variables and of the search's trail, and
         each cofactor the leaf itself."""
@@ -270,18 +271,23 @@ class Decider:
             else:
                 return None
         modal: dict[int, Formula] = {}
-        trail: list[int] = []
+        blocks: dict[int, _Block] = {}
         for v, (g, positive) in enumerate(literals.items(), 1):
             if type(g) is not Atom:
                 modal[v] = g
-                trail.append(v if positive else -v)
-        if modal and not self._groups_ok(trail, _Groups(modal, {}, [], self._own), level):
-            return False
+                block = blocks.get(g.agent)
+                if block is None:
+                    block = blocks[g.agent] = _Block(g.agent)
+                block.push(v if positive else -v, g)
+        if blocks:
+            cofactor = _Cofactors(modal, {}, [], self._own)
+            if not all(self._group_ok(blocks[agent], cofactor, level) for agent in sorted(blocks)):
+                return False
         if self.trace:
             self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
         return True
 
-    def _groups_ok(self, trail: list[int], groups: _Groups, level: int) -> bool:
+    def _groups_ok(self, trail: list[int], groups: _Groups | None, level: int) -> bool:
         """The group test for each agent's modal literals on the trail,
         in agent order.  The blocks take in the literals assigned since
         the last call; a backtrack has popped the others already.  An
@@ -290,8 +296,9 @@ class Decider:
         verdict is kept under its set's hash with the number of its
         literal sequence, and a later block hits when its sequence has
         that number, or its literals, in any order, that set.  A failing
-        group fails under every extension, so it prunes."""
-        if not groups.modal:
+        group fails under every extension, so it prunes.  A search with
+        no modal variable has no groups."""
+        if groups is None:
             return True
         groups.sync(trail)
         tested = groups.tested
@@ -300,7 +307,7 @@ class Decider:
             lits = block.lits
             if not lits:
                 continue
-            number, key = block.keys[-1]
+            number, key = groups.key(block)
             seen = tested.get(key)
             if seen is not None and (seen[0] == number or groups.literal_set(seen[0]) == set(lits)):
                 ok = seen[1]
@@ -687,13 +694,13 @@ class _Block:
     the pair, moves dirty back to its position, so group rebuilds the
     AgentBlock only from there."""
 
-    __slots__ = ("agent", "numbers", "links", "lits", "at", "keys", "ns", "ls", "skip", "chain", "dirty")
+    __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "chain", "dirty")
 
-    def __init__(self, agent: int, numbers: dict[tuple[int, int], int], links: list[tuple[int, int]]) -> None:
-        self.agent, self.numbers, self.links = agent, numbers, links  # the search's, see _Groups
+    def __init__(self, agent: int) -> None:
+        self.agent = agent
         self.lits: list[int] = []
         self.at: dict[int, int] = {}  # variable -> its position in lits
-        self.keys = [(0, 0)]  # keys[k]: the number of the sequence lits[:k] and the hash of its set
+        self.keys = [(0, 0)]  # keys[k]: the memo key of lits[:k], as far as _Groups.key has taken it
         self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
         self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
         self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when chain leaves them out
@@ -704,12 +711,6 @@ class _Block:
         v = abs(x)
         self.at[v] = len(self.lits)
         self.lits.append(x)
-        number, key = self.keys[-1]
-        longer = self.numbers.get((number, x))
-        if longer is None:
-            longer = self.numbers[number, x] = len(self.links)
-            self.links.append((number, x))
-        self.keys.append((longer, key ^ hash((2 * x,))))  # hash(-1) is hash(-2); 2 * x is never -1
         if type(leaf) is N:
             self.ns.append((x, leaf))
         elif x > 0:
@@ -718,7 +719,7 @@ class _Block:
     def pop(self, leaf: Formula) -> None:
         x = self.lits.pop()
         del self.at[abs(x)]
-        self.keys.pop()
+        del self.keys[len(self.lits) + 1 :]
         if type(leaf) is N:
             self.ns.pop()
         elif x > 0:
@@ -788,13 +789,27 @@ class _Groups(_Cofactors):
                 continue
             block = blocks.get(leaf.agent)
             if block is None:
-                block = blocks[leaf.agent] = _Block(leaf.agent, self.numbers, self.links)
+                block = blocks[leaf.agent] = _Block(leaf.agent)
                 self.agents = sorted(blocks)
             block.push(x, leaf)
             readers = watch.get(v)
             if readers:  # of v's agent, since v is one of their own modal atoms
                 block.touch(readers)
         self.head = len(trail)
+
+    def key(self, block: _Block) -> tuple[int, int]:
+        """The block's memo key: the number of its literal sequence and
+        a hash of its set, whatever the order."""
+        keys, numbers, links = block.keys, self.numbers, self.links
+        number, key = keys[-1]
+        for x in block.lits[len(keys) - 1 :]:
+            longer = numbers.get((number, x))
+            if longer is None:
+                longer = numbers[number, x] = len(links)
+                links.append((number, x))
+            number, key = longer, key ^ hash((2 * x,))  # hash(-1) is hash(-2); 2 * x is never -1
+            keys.append((number, key))
+        return number, key
 
     def literal_set(self, number: int) -> set[int]:
         """The literals of the sequence number."""

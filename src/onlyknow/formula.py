@@ -494,6 +494,8 @@ def own_modal_leaves(f: Formula, agent: int) -> Iterator[Formula]:
 
 def conjuncts(f: Formula) -> list[Formula]:
     """The top-level conjuncts of f, left to right."""
+    if type(f) is not And:
+        return [f]
     out: list[Formula] = []
     stack = [f]
     while stack:
