@@ -446,7 +446,8 @@ class Decider:
         out = []
         for cs in touched:
             if len(cs) < len(members):
-                out.append(join(And, (parts[i] for i in sorted(i for c in cs for i in members[c]))))
+                ms = sorted(i for c in cs for i in members[c])
+                out.append(parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms)))
                 continue
             if pos is None:
                 pos = whole()
@@ -730,19 +731,21 @@ class _Block:
     def touch(self, vs: list[int]) -> None:
         """The cofactors of vs may have changed."""
         for v in vs:
-            k = self.at.get(v)
-            if k is not None and k < self.dirty and v not in self.skip:
-                self.dirty = k
+            if v not in self.skip:
+                k = self.at.get(v)
+                if k is not None and k < self.dirty:
+                    self.dirty = k
 
     def group(self, cofactor: _Cofactors) -> tuple[AgentBlock, int | None]:
         """The AgentBlock of the literals outside the pair, and the pair's
         L variable, None when the group has no pair: its only N literal
         is a positive N_i ~a and L_i a is positive too."""
-        pair = None
-        if len(self.ns) == 1 and self.ns[0][0] > 0:
-            n = self.ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
+        pair, skip, ns = None, (), self.ns
+        if len(ns) == 1 and ns[0][0] > 0:
+            n = ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
             pair = self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
-        skip = (pair, self.ns[0][0]) if pair else ()
+            if pair:
+                skip = (pair, ns[0][0])
         if skip != self.skip:
             old, self.skip = self.skip, ()
             self.touch(old + skip)
