@@ -579,6 +579,8 @@ class _Cofactors:
     reads the parts; nothing re-folds the argument, which is joined
     only when a caller asks for it, as the call does."""
 
+    __slots__ = ("modal", "deps", "value", "own", "split", "literals", "cache", "var", "pending")
+
     def __init__(
         self,
         modal: dict[int, Formula],
@@ -770,10 +772,18 @@ class _Groups(_Cofactors):
     unassignment of a dependency touches only the literals that read
     it."""
 
-    def __init__(self, *args) -> None:  # _Cofactors' arguments
-        super().__init__(*args)
+    __slots__ = ("watch", "blocks", "agents", "numbers", "links", "tested", "head")
+
+    def __init__(
+        self,
+        modal: dict[int, Formula],
+        deps: dict[int, tuple[int, ...]],
+        value: list[bool | None],
+        own: Callable[[Formula, int], Iterable[Formula]],
+    ) -> None:
+        super().__init__(modal, deps, value, own)
         self.watch: dict[int, list[int]] = {}
-        for v, ws in self.deps.items():
+        for v, ws in deps.items():
             for w in ws:
                 self.watch.setdefault(w, []).append(v)
         self.blocks: dict[int, _Block] = {}
