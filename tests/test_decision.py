@@ -788,11 +788,10 @@ def test_pre_search_work_is_linear_on_a_wide_conjunction(head):
 
 def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
     # consistent of n nested L1 over p guesses the agent's own nested
-    # modal atoms one by one, with a group test after each.  A test that
-    # rebuilt the agent's group from the whole trail cofactored and added
-    # all n literals each time, 3.98 times as often at n = 200 as at 100;
-    # a group that follows the trail touches only the literals whose
-    # dependencies changed.
+    # modal atoms one by one, with a group test after each.  Rebuilding
+    # the group from the whole trail at each test makes that work
+    # quadratic in n; a group that follows the trail touches only the
+    # literals whose dependencies changed.
     from onlyknow.normal_form import AgentBlock
 
     calls = [0]
