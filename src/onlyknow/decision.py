@@ -23,7 +23,8 @@ cofactored first: introspective agents give those atoms the same value
 at every world they entertain, so M_i phi agrees with M_i phi[a] under
 the values a the literal set gives them.  Those atoms are therefore
 search variables too, and the search guesses them, as in the
-stable-expansion reading of only knowing (Levesque, 1990).
+stable-expansion reading of only knowing (Levesque, 1990), unless only
+knowing's pair decides them (below).
 
 A skeleton that, read by polarity, is a conjunction of literals over
 atoms and modal atoms without such dependencies is its own only
@@ -50,6 +51,18 @@ unassignment re-cofactors only those, one cached part at a time.  The
 pair rule reads the base's settled parts, a positive argument is
 searched by independent components (Bayardo & Pehoushek, AAAI 2000),
 and a formula is joined only for a subquery that needs one.
+
+The pair also propagates, DPLL(T)'s propagate step: once the groups
+pass, and before the search guesses, each O_i a assigns those of a's
+dependencies L_i psi, psi objective, that a's two cofactors decide.
+Every completion's a lies between low, a with its unassigned
+dependencies read as false, and high, read as true.  If low does not
+entail psi, L_i psi would fail the pair's entailment, so ~L_i psi is
+implied; if high and the other positive L arguments entail psi, ~L_i psi
+would fail its negated test, so L_i psi is.  The implied literals join
+the trail at the current decision level, and a backtrack takes them
+back with it.  The entailments are read off the parts first, and only
+what that leaves open is searched.
 """
 
 from __future__ import annotations
@@ -188,7 +201,8 @@ class Decider:
         literals still unassigned stay don't-care.  A modal variable
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
-        them), each with the clause -w | w, so the search decides them.
+        them), each with the clause -w | w, so the search decides them,
+        or only knowing's pair forces them (_forced) before a guess.
         The groups follow the trail, and a backtrack pops them with it.
         A literal set has nothing to search, and its groups are tested
         as they are, by the same _group_ok."""
@@ -218,10 +232,13 @@ class Decider:
         if s.conflict:
             return False
         groups = _Groups(modal, deps, s.value, self._own) if modal else None
+        pairs = any(type(modal[v]) is N for v in deps)  # N_i ~a of a pair that may force a's dependencies
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
             if s.propagate() and self._groups_ok(s.trail, groups, level):
+                if pairs and self._forced(s, groups, level):
+                    continue
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -317,6 +334,93 @@ class Decider:
             if not ok:
                 return False
         return True
+
+    def _forced(self, s: _Trail, groups: _Groups, level: int) -> bool:
+        """DPLL(T)'s propagate step for only knowing's pairs: assign, as
+        implied literals, the dependencies of O_i a that the pair's
+        bounds decide, and say whether any was assigned.  Such a
+        dependency is an L_i psi, psi objective for the agent.  Every
+        completion's a lies between low and high, a's two cofactors
+        (low entails a, a entails high), and X, the other positive L
+        arguments, only grows.  If low does not entail psi, L_i psi
+        would fail the pair's entailment, so ~L_i psi holds; if high & X
+        entails psi, ~L_i psi would fail its negated test, so L_i psi
+        holds.  Each rule prunes only branches whose group fails, so the
+        second is tried only where the first does not fire."""
+        value, modal, deps = s.value, groups.modal, groups.deps
+        forced = []
+        for agent in groups.agents:
+            block = groups.blocks[agent]
+            ns = block.ns
+            if len(ns) != 1 or ns[0][0] < 0:
+                continue
+            b, v = block.group(groups)
+            if v is None:
+                continue
+            pending = [w for w in deps.get(v, ()) if value[w] is None and type(modal[w]) is L and w not in deps]
+            if not pending:
+                continue
+            low = groups.literal(v, False)
+            psis = [modal[w].sub for w in pending]
+            by_low = self._entailed(agent, low.conjuncts(), psis, level + 1, low.argument)
+            rest = [psi for psi, e in zip(psis, by_low) if e]
+            by_high: set[Formula] = set()
+            if rest:
+                high, x = groups.literal(v, True), b.pos_l
+                whole = lambda: connect(And, high.argument(), x)  # noqa: E731
+                parts = high.conjuncts() + ([] if x is TRUE else conjuncts(x))
+                by_high = {psi for psi, e in zip(rest, self._entailed(agent, parts, rest, level + 1, whole)) if e}
+            for w, psi, e in zip(pending, psis, by_low):
+                if not e or psi in by_high:
+                    forced.append(w if e else -w)
+                    if self.trace:
+                        self.trace(level + 1, f"agent {agent}: only knowing forces", modal[w] if e else Not(modal[w]))
+        for x in forced:
+            s.assign(x)
+        return bool(forced)
+
+    def _entailed(
+        self,
+        agent: int,
+        parts: list[Formula],
+        psis: list[Formula],
+        level: int,
+        whole: Callable[[], Formula],
+    ) -> list[bool]:
+        """Does pos, the conjunction of parts that whole() joins, entail
+        each psi?  Yes at once when psi is one of the parts.  No at once
+        when no two parts share a key, each part is satisfiable without
+        a search (a lone literal, or by the memo), psi shares no key with
+        them and ~psi is satisfiable too: a model of each then combines
+        into one of pos & ~psi.  Otherwise pos & ~psi is searched in the
+        part ~psi touches, the partners found once for all of them, and
+        that part alone when ~psi is one of the parts."""
+        if not psis:
+            return []
+        parts = list(dict.fromkeys(parts))
+        given = set(parts)
+        union = _disjoint([self._keys(p) for p in parts])
+        if union is not None and not all(map(self._known_sat, parts)):
+            union = None
+        out = {}
+        hard = []
+        for psi in psis:
+            if psi in given:
+                out[psi] = True
+            elif union is not None and union.isdisjoint(self._keys(psi)) and self._known_sat(fold(Not(psi))):
+                out[psi] = False
+            else:
+                hard.append(psi)
+        if hard:
+            partners = self._partners(agent, "L", parts, tuple(hard), level, whole)
+            for k, psi in enumerate(hard):
+                if partners is None:
+                    out[psi] = True
+                else:
+                    neg = fold(Not(psi))
+                    g = partners[k] if neg in given else connect(And, partners[k], neg)
+                    out[psi] = not (self._known_sat(g) or self._sat(g, level + 1))
+        return [out[psi] for psi in psis]
 
     def _group_ok(self, block: _Block, cofactor: _Cofactors, level: int) -> bool:
         """The group test for one agent's block.  A group whose only N
@@ -425,7 +529,7 @@ class Decider:
         for c in sorted(set(range(len(members))).difference(*touched)):
             ms = members[c]
             alone = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
-            if isinstance(alone.sub if isinstance(alone, Not) else alone, Atom):
+            if _is_literal(alone):
                 continue
             known = self._memo.get(alone)
             if known is None:
@@ -456,12 +560,23 @@ class Decider:
 
     # -- bookkeeping ----------------------------------------------------
 
+    def _known_sat(self, f: Formula) -> bool:
+        """Is f satisfiable as far as is known without a search: a
+        literal over an atom, or by the memo?"""
+        return _is_literal(f) or self._memo.get(f) is True
+
     def _keys(self, f: Formula) -> set[str | int]:
         """What ties f to other conjuncts: its Boolean-level atoms' names and
         modal leaves' agents, kept by node, since parts recur across tests."""
         keys = self._key_sets.get(f)
         if keys is None:
-            keys = {g.agent if isinstance(g, MODAL) else g.name for g in leaves(f) if isinstance(g, (Atom, L, N))}
+            g = f.sub if type(f) is Not else f  # a literal is its own only leaf
+            if type(g) is Atom:
+                keys = {g.name}
+            elif isinstance(g, MODAL):
+                keys = {g.agent}
+            else:
+                keys = {h.agent if isinstance(h, MODAL) else h.name for h in leaves(g) if isinstance(h, (Atom, L, N))}
             self._key_sets[f] = keys
         return keys
 
@@ -492,10 +607,24 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
+def _is_literal(f: Formula) -> bool:
+    return type(f.sub if type(f) is Not else f) is Atom
+
+
+def _disjoint(parts: list[set[str | int]]) -> set[str | int] | None:
+    """The parts' keys, when no two parts share one, else None."""
+    union = set().union(*parts)
+    return union if len(union) == sum(map(len, parts)) else None
+
+
 def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:
     """Union-find over the parts' keys.  Returns each key's component and
-    each component's parts, in order.  Part i stays a root while its own
-    keys are joined, since every other root is hung under it."""
+    each component's parts, in order.  When no two parts share a key,
+    each part is a component of its own, with no union-find.  Otherwise
+    part i stays a root while its own keys are joined, since every other
+    root is hung under it."""
+    if _disjoint(parts) is not None:
+        return {k: i for i, keys in enumerate(parts) for k in keys}, [[i] for i in range(len(parts))]
     parent = list(range(len(parts)))
     owner: dict[str | int, int] = {}
     for i, keys in enumerate(parts):

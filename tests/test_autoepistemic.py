@@ -106,6 +106,61 @@ def test_believes_matches_finite_states_single_agent():
         assert by_proof == by_enumeration, (to_text(kb), to_text(query), states)
 
 
+@pytest.mark.parametrize(
+    "text, states, forced, searched",
+    [
+        # Two expansions, believing p or q: low entails both, high
+        # neither, so no rule fires and the search guesses ~L1 p.  The
+        # base is then q, which forces L1 q.
+        ("(~L1 p -> q) & (~L1 q -> p)", 2, {"L1 q"}, False),
+        # Blocked: ~p is a conjunct of the base however L1 ~p is read.
+        ("~p & (~L1 ~p -> q)", 1, {"L1 ~p"}, False),
+        # Unblocked: q, the base with L1 ~p read as true, leaves ~p open.
+        ("~L1 ~p -> q", 1, {"~L1 ~p"}, False),
+        # The base's parts share ~p's atom, so low & p is searched.
+        ("(q -> p) & (~L1 ~p -> q)", 1, {"~L1 ~p"}, True),
+    ],
+)
+def test_only_knowing_forces_agree_with_the_oracles(monkeypatch, text, states, forced, searched):
+    # The pair assigns the dependencies its two bounds decide; believes
+    # and kb_coherent must still agree with the enumerated states and
+    # the extended oracle on every query over the base's atoms.  A rule
+    # that cannot decide at once searches the partners of its formulas.
+    from onlyknow.finite_semantics import oracle_valid
+    from onlyknow.formula import L, Implies, only_knows
+
+    depth, partners = [0], [0]
+    entailed, method = Decider._entailed, Decider._partners
+
+    def rule(*args):
+        depth[0] += 1
+        try:
+            return entailed(*args)
+        finally:
+            depth[0] -= 1
+
+    def counted(*args):
+        partners[0] += depth[0] > 0
+        return method(*args)
+
+    monkeypatch.setattr(Decider, "_entailed", rule)
+    monkeypatch.setattr(Decider, "_partners", counted)
+    kb = parse(text, 1)
+    phi = ("p", "q")
+    sets = only_knowing_sets(kb, phi)
+    events = []
+    coherent = kb_coherent(1, kb, Decider(trace=lambda level, rule, f: events.append((rule, to_text(f)))))
+    assert len(sets) == states
+    assert coherent is bool(sets) is not oracle_valid(Not(only_knows(1, kb)), phi, semantics="extended").valid
+    assert {f for rule, f in events if rule.endswith("only knowing forces")} == forced
+    assert (partners[0] > 0) is searched
+    for q in ("p", "~p", "q", "~q", "p | q", "p & q", "p -> q", "p <-> q", "false"):
+        query = parse(q, 1)
+        by_states = all(evaluate(Situation(phi, w_set, w), query) for w_set in sets for w in w_set)
+        by_oracle = oracle_valid(Implies(only_knows(1, kb), L(1, query)), phi, semantics="extended").valid
+        assert believes(1, kb, query) is by_states is by_oracle, (text, q)
+
+
 @pytest.mark.parametrize("k", [6, 9, 16, 20])
 def test_default_theory_decides_within_two_seconds(monkeypatch, k):
     # k defaults of the benchmark's six variants, four questions each:

@@ -100,7 +100,9 @@ def test_decide_trace_of_literal_sets(capsys, text, code, lines):
 def test_decide_trace_of_an_only_knowing_pair(capsys):
     # O1 kb's group is tested as the pair: the negated L conjunct, then
     # whether the base, its dependency L1 ~p read as false, entails the
-    # other positive L parts (true until L1 ~p is guessed true, then ~p).
+    # other positive L parts (true).  That base, q, does not entail ~p,
+    # so L1 ~p would fail the entailment: the pair forces ~L1 ~p, and
+    # the base it leaves, q, fails the negated L conjunct at once.
     code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~L1 ~p -> q) -> L1 q")
     assert (code, out.strip()) == (0, "VALID")
     assert err.splitlines() == [
@@ -109,13 +111,28 @@ def test_decide_trace_of_an_only_knowing_pair(capsys):
         "    satisfiable?: ~q",
         "      satisfying literals: ~q",
         "  agent 1: only-knowing base must entail the other positive L parts: true",
+        "  agent 1: only knowing forces: ~L1 ~p",
         "  agent 1: negated L against the positive part: q",
-        "  agent 1: negated L against the positive part: q",
-        "    satisfiable?: ~p & ~q",
-        "      satisfying literals: ~p & ~q",
-        "  agent 1: only-knowing base must entail the other positive L parts: ~p",
-        "    satisfiable?: p",
-        "      satisfying literals: p",
+    ]
+
+
+def test_decide_trace_of_an_only_knowing_pair_forcing_a_belief(capsys):
+    # A blocked default: ~b is a conjunct of the base however L1 ~b is
+    # read, so ~L1 ~b would fail its negated test, and the pair forces
+    # L1 ~b.  Its base then entails ~b, and f is not believed.
+    code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~b & (~L1 ~b -> f)) -> L1 f")
+    assert (code, out.strip()) == (1, "INVALID")
+    assert err.splitlines() == [
+        "satisfiable?: ~(O1 (~b & (~L1 ~b -> f)) -> L1 f)",
+        "  agent 1: negated L against the positive part: f",
+        "    satisfiable?: ~b & ~f",
+        "      satisfying literals: ~b & ~f",
+        "  agent 1: only-knowing base must entail the other positive L parts: true",
+        "  agent 1: only knowing forces: L1 ~b",
+        "  agent 1: negated L against the positive part: f",
+        "    memo hit: ~b & ~f",
+        "  agent 1: only-knowing base must entail the other positive L parts: ~b",
+        "  satisfying literals: O1 (~b & (~L1 ~b -> f)) & ~L1 f & L1 ~b",
     ]
 
 

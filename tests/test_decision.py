@@ -815,6 +815,38 @@ def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
     assert counts[1] <= 2.3 * counts[0], counts
 
 
+def test_only_knowing_forces_the_dependencies_of_a_default_theory(monkeypatch):
+    # believes refutes O1 kb & ~L1 q.  The pair's two bounds on kb decide
+    # each default's L1 ~b (or L1 L2 p): the search assigns them instead
+    # of guessing them one by one, each guess with its own group tests.
+    # Guessing ran 61 and 81 group tests on the 60-default questions and
+    # 781 on the 14-default one with secrets.
+    from onlyknow.autoepistemic import believes
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import default_theory
+
+    calls = [0]
+    group_ok = Decider._group_ok
+
+    def counted(*args):
+        calls[0] += 1
+        return group_ok(*args)
+
+    monkeypatch.setattr(Decider, "_group_ok", counted)
+    plain = default_theory(60, set(), set())
+    blocked = default_theory(60, set(), set(range(0, 60, 3)))
+    secret = default_theory(14, set(range(0, 14, 2)), set(range(0, 14, 3)))
+    for theory, question, answer, most in (
+        (plain, plain.no, False, 4),
+        (blocked, blocked.no, False, 4),
+        (secret, secret.yes, True, 20),
+    ):
+        calls[0] = 0
+        assert believes(1, parse(theory.kb, 2), parse(question, 2)) is answer
+        assert calls[0] <= most, (question, calls[0])
+
+
 def _chain(op, n):
     """p0 op p1 op ... op p(n-1), grouped to the left."""
     return functools.reduce(op, [Atom(f"p{i}") for i in range(n)])
