@@ -395,8 +395,6 @@ class Decider:
         into one of pos & ~psi.  Otherwise pos & ~psi is searched in the
         part ~psi touches, the partners found once for all of them, and
         that part alone when ~psi is one of the parts."""
-        if not psis:
-            return []
         parts = list(dict.fromkeys(parts))
         given = set(parts)
         union = _disjoint([self._keys(p) for p in parts])
