@@ -48,9 +48,14 @@ as the trail grows, keeping the agent's N literals and only knowing's
 pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
 unassignment re-cofactors only those, one cached part at a time.  The
-pair rule reads the base's settled parts, a positive argument is
-searched by independent components (Bayardo & Pehoushek, AAAI 2000),
-and a formula is joined only for a subquery that needs one.
+pair rule reads the base's settled parts, and a formula is joined only
+for a subquery that needs one.
+
+A negated conjunct's test and the pair's propagation (below) ask one
+question of a positive part pos, whether it entails psi, and one routine
+answers them all: yes when psi is a conjunct of pos, else by a search
+of pos & ~psi in the components of pos that psi touches (Bayardo &
+Pehoushek, AAAI 2000), or none, when a lone literal or the memo is left.
 
 The pair also propagates, DPLL(T)'s propagate step: once the groups
 pass, and before the search guesses, each O_i a assigns those of a's
@@ -61,14 +66,14 @@ entail psi, L_i psi would fail the pair's entailment, so ~L_i psi is
 implied; if high and the other positive L arguments entail psi, ~L_i psi
 would fail its negated test, so L_i psi is.  The implied literals join
 the trail at the current decision level, and a backtrack takes them
-back with it.  The entailments are read off the parts first, and only
-what that leaves open is searched.
+back with it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .formula import (
     FALSE,
@@ -177,7 +182,9 @@ class Decider:
     # -- recursion ----------------------------------------------------------
 
     def _sat(self, f: Formula, level: int) -> bool:
-        """Is the simplified V-free formula f satisfiable?"""
+        """Is the simplified V-free formula f satisfiable?  A literal set
+        is its own only candidate and is tested as it is; anything else is
+        searched."""
         self._tick()
         if f is TRUE:
             return True
@@ -190,7 +197,9 @@ class Decider:
             return known
         if self.trace:
             self.trace(level, "satisfiable?", f)
-        result = self._search(f, level)
+        result = self._literal_set_ok(f, level)
+        if result is None:
+            result = self._search(f, level)
         self._memo[f] = result
         return result
 
@@ -204,11 +213,8 @@ class Decider:
         them), each with the clause -w | w, so the search decides them,
         or only knowing's pair forces them (_forced) before a guess.
         The groups follow the trail, and a backtrack pops them with it.
-        A literal set has nothing to search, and its groups are tested
-        as they are, by the same _group_ok."""
-        found = self._literal_set_ok(f, level)
-        if found is not None:
-            return found
+        A literal set never gets here: it has nothing to search, and _sat
+        tests its groups as they are, by the same _group_ok."""
         variables, clauses = to_clauses(f, self._tick)
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
@@ -298,8 +304,9 @@ class Decider:
                 block.push(v if positive else -v, g)
         if blocks:
             cofactor = _Cofactors(modal, {}, [], self._own)
-            if not all(self._group_ok(blocks[agent], cofactor, level) for agent in sorted(blocks)):
-                return False
+            for agent in sorted(blocks):
+                if not self._group_ok(blocks[agent], cofactor, level):
+                    return False
         if self.trace:
             self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
         return True
@@ -362,14 +369,14 @@ class Decider:
                 continue
             low = groups.literal(v, False)
             psis = [modal[w].sub for w in pending]
-            by_low = self._entailed(agent, low.conjuncts(), psis, level + 1, low.argument)
+            by_low = list(self._entailed(agent, "L", low.conjuncts(), psis, level + 1, low.argument))
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
                 high, x = groups.literal(v, True), b.pos_l
                 whole = lambda: connect(And, high.argument(), x)  # noqa: E731
-                parts = high.conjuncts() + ([] if x is TRUE else conjuncts(x))
-                by_high = {psi for psi, e in zip(rest, self._entailed(agent, parts, rest, level + 1, whole)) if e}
+                parts = high.conjuncts() + _parts(x)
+                by_high = {psi for psi, e in zip(rest, self._entailed(agent, "L", parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
                 if not e or psi in by_high:
                     forced.append(w if e else -w)
@@ -382,43 +389,41 @@ class Decider:
     def _entailed(
         self,
         agent: int,
+        kind: str,
         parts: list[Formula],
-        psis: list[Formula],
+        psis: Iterable[Formula],
         level: int,
         whole: Callable[[], Formula],
-    ) -> list[bool]:
+    ) -> Iterator[bool]:
         """Does pos, the conjunction of parts that whole() joins, entail
-        each psi?  Yes at once when psi is one of the parts.  No at once
-        when no two parts share a key, each part is satisfiable without
-        a search (a lone literal, or by the memo), psi shares no key with
-        them and ~psi is satisfiable too: a model of each then combines
-        into one of pos & ~psi.  Otherwise pos & ~psi is searched in the
-        part ~psi touches, the partners found once for all of them, and
-        that part alone when ~psi is one of the parts."""
-        parts = list(dict.fromkeys(parts))
-        given = set(parts)
-        union = _disjoint([self._keys(p) for p in parts])
-        if union is not None and not all(map(self._known_sat, parts)):
-            union = None
-        out = {}
-        hard = []
+        each distinct psi?  Every question of a group test is this one:
+        a negated M_i phi passes iff pos does not entail phi, and only
+        knowing's pair passes and propagates by what its base entails.
+        The answers come one at a time, so a caller that stops at one
+        runs no search for the rest.  Yes at once when psi is one of the
+        parts.  Otherwise pos & ~psi is searched in the components of
+        pos that psi touches, the partners found once for all of them:
+        that part alone when ~psi is one of the parts, and no search when
+        what is left is a lone literal, or one the memo knows."""
+        given = dict.fromkeys(parts)
+        psis = dict.fromkeys(psis)
+        partners = None if given else repeat(TRUE)  # those of the psis that are not parts, in order
         for psi in psis:
+            if self.trace:
+                self.trace(level, f"agent {agent}: entailed by the positive {kind} part?", psi)
             if psi in given:
-                out[psi] = True
-            elif union is not None and union.isdisjoint(self._keys(psi)) and self._known_sat(fold(Not(psi))):
-                out[psi] = False
-            else:
-                hard.append(psi)
-        if hard:
-            partners = self._partners(agent, "L", parts, tuple(hard), level, whole)
-            for k, psi in enumerate(hard):
-                if partners is None:
-                    out[psi] = True
-                else:
-                    neg = fold(Not(psi))
-                    g = partners[k] if neg in given else connect(And, partners[k], neg)
-                    out[psi] = not (self._known_sat(g) or self._sat(g, level + 1))
-        return [out[psi] for psi in psis]
+                yield True
+                continue
+            if partners is None:
+                hard = [psi for psi in psis if psi not in given]
+                partners = iter(self._partners(agent, kind, list(given), hard, level, whole) or ())
+            partner = next(partners, None)
+            if partner is None:  # pos is unsatisfiable
+                yield True
+                continue
+            neg = fold(Not(psi))
+            g = partner if neg in given else connect(And, partner, neg)
+            yield not (_is_literal(g) or self._sat(g, level + 1))
 
     def _group_ok(self, block: _Block, cofactor: _Cofactors, level: int) -> bool:
         """The group test for one agent's block.  A group whose only N
@@ -446,12 +451,13 @@ class Decider:
         entailment is read off low's parts first: a formula is joined
         only for a subquery that needs one."""
         x = b.pos_l
-        xs = [] if x is TRUE else conjuncts(x)
+        xs = _parts(x)
         if b.neg_l:
             base = cofactor.literal(v, True)
             whole = lambda: connect(And, base.argument(), x)  # noqa: E731
-            if not self._negated_ok(b.agent, "L", base.conjuncts() + xs, b.neg_l, level, whole):
-                return False
+            for entailed in self._entailed(b.agent, "L", base.conjuncts() + xs, b.neg_l, level, whole):
+                if entailed:
+                    return False
         if self.trace:
             self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
         if x is TRUE:
@@ -463,70 +469,47 @@ class Decider:
         if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        if b.neg_l and not self._negated_ok(b.agent, "L", conjuncts(b.pos_l), b.neg_l, level, lambda: b.pos_l):
-            return False
-        if b.neg_n and not self._negated_ok(b.agent, "N", conjuncts(b.pos_n), b.neg_n, level, lambda: b.pos_n):
-            return False
+        if b.neg_l:
+            for entailed in self._entailed(b.agent, "L", _parts(b.pos_l), b.neg_l, level, lambda: b.pos_l):
+                if entailed:
+                    return False
+        if b.neg_n:
+            for entailed in self._entailed(b.agent, "N", _parts(b.pos_n), b.neg_n, level, lambda: b.pos_n):
+                if entailed:
+                    return False
         union = connect(Or, b.pos_l, b.pos_n)
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
-
-    def _negated_ok(
-        self,
-        agent: int,
-        kind: str,
-        parts: list[Formula],
-        negs: tuple[Formula, ...],
-        level: int,
-        whole: Callable[[], Formula],
-    ) -> bool:
-        """Is pos & ~phi satisfiable for each phi in negs, pos the
-        conjunction of parts, which whole() joins?  pos is searched only
-        in the part each ~phi touches.  Repeated arguments are tested
-        once."""
-        negs = tuple(dict.fromkeys(negs))
-        partners = self._partners(agent, kind, parts, negs, level, whole)
-        if partners is None:
-            return False
-        for phi, partner in zip(negs, partners):
-            if self.trace:
-                self.trace(level, f"agent {agent}: negated {kind} against the positive part", phi)
-            if not self._sat(connect(And, partner, fold(Not(phi))), level + 1):
-                return False
-        return True
 
     def _partners(
         self,
         agent: int,
         kind: str,
         parts: list[Formula],
-        negs: tuple[Formula, ...],
+        negs: list[Formula],
         level: int,
         whole: Callable[[], Formula],
     ) -> list[Formula] | None:
-        """The part of pos, the conjunction of parts (each taken once)
-        that whole() joins, that each phi in negs must be searched
-        against, or None when pos is unsatisfiable.  Parts that share no
-        atom and no agent of a Boolean-level modal leaf fall into
-        components whose models combine, so ~phi needs only the
-        components it touches, joined from their parts, and whole() is
-        called only for a phi that touches them all.  Each of the others
-        must be satisfiable too: a lone literal is, the memo answers
-        those it knows, and the rest are searched together, then
-        memoized."""
-        if len(parts) > 1:
-            parts = list(dict.fromkeys(parts))
-        if len(parts) < 2:  # their conjunction is whole()
-            return [parts[0] if parts else TRUE] * len(negs)
+        """The part of pos, the conjunction of the distinct parts that
+        whole() joins, that each phi in negs must be searched against, or
+        None when pos is unsatisfiable.  Parts that share no atom and no
+        agent of a Boolean-level modal leaf fall into components whose
+        models combine, so ~phi needs only the components it touches,
+        joined from their parts, and whole() is called only for a phi
+        that touches them all.  Each component that some phi leaves out
+        must be satisfiable too, so that each phi's answer holds alone:
+        a lone literal is, the memo answers those it knows, and the rest
+        are searched together, then memoized."""
         component, members = _components([self._keys(p) for p in parts])
-        if len(members) == 1:
-            return [whole()] * len(negs)
         touched = [{component[k] for k in self._keys(phi) if k in component} for phi in negs]
+        everywhere = set.intersection(*touched)
+        joined: list[Formula | None] = [None] * len(members)  # each component's parts, joined once
         fresh = []
-        for c in sorted(set(range(len(members))).difference(*touched)):
-            ms = members[c]
-            alone = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
+        for c, ms in enumerate(members):
+            if c in everywhere:
+                continue
+            alone = joined[c] = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
             if _is_literal(alone):
                 continue
             known = self._memo.get(alone)
@@ -547,21 +530,18 @@ class Decider:
         pos = None
         out = []
         for cs in touched:
-            if len(cs) < len(members):
+            if len(cs) == len(members):
+                if pos is None:
+                    pos = whole()
+                out.append(pos)
+            elif len(cs) == 1 and joined[min(cs)] is not None:
+                out.append(joined[min(cs)])
+            else:
                 ms = sorted(i for c in cs for i in members[c])
                 out.append(parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms)))
-                continue
-            if pos is None:
-                pos = whole()
-            out.append(pos)
         return out
 
     # -- bookkeeping ----------------------------------------------------
-
-    def _known_sat(self, f: Formula) -> bool:
-        """Is f satisfiable as far as is known without a search: a
-        literal over an atom, or by the memo?"""
-        return _is_literal(f) or self._memo.get(f) is True
 
     def _keys(self, f: Formula) -> set[str | int]:
         """What ties f to other conjuncts: its Boolean-level atoms' names and
@@ -605,14 +585,13 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
+def _parts(f: Formula) -> list[Formula]:
+    """The conjuncts of f, none when f is true."""
+    return [] if f is TRUE else conjuncts(f)
+
+
 def _is_literal(f: Formula) -> bool:
     return type(f.sub if type(f) is Not else f) is Atom
-
-
-def _disjoint(parts: list[set[str | int]]) -> set[str | int] | None:
-    """The parts' keys, when no two parts share one, else None."""
-    union = set().union(*parts)
-    return union if len(union) == sum(map(len, parts)) else None
 
 
 def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list[list[int]]]:
@@ -621,7 +600,7 @@ def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list
     each part is a component of its own, with no union-find.  Otherwise
     part i stays a root while its own keys are joined, since every other
     root is hung under it."""
-    if _disjoint(parts) is not None:
+    if len(set().union(*parts)) == sum(map(len, parts)):
         return {k: i for i, keys in enumerate(parts) for k in keys}, [[i] for i in range(len(parts))]
     parent = list(range(len(parts)))
     owner: dict[str | int, int] = {}

@@ -119,41 +119,43 @@ def test_believes_matches_finite_states_single_agent():
         ("~L1 ~p -> q", 1, {"~L1 ~p"}, False),
         # The base's parts share ~p's atom, so low & p is searched.
         ("(q -> p) & (~L1 ~p -> q)", 1, {"~L1 ~p"}, True),
+        # An unsatisfiable base entails everything, so only knowing it
+        # believes everything.  Its parts over q are inconsistent, which
+        # only a search finds.  That component is ~q's partner, searched
+        # alone since q is one of its parts; ~p's answer must not be read
+        # off the part ~p until that component is known satisfiable.
+        ("(q -> ~q) & q & ~p & (~L1 p -> q) & (~L1 ~q -> q)", 1, {"L1 p", "L1 ~q"}, True),
     ],
 )
 def test_only_knowing_forces_agree_with_the_oracles(monkeypatch, text, states, forced, searched):
     # The pair assigns the dependencies its two bounds decide; believes
     # and kb_coherent must still agree with the enumerated states and
     # the extended oracle on every query over the base's atoms.  A rule
-    # that cannot decide at once searches the partners of its formulas.
+    # that cannot decide from the base's parts searches the partners of
+    # its formulas.  The entailment routine answers lazily, so the count
+    # wraps _forced, which reads every answer.
     from onlyknow.finite_semantics import oracle_valid
     from onlyknow.formula import L, Implies, only_knows
 
-    depth, partners = [0], [0]
-    entailed, method = Decider._entailed, Decider._partners
+    depth, forces = [0], Decider._forced
 
     def rule(*args):
         depth[0] += 1
         try:
-            return entailed(*args)
+            return forces(*args)
         finally:
             depth[0] -= 1
 
-    def counted(*args):
-        partners[0] += depth[0] > 0
-        return method(*args)
-
-    monkeypatch.setattr(Decider, "_entailed", rule)
-    monkeypatch.setattr(Decider, "_partners", counted)
+    monkeypatch.setattr(Decider, "_forced", rule)
     kb = parse(text, 1)
     phi = ("p", "q")
     sets = only_knowing_sets(kb, phi)
     events = []
-    coherent = kb_coherent(1, kb, Decider(trace=lambda level, rule, f: events.append((rule, to_text(f)))))
+    coherent = kb_coherent(1, kb, Decider(trace=lambda level, rule, f: events.append((rule, to_text(f), depth[0]))))
     assert len(sets) == states
     assert coherent is bool(sets) is not oracle_valid(Not(only_knows(1, kb)), phi, semantics="extended").valid
-    assert {f for rule, f in events if rule.endswith("only knowing forces")} == forced
-    assert (partners[0] > 0) is searched
+    assert {f for rule, f, _ in events if rule.endswith("only knowing forces")} == forced
+    assert any(rule == "satisfiable?" and inside for rule, _, inside in events) is searched
     for q in ("p", "~p", "q", "~q", "p | q", "p & q", "p -> q", "p <-> q", "false"):
         query = parse(q, 1)
         by_states = all(evaluate(Situation(phi, w_set, w), query) for w_set in sets for w in w_set)
@@ -194,13 +196,22 @@ def test_a_default_theory_question_searches_few_formulas(monkeypatch):
     # the base asks about each default's atoms apart from the others, so
     # the memo answers them from one group to the next.  Searching every
     # negated conjunct against the whole base took 901 searches here.
+    # At k = 120 the last group's negated tests are lone literals against
+    # a partner that is true, which need no search (122 searches when
+    # each was searched).  With every second default secret, each
+    # negated test against the agent-2 literals searches that part once,
+    # without the test's own literal repeated (164 searches before).
     from pathlib import Path
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import default_theory
 
-    theory = default_theory(40, set(), set())
-    events = []
-    decider = Decider(trace=lambda *event: events.append(event))
-    assert believes(1, parse(theory.kb, 2), parse(theory.no, 2), decider) is False
-    assert sum(rule == "satisfiable?" for _, rule, _ in events) <= 200
+    for theory, bound in (
+        (default_theory(40, set(), set()), 200),
+        (default_theory(120, set(), set()), 2),
+        (default_theory(120, set(range(0, 120, 2)), set(range(0, 120, 3))), 50),
+    ):
+        events = []
+        decider = Decider(trace=lambda *event: events.append(event))
+        assert believes(1, parse(theory.kb, 2), parse(theory.no, 2), decider) is False
+        assert sum(rule == "satisfiable?" for _, rule, _ in events) <= bound, theory.kb[:40]

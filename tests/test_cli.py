@@ -51,10 +51,10 @@ def test_decide_trace_goes_to_stderr(capsys):
     _, _, err = run(capsys, "decide", "--mode", "valid", "--trace", "q")
     assert err.splitlines()[0] == "satisfiable?: ~q"
     # the jsonl record keeps its fields; the trace still goes to stderr
-    code, out, err = run(capsys, "decide", "--mode", "sat", "--format", "jsonl", "--trace", "~L1 p & ~L2 p")
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--format", "jsonl", "--trace", "~L1 (p & q) & ~L2 (p & q)")
     assert code == 0
     assert set(json.loads(out)) == {"input", "verdict", "millis"}
-    assert "    memo hit: ~p" in err.splitlines()
+    assert "    memo hit: ~(p & q)" in err.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -65,9 +65,7 @@ def test_decide_trace_goes_to_stderr(capsys):
             0,
             [
                 "satisfiable?: L1 p & ~L1 q",
-                "  agent 1: negated L against the positive part: q",
-                "    satisfiable?: p & ~q",
-                "      satisfying literals: p & ~q",
+                "  agent 1: entailed by the positive L part?: q",
                 "  agent 1: union of positive parts must be valid: true",
                 "  satisfying literals: L1 p & ~L1 q",
             ],
@@ -77,9 +75,7 @@ def test_decide_trace_goes_to_stderr(capsys):
             0,
             [
                 "satisfiable?: ~(L1 p | ~N1 q)",
-                "  agent 1: negated L against the positive part: p",
-                "    satisfiable?: ~p",
-                "      satisfying literals: ~p",
+                "  agent 1: entailed by the positive L part?: p",
                 "  agent 1: union of positive parts must be valid: true",
                 "  satisfying literals: ~L1 p & N1 q",
             ],
@@ -92,45 +88,46 @@ def test_decide_trace_of_literal_sets(capsys, text, code, lines):
     # Sets of literals are tested without a search; their trace is the
     # one the search printed: the group tests, then the literals in the
     # order of first appearance, and nothing after a complementary pair.
+    # A positive part that shares no atom with q entails it only if it is
+    # unsatisfiable, and ~q is a literal, so neither case searches.
     got, _, err = run(capsys, "decide", "--mode", "sat", "--trace", text)
     assert got == code
     assert err.splitlines() == lines
 
 
 def test_decide_trace_of_an_only_knowing_pair(capsys):
-    # O1 kb's group is tested as the pair: the negated L conjunct, then
+    # O1 kb's group is tested as the pair: the negated L conjunct q, then
     # whether the base, its dependency L1 ~p read as false, entails the
     # other positive L parts (true).  That base, q, does not entail ~p,
     # so L1 ~p would fail the entailment: the pair forces ~L1 ~p, and
-    # the base it leaves, q, fails the negated L conjunct at once.
+    # the base it leaves, q, entails q, so the negated L conjunct fails.
+    # Each answer is read off the parts, with no search.
     code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~L1 ~p -> q) -> L1 q")
     assert (code, out.strip()) == (0, "VALID")
     assert err.splitlines() == [
         "satisfiable?: ~(O1 (~L1 ~p -> q) -> L1 q)",
-        "  agent 1: negated L against the positive part: q",
-        "    satisfiable?: ~q",
-        "      satisfying literals: ~q",
+        "  agent 1: entailed by the positive L part?: q",
         "  agent 1: only-knowing base must entail the other positive L parts: true",
+        "  agent 1: entailed by the positive L part?: ~p",
         "  agent 1: only knowing forces: ~L1 ~p",
-        "  agent 1: negated L against the positive part: q",
+        "  agent 1: entailed by the positive L part?: q",
     ]
 
 
 def test_decide_trace_of_an_only_knowing_pair_forcing_a_belief(capsys):
     # A blocked default: ~b is a conjunct of the base however L1 ~b is
-    # read, so ~L1 ~b would fail its negated test, and the pair forces
-    # L1 ~b.  Its base then entails ~b, and f is not believed.
+    # read, so the base entails ~b under both bounds, and the pair forces
+    # L1 ~b.  Its base, ~b, then entails ~b, and f is not believed.
     code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~b & (~L1 ~b -> f)) -> L1 f")
     assert (code, out.strip()) == (1, "INVALID")
     assert err.splitlines() == [
         "satisfiable?: ~(O1 (~b & (~L1 ~b -> f)) -> L1 f)",
-        "  agent 1: negated L against the positive part: f",
-        "    satisfiable?: ~b & ~f",
-        "      satisfying literals: ~b & ~f",
+        "  agent 1: entailed by the positive L part?: f",
         "  agent 1: only-knowing base must entail the other positive L parts: true",
+        "  agent 1: entailed by the positive L part?: ~b",
+        "  agent 1: entailed by the positive L part?: ~b",
         "  agent 1: only knowing forces: L1 ~b",
-        "  agent 1: negated L against the positive part: f",
-        "    memo hit: ~b & ~f",
+        "  agent 1: entailed by the positive L part?: f",
         "  agent 1: only-knowing base must entail the other positive L parts: ~b",
         "  satisfying literals: O1 (~b & (~L1 ~b -> f)) & ~L1 f & L1 ~b",
     ]

@@ -661,12 +661,12 @@ def test_memo_does_not_change_verdicts():
 
 
 def test_trace_logs_memo_hits_and_keeps_the_verdict():
-    # both agents' groups ask whether ~p is satisfiable; the second ask
-    # is answered from the memo
-    f = parse("~L1 p & ~L2 p", 2)
+    # both agents' groups ask whether ~(p & q) is satisfiable; the
+    # second ask is answered from the memo
+    f = parse("~L1 (p & q) & ~L2 (p & q)", 2)
     events = []
     traced = Decider(trace=lambda *event: events.append(event)).consistent(f)
-    assert (2, "memo hit", Not(p)) in events
+    assert (2, "memo hit", Not(And(p, q))) in events
     assert traced.status == Decider().consistent(f).status == "satisfiable"
 
 
@@ -676,7 +676,7 @@ def test_every_group_subquery_is_objective_and_simplified():
     # for its agent; it is folded as built, so it needs no second pass.
     searched = 0
     for profile, agents, size in (("basic", 2, 20), ("full", 2, 14), ("onl_minus", 2, 14), ("full", 1, 14)):
-        for seed in range(100):
+        for seed in range(300):
             f = generate_random(
                 seed + 4000, profile, max_modal_depth=3, n_atoms=3, n_agents=agents, size=size, allow_val=False
             )
@@ -857,6 +857,15 @@ def _right(op, n):
     return functools.reduce(lambda right, i: op(Atom(f"p{i}"), right), range(n - 2, -1, -1), Atom(f"p{n - 1}"))
 
 
+def _alternating(n):
+    """q_n & ~L_a ~(q_(n-1) & ~L_b ~(... q_0)), agents 1 and 2 alternating:
+    each level is a literal set whose group subquery is the next one."""
+    f = Atom("q0")
+    for k in range(1, n + 1):
+        f = And(Atom(f"q{k}"), Not(L(1 + k % 2, Not(f))))
+    return f
+
+
 # (name, what to run, the answer it must give, seconds allowed).  The
 # formulas are built inside the runs, so none outlives its test.
 _DEEP = [
@@ -874,6 +883,7 @@ _DEEP = [
     ("simplify", lambda: simplify(_chain(And, 10_000)) is _chain(And, 10_000), True, 1),
     ("substitute", lambda: simplify(substitute_atom(_chain(And, 10_000), "p5", FALSE)), FALSE, 1),
     ("assign", lambda: assign(_chain(Or, 10_000), {Atom("p0"): True}), TRUE, 1),
+    ("alternating-nesting", lambda: Decider().consistent(_alternating(160)).status, "satisfiable", 1),
     ("parse-parens", lambda: parse("(" * 5000 + "p" + ")" * 5000), p, 1),
     ("parse-nested", lambda: parse(" & (".join(f"p{i}" for i in range(5000)) + ")" * 4999) is _right(And, 5000), True, 1),
     ("parse-implies", lambda: parse(" -> ".join(f"p{i}" for i in range(10_000))) is _right(Implies, 10_000), True, 1),

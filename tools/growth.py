@@ -60,7 +60,7 @@ from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
 SIZES = {
     "believes": (10, 20, 30, 40, 60, 120),
-    "believes-secret": (10, 14, 20, 40, 60, 120),
+    "believes-secret": (10, 14, 20, 40, 60, 120, 240),
     "nf": (8, 10, 12, 14),
     "3cnf": (50, 100, 130),
     "modal-cnf": (30, 60, 90, 120),
