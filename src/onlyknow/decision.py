@@ -39,7 +39,8 @@ can still get: each literal over such an atom becomes true (false under
 a negated modality).  The clause form and the cofactors are read off
 the formula as written, by polarity.  Group arguments sit one modal
 level lower, so the recursion terminates.  V goes first, innermost out,
-each body replaced by its own verdict.
+each body replaced by its own verdict, in the walk that simplifies the
+query; a plain query, V-free and simplified already, skips the walk.
 
 The group tests of one search pay only for what changed.  The group
 state follows the trail, as a DPLL(T) theory does (Nieuwenhuis,
@@ -57,16 +58,19 @@ answers them all: yes when psi is a conjunct of pos, else by a search
 of pos & ~psi in the components of pos that psi touches (Bayardo &
 Pehoushek, AAAI 2000), or none, when a lone literal or the memo is left.
 
-The pair also propagates, DPLL(T)'s propagate step: once the groups
-pass, and before the search guesses, each O_i a assigns those of a's
+The pair also propagates, DPLL(T)'s propagate step: after each unit
+propagation, and before the group test, each O_i a assigns those of a's
 dependencies L_i psi, psi objective, that a's two cofactors decide.
 Every completion's a lies between low, a with its unassigned
-dependencies read as false, and high, read as true.  If low does not
-entail psi, L_i psi would fail the pair's entailment, so ~L_i psi is
-implied; if high and the other positive L arguments entail psi, ~L_i psi
-would fail its negated test, so L_i psi is.  The implied literals join
-the trail at the current decision level, and a backtrack takes them
-back with it.
+dependencies read as false, and high, read as true.  Rule F: if low
+does not entail psi, L_i psi would fail the pair's entailment, so
+~L_i psi is implied.  Rule T: if high and the other positive L arguments
+entail psi, ~L_i psi would fail its negated test, so L_i psi is.  The
+implied literals join the trail at the current decision level, and a
+backtrack takes them back with it.  Unit propagation and the pair's
+take turns until neither assigns, and the groups are tested once there,
+as DPLL(T) runs theory propagation to its fixpoint before the
+consistency check: each node of the search still gets its group test.
 """
 
 from __future__ import annotations
@@ -161,7 +165,10 @@ class Decider:
     def eliminate_val(self, f: Formula) -> Formula:
         """Replace every V body, innermost out, by its own verdict, and
         fold each node, each distinct one once per call: the result is
-        simplify of the V-free formula, and a simplified one is f itself."""
+        simplify of the V-free formula.  A plain formula, V-free and
+        simplified already, is returned at once, with no walk."""
+        if f.plain:
+            return f
 
         def resolve(g: Formula, h: Formula) -> Formula:
             self._tick()
@@ -211,8 +218,12 @@ class Decider:
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
         them), each with the clause -w | w, so the search decides them,
-        or only knowing's pair forces them (_forced) before a guess.
-        The groups follow the trail, and a backtrack pops them with it.
+        or only knowing's pair forces them (_forced).  The forcing runs
+        to its fixpoint after each unit propagation, back to propagation
+        while it assigns, and the group test runs once there, before a
+        guess: both rules hold for every completion, and a group that
+        fails before them fails after them.  The groups follow the
+        trail, and a backtrack pops them with it.
         A literal set never gets here: it has nothing to search, and _sat
         tests its groups as they are, by the same _group_ok."""
         variables, clauses = to_clauses(f, self._tick)
@@ -237,14 +248,15 @@ class Decider:
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
             return False
-        groups = _Groups(modal, deps, s.value, self._own) if modal else None
+        groups = _Groups(modal, deps, s.value, self._own, self._tick) if modal else None
         pairs = any(type(modal[v]) is N for v in deps)  # N_i ~a of a pair that may force a's dependencies
         decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
-            if s.propagate() and self._groups_ok(s.trail, groups, level):
-                if pairs and self._forced(s, groups, level):
-                    continue
+            ok = s.propagate()
+            if ok and pairs and self._forced(s, groups, level):
+                continue
+            if ok and self._groups_ok(s.trail, groups, level):
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -303,7 +315,7 @@ class Decider:
                     block = blocks[g.agent] = _Block(g.agent)
                 block.push(v if positive else -v, g)
         if blocks:
-            cofactor = _Cofactors(modal, {}, [], self._own)
+            cofactor = _Cofactors(modal, {}, [], self._own, self._tick)
             for agent in sorted(blocks):
                 if not self._group_ok(blocks[agent], cofactor, level):
                     return False
@@ -345,23 +357,26 @@ class Decider:
     def _forced(self, s: _Trail, groups: _Groups, level: int) -> bool:
         """DPLL(T)'s propagate step for only knowing's pairs: assign, as
         implied literals, the dependencies of O_i a that the pair's
-        bounds decide, and say whether any was assigned.  Such a
-        dependency is an L_i psi, psi objective for the agent.  Every
-        completion's a lies between low and high, a's two cofactors
-        (low entails a, a entails high), and X, the other positive L
-        arguments, only grows.  If low does not entail psi, L_i psi
-        would fail the pair's entailment, so ~L_i psi holds; if high & X
-        entails psi, ~L_i psi would fail its negated test, so L_i psi
-        holds.  Each rule prunes only branches whose group fails, so the
-        second is tried only where the first does not fire."""
+        bounds decide, and say whether any was assigned.  It runs after
+        each unit propagation, before the group test, and takes in the
+        trail's new literals itself.  Such a dependency is an L_i psi,
+        psi objective for the agent.  Every completion's a lies between
+        low and high, a's two cofactors (low entails a, a entails high),
+        and X, the other positive L arguments, only grows.  Rule F: if
+        low does not entail psi, L_i psi would fail the pair's
+        entailment, so ~L_i psi holds.  Rule T: if high & X entails psi,
+        ~L_i psi would fail its negated test, so L_i psi holds.  Each
+        rule prunes only branches whose group fails, so the second is
+        tried only where the first does not fire.  The pair is looked up
+        from the block's N and positive L literals, and a block with no
+        open dependency of the pair costs no more; X, the only part that
+        needs the block's AgentBlock, is built only for rule T."""
+        groups.sync(s.trail)
         value, modal, deps = s.value, groups.modal, groups.deps
         forced = []
         for agent in groups.agents:
             block = groups.blocks[agent]
-            ns = block.ns
-            if len(ns) != 1 or ns[0][0] < 0:
-                continue
-            b, v = block.group(groups)
+            v = block.pair()
             if v is None:
                 continue
             pending = [w for w in deps.get(v, ()) if value[w] is None and type(modal[w]) is L and w not in deps]
@@ -369,14 +384,16 @@ class Decider:
                 continue
             low = groups.literal(v, False)
             psis = [modal[w].sub for w in pending]
-            by_low = list(self._entailed(agent, "L", low.conjuncts(), psis, level + 1, low.argument))
+            what = "the base's low bound"
+            by_low = list(self._entailed(agent, what, low.conjuncts(), psis, level + 1, low.argument))
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
-                high, x = groups.literal(v, True), b.pos_l
+                high, x = groups.literal(v, True), block.group(groups)[0].pos_l
                 whole = lambda: connect(And, high.argument(), x)  # noqa: E731
                 parts = high.conjuncts() + _parts(x)
-                by_high = {psi for psi, e in zip(rest, self._entailed(agent, "L", parts, rest, level + 1, whole)) if e}
+                what = "the base's high bound and the other positive L parts"
+                by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
                 if not e or psi in by_high:
                     forced.append(w if e else -w)
@@ -389,34 +406,35 @@ class Decider:
     def _entailed(
         self,
         agent: int,
-        kind: str,
+        what: str,
         parts: list[Formula],
         psis: Iterable[Formula],
         level: int,
         whole: Callable[[], Formula],
     ) -> Iterator[bool]:
-        """Does pos, the conjunction of parts that whole() joins, entail
-        each distinct psi?  Every question of a group test is this one:
-        a negated M_i phi passes iff pos does not entail phi, and only
-        knowing's pair passes and propagates by what its base entails.
-        The answers come one at a time, so a caller that stops at one
-        runs no search for the rest.  Yes at once when psi is one of the
-        parts.  Otherwise pos & ~psi is searched in the components of
-        pos that psi touches, the partners found once for all of them:
-        that part alone when ~psi is one of the parts, and no search when
-        what is left is a lone literal, or one the memo knows."""
+        """Does pos, the conjunction of parts that whole() joins and what
+        names in the trace, entail each distinct psi?  Every question of
+        a group test is this one: a negated M_i phi passes iff pos does
+        not entail phi, and only knowing's pair passes and propagates by
+        what its base entails.  The answers come one at a time, so a
+        caller that stops at one runs no search for the rest.  Yes at
+        once when psi is one of the parts.  Otherwise pos & ~psi is
+        searched in the components of pos that psi touches, the partners
+        found once for all of them: that part alone when ~psi is one of
+        the parts, and no search when what is left is a lone literal, or
+        one the memo knows."""
         given = dict.fromkeys(parts)
         psis = dict.fromkeys(psis)
         partners = None if given else repeat(TRUE)  # those of the psis that are not parts, in order
         for psi in psis:
             if self.trace:
-                self.trace(level, f"agent {agent}: entailed by the positive {kind} part?", psi)
+                self.trace(level, f"agent {agent}: entailed by {what}?", psi)
             if psi in given:
                 yield True
                 continue
             if partners is None:
                 hard = [psi for psi in psis if psi not in given]
-                partners = iter(self._partners(agent, kind, list(given), hard, level, whole) or ())
+                partners = iter(self._partners(agent, what, list(given), hard, level, whole) or ())
             partner = next(partners, None)
             if partner is None:  # pos is unsatisfiable
                 yield True
@@ -455,7 +473,8 @@ class Decider:
         if b.neg_l:
             base = cofactor.literal(v, True)
             whole = lambda: connect(And, base.argument(), x)  # noqa: E731
-            for entailed in self._entailed(b.agent, "L", base.conjuncts() + xs, b.neg_l, level, whole):
+            parts = base.conjuncts() + xs
+            for entailed in self._entailed(b.agent, "the positive L part", parts, b.neg_l, level, whole):
                 if entailed:
                     return False
         if self.trace:
@@ -470,11 +489,13 @@ class Decider:
             # Nothing negated and one positive side true: the union is valid.
             return True
         if b.neg_l:
-            for entailed in self._entailed(b.agent, "L", _parts(b.pos_l), b.neg_l, level, lambda: b.pos_l):
+            parts = _parts(b.pos_l)
+            for entailed in self._entailed(b.agent, "the positive L part", parts, b.neg_l, level, lambda: b.pos_l):
                 if entailed:
                     return False
         if b.neg_n:
-            for entailed in self._entailed(b.agent, "N", _parts(b.pos_n), b.neg_n, level, lambda: b.pos_n):
+            parts = _parts(b.pos_n)
+            for entailed in self._entailed(b.agent, "the positive N part", parts, b.neg_n, level, lambda: b.pos_n):
                 if entailed:
                     return False
         union = connect(Or, b.pos_l, b.pos_n)
@@ -485,7 +506,7 @@ class Decider:
     def _partners(
         self,
         agent: int,
-        kind: str,
+        what: str,
         parts: list[Formula],
         negs: list[Formula],
         level: int,
@@ -523,7 +544,7 @@ class Decider:
         if fresh:
             together = join(And, fresh)
             if self.trace:
-                self.trace(level, f"agent {agent}: components of the positive {kind} part", together)
+                self.trace(level, f"agent {agent}: components of {what}", together)
             if not self._sat(together, level + 1):
                 return None
             self._memo.update(dict.fromkeys(fresh, True))
@@ -683,9 +704,10 @@ class _Cofactors:
     values, so a value that reverts costs a lookup, and once every
     value is set both signs of the literal share it).  A group test
     reads the parts; nothing re-folds the argument, which is joined
-    only when a caller asks for it, as the call does."""
+    only when a caller asks for it, as the call does.  tick is the
+    Decider's budget check, which settling a <-> calls."""
 
-    __slots__ = ("modal", "deps", "value", "own", "split", "literals", "cache", "var", "pending")
+    __slots__ = ("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending")
 
     def __init__(
         self,
@@ -693,8 +715,9 @@ class _Cofactors:
         deps: dict[int, tuple[int, ...]],
         value: list[bool | None],
         own: Callable[[Formula, int], Iterable[Formula]],
+        tick: Tick,
     ) -> None:
-        self.modal, self.deps, self.value, self.own = modal, deps, value, own
+        self.modal, self.deps, self.value, self.own, self.tick = modal, deps, value, own, tick
         # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some):
         # one dependency is a variable, several a tuple of them
         self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, int | tuple]]]] = {}
@@ -768,7 +791,8 @@ class _Cofactors:
         kind = type(f)
         if kind is And or kind is Or or kind is Implies:
             return self._both(Or if (kind is And) == neg else And, f.left, neg != (kind is Implies), f.right, neg)
-        if kind is Iff:
+        if kind is Iff:  # both operands twice, so 2^n under n nested <->: check the budget
+            self.tick()
             x, y = f.left, f.right
             if neg:
                 a = self._both(And, x, False, y, True)
@@ -844,16 +868,20 @@ class _Block:
                 if k is not None and k < self.dirty:
                     self.dirty = k
 
+    def pair(self) -> int | None:
+        """The pair's L variable, None when the group has no pair: its
+        only N literal is a positive N_i ~a and L_i a is positive too."""
+        ns = self.ns
+        if len(ns) != 1 or ns[0][0] < 0:
+            return None
+        n = ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
+        return self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
+
     def group(self, cofactor: _Cofactors) -> tuple[AgentBlock, int | None]:
         """The AgentBlock of the literals outside the pair, and the pair's
-        L variable, None when the group has no pair: its only N literal
-        is a positive N_i ~a and L_i a is positive too."""
-        pair, skip, ns = None, (), self.ns
-        if len(ns) == 1 and ns[0][0] > 0:
-            n = ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
-            pair = self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
-            if pair:
-                skip = (pair, ns[0][0])
+        L variable, None when the group has no pair."""
+        pair = self.pair()
+        skip = (pair, self.ns[0][0]) if pair else ()
         if skip != self.skip:
             old, self.skip = self.skip, ()
             self.touch(old + skip)
@@ -886,8 +914,9 @@ class _Groups(_Cofactors):
         deps: dict[int, tuple[int, ...]],
         value: list[bool | None],
         own: Callable[[Formula, int], Iterable[Formula]],
+        tick: Tick,
     ) -> None:
-        super().__init__(modal, deps, value, own)
+        super().__init__(modal, deps, value, own, tick)
         self.watch: dict[int, list[int]] = {}
         for v, ws in deps.items():
             for w in ws:

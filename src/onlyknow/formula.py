@@ -62,11 +62,18 @@ class Formula:
     node.  ``__match_args__`` names the fields in constructor order.
 
     Each shape of fields has its own ``__new__``: look the key up, and on
-    a miss build the node and ``_intern`` it.  A field-less class (the
-    constants) uses this one."""
+    a miss build the node, set ``plain`` and ``_intern`` it.  A
+    field-less class (the constants) uses this one.
 
-    __slots__ = ("__weakref__",)
+    ``plain`` says that the node is V-free and simplified, so that
+    ``simplify`` and V elimination return it as it is: it holds no V,
+    ``fold`` leaves it as it is, and its children are plain.  It is
+    worked out inline from the children's flags, at no cost to a lookup
+    that hits; a field that is no formula makes the node not plain."""
+
+    __slots__ = ("__weakref__", "plain")
     __match_args__: tuple[str, ...] = ()
+    plain: bool
 
     def __new__(cls) -> Formula:
         key = (cls,)
@@ -75,7 +82,9 @@ class Formula:
             node = ref()
             if node is not None:
                 return node
-        return _intern(key, _new(cls))
+        node = _new(cls)
+        _set_plain(node, True)
+        return _intern(key, node)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable formula")
@@ -180,6 +189,7 @@ class Atom(Formula):
                 return node
         node = _new(cls)
         _set_name(node, name)
+        _set_plain(node, True)
         return _intern(key, node)
 
 
@@ -205,6 +215,11 @@ class _Unary(Formula):
                 return node
         node = _new(cls)
         _set_sub(node, sub)
+        try:  # fold keeps a Not unless it is over a constant or a Not
+            plain = cls is Not and sub.plain and sub not in _CONSTANTS and sub.__class__ is not Not
+        except AttributeError:
+            plain = False
+        _set_plain(node, plain)
         return _intern(key, node)
 
 
@@ -224,6 +239,17 @@ class _Binary(Formula):
         node = _new(cls)
         _set_left(node, left)
         _set_right(node, right)
+        try:  # fold keeps a connective over two distinct non-constants, -> also over complements
+            plain = (
+                left.plain and right.plain and left is not right and left not in _CONSTANTS and right not in _CONSTANTS
+            )
+            if plain and cls is not Implies:
+                plain = not (
+                    left.__class__ is Not and left.sub is right or right.__class__ is Not and right.sub is left
+                )
+        except AttributeError:
+            plain = False
+        _set_plain(node, plain)
         return _intern(key, node)
 
 
@@ -243,11 +269,17 @@ class _Modal(Formula):
         node = _new(cls)
         _set_agent(node, agent)
         _set_modal_sub(node, sub)
+        try:  # fold keeps L_i and N_i of anything but true
+            plain = sub.plain and sub is not TRUE
+        except AttributeError:
+            plain = False
+        _set_plain(node, plain)
         return _intern(key, node)
 
 
 # The fields are set once, through their slots, since __setattr__ refuses.
 _new = object.__new__
+_set_plain = Formula.__dict__["plain"].__set__
 _set_name = Atom.__dict__["name"].__set__
 _set_sub = _Unary.__dict__["sub"].__set__
 _set_left = _Binary.__dict__["left"].__set__
@@ -290,6 +322,7 @@ class Val(_Unary):
 
 TRUE = TrueConst()
 FALSE = FalseConst()
+_CONSTANTS = (TRUE, FALSE)
 
 BINARY = (And, Or, Implies, Iff)
 MODAL = (L, N)
@@ -382,8 +415,11 @@ def simplify(f: Formula) -> Formula:
 
     Also folds L/N/V of true to true (necessitation); L of false is kept,
     it is satisfiable but not valid.  The rewrites fold each node as
-    they build it, so their output needs no second pass.
+    they build it, so their output needs no second pass.  A plain
+    formula is its own simplification, and comes back at once.
     """
+    if f.plain:
+        return f
     return transform(f, lambda g, h: fold(h))
 
 

@@ -96,19 +96,18 @@ def test_decide_trace_of_literal_sets(capsys, text, code, lines):
 
 
 def test_decide_trace_of_an_only_knowing_pair(capsys):
-    # O1 kb's group is tested as the pair: the negated L conjunct q, then
-    # whether the base, its dependency L1 ~p read as false, entails the
-    # other positive L parts (true).  That base, q, does not entail ~p,
-    # so L1 ~p would fail the entailment: the pair forces ~L1 ~p, and
-    # the base it leaves, q, entails q, so the negated L conjunct fails.
-    # Each answer is read off the parts, with no search.
+    # The pair propagates before its group is tested.  Rule F asks
+    # whether the base at its low bound, its dependency L1 ~p read as
+    # false, entails ~p.  That base, q, does not, so L1 ~p would fail
+    # the pair's entailment: the pair forces ~L1 ~p.  The group test then
+    # reads the negated L conjunct q, which the base it leaves, q,
+    # entails, so the group fails.  Each answer is read off the parts,
+    # with no search.
     code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~L1 ~p -> q) -> L1 q")
     assert (code, out.strip()) == (0, "VALID")
     assert err.splitlines() == [
         "satisfiable?: ~(O1 (~L1 ~p -> q) -> L1 q)",
-        "  agent 1: entailed by the positive L part?: q",
-        "  agent 1: only-knowing base must entail the other positive L parts: true",
-        "  agent 1: entailed by the positive L part?: ~p",
+        "  agent 1: entailed by the base's low bound?: ~p",
         "  agent 1: only knowing forces: ~L1 ~p",
         "  agent 1: entailed by the positive L part?: q",
     ]
@@ -116,16 +115,16 @@ def test_decide_trace_of_an_only_knowing_pair(capsys):
 
 def test_decide_trace_of_an_only_knowing_pair_forcing_a_belief(capsys):
     # A blocked default: ~b is a conjunct of the base however L1 ~b is
-    # read, so the base entails ~b under both bounds, and the pair forces
-    # L1 ~b.  Its base, ~b, then entails ~b, and f is not believed.
+    # read, so the base entails ~b under both bounds (rule F asks the
+    # low bound, rule T the high bound with the other positive L parts),
+    # and the pair forces L1 ~b.  Its base, ~b, then entails ~b, and f
+    # is not believed.
     code, out, err = run(capsys, "decide", "--mode", "valid", "--trace", "O1 (~b & (~L1 ~b -> f)) -> L1 f")
     assert (code, out.strip()) == (1, "INVALID")
     assert err.splitlines() == [
         "satisfiable?: ~(O1 (~b & (~L1 ~b -> f)) -> L1 f)",
-        "  agent 1: entailed by the positive L part?: f",
-        "  agent 1: only-knowing base must entail the other positive L parts: true",
-        "  agent 1: entailed by the positive L part?: ~b",
-        "  agent 1: entailed by the positive L part?: ~b",
+        "  agent 1: entailed by the base's low bound?: ~b",
+        "  agent 1: entailed by the base's high bound and the other positive L parts?: ~b",
         "  agent 1: only knowing forces: L1 ~b",
         "  agent 1: entailed by the positive L part?: f",
         "  agent 1: only-knowing base must entail the other positive L parts: ~b",

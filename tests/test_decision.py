@@ -364,7 +364,8 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
     # do not cancel first: with L1 q pending and L1 r false, L1 q and
     # ~L1 q each become the weak value.
     f, var = parse("L1 q & (L1 r | ~L1 q)"), {parse("L1 q"): 0, parse("L1 r"): 1}
-    settle = _Cofactors({}, {}, [None, False], Decider()._own).settle
+    d = Decider()
+    settle = _Cofactors({}, {}, [None, False], d._own, d._tick).settle
     assert settle(f, False, var, TRUE) is TRUE
     assert settle(f, True, var, FALSE) is FALSE
     rng = random.Random(23)
@@ -383,7 +384,7 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
         for neg in (False, True):
             each = [_nnf(f, neg, _settled_leaf(var, c, None)) for c in completions]
             for weak in (TRUE, FALSE):
-                got = _Cofactors({}, {}, value, Decider()._own).settle(f, neg, var, weak)
+                got = _Cofactors({}, {}, value, d._own, d._tick).settle(f, neg, var, weak)
                 want = _nnf(f, neg, _settled_leaf(var, value, weak))
                 names = list(dict.fromkeys([*leaves(got), *leaves(want), *(g for c in each for g in leaves(c))]))
                 columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
@@ -423,7 +424,8 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
     ws = tuple(range(3, 3 + len(own)))
     var = {g: w for w, g in enumerate(own, 3)}
     value = [None] * (3 + len(own))
-    c = _Cofactors(modal, {1: ws, 2: ws}, value, Decider()._own)
+    d = Decider()
+    c = _Cofactors(modal, {1: ws, 2: ws}, value, d._own, d._tick)
     rng = random.Random(20)
     history, reverted = [], 0
     for _ in range(500):
@@ -555,8 +557,11 @@ def test_only_knowing_pairs_agree_with_the_extended_oracle():
             verdict = Decider(trace=lambda level, rule, g: rules.append(rule)).valid(f)
             assert bool(verdict) == oracle_valid(f, ("p", "q"), semantics="extended").valid, to_text(f)
             cases += 1
-            fired += any("only-knowing base" in rule for rule in rules)
-    assert (cases, fired) == (315, 210)  # the pair rule tests every L1 x and ~L1 x query
+            fired += any("only-knowing base" in rule or "the base's" in rule for rule in rules)
+    # The pair rule or the pair's propagation traces for every L1 x and
+    # ~L1 x query: the pair propagates before its group is tested, so 41
+    # of them fail through a forced literal before the pair rule's line.
+    assert (cases, fired) == (315, 210)
 
 
 @pytest.mark.parametrize(
@@ -980,6 +985,22 @@ def test_budget_stops_a_normal_form_blow_up(mode):
     with pytest.raises(BudgetExceededError):
         getattr(Decider(deadline=start + 0.5), mode)(f)
     assert time.monotonic() - start < 1.0
+
+
+def test_budget_stops_a_cofactor_blow_up():
+    # L1 p <-> q0 <-> ... <-> q19 under L1: the cofactor settles both
+    # operands of each <->, L1 p being a dependency in both polarities,
+    # so it costs 2^20 nodes; it checks the budget at each <->.
+    import time
+
+    chain = L(1, p)
+    for k in range(20):
+        chain = Iff(chain, Atom(f"q{k}"))
+    f = L(1, chain) & Not(L(1, Atom("r")))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        Decider(deadline=start + 0.1).consistent(f)
+    assert time.monotonic() - start < 0.35
 
 
 @pytest.mark.parametrize("mode", ["consistent", "valid"])

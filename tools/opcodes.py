@@ -1,0 +1,90 @@
+"""Opcode counts per query over the first cycles of a perfbench workload.
+
+Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N]
+
+Each query is answered by perfbench/run.py's own routine (parse the
+text, a fresh Decider, decide or stream the normal form), with no
+deadline, under sys.settrace with f_trace_opcodes on, and the bytecode
+instructions it executes are counted.  A call into C counts as the one
+instruction that makes it.  One line is printed per rung (its queries,
+total, p50 and p90), then one for the whole run, and with --queries N
+only the first N queries of the run are counted.
+
+Opcode counts do not move with the host's speed, which swings from run
+to run, and they repeat from run to run, so two versions of the engine
+can be compared on one run each.  The workloads and
+the routine are imported from perfbench/, which this script does not
+change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from onlyknow.decision import Decider  # noqa: E402
+from run import _answer  # noqa: E402
+from workloads import WORKLOADS, Query, cycles  # noqa: E402
+
+
+def count(q: Query) -> int:
+    """The opcodes executed to answer q, which must come out right."""
+    n = 0
+
+    def tracer(frame, event, arg):
+        nonlocal n
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            n += 1
+        return tracer
+
+    before = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = _answer(q, Decider())
+    finally:
+        sys.settrace(before)
+    if got != q.expected:
+        raise AssertionError(f"{q.rung}: expected {q.expected}, got {got}: {q.text}")
+    return n
+
+
+def percentile(counts: list[int], p: float) -> int:
+    """Nearest rank, as perfbench/run.py takes its percentiles."""
+    ranked = sorted(counts)
+    return ranked[max(0, math.ceil(p * len(ranked)) - 1)]
+
+
+def rung_key(rung: str) -> tuple[str, int]:
+    """Sort "k=10" after "k=4"."""
+    name, _, size = rung.rpartition("=")
+    return (name, int(size)) if size.isdigit() else (rung, 0)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", default="defaults", choices=WORKLOADS)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=1, help="count the first this many cycles")
+    parser.add_argument("--queries", type=int, help="count only the first this many queries")
+    args = parser.parse_args()
+    queries = [q for cycle in islice(cycles(args.workload, args.seed), args.cycles) for q in cycle]
+    rungs: dict[str, list[int]] = {}
+    for q in queries[: args.queries]:
+        rungs.setdefault(q.rung, []).append(count(q))
+    every = [n for ns in rungs.values() for n in ns]
+    print(f"{'rung':<22} {'queries':>7} {'total':>12} {'p50':>10} {'p90':>10}")
+    for rung, ns in sorted(rungs.items(), key=lambda item: rung_key(item[0])) + [("all", every)]:
+        print(f"{rung:<22} {len(ns):>7} {sum(ns):>12} {percentile(ns, 0.5):>10} {percentile(ns, 0.9):>10}")
+
+
+if __name__ == "__main__":
+    main()
