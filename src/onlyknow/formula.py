@@ -215,7 +215,7 @@ class _Unary(Formula):
                 return node
         node = _new(cls)
         _set_sub(node, sub)
-        try:  # fold keeps a Not unless it is over a constant or a Not
+        try:  # a V is never plain, and fold keeps a Not unless it is over a constant or a Not
             plain = cls is Not and sub.plain and sub not in _CONSTANTS and sub.__class__ is not Not
         except AttributeError:
             plain = False
