@@ -69,7 +69,9 @@ class Formula:
     ``simplify`` and V elimination return it as it is: it holds no V,
     ``fold`` leaves it as it is, and its children are plain.  It is
     worked out inline from the children's flags, at no cost to a lookup
-    that hits; a field that is no formula makes the node not plain."""
+    that hits; a field that is no formula makes the node not plain.
+    ``connect`` has made fold's checks already, so a node it builds is
+    plain when both operands are, and it passes that flag to ``__new__``."""
 
     __slots__ = ("__weakref__", "plain")
     __match_args__: tuple[str, ...] = ()
@@ -229,7 +231,9 @@ class _Binary(Formula):
     left: Formula
     right: Formula
 
-    def __new__(cls, left: Formula, right: Formula) -> Formula:
+    def __new__(cls, left: Formula, right: Formula, plain: bool | None = None) -> Formula:
+        """plain, when given, is a new node's flag, from a caller that
+        has made fold's checks (connect)."""
         key = (cls, left, right)
         ref = _table.get(key)
         if ref is not None:
@@ -239,16 +243,21 @@ class _Binary(Formula):
         node = _new(cls)
         _set_left(node, left)
         _set_right(node, right)
-        try:  # fold keeps a connective over two distinct non-constants, -> also over complements
-            plain = (
-                left.plain and right.plain and left is not right and left not in _CONSTANTS and right not in _CONSTANTS
-            )
-            if plain and cls is not Implies:
-                plain = not (
-                    left.__class__ is Not and left.sub is right or right.__class__ is Not and right.sub is left
+        if plain is None:
+            try:  # fold keeps a connective over two distinct non-constants, -> also over complements
+                plain = (
+                    left.plain
+                    and right.plain
+                    and left is not right
+                    and left not in _CONSTANTS
+                    and right not in _CONSTANTS
                 )
-        except AttributeError:
-            plain = False
+                if plain and cls is not Implies:
+                    plain = not (
+                        left.__class__ is Not and left.sub is right or right.__class__ is Not and right.sub is left
+                    )
+            except AttributeError:
+                plain = False
         _set_plain(node, plain)
         return _intern(key, node)
 
@@ -279,6 +288,7 @@ class _Modal(Formula):
 
 # The fields are set once, through their slots, since __setattr__ refuses.
 _new = object.__new__
+_binary = _Binary.__new__
 _set_plain = Formula.__dict__["plain"].__set__
 _set_name = Atom.__dict__["name"].__set__
 _set_sub = _Unary.__dict__["sub"].__set__
@@ -481,7 +491,8 @@ def fold(g: Formula) -> Formula:
 
 def connect(op: type, a: Formula, b: Formula) -> Formula:
     """fold(op(a, b)) for op And or Or and simplified a and b, without
-    building the node when it folds away."""
+    building the node when it folds away.  A node it builds passes fold's
+    checks, so it is plain when a and b are."""
     unit, zero = (TRUE, FALSE) if op is And else (FALSE, TRUE)
     if a is zero or b is zero:
         return zero
@@ -491,7 +502,7 @@ def connect(op: type, a: Formula, b: Formula) -> Formula:
         return a
     if type(a) is Not and a.sub is b or type(b) is Not and b.sub is a:
         return zero
-    return op(a, b)
+    return _binary(op, a, b, a.plain and b.plain)
 
 
 def join(op: type, parts: Iterable[Formula]) -> Formula:

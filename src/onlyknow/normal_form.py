@@ -13,7 +13,9 @@ output is simplified.
 
 One agent's group of modal literals is an ``AgentBlock``, and only it
 knows the group's layout: the stream and the search's group test both
-build one literal at a time with ``AgentBlock.add``.
+build one literal at a time with ``AgentBlock.add``.  The stream keeps
+a stack of them per agent, and one of sigmas, that its trail pushes
+onto and a backtrack pops.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -44,11 +46,11 @@ empty belief set realizes it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .formula import (
     FALSE,
-    MODAL,
     TRUE,
     And,
     Atom,
@@ -75,6 +77,7 @@ from .formula import (
 
 Tick = Callable[[], None]
 _tuple = tuple.__new__  # _tuple(cls, fields) builds a NamedTuple in C, past its generated __new__
+_top = itemgetter(-1)
 
 
 def normalize(f: Formula) -> Formula:
@@ -227,7 +230,7 @@ class AgentBlock(NamedTuple):
     pos_l/pos_n are the merged arguments of the positive L/N conjuncts
     (true when absent); neg_l/neg_n collect the arguments of the negated
     ones, all objective for this agent.  ``add`` returns the group with
-    one more literal, so the stream's trail levels share their blocks.
+    one more literal, so the stream's stacks share their blocks.
     """
 
     agent: int
@@ -314,33 +317,59 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     literal satisfies never splits the stream (absorption), and one it
     falsifies prunes the branch.  A conjunct none of whose leaves is on
     the trail is taken up as it is, without a rebuild.
-    Each trail level is one tuple, the disjunct so far: sigma and the
-    groups present, in agent order.  A modal literal replaces or inserts
-    its agent's group by position, and a disjunct is its level's tuple.  A
-    literal that makes a group contradictory (M_i false beside a negated
-    M_i literal) prunes the branch.  The full disjunction is never
-    materialized: only the trail, the choice points with their agendas,
-    the per-level parts and the yielded disjunct are alive.
+    The disjunct so far is kept on stacks, as a SAT solver keeps its
+    trail: one of sigmas, and one of groups per agent met, in agent
+    order.  An atom literal pushes sigma with it, a modal literal its
+    agent's group with it, and the trail records which stack each
+    literal pushed onto, so a backtrack pops them.  A disjunct is sigma
+    and the top of each non-empty group stack.  A literal that would
+    make a group contradictory (M_i false beside a negated M_i literal)
+    pushes nothing and prunes the branch.  The full disjunction is never
+    materialized: only the trail, the stacks, the choice points with
+    their agendas and the yielded disjunct are alive.
     """
     g: Formula = normalize(f)
     neg = False
     agenda: _Agenda = None
     choices: list[tuple[Formula, bool, _Agenda, int]] = []
     literals: dict[Formula, bool] = {}  # the trail, in order
-    parts: list[tuple[Formula, tuple[AgentBlock, ...]]] = [(TRUE, ())]  # parts[k]: the parts of the first k literals
+    sigmas: list[Formula] = [TRUE]  # sigmas[-1]: the conjunction of the atom literals on the trail
+    stacks: dict[int, list[AgentBlock]] = {}  # agent -> its group after each of its literals on the trail
+    ordered: list[list[AgentBlock]] = []  # the stacks in agent order
+    pushed: list[list] = []  # pushed[k]: the stack the trail's k-th literal pushed onto
     while True:
         kind = type(g)
         if kind is And or kind is Or:
             if (kind is And) != neg:
                 agenda = [g.right, neg, None, agenda]
             else:
-                choices.append((g.right, neg, agenda, len(parts)))
+                choices.append((g.right, neg, agenda, len(pushed)))
             g = g.left
             continue
         if kind is Not:
             g, neg = g.sub, not neg
             continue
-        if kind is Implies:
+        if kind is Atom or kind is L or kind is N:
+            old = literals.get(g)
+            if old is not None:
+                consistent = old != neg
+            elif kind is Atom:
+                consistent = True
+                literals[g] = not neg
+                sigmas.append(connect(And, sigmas[-1], Not(g) if neg else g))
+                pushed.append(sigmas)
+            else:
+                stack = stacks.get(g.agent)
+                if stack is None:
+                    stack = stacks[g.agent] = []
+                    ordered = [stacks[a] for a in sorted(stacks)]
+                block = (stack[-1] if stack else AgentBlock(g.agent)).add(g, not neg)
+                consistent = not block.contradictory()
+                if consistent:
+                    literals[g] = not neg
+                    stack.append(block)
+                    pushed.append(stack)
+        elif kind is Implies:
             x, y = g.left, g.right
             if type(y) is Not and y.sub is x or type(x) is Not and x.sub is y:
                 g = y  # x -> ~x is ~x, and ~x -> x is x
@@ -348,40 +377,19 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
             if neg:
                 agenda = [y, neg, None, agenda]
             else:
-                choices.append((y, neg, agenda, len(parts)))
+                choices.append((y, neg, agenda, len(pushed)))
             g, neg = x, not neg
             continue
-        if kind is Iff:
+        elif kind is Iff:
             x, y = g.left, g.right
             if neg:
-                choices.append((Or(x, Not(y)), neg, agenda, len(parts)))
+                choices.append((Or(x, Not(y)), neg, agenda, len(pushed)))
             else:
                 agenda = [Implies(y, x), neg, None, agenda]
             g = Implies(x, y)
             continue
-        if g is TRUE or g is FALSE:
+        else:  # true or false
             consistent = (g is TRUE) != neg
-        else:  # a literal over the leaf g
-            old = literals.get(g)
-            if old is None:
-                sigma, blocks = parts[-1]
-                consistent = True
-                if isinstance(g, MODAL):
-                    agent, i = g.agent, 0
-                    while i < len(blocks) and blocks[i].agent < agent:
-                        i += 1
-                    j = i + (i < len(blocks) and blocks[i].agent == agent)
-                    block = (blocks[i] if j > i else AgentBlock(agent)).add(g, not neg)
-                    consistent = not block.contradictory()
-                    blocks = (*blocks[:i], block, *blocks[j:])
-                else:
-                    literal = Not(g) if neg else g
-                    sigma = literal if sigma is TRUE else fold(And(sigma, literal))
-                if consistent:
-                    literals[g] = not neg
-                    parts.append((sigma, blocks))
-            else:
-                consistent = old != neg
         if consistent:
             if agenda is not None:
                 head, neg, touched, rest = agenda
@@ -391,13 +399,14 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
                 g = head if literals.keys().isdisjoint(touched) else assign(head, literals)
                 agenda = rest
                 continue
-            yield _tuple(NormalFormDisjunct, parts[-1])
+            yield _tuple(NormalFormDisjunct, (sigmas[-1], tuple(map(_top, filter(None, ordered)))))
         if not choices:
             return
         g, neg, agenda, depth = choices.pop()
-        while len(parts) > depth:
+        for stack in pushed[depth:]:
+            stack.pop()
             literals.popitem()
-            parts.pop()
+        del pushed[depth:]
 
 
 def reassemble(disjuncts: Iterator[NormalFormDisjunct] | list[NormalFormDisjunct]) -> Formula:

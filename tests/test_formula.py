@@ -41,6 +41,7 @@ from onlyknow.formula import (
     parse,
     simplify,
     to_text,
+    transform,
     walk,
 )
 
@@ -314,6 +315,24 @@ def test_connect_is_the_fold_of_the_node_it_would_build():
         for b in parts:
             for op in (And, Or):
                 assert connect(op, a, b) is fold(op(a, b)), (op, to_text(a), to_text(b))
+
+
+def test_connect_flags_a_node_it_builds_as_the_constructor_would():
+    # Fresh atoms, so that connect builds each node rather than finding
+    # it; a V operand is not plain, and neither is the node over it.
+    x, y = Atom("connect_x"), Atom("connect_y")
+    parts = [x, Not(x), y, And(y, x), L(1, Not(y)), Val(x), Or(Val(y), x)]
+    built = 0
+    for a in parts:
+        for b in parts:
+            for op in (And, Or):
+                g = connect(op, a, b)
+                if g in (a, b, TRUE, FALSE):
+                    continue
+                built += 1
+                v_free = not any(type(h) is Val for h in walk(g))
+                assert g.plain == (transform(g, lambda h, rebuilt: fold(rebuilt)) is g and v_free), to_text(g)
+    assert built > 50
 
 
 def test_leaves_stop_at_modal_and_val_formulas():

@@ -32,6 +32,7 @@ from onlyknow.normal_form import (
 )
 
 p, q = Atom("p"), Atom("q")
+a, b, c, d, e, r, s = (Atom(x) for x in "abcders")
 
 
 def nf(text, agents=2):
@@ -250,6 +251,49 @@ def test_m_false_meeting_a_negated_literal_of_another_conjunct_prunes_the_branch
     ds = nf(text, 1)
     assert [to_text(d.to_formula()) for d in ds] == expected
     assert not any(b.pos_l is FALSE and b.neg_l for d in ds for b in d.blocks)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # agent 2's group arrives first but comes second; a backtrack empties it
+        (
+            "(L2 q | L1 p) & (L1 r | s)",
+            [
+                (TRUE, [AgentBlock(1, pos_l=r), AgentBlock(2, pos_l=q)]),
+                (s, [AgentBlock(2, pos_l=q)]),
+                (TRUE, [AgentBlock(1, pos_l=And(p, r))]),
+                (s, [AgentBlock(1, pos_l=p)]),
+            ],
+        ),
+        # L1 false beside ~L1 b is pruned, last
+        (
+            "(N3 a | ~L1 b) & (L2 c | L1 false) & (L1 d | ~N3 e)",
+            [
+                (TRUE, [AgentBlock(1, pos_l=d), AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a)]),
+                (TRUE, [AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a)]),
+                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=d, neg_l=(b,)), AgentBlock(2, pos_l=c)]),
+                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=c), AgentBlock(3, neg_n=(e,))]),
+            ],
+        ),
+        # pruned first: no group of the pruned branch reaches the disjuncts after it
+        (
+            "(~L1 b | N3 a) & (L1 false | L2 c) & (L1 d | ~N3 e)",
+            [
+                (TRUE, [AgentBlock(1, pos_l=d, neg_l=(b,)), AgentBlock(2, pos_l=c)]),
+                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=c), AgentBlock(3, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a)]),
+                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=d), AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a)]),
+                (TRUE, [AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a, neg_n=(e,))]),
+            ],
+        ),
+    ],
+)
+def test_stream_hands_out_exact_records_as_groups_come_and_go(text, expected):
+    assert [(x.sigma, list(x.blocks)) for x in nf(text, 3)] == expected
 
 
 def test_deep_trail_hands_out_each_disjunct_its_own_groups():

@@ -28,3 +28,10 @@ def test_first_queries_of_each_workload_are_counted(opcodes, workload, monkeypat
     assert sum(int(row.rsplit(maxsplit=4)[1]) for row in rows[:-1]) == 4
     assert sys.gettrace() is before
 
+
+def test_rung_prefix_counts_only_those_rungs(opcodes, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["opcodes.py", "--workload", "modal-mix", "--rung", "nf k=4"])
+    opcodes.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.rsplit(maxsplit=4)[:2] for row in rows] == [["nf k=4", "1"], ["all", "1"]]
+    assert rows[0].split()[2:] == rows[1].split()[1:]

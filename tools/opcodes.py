@@ -1,6 +1,6 @@
 """Opcode counts per query over the first cycles of a perfbench workload.
 
-Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N]
+Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N] [--rung PREFIX]
 
 Each query is answered by perfbench/run.py's own routine (parse the
 text, a fresh Decider, decide or stream the normal form), with no
@@ -8,7 +8,9 @@ deadline, under sys.settrace with f_trace_opcodes on, and the bytecode
 instructions it executes are counted.  A call into C counts as the one
 instruction that makes it.  One line is printed per rung (its queries,
 total, p50 and p90), then one for the whole run, and with --queries N
-only the first N queries of the run are counted.
+only the first N queries of the run are counted.  With --rung PREFIX
+only the rungs whose names start with PREFIX are counted ("nf " for the
+normal-form streams), and the last line totals them.
 
 Opcode counts do not move with the host's speed, which swings from run
 to run, and they repeat from run to run, so two versions of the engine
@@ -75,8 +77,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=1, help="count the first this many cycles")
     parser.add_argument("--queries", type=int, help="count only the first this many queries")
+    parser.add_argument("--rung", default="", metavar="PREFIX", help="count only the rungs whose names start so")
     args = parser.parse_args()
-    queries = [q for cycle in islice(cycles(args.workload, args.seed), args.cycles) for q in cycle]
+    queries = [
+        q
+        for cycle in islice(cycles(args.workload, args.seed), args.cycles)
+        for q in cycle
+        if q.rung.startswith(args.rung)
+    ]
     rungs: dict[str, list[int]] = {}
     for q in queries[: args.queries]:
         rungs.setdefault(q.rung, []).append(count(q))
