@@ -32,6 +32,8 @@ def _budget_deadline(budget: float | None) -> float | None:
         if raw is None:
             return None
         budget = float(raw)
+    if budget != budget:  # a NaN deadline would never be reached
+        raise ValueError("time budget is not a number")
     return time.monotonic() + budget
 
 

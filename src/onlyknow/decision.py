@@ -26,21 +26,22 @@ search variables too, and the search guesses them, as in the
 stable-expansion reading of only knowing (Levesque, 1990), unless only
 knowing's pair decides them (below).
 
-A skeleton that, read by polarity, is a conjunction of literals over
-atoms and modal atoms without such dependencies is its own only
-candidate, and is tested as it is.  Any other set is found by a DPLL
-search over the clause form of the skeleton (the KSAT construction of
-Giunchiglia & Sebastiani, 2000).  One routine tests a group on either
-path, the pair rule included.  A group that fails fails under every
-larger set of literals, so the test runs after each unit propagation
-and prunes the search.  A literal whose own atoms are not all assigned
-yet is tested with a weakened argument, implied by every cofactor it
-can still get: each literal over such an atom becomes true (false under
-a negated modality).  The clause form and the cofactors are read off
-the formula as written, by polarity.  Group arguments sit one modal
-level lower, so the recursion terminates.  V goes first, innermost out,
-each body replaced by its own verdict, in the walk that simplifies the
-query; a plain query, V-free and simplified already, skips the walk.
+The skeleton is put in clause form once (the KSAT construction of
+Giunchiglia & Sebastiani, 2000).  When every clause is a unit over an
+atom or a modal atom without such dependencies, those literals are the
+only candidate and are tested as they are; any other set is found by a
+DPLL search over the clauses.  One group state and one routine test a
+group on either path, the pair rule included.  A group that fails fails
+under every larger set of literals, so the test runs after each unit
+propagation and prunes the search.  A literal whose own atoms are not
+all assigned yet is tested with a weakened argument, implied by every
+cofactor it can still get: each literal over such an atom becomes true
+(false under a negated modality).  The clause form and the cofactors
+are read off the formula as written, by polarity.  Group arguments sit
+one modal level lower, so the recursion terminates.  V goes first,
+innermost out, each body replaced by its own verdict, in the walk that
+simplifies the query; a plain query, V-free and simplified already,
+skips the walk.
 
 The group tests of one search pay only for what changed.  The group
 state follows the trail, as a DPLL(T) theory does (Nieuwenhuis,
@@ -189,9 +190,9 @@ class Decider:
     # -- recursion ----------------------------------------------------------
 
     def _sat(self, f: Formula, level: int) -> bool:
-        """Is the simplified V-free formula f satisfiable?  A literal set
-        is its own only candidate and is tested as it is; anything else is
-        searched."""
+        """Is the simplified V-free formula f satisfiable?  Its clause form
+        is made once: a set of units is its own only candidate and is
+        tested as it is; anything else is searched."""
         self._tick()
         if f is TRUE:
             return True
@@ -204,14 +205,15 @@ class Decider:
             return known
         if self.trace:
             self.trace(level, "satisfiable?", f)
-        result = self._literal_set_ok(f, level)
+        variables, clauses = to_clauses(f, self._tick)
+        result = self._literal_set_ok(variables, clauses, level)
         if result is None:
-            result = self._search(f, level)
+            result = self._search(variables, clauses, level)
         self._memo[f] = result
         return result
 
-    def _search(self, f: Formula, level: int) -> bool:
-        """DPLL over the clause form of f: unit propagation, decisions on
+    def _search(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool:
+        """DPLL over _sat's clause form of f: unit propagation, decisions on
         the trail, the group test on the modal literals after each
         propagation, and SAT once every clause is satisfied, so the
         literals still unassigned stay don't-care.  A modal variable
@@ -224,9 +226,8 @@ class Decider:
         guess: both rules hold for every completion, and a group that
         fails before them fails after them.  The groups follow the
         trail, and a backtrack pops them with it.
-        A literal set never gets here: it has nothing to search, and _sat
-        tests its groups as they are, by the same _group_ok."""
-        variables, clauses = to_clauses(f, self._tick)
+        A literal set never gets here: it has nothing to search, and
+        _literal_set_ok tests its groups by the same _Groups and _group_ok."""
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
         index: dict[Formula, int] = {}
@@ -279,48 +280,38 @@ class Decider:
             else:
                 return False
 
-    def _literal_set_ok(self, f: Formula, level: int) -> bool | None:
-        """The search's verdict on f when f, read by polarity as
-        to_clauses reads it, is a conjunction of literals over atoms and
-        modal atoms with no dependency, else None.  That set is the only
-        candidate: a complementary pair refutes it, as the clauses' unit
-        conflict does, and otherwise _group_ok tests each agent's block,
-        the literals numbered and pushed in first-appearance order, which
-        is the order of their variables and of the search's trail, and
-        each cofactor the leaf itself."""
-        literals: dict[Formula, bool] = {}
-        stack = [(f, False)]
-        while stack:
-            self._tick()
-            g, neg = stack.pop()
-            while type(g) is Not:
-                g, neg = g.sub, not neg
-            kind = type(g)
-            if kind is (Or if neg else And):
-                stack += ((g.right, neg), (g.left, neg))
-            elif kind is Implies and neg:
-                stack += ((g.right, True), (g.left, False))
-            elif kind is Atom or (kind is L or kind is N) and not self._own(g.sub, g.agent):
-                if literals.setdefault(g, not neg) is neg:
-                    return False
-            else:
+    def _literal_set_ok(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool | None:
+        """The search's verdict when every clause is a unit over an atom
+        or a modal atom with no dependency, else None.  Those literals
+        are the only candidate: a complementary pair refutes them, as the
+        search's unit conflict does, and otherwise _group_ok tests each
+        agent's block, taken in by sync in clause order, as the search's
+        trail takes them, each cofactor the leaf itself."""
+        units: dict[int, None] = {}
+        for c in clauses:
+            if len(c) != 1:
                 return None
+            units[c[0]] = None
         modal: dict[int, Formula] = {}
-        blocks: dict[int, _Block] = {}
-        for v, (g, positive) in enumerate(literals.items(), 1):
-            if type(g) is not Atom:
-                modal[v] = g
-                block = blocks.get(g.agent)
-                if block is None:
-                    block = blocks[g.agent] = _Block(g.agent)
-                block.push(v if positive else -v, g)
-        if blocks:
-            cofactor = _Cofactors(modal, {}, [], self._own, self._tick)
-            for agent in sorted(blocks):
-                if not self._group_ok(blocks[agent], cofactor, level):
+        for x in units:
+            if -x in units:
+                return False
+            g = variables[abs(x) - 1]
+            if type(g) is L or type(g) is N:
+                if self._own(g.sub, g.agent):
+                    return None
+                modal[abs(x)] = g
+            elif type(g) is not Atom:
+                return None
+        if modal:
+            groups = _Groups(modal, {}, [], self._own, self._tick)
+            groups.sync(list(units))
+            for agent in groups.agents:
+                if not self._group_ok(groups.blocks[agent], groups, level):
                     return False
         if self.trace:
-            self.trace(level + 1, "satisfying literals", conj(g if x else Not(g) for g, x in literals.items()))
+            literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in sorted(units, key=abs))
+            self.trace(level + 1, "satisfying literals", literals)
         return True
 
     def _groups_ok(self, trail: list[int], groups: _Groups | None, level: int) -> bool:
@@ -389,9 +380,7 @@ class Decider:
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
-                high, x = groups.literal(v, True), block.group(groups)[0].pos_l
-                whole = lambda: connect(And, high.argument(), x)  # noqa: E731
-                parts = high.conjuncts() + _parts(x)
+                parts, whole = groups.literal(v, True).and_parts(block.group(groups)[0].pos_l)
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -443,19 +432,19 @@ class Decider:
             g = partner if neg in given else connect(And, partner, neg)
             yield not (_is_literal(g) or self._sat(g, level + 1))
 
-    def _group_ok(self, block: _Block, cofactor: _Cofactors, level: int) -> bool:
+    def _group_ok(self, block: _Block, groups: _Groups, level: int) -> bool:
         """The group test for one agent's block.  A group whose only N
         literal is a positive N_i ~a, with L_i a positive too, is O_i a's
         group, which _pair_ok tests on a's settled parts; any other,
         _block_ok.  The block keeps its N literals and finds the pair by
         a lookup, and its AgentBlock of the other literals is rebuilt
         only from the first literal whose cofactor changed."""
-        b, pair = block.group(cofactor)
+        b, pair = block.group(groups)
         if pair is None:
             return self._block_ok(b, level + 1)
-        return self._pair_ok(b, level + 1, pair, cofactor)
+        return self._pair_ok(b, level + 1, pair, groups)
 
-    def _pair_ok(self, b: AgentBlock, level: int, v: int, cofactor: _Cofactors) -> bool:
+    def _pair_ok(self, b: AgentBlock, level: int, v: int, groups: _Groups) -> bool:
         """The group test of O_i a, L_i a & N_i ~a with L_i a the modal
         variable v, when N_i ~a is the group's only N literal; b holds
         the group's other literals.  The union of the positive parts,
@@ -469,11 +458,8 @@ class Decider:
         entailment is read off low's parts first: a formula is joined
         only for a subquery that needs one."""
         x = b.pos_l
-        xs = _parts(x)
         if b.neg_l:
-            base = cofactor.literal(v, True)
-            whole = lambda: connect(And, base.argument(), x)  # noqa: E731
-            parts = base.conjuncts() + xs
+            parts, whole = groups.literal(v, True).and_parts(x)
             for entailed in self._entailed(b.agent, "the positive L part", parts, b.neg_l, level, whole):
                 if entailed:
                     return False
@@ -481,8 +467,8 @@ class Decider:
             self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
         if x is TRUE:
             return True
-        low = cofactor.literal(v, False)
-        return low.entails(xs) or not self._sat(connect(And, low.argument(), fold(Not(x))), level + 1)
+        low = groups.literal(v, False)
+        return low.entails(_parts(x)) or not self._sat(connect(And, low.argument(), fold(Not(x))), level + 1)
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
@@ -692,22 +678,32 @@ class _Cofactor:
             self.conj_set = set(self.conjuncts())
         return self.conj_set.issuperset(xs)
 
+    def and_parts(self, x: Formula) -> tuple[list[Formula], Callable[[], Formula]]:
+        """The parts of the argument & x, for _entailed, and the call that
+        joins the two, made only for a subquery that needs the whole."""
+        return self.conjuncts() + _parts(x), lambda: connect(And, self.argument(), x)
 
-class _Cofactors:
-    """The cofactored modal atoms of one search, M_i phi with phi
-    cofactored by the values the trail gives its dependencies, one part
-    at a time: the conjuncts of a conjunction, joined by And, of a
-    negated one, each negated, joined by Or, or phi alone.  A part with
-    no dependency is taken as it is.  Each modal literal keeps a
-    _Cofactor, and literal re-settles only the parts whose values
-    changed since it last looked (a settled part is cached by its
-    values, so a value that reverts costs a lookup, and once every
-    value is set both signs of the literal share it).  A group test
-    reads the parts; nothing re-folds the argument, which is joined
-    only when a caller asks for it, as the call does.  tick is the
-    Decider's budget check, which settling a <-> calls."""
 
-    __slots__ = ("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending")
+class _Groups:
+    """The group state of one search, which follows its trail: the
+    cofactored modal atoms, a block per agent, the group tests' verdicts
+    by block, and a watch list per dependency variable, the modal
+    variables whose arguments read it.  sync takes in the trail literals
+    assigned since the last call and undo pops them again, and each
+    assignment or unassignment of a dependency touches only the literals
+    that read it.  M_i phi is cofactored one part of phi at a time: the
+    conjuncts of a conjunction, joined by And, of a negated one, each
+    negated, joined by Or, or phi alone; a part with no dependency is
+    taken as it is.  Each modal literal keeps a _Cofactor, and literal
+    re-settles only the parts whose values changed since it last looked
+    (a settled part is cached by its values, and once every value is
+    set both signs of the literal share it).  tick is the Decider's
+    budget check, which settling a <-> calls."""
+
+    __slots__ = (
+        *("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending"),
+        *("watch", "blocks", "agents", "numbers", "links", "tested", "head"),
+    )
 
     def __init__(
         self,
@@ -724,6 +720,16 @@ class _Cofactors:
         self.literals: dict[int, _Cofactor] = {}  # literal +-v -> its cofactor
         self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal or variable, part, values) -> settled part
         self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
+        self.watch: dict[int, list[int]] = {}
+        for v, ws in deps.items():
+            for w in ws:
+                self.watch.setdefault(w, []).append(v)
+        self.blocks: dict[int, _Block] = {}
+        self.agents: list[int] = []  # the blocks' agents, in order
+        self.numbers: dict[tuple[int, int], int] = {}  # (number of a sequence, literal) -> number of the longer one
+        self.links: list[tuple[int, int]] = [(0, 0)]  # number -> (number of the sequence one shorter, last literal)
+        self.tested: dict[int, tuple[int, bool]] = {}  # hash of a literal set -> (a sequence's number, its verdict)
+        self.head = 0  # trail[:head] is in the blocks
 
     def __call__(self, v: int, positive: bool) -> Formula:
         """The literal's modal atom over its cofactored argument."""
@@ -815,6 +821,61 @@ class _Cofactors:
             b = fold(Not(y)) if yneg else y
         return connect(op, a, b)
 
+    def sync(self, trail: list[int]) -> None:
+        modal, blocks, watch = self.modal, self.blocks, self.watch
+        for x in trail[self.head :]:
+            v = abs(x)
+            leaf = modal.get(v)
+            if leaf is None:
+                continue
+            block = blocks.get(leaf.agent)
+            if block is None:
+                block = blocks[leaf.agent] = _Block(leaf.agent)
+                self.agents = sorted(blocks)
+            block.push(x, leaf)
+            readers = watch.get(v)
+            if readers:  # of v's agent, since v is one of their own modal atoms
+                block.touch(readers)
+        self.head = len(trail)
+
+    def key(self, block: _Block) -> tuple[int, int]:
+        """The block's memo key: the number of its literal sequence and
+        a hash of its set, whatever the order."""
+        keys, numbers, links = block.keys, self.numbers, self.links
+        number, key = keys[-1]
+        for x in block.lits[len(keys) - 1 :]:
+            longer = numbers.get((number, x))
+            if longer is None:
+                longer = numbers[number, x] = len(links)
+                links.append((number, x))
+            number, key = longer, key ^ hash((2 * x,))  # hash(-1) is hash(-2); 2 * x is never -1
+            keys.append((number, key))
+        return number, key
+
+    def literal_set(self, number: int) -> set[int]:
+        """The literals of the sequence number."""
+        out = set()
+        while number:
+            number, x = self.links[number]
+            out.add(x)
+        return out
+
+    def undo(self, trail: list[int], at: int) -> None:
+        """Pop the literals of trail[at:] that sync took in."""
+        modal, blocks, watch = self.modal, self.blocks, self.watch
+        for k in range(self.head - 1, at - 1, -1):
+            v = abs(trail[k])
+            leaf = modal.get(v)
+            if leaf is None:
+                continue
+            block = blocks[leaf.agent]
+            block.pop(leaf)
+            readers = watch.get(v)
+            if readers:
+                block.touch(readers)
+        if self.head > at:
+            self.head = at
+
 
 class _Block:
     """One agent's modal literals on the trail, in trail order, and what
@@ -877,7 +938,7 @@ class _Block:
         n = ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
         return self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
 
-    def group(self, cofactor: _Cofactors) -> tuple[AgentBlock, int | None]:
+    def group(self, groups: _Groups) -> tuple[AgentBlock, int | None]:
         """The AgentBlock of the literals outside the pair, and the pair's
         L variable, None when the group has no pair."""
         pair = self.pair()
@@ -891,97 +952,10 @@ class _Block:
         b = chain[-1] if chain else AgentBlock(self.agent)
         for x in self.lits[self.dirty :]:
             if x not in skip:
-                b = b.add(cofactor(abs(x), x > 0), x > 0)
+                b = b.add(groups(abs(x), x > 0), x > 0)
             chain.append(b)
         self.dirty = len(chain)
         return b, pair
-
-
-class _Groups(_Cofactors):
-    """The group state of one search, which follows its trail: the
-    cofactors, a block per agent, the group tests' verdicts by block,
-    and a watch list per dependency variable, the modal variables whose
-    arguments read it.  sync takes in the trail literals assigned since
-    the last call and undo pops them again, and each assignment or
-    unassignment of a dependency touches only the literals that read
-    it."""
-
-    __slots__ = ("watch", "blocks", "agents", "numbers", "links", "tested", "head")
-
-    def __init__(
-        self,
-        modal: dict[int, Formula],
-        deps: dict[int, tuple[int, ...]],
-        value: list[bool | None],
-        own: Callable[[Formula, int], Iterable[Formula]],
-        tick: Tick,
-    ) -> None:
-        super().__init__(modal, deps, value, own, tick)
-        self.watch: dict[int, list[int]] = {}
-        for v, ws in deps.items():
-            for w in ws:
-                self.watch.setdefault(w, []).append(v)
-        self.blocks: dict[int, _Block] = {}
-        self.agents: list[int] = []  # the blocks' agents, in order
-        self.numbers: dict[tuple[int, int], int] = {}  # (number of a sequence, literal) -> number of the longer one
-        self.links: list[tuple[int, int]] = [(0, 0)]  # number -> (number of the sequence one shorter, last literal)
-        self.tested: dict[int, tuple[int, bool]] = {}  # hash of a literal set -> (a sequence's number, its verdict)
-        self.head = 0  # trail[:head] is in the blocks
-
-    def sync(self, trail: list[int]) -> None:
-        modal, blocks, watch = self.modal, self.blocks, self.watch
-        for x in trail[self.head :]:
-            v = abs(x)
-            leaf = modal.get(v)
-            if leaf is None:
-                continue
-            block = blocks.get(leaf.agent)
-            if block is None:
-                block = blocks[leaf.agent] = _Block(leaf.agent)
-                self.agents = sorted(blocks)
-            block.push(x, leaf)
-            readers = watch.get(v)
-            if readers:  # of v's agent, since v is one of their own modal atoms
-                block.touch(readers)
-        self.head = len(trail)
-
-    def key(self, block: _Block) -> tuple[int, int]:
-        """The block's memo key: the number of its literal sequence and
-        a hash of its set, whatever the order."""
-        keys, numbers, links = block.keys, self.numbers, self.links
-        number, key = keys[-1]
-        for x in block.lits[len(keys) - 1 :]:
-            longer = numbers.get((number, x))
-            if longer is None:
-                longer = numbers[number, x] = len(links)
-                links.append((number, x))
-            number, key = longer, key ^ hash((2 * x,))  # hash(-1) is hash(-2); 2 * x is never -1
-            keys.append((number, key))
-        return number, key
-
-    def literal_set(self, number: int) -> set[int]:
-        """The literals of the sequence number."""
-        out = set()
-        while number:
-            number, x = self.links[number]
-            out.add(x)
-        return out
-
-    def undo(self, trail: list[int], at: int) -> None:
-        """Pop the literals of trail[at:] that sync took in."""
-        modal, blocks, watch = self.modal, self.blocks, self.watch
-        for k in range(self.head - 1, at - 1, -1):
-            v = abs(trail[k])
-            leaf = modal.get(v)
-            if leaf is None:
-                continue
-            block = blocks[leaf.agent]
-            block.pop(leaf)
-            readers = watch.get(v)
-            if readers:
-                block.touch(readers)
-        if self.head > at:
-            self.head = at
 
 
 class _Trail:

@@ -195,6 +195,20 @@ def test_single_query_budget_exit_three(capsys):
     assert "PARTIAL" in err
 
 
+@pytest.mark.parametrize("where", ["flag", "environment"])
+def test_a_nan_budget_is_an_input_error(capsys, monkeypatch, where):
+    # A NaN deadline compares false with every time, so it would turn
+    # the budget off instead of bounding the query.
+    argv = ["decide", "--mode", "sat", "L1 p & ~L1 q"]
+    if where == "flag":
+        argv[1:1] = ["--budget", "nan"]
+    else:
+        monkeypatch.setenv("ONLYKNOW_TIME_BUDGET", "nan")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_nf_subcommand_streams_disjuncts(capsys):
     code, out, _ = run(capsys, "nf", "L1 (p | L1 q)")
     assert code == 0

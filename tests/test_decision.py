@@ -8,7 +8,7 @@ import pytest
 
 from onlyknow import decision, k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import BudgetExceededError, Decider, _Cofactors, _Trail
+from onlyknow.decision import BudgetExceededError, Decider, _Groups, _Trail
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
 from onlyknow.formula import (
     And,
@@ -365,7 +365,7 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
     # ~L1 q each become the weak value.
     f, var = parse("L1 q & (L1 r | ~L1 q)"), {parse("L1 q"): 0, parse("L1 r"): 1}
     d = Decider()
-    settle = _Cofactors({}, {}, [None, False], d._own, d._tick).settle
+    settle = _Groups({}, {}, [None, False], d._own, d._tick).settle
     assert settle(f, False, var, TRUE) is TRUE
     assert settle(f, True, var, FALSE) is FALSE
     rng = random.Random(23)
@@ -384,7 +384,7 @@ def test_one_pass_cofactor_matches_the_weakened_negation_normal_form():
         for neg in (False, True):
             each = [_nnf(f, neg, _settled_leaf(var, c, None)) for c in completions]
             for weak in (TRUE, FALSE):
-                got = _Cofactors({}, {}, value, d._own, d._tick).settle(f, neg, var, weak)
+                got = _Groups({}, {}, value, d._own, d._tick).settle(f, neg, var, weak)
                 want = _nnf(f, neg, _settled_leaf(var, value, weak))
                 names = list(dict.fromkeys([*leaves(got), *leaves(want), *(g for c in each for g in leaves(c))]))
                 columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
@@ -425,7 +425,7 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
     var = {g: w for w, g in enumerate(own, 3)}
     value = [None] * (3 + len(own))
     d = Decider()
-    c = _Cofactors(modal, {1: ws, 2: ws}, value, d._own, d._tick)
+    c = _Groups(modal, {1: ws, 2: ws}, value, d._own, d._tick)
     rng = random.Random(20)
     history, reverted = [], 0
     for _ in range(500):
@@ -443,7 +443,7 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
 class _SearchOnly(Decider):
     """The search with no literal-set shortcut: every formula is clausified."""
 
-    def _literal_set_ok(self, f, level):
+    def _literal_set_ok(self, variables, clauses, level):
         return None
 
 
@@ -506,7 +506,7 @@ def test_literal_sets_skip_the_search_and_agree_with_the_oracles():
         f, agents = _random_literal_set(rng)
         g = Decider().eliminate_val(f)
         if g is not TRUE and g is not FALSE:
-            assert Decider()._literal_set_ok(g, 0) is not None, to_text(f)
+            assert Decider()._literal_set_ok(*to_clauses(g), 0) is not None, to_text(f)
             counts["literal path"] += 1
         verdict = bool(Decider().consistent(f))
         assert verdict == bool(_SearchOnly().consistent(f)), to_text(f)
@@ -582,7 +582,7 @@ def test_the_literal_set_and_the_search_pick_the_same_group_rule(text, pair):
     # Both paths test a group through one routine, so a literal set and
     # its clause form give the same verdict and the same group lines.
     f = parse(text, 2)
-    assert Decider()._literal_set_ok(f, 0) is not None
+    assert Decider()._literal_set_ok(*to_clauses(f), 0) is not None
     runs = []
     for decider in (Decider, _SearchOnly):
         lines = []
@@ -590,6 +590,33 @@ def test_the_literal_set_and_the_search_pick_the_same_group_rule(text, pair):
         runs.append((bool(verdict), [line for line in lines if line[0].startswith("agent ")]))
     assert runs[0] == runs[1], text
     assert any("only-knowing base" in rule for rule, _ in runs[0][1]) == pair, runs[0]
+
+
+class _NoSearch(Decider):
+    """A decider whose search must not run."""
+
+    def _search(self, *args):
+        raise AssertionError("searched")
+
+
+@pytest.mark.parametrize(
+    "text, literals",
+    [
+        ("p2 -> p2 | L1 ~L1 (p1 <-> ~p2)", "true"),
+        ("L1 N1 p -> p -> ~p1 -> p", "true"),
+        ("L1 q & ~L1 r & (p -> p | L1 ~L1 s)", "L1 q & ~L1 r"),
+    ],
+)
+def test_units_left_once_tautologies_drop_are_decided_with_no_search(text, literals):
+    # to_clauses drops the clause that holds an atom and its negation,
+    # and with it the modal atom with a dependency, so what is left is a
+    # set of units: the literal-set test decides it, and no search, at
+    # any level, guesses the dependency.
+    f = parse(text)
+    lines = []
+    assert _NoSearch(trace=lambda level, rule, g: lines.append((level, rule, to_text(g)))).consistent(f)
+    assert lines[0] == (0, "satisfiable?", text) and lines[-1] == (1, "satisfying literals", literals)
+    assert bool(_SearchOnly().consistent(f))
 
 
 def test_a_long_iff_chain_decides_at_the_default_recursion_limit():
@@ -800,7 +827,7 @@ def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
     from onlyknow.normal_form import AgentBlock
 
     calls = [0]
-    cofactor, add = _Cofactors.__call__, AgentBlock.add
+    cofactor, add = _Groups.__call__, AgentBlock.add
 
     def counted(method):
         def run(*args):
@@ -809,7 +836,7 @@ def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(_Cofactors, "__call__", counted(cofactor))
+    monkeypatch.setattr(_Groups, "__call__", counted(cofactor))
     monkeypatch.setattr(AgentBlock, "add", counted(add))
     counts = []
     for n in (100, 200):

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +36,21 @@ def test_rung_prefix_counts_only_those_rungs(opcodes, monkeypatch, capsys):
     header, *rows = capsys.readouterr().out.splitlines()
     assert [row.rsplit(maxsplit=4)[:2] for row in rows] == [["nf k=4", "1"], ["all", "1"]]
     assert rows[0].split()[2:] == rows[1].split()[1:]
+
+
+def test_a_rung_counts_alike_alone_and_in_the_full_run():
+    # Each run is a fresh interpreter, so the rung's first query is the
+    # first of its process when it runs alone, and counting it must not
+    # charge it with the process's first-use work.
+    def rows(*argv):
+        out = subprocess.run(
+            [sys.executable, str(OPCODES), "--workload", "modal-mix", *argv],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return {row.rsplit(maxsplit=4)[0]: row.split()[-4:] for row in out.splitlines()[1:]}
+
+    alone, full = rows("--rung", "nf k=6"), rows()
+    assert alone["nf k=6"] == full["nf k=6"]
+    assert alone["nf k=6"][2] == alone["nf k=6"][3]  # its queries count alike, so p50 is p90

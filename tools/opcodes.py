@@ -5,7 +5,8 @@ Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--
 Each query is answered by perfbench/run.py's own routine (parse the
 text, a fresh Decider, decide or stream the normal form), with no
 deadline, under sys.settrace with f_trace_opcodes on, and the bytecode
-instructions it executes are counted.  A call into C counts as the one
+instructions it executes are counted, after one untraced answer that
+takes first-use work out of the count.  A call into C counts as the one
 instruction that makes it.  One line is printed per rung (its queries,
 total, p50 and p90), then one for the whole run, and with --queries N
 only the first N queries of the run are counted.  With --rung PREFIX
@@ -37,7 +38,11 @@ from workloads import WORKLOADS, Query, cycles  # noqa: E402
 
 
 def count(q: Query) -> int:
-    """The opcodes executed to answer q, which must come out right."""
+    """The opcodes executed to answer q, which must come out right.  q
+    is answered once untraced first, so that the count leaves out the
+    first-use work of whatever runs before it, and a rung counts alike
+    alone (--rung) and in the full run."""
+    _answer(q, Decider())
     n = 0
 
     def tracer(frame, event, arg):
