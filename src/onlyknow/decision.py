@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .formula import (
@@ -213,10 +214,10 @@ class Decider:
         return result
 
     def _search(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool:
-        """DPLL over _sat's clause form of f: unit propagation, decisions on
-        the trail, the group test on the modal literals after each
-        propagation, and SAT once every clause is satisfied, so the
-        literals still unassigned stay don't-care.  A modal variable
+        """DPLL over the clause form that _sat made: unit propagation,
+        decisions on the trail, the group test on the modal literals
+        after each propagation, and SAT once every clause is satisfied,
+        so the literals still unassigned stay don't-care.  A modal variable
         M_i phi depends on the agent-i modal atoms at phi's Boolean
         level; they become variables too (their own dependencies with
         them), each with the clause -w | w, so the search decides them,
@@ -287,21 +288,20 @@ class Decider:
         search's unit conflict does, and otherwise _group_ok tests each
         agent's block, taken in by sync in clause order, as the search's
         trail takes them, each cofactor the leaf itself."""
-        units: dict[int, None] = {}
-        for c in clauses:
-            if len(c) != 1:
-                return None
-            units[c[0]] = None
+        if not {1}.issuperset(map(len, clauses)):
+            return None
+        units = dict.fromkeys(map(itemgetter(0), clauses))
+        if len(set(map(abs, units))) < len(units):
+            return False
         modal: dict[int, Formula] = {}
         for x in units:
-            if -x in units:
-                return False
             g = variables[abs(x) - 1]
-            if type(g) is L or type(g) is N:
-                if self._own(g.sub, g.agent):
+            kind = type(g)
+            if kind is L or kind is N:
+                if type(g.sub) is not Atom and self._own(g.sub, g.agent):  # an atom has none
                     return None
                 modal[abs(x)] = g
-            elif type(g) is not Atom:
+            elif kind is not Atom:
                 return None
         if modal:
             groups = _Groups(modal, {}, [], self._own, self._tick)

@@ -547,10 +547,10 @@ def conjuncts(f: Formula) -> list[Formula]:
     stack = [f]
     while stack:
         g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
+        while type(g) is And:  # down the left spine
+            stack.append(g.right)
+            g = g.left
+        out.append(g)
     return out
 
 

@@ -78,6 +78,7 @@ from .formula import (
 Tick = Callable[[], None]
 _tuple = tuple.__new__  # _tuple(cls, fields) builds a NamedTuple in C, past its generated __new__
 _top = itemgetter(-1)
+_LEAVES = frozenset((Atom, L, N, Val))  # the skeleton's leaves, taken whole
 
 
 def normalize(f: Formula) -> Formula:
@@ -127,13 +128,16 @@ def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
 def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
     """Clause form of the Boolean skeleton of a V-free formula, whose
     leaves are atoms and L/N formulas taken whole.  tick, when given, is
-    called once per conjunct taken apart and once per <-> definition.
+    called once per node a conjunction takes apart (not per leaf) and
+    once per <-> definition.
 
     Returns (variables, clauses).  Variable v stands for variables[v - 1],
     an atom or an L/N formula, or for a definition when that entry is None.
     A clause is a list of nonzero ints, negative meaning negated.  The
     form is polarity-aware Tseitin (Plaisted & Greenbaum, 1986), read off
-    the formula as written by a walk over (node, negated) pairs.  Only a
+    the formula as written by a walk over (node, negated) pairs, which
+    goes down a run of the walk's own connective by its left spine and
+    stacks only the right operands.  Only a
     conjunction under a disjunction gets a variable t, with one-way
     clauses ~t | c, and each <-> operand that is no literal one variable
     d per node, defined both ways, so the count is linear: p0 <-> ... <->
@@ -148,60 +152,68 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
     definitions: list[list[int]] = []
     tick = tick or (lambda: None)
 
-    def split(h, neg: bool):
-        """h, negated when neg: a literal, or (joined by &, its operands as
-        (node, negated) pairs, last first); true is & and false | of none.
-        A node is a formula, a variable, or literals (x, y) for x -> y."""
-        while type(h) is Not:
-            h, neg = h.sub, not neg
-        kind = type(h)
-        if kind is And or kind is Or:
-            return (kind is And) != neg, ((h.right, neg), (h.left, neg))
-        if kind is Implies or kind is tuple:
-            x, y = (h.left, h.right) if kind is Implies else h
-            return neg, ((y, neg), (x, not neg))
-        if kind is Iff:
-            x, y = operand(h.left), operand(h.right)
-            return (False, (((-x, -y), True), ((x, y), True))) if neg else (True, (((y, x), False), ((x, y), False)))
-        if h is TRUE or h is FALSE:
-            return (h is TRUE) != neg, ()
-        if kind is not int:
-            v = index.get(h)
-            if v is None:
-                variables.append(h)
-                v = index[h] = len(variables)
-            h = v
-        return -h if neg else h
-
     def operand(g: Formula, neg: bool = False) -> int:
         while type(g) is Not:
             g, neg = g.sub, not neg
-        if isinstance(g, (Atom, L, N, Val)):
-            return split(g, neg)
         v = index.get(g)
         if v is None:
-            variables.append(None)
+            leaf = type(g) in _LEAVES
+            variables.append(g if leaf else None)
             v = index[g] = len(variables)
-            queue.append((g, v))
+            if not leaf:
+                queue.append((g, v))
         return -v if neg else v
 
     def walk(stack: list, conj: bool):
-        """The clauses of the items' conjunction, or (not conj) the clause of their disjunction or None."""
+        """The clauses of the items' conjunction, or (not conj) the clause
+        of their disjunction or None.  An item is a node, negated or not:
+        a formula, a variable, or literals (x, y) for x -> y.  A node joins
+        the items by & or |, as its kind and polarity say, last first; true
+        is & and false | of none."""
         out: list = []
         while stack:
+            h, neg = stack.pop()
+            while True:
+                kind = type(h)
+                if kind is Not:
+                    h, neg = h.sub, not neg
+                elif (kind is And or kind is Or) and ((kind is And) != neg) == conj:  # down the left spine
+                    if conj:
+                        tick()
+                    stack.append((h.right, neg))
+                    h = h.left
+                else:
+                    break
+            if kind in _LEAVES:
+                v = index.get(h)
+                if v is None:
+                    variables.append(h)
+                    v = index[h] = len(variables)
+                out.append([-v if neg else v] if conj else -v if neg else v)
+                continue
             if conj:
                 tick()
-            s = split(*stack.pop())
-            if type(s) is int:
-                out.append([s] if conj else s)
-            elif s[0] == conj:
-                stack += s[1]
+            if kind is And or kind is Or:
+                both, items = (kind is And) != neg, ((h.right, neg), (h.left, neg))
+            elif kind is Implies or kind is tuple:
+                x, y = (h.left, h.right) if kind is Implies else h
+                both, items = neg, ((y, neg), (x, not neg))
+            elif kind is Iff:
+                x, y = operand(h.left), operand(h.right)
+                both, items = (False, (((-x, -y), True), ((x, y), True))) if neg else (True, (((y, x), False), ((x, y), False)))
+            elif kind is int:
+                out.append([-h if neg else h] if conj else -h if neg else h)
+                continue
+            else:  # true or false
+                both, items = (h is TRUE) != neg, ()
+            if both == conj:
+                stack += items
             elif conj:
-                if (c := walk([*s[1]], False)) is not None:
+                if (c := walk([*items], False)) is not None:
                     out.append(c)
             else:
                 at = len(definitions)
-                parts = walk([*s[1]], True)
+                parts = walk([*items], True)
                 if not parts:
                     return None
                 if len(parts) > 1:

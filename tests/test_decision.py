@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from onlyknow import decision, k45
+from onlyknow import k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider, _Groups, _Trail
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
@@ -447,6 +447,18 @@ class _SearchOnly(Decider):
         return None
 
 
+class _Searches(Decider):
+    """A decider that records the level of each search it runs."""
+
+    def __init__(self):
+        super().__init__()
+        self.levels = []
+
+    def _search(self, variables, clauses, level):
+        self.levels.append(level)
+        return super()._search(variables, clauses, level)
+
+
 def _random_literal_set(rng):
     """A conjunction of literals over p, q (and r, with two agents) and L/N
     atoms with no own modal atom, written with &, ~(x | y) and ~(x -> y),
@@ -529,15 +541,13 @@ def test_literal_sets_skip_the_search_and_agree_with_the_oracles():
         ("N1 (p & ~L1 q) & ~L1 ~q", lambda f: not oracle_valid(Not(f), ("p", "q"), semantics="extended").valid),
     ],
 )
-def test_a_literal_over_a_dependent_modal_atom_is_searched(monkeypatch, text, oracle):
+def test_a_literal_over_a_dependent_modal_atom_is_searched(text, oracle):
     # The leaf's argument holds its own agent's modal atom, which the
-    # search must guess, so the formula goes to the clause form.
-    clausified = []
-    original = decision.to_clauses
-    monkeypatch.setattr(decision, "to_clauses", lambda f, tick=None: clausified.append(f) or original(f, tick))
+    # search must guess, so the query itself, at level 0, is searched.
     f = parse(text, 1)
-    assert bool(Decider().consistent(f)) == oracle(f)
-    assert clausified[0] is f
+    decider = _Searches()
+    assert bool(decider.consistent(f)) == oracle(f)
+    assert 0 in decider.levels
 
 
 def test_only_knowing_pairs_agree_with_the_extended_oracle():

@@ -28,6 +28,7 @@ from onlyknow.normal_form import (
     AgentBlock,
     normalize,
     reassemble,
+    to_clauses,
     to_normal_form,
 )
 
@@ -336,3 +337,24 @@ def test_simplify_returns_an_already_simple_formula_unchanged():
     a, b = Atom("simple_a"), Atom("simple_b")
     f = Or(And(a, L(1, Not(b))), N(2, Iff(a, b)))
     assert simplify(f) is f
+
+
+@pytest.mark.parametrize(
+    "text, variables, clauses",
+    [
+        ("((p & q) & r) & (s & ~~t)", ["p", "q", "r", "s", "t"], [[1], [2], [3], [4], [5]]),
+        ("~(p | ~q) & ~(r -> s)", ["p", "q", "r", "s"], [[-1], [2], [3], [-4]]),
+        ("p | (q & r) | ~(s | t)", ["p", "q", "r", None, "s", "t", None], [[1, 4, 7], [-4, 2], [-4, 3], [-7, -5], [-7, -6]]),
+        (
+            "(p <-> L1 q) & ~(r <-> (s & t))",
+            ["p", "L1 q", "r", None, None, None, "s", "t"],
+            [[-1, 2], [-2, 1], [5, 6], [-5, 3], [-5, -4], [-6, -3], [-6, 4], [-4, 7], [-4, 8], [4, -7, -8]],
+        ),
+    ],
+)
+def test_clause_form_numbers_leaves_and_orders_clauses_left_to_right(text, variables, clauses):
+    # The search's trail, its choices and the trace follow this order, so
+    # a run of & or | walked down its spine keeps the order of the text.
+    got_variables, got_clauses = to_clauses(parse(text, 1))
+    assert [None if g is None else to_text(g) for g in got_variables] == variables
+    assert got_clauses == clauses
