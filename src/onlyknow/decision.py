@@ -13,7 +13,7 @@ makes the skeleton true and passes, agent by agent, the group test:
 Only knowing's pair O_i a = L_i a & N_i ~a is tested as one: when N_i ~a
 is the group's only N literal, the union (a & X) | ~a, X the other
 positive L arguments, is valid iff a entails X, so the group passes iff
-a & ~X is unsatisfiable, and ~a is neither cofactored nor searched.
+a entails each conjunct of X, and ~a is neither cofactored nor searched.
 While a's own modal atoms are unassigned (below), a is weakened as
 under a negated L_i a, so that it implies every cofactor it can get.
 
@@ -53,11 +53,13 @@ unassignment re-cofactors only those, one cached part at a time.  The
 pair rule reads the base's settled parts, and a formula is joined only
 for a subquery that needs one.
 
-A negated conjunct's test and the pair's propagation (below) ask one
-question of a positive part pos, whether it entails psi, and one routine
-answers them all: yes when psi is a conjunct of pos, else by a search
-of pos & ~psi in the components of pos that psi touches (Bayardo &
-Pehoushek, AAAI 2000), or none, when a lone literal or the memo is left.
+A negated conjunct's test, the pair's own test and the pair's
+propagation (below) ask one question of a positive part pos, whether it
+entails psi, and one routine answers them all: yes when psi is a
+conjunct of pos, else by a search of pos & ~psi in the components of
+pos that psi touches (Bayardo & Pehoushek, AAAI 2000), or none, when a
+lone literal or the memo is left.  The pair asks it of its base for
+each conjunct of X, as its propagation asks it for each dependency.
 
 The pair also propagates, DPLL(T)'s propagate step: after each unit
 propagation, and before the group test, each O_i a assigns those of a's
@@ -77,7 +79,6 @@ consistency check: each node of the search still gets its group test.
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -262,9 +263,7 @@ class Decider:
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
-                        chosen = sorted((x for x in s.trail if variables[abs(x) - 1] is not None), key=abs)
-                        literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in chosen)
-                        self.trace(level + 1, "satisfying literals", literals)
+                        self.trace(level + 1, "satisfying literals", _literals(variables, s.trail))
                     return True
                 decisions.append((len(s.trail), s.first, lit, False))
                 s.assign(lit)
@@ -310,8 +309,7 @@ class Decider:
                 if not self._group_ok(groups.blocks[agent], groups, level):
                     return False
         if self.trace:
-            literals = conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in sorted(units, key=abs))
-            self.trace(level + 1, "satisfying literals", literals)
+            self.trace(level + 1, "satisfying literals", _literals(variables, units))
         return True
 
     def _groups_ok(self, trail: list[int], groups: _Groups | None, level: int) -> bool:
@@ -406,28 +404,76 @@ class Decider:
         a group test is this one: a negated M_i phi passes iff pos does
         not entail phi, and only knowing's pair passes and propagates by
         what its base entails.  The answers come one at a time, so a
-        caller that stops at one runs no search for the rest.  Yes at
-        once when psi is one of the parts.  Otherwise pos & ~psi is
-        searched in the components of pos that psi touches, the partners
-        found once for all of them: that part alone when ~psi is one of
-        the parts, and no search when what is left is a lone literal, or
-        one the memo knows."""
+        caller that stops at one runs no search for the rest; callers
+        read them with in, since any() or all() would add a frame.  Yes
+        at once when psi is one of the parts.  Otherwise pos & ~psi is
+        searched against psi's partner, the components of pos that psi
+        touches: parts that share no atom and no agent of a Boolean-level
+        modal leaf fall into components whose models combine, and
+        whole() is called only for a psi that touches them all.  The
+        components are found at the first psi that is not a part, for
+        all of them, and each component that some psi leaves out must be
+        satisfiable, so that each answer holds alone (yes for every psi
+        when one is not): a lone literal is, the memo answers those it
+        knows, and the rest are searched together, then memoized.  The
+        partner alone is searched when ~psi is one of the parts, and
+        nothing when what is left is a lone literal."""
         given = dict.fromkeys(parts)
         psis = dict.fromkeys(psis)
-        partners = None if given else repeat(TRUE)  # those of the psis that are not parts, in order
+        touched: dict[Formula, set[int]] | None = None  # psi -> the components it touches; none while pos is true
+        unsatisfiable = False
         for psi in psis:
             if self.trace:
                 self.trace(level, f"agent {agent}: entailed by {what}?", psi)
             if psi in given:
                 yield True
                 continue
-            if partners is None:
-                hard = [psi for psi in psis if psi not in given]
-                partners = iter(self._partners(agent, what, list(given), hard, level, whole) or ())
-            partner = next(partners, None)
-            if partner is None:  # pos is unsatisfiable
+            if touched is None and given:
+                parts = list(given)
+                keys = self._keys
+                component, members = _components([keys(p) for p in parts])
+                touched = {phi: {component[k] for k in keys(phi) if k in component} for phi in psis if phi not in given}
+                everywhere = set.intersection(*touched.values())
+                joined: list[Formula | None] = [None] * len(members)  # each component's parts, joined once
+                fresh = []
+                for c, ms in enumerate(members):
+                    if c in everywhere:
+                        continue
+                    alone = joined[c] = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
+                    if _is_literal(alone):
+                        continue
+                    known = self._memo.get(alone)
+                    if known is None:
+                        fresh.append(alone)
+                        continue
+                    if self.trace:
+                        self.trace(level + 1, "memo hit", alone)
+                    if not known:
+                        unsatisfiable = True
+                        break
+                if fresh and not unsatisfiable:
+                    together = join(And, fresh)
+                    if self.trace:
+                        self.trace(level, f"agent {agent}: components of {what}", together)
+                    unsatisfiable = not self._sat(together, level + 1)
+                    if not unsatisfiable:
+                        self._memo.update(dict.fromkeys(fresh, True))
+                pos = None
+            if unsatisfiable:
                 yield True
                 continue
+            cs = touched[psi] if touched else ()
+            if not cs:
+                partner = TRUE
+            elif len(cs) == len(members):
+                if pos is None:
+                    pos = whole()
+                partner = pos
+            elif len(cs) == 1 and joined[min(cs)] is not None:
+                partner = joined[min(cs)]
+            else:
+                ms = sorted(i for c in cs for i in members[c])
+                partner = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
             neg = fold(Not(psi))
             g = partner if neg in given else connect(And, partner, neg)
             yield not (_is_literal(g) or self._sat(g, level + 1))
@@ -435,118 +481,46 @@ class Decider:
     def _group_ok(self, block: _Block, groups: _Groups, level: int) -> bool:
         """The group test for one agent's block.  A group whose only N
         literal is a positive N_i ~a, with L_i a positive too, is O_i a's
-        group, which _pair_ok tests on a's settled parts; any other,
-        _block_ok.  The block keeps its N literals and finds the pair by
-        a lookup, and its AgentBlock of the other literals is rebuilt
-        only from the first literal whose cofactor changed."""
+        pair, tested here on a's settled parts; any other, by _block_ok.
+        The block keeps its N literals and finds the pair by a lookup,
+        and its AgentBlock b of the other literals is rebuilt only from
+        the first literal whose cofactor changed.  The pair's union of
+        positive parts, (a & X) | ~a with X the other positive L
+        arguments, is valid iff a entails X, so it passes iff low
+        entails each conjunct of X, low being a with its unassigned
+        dependencies read as false (a itself when it has none).  While
+        some are unassigned, low implies a, whatever the completion, so a
+        group that fails fails under all of them.  The negated tests
+        split a & X into components over a's settled parts and X's
+        conjuncts, and X's conjuncts are asked of low's parts: a formula
+        is joined only for a subquery that needs one."""
         b, pair = block.group(groups)
+        level += 1
         if pair is None:
-            return self._block_ok(b, level + 1)
-        return self._pair_ok(b, level + 1, pair, groups)
-
-    def _pair_ok(self, b: AgentBlock, level: int, v: int, groups: _Groups) -> bool:
-        """The group test of O_i a, L_i a & N_i ~a with L_i a the modal
-        variable v, when N_i ~a is the group's only N literal; b holds
-        the group's other literals.  The union of the positive parts,
-        (a & X) | ~a with X the other positive L arguments, is valid iff
-        a entails X, so the group passes iff low & ~X is unsatisfiable,
-        low being a with its unassigned dependencies read as false (a
-        itself when it has none).  While some are unassigned, low implies
-        a and ~X implies ~X, whatever the completion, so a group that
-        fails fails under all of them.  The negated tests split a & X
-        into components over a's settled parts and X's conjuncts, and the
-        entailment is read off low's parts first: a formula is joined
-        only for a subquery that needs one."""
-        x = b.pos_l
+            return self._block_ok(b, level)
+        agent, x = b.agent, b.pos_l
         if b.neg_l:
-            parts, whole = groups.literal(v, True).and_parts(x)
-            for entailed in self._entailed(b.agent, "the positive L part", parts, b.neg_l, level, whole):
-                if entailed:
-                    return False
+            parts, whole = groups.literal(pair, True).and_parts(x)
+            if True in self._entailed(agent, "the positive L part", parts, b.neg_l, level, whole):
+                return False
         if self.trace:
-            self.trace(level, f"agent {b.agent}: only-knowing base must entail the other positive L parts", x)
+            self.trace(level, f"agent {agent}: only-knowing base must entail the other positive L parts", x)
         if x is TRUE:
             return True
-        low = groups.literal(v, False)
-        return low.entails(_parts(x)) or not self._sat(connect(And, low.argument(), fold(Not(x))), level + 1)
+        low, what = groups.literal(pair, False), "the base's low bound"
+        return False not in self._entailed(agent, what, low.conjuncts(), _parts(x), level, low.argument)
 
     def _block_ok(self, b: AgentBlock, level: int) -> bool:
         if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        if b.neg_l:
-            parts = _parts(b.pos_l)
-            for entailed in self._entailed(b.agent, "the positive L part", parts, b.neg_l, level, lambda: b.pos_l):
-                if entailed:
-                    return False
-        if b.neg_n:
-            parts = _parts(b.pos_n)
-            for entailed in self._entailed(b.agent, "the positive N part", parts, b.neg_n, level, lambda: b.pos_n):
-                if entailed:
-                    return False
+        for what, pos, negs in (("the positive L part", b.pos_l, b.neg_l), ("the positive N part", b.pos_n, b.neg_n)):
+            if negs and True in self._entailed(b.agent, what, _parts(pos), negs, level, lambda pos=pos: pos):
+                return False
         union = connect(Or, b.pos_l, b.pos_n)
         if self.trace:
             self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
-
-    def _partners(
-        self,
-        agent: int,
-        what: str,
-        parts: list[Formula],
-        negs: list[Formula],
-        level: int,
-        whole: Callable[[], Formula],
-    ) -> list[Formula] | None:
-        """The part of pos, the conjunction of the distinct parts that
-        whole() joins, that each phi in negs must be searched against, or
-        None when pos is unsatisfiable.  Parts that share no atom and no
-        agent of a Boolean-level modal leaf fall into components whose
-        models combine, so ~phi needs only the components it touches,
-        joined from their parts, and whole() is called only for a phi
-        that touches them all.  Each component that some phi leaves out
-        must be satisfiable too, so that each phi's answer holds alone:
-        a lone literal is, the memo answers those it knows, and the rest
-        are searched together, then memoized."""
-        component, members = _components([self._keys(p) for p in parts])
-        touched = [{component[k] for k in self._keys(phi) if k in component} for phi in negs]
-        everywhere = set.intersection(*touched)
-        joined: list[Formula | None] = [None] * len(members)  # each component's parts, joined once
-        fresh = []
-        for c, ms in enumerate(members):
-            if c in everywhere:
-                continue
-            alone = joined[c] = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
-            if _is_literal(alone):
-                continue
-            known = self._memo.get(alone)
-            if known is None:
-                fresh.append(alone)
-                continue
-            if self.trace:
-                self.trace(level + 1, "memo hit", alone)
-            if not known:
-                return None
-        if fresh:
-            together = join(And, fresh)
-            if self.trace:
-                self.trace(level, f"agent {agent}: components of {what}", together)
-            if not self._sat(together, level + 1):
-                return None
-            self._memo.update(dict.fromkeys(fresh, True))
-        pos = None
-        out = []
-        for cs in touched:
-            if len(cs) == len(members):
-                if pos is None:
-                    pos = whole()
-                out.append(pos)
-            elif len(cs) == 1 and joined[min(cs)] is not None:
-                out.append(joined[min(cs)])
-            else:
-                ms = sorted(i for c in cs for i in members[c])
-                out.append(parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms)))
-        return out
 
     # -- bookkeeping ----------------------------------------------------
 
@@ -597,6 +571,13 @@ def _parts(f: Formula) -> list[Formula]:
     return [] if f is TRUE else conjuncts(f)
 
 
+def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
+    """The conjunction of the literals xs over their leaves, by variable,
+    leaving out the variables that stand for no leaf."""
+    chosen = sorted((x for x in xs if variables[abs(x) - 1] is not None), key=abs)
+    return conj(variables[x - 1] if x > 0 else Not(variables[-x - 1]) for x in chosen)
+
+
 def _is_literal(f: Formula) -> bool:
     return type(f.sub if type(f) is Not else f) is Atom
 
@@ -642,11 +623,11 @@ class _Cofactor:
     the argument's conjuncts, is made when first asked for and kept
     until a part changes."""
 
-    __slots__ = ("op", "seen", "parts", "arg", "leaf", "conj", "conj_set")
+    __slots__ = ("op", "seen", "parts", "arg", "leaf", "conj")
 
     def __init__(self, op: type, dependent: int, raw: list[Formula], arg: Formula | None) -> None:
         self.op, self.seen, self.parts = op, [_UNSET] * dependent, list(raw)
-        self.arg, self.leaf, self.conj, self.conj_set = arg, None, None, None
+        self.arg, self.leaf, self.conj = arg, None, None
 
     def argument(self) -> Formula:
         if self.arg is None:
@@ -671,12 +652,6 @@ class _Cofactor:
                 out = conjuncts(self.arg)
             self.conj = out
         return self.conj
-
-    def entails(self, xs: list[Formula]) -> bool:
-        """Is each of xs one of the argument's conjuncts?"""
-        if self.conj_set is None:
-            self.conj_set = set(self.conjuncts())
-        return self.conj_set.issuperset(xs)
 
     def and_parts(self, x: Formula) -> tuple[list[Formula], Callable[[], Formula]]:
         """The parts of the argument & x, for _entailed, and the call that
@@ -773,7 +748,7 @@ class _Groups:
                     done = self.cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
                 if done is not parts[k]:
                     parts[k] = done
-                    c.arg = c.leaf = c.conj = c.conj_set = None
+                    c.arg = c.leaf = c.conj = None
         return c
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:

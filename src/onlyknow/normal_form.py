@@ -362,10 +362,9 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
             g, neg = g.sub, not neg
             continue
         if kind is Atom or kind is L or kind is N:
-            old = literals.get(g)
-            if old is not None:
-                consistent = old != neg
-            elif kind is Atom:
+            # Never on the trail yet: a pending conjunct is cofactored by the
+            # trail, and a choice point's branch comes back with the trail cut.
+            if kind is Atom:
                 consistent = True
                 literals[g] = not neg
                 sigmas.append(connect(And, sigmas[-1], Not(g) if neg else g))

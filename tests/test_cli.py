@@ -82,12 +82,24 @@ def test_decide_trace_goes_to_stderr(capsys):
         ),
         ("p & ~p & L1 q", 1, []),
         ("p & L1 q & ~p", 1, ["satisfiable?: p & L1 q & ~p"]),
+        (
+            "V p | q",
+            0,
+            [
+                "resolve validity operator: p",
+                "  satisfiable?: ~p",
+                "    satisfying literals: ~p",
+                "satisfiable?: q",
+                "  satisfying literals: q",
+            ],
+        ),
     ],
 )
 def test_decide_trace_of_literal_sets(capsys, text, code, lines):
     # Sets of literals are tested without a search; their trace is the
     # one the search printed: the group tests, then the literals in the
     # order of first appearance, and nothing after a complementary pair.
+    # A V body is resolved first, one level down, by its own literal set.
     # A positive part that shares no atom with q entails it only if it is
     # unsatisfiable, and ~q is a literal, so neither case searches.
     got, _, err = run(capsys, "decide", "--mode", "sat", "--trace", text)
@@ -128,6 +140,7 @@ def test_decide_trace_of_an_only_knowing_pair_forcing_a_belief(capsys):
         "  agent 1: only knowing forces: L1 ~b",
         "  agent 1: entailed by the positive L part?: f",
         "  agent 1: only-knowing base must entail the other positive L parts: ~b",
+        "  agent 1: entailed by the base's low bound?: ~b",
         "  satisfying literals: O1 (~b & (~L1 ~b -> f)) & ~L1 f & L1 ~b",
     ]
 
@@ -215,6 +228,12 @@ def test_nf_subcommand_streams_disjuncts(capsys):
     assert out.strip().splitlines() == ["L1 p", "L1 q"]
     code, out, _ = run(capsys, "nf", "--limit", "1", "L1 (p | L1 q)")
     assert out.strip().splitlines() == ["L1 p", "..."]
+
+
+def test_nf_of_a_formula_with_v_is_an_input_error(capsys):
+    code, out, err = run(capsys, "nf", "V p")
+    assert (code, out) == (2, "")
+    assert "normal form is defined for V-free formulas only" in err
 
 
 def test_k45_with_witness(tmp_path, capsys):
