@@ -1,0 +1,81 @@
+"""The work-count contract: how much work the engine does at fixed
+points of tools/growth.py's families, pinned in work_counts.json, one
+row per point.  The counts depend only on the algorithm, not on the
+host's speed, so a change that makes the engine do more work fails
+here even where its verdicts and its tests stay right.  A count above
+its row fails; a count below it is printed, so the change that lowers
+it can lower the row.  A change that raises a row says so, with the
+old and new counts and why.
+
+The counts are read through wrappers, as in
+test_a_default_theory_question_searches_few_formulas: _sat calls,
+_search calls, group tests (_group_ok calls), the clauses that
+to_clauses makes, and the literals that the group blocks take in
+(_Block.push calls)."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from onlyknow import decision
+from onlyknow.decision import Decider, _Block
+
+TESTS = Path(__file__).resolve().parent
+ROWS = json.loads((TESTS / "work_counts.json").read_text())
+COUNTS = ("sat", "search", "group_ok", "clauses", "push")
+
+
+@pytest.fixture(scope="module")
+def growth():
+    spec = importlib.util.spec_from_file_location("growth", TESTS.parent / "tools" / "growth.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _count_work(monkeypatch) -> dict[str, int]:
+    """Wrap the counted routines; the returned counts grow as they run."""
+    counts = dict.fromkeys(COUNTS, 0)
+
+    def counted(owner, name, key):
+        method = getattr(owner, name)
+
+        def run(*args):
+            counts[key] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, run)
+
+    counted(Decider, "_sat", "sat")
+    counted(Decider, "_search", "search")
+    counted(Decider, "_group_ok", "group_ok")
+    counted(_Block, "push", "push")
+    to_clauses = decision.to_clauses
+
+    def clausify(*args):
+        variables, clauses = to_clauses(*args)
+        counts["clauses"] += len(clauses)
+        return variables, clauses
+
+    monkeypatch.setattr(decision, "to_clauses", clausify)
+    return counts
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: f"{row['family']}-{row['size']}-{row['case'] or 'sat'}")
+def test_work_counts_stay_within_their_row(growth, row, monkeypatch):
+    (thunk, answer), = [(t, a) for case, t, a in growth.points(row["family"], row["size"]) if case == row["case"]]
+    counts = _count_work(monkeypatch)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        verdict = thunk()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert answer is None or verdict == answer
+    below = {k: (counts[k], row[k]) for k in COUNTS if counts[k] < row[k]}
+    if below:
+        print(f"below the row (count, row): {below}")
+    assert {k: counts[k] for k in COUNTS if counts[k] > row[k]} == {}, row
