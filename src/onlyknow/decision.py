@@ -50,8 +50,10 @@ as the trail grows, keeping the agent's N literals and only knowing's
 pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
 unassignment re-cofactors only those, one cached part at a time.  The
-pair rule reads the base's settled parts, and a formula is joined only
-for a subquery that needs one.
+tests read parts: a block's record keeps each positive argument with
+its conjuncts, read off its cofactor, and the pair rule reads the
+base's settled parts, so a formula is joined only for a subquery, or a
+trace line, that needs one.
 
 A negated conjunct's test, the pair's own test and the pair's
 propagation (below) ask one question of a positive part pos, whether it
@@ -62,18 +64,11 @@ lone literal or the memo is left.  The pair asks it of its base for
 each conjunct of X, as its propagation asks it for each dependency.
 
 The pair also propagates, DPLL(T)'s propagate step: after each unit
-propagation, and before the group test, each O_i a assigns those of a's
-dependencies L_i psi, psi objective, that a's two cofactors decide.
-Every completion's a lies between low, a with its unassigned
-dependencies read as false, and high, read as true.  Rule F: if low
-does not entail psi, L_i psi would fail the pair's entailment, so
-~L_i psi is implied.  Rule T: if high and the other positive L arguments
-entail psi, ~L_i psi would fail its negated test, so L_i psi is.  The
-implied literals join the trail at the current decision level, and a
-backtrack takes them back with it.  Unit propagation and the pair's
-take turns until neither assigns, and the groups are tested once there,
-as DPLL(T) runs theory propagation to its fixpoint before the
-consistency check: each node of the search still gets its group test.
+propagation, each O_i a assigns those of a's dependencies that a's two
+cofactors decide (_forced), at the current decision level, so a
+backtrack takes them back.  Unit propagation and the pair's take turns
+until neither assigns, and the groups are tested once there, as DPLL(T)
+runs theory propagation to its fixpoint before the consistency check.
 """
 
 from __future__ import annotations
@@ -186,8 +181,10 @@ class Decider:
     def block_consistent(self, b: AgentBlock) -> bool:
         """The group test for one agent's conjuncts, whose arguments need
         only be objective for that agent, as the normal form's and the
-        search's cofactors are; they need not be normalized."""
-        return self._block_ok(b, 0)
+        search's cofactors are; they need not be normalized.  b becomes
+        a group record once, each positive side one argument."""
+        (l, l_parts), (n, n_parts) = (([], []) if g is TRUE else ([g], conjuncts(g)) for g in (b.pos_l, b.pos_n))
+        return self._block_ok((b.agent, l, l_parts, b.neg_l, n, n_parts, b.neg_n), 0)
 
     # -- recursion ----------------------------------------------------------
 
@@ -356,10 +353,9 @@ class Decider:
         entailment, so ~L_i psi holds.  Rule T: if high & X entails psi,
         ~L_i psi would fail its negated test, so L_i psi holds.  Each
         rule prunes only branches whose group fails, so the second is
-        tried only where the first does not fire.  The pair is looked up
-        from the block's N and positive L literals, and a block with no
-        open dependency of the pair costs no more; X, the only part that
-        needs the block's AgentBlock, is built only for rule T."""
+        tried only where the first does not fire.  A block with no open
+        dependency of the pair costs a lookup; X's parts, the only ones
+        that need the block's record, are read only for rule T."""
         groups.sync(s.trail)
         value, modal, deps = s.value, groups.modal, groups.deps
         forced = []
@@ -378,7 +374,8 @@ class Decider:
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
-                parts, whole = groups.literal(v, True).and_parts(block.group(groups)[0].pos_l)
+                block.group(groups)
+                parts, whole = _with(groups.literal(v, True), block.record)
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -479,47 +476,50 @@ class Decider:
             yield not (_is_literal(g) or self._sat(g, level + 1))
 
     def _group_ok(self, block: _Block, groups: _Groups, level: int) -> bool:
-        """The group test for one agent's block.  A group whose only N
+        """The group test for one agent's block, on its record of the
+        literals outside the pair (see _Block).  A group whose only N
         literal is a positive N_i ~a, with L_i a positive too, is O_i a's
         pair, tested here on a's settled parts; any other, by _block_ok.
-        The block keeps its N literals and finds the pair by a lookup,
-        and its AgentBlock b of the other literals is rebuilt only from
-        the first literal whose cofactor changed.  The pair's union of
-        positive parts, (a & X) | ~a with X the other positive L
-        arguments, is valid iff a entails X, so it passes iff low
-        entails each conjunct of X, low being a with its unassigned
-        dependencies read as false (a itself when it has none).  While
-        some are unassigned, low implies a, whatever the completion, so a
-        group that fails fails under all of them.  The negated tests
-        split a & X into components over a's settled parts and X's
-        conjuncts, and X's conjuncts are asked of low's parts: a formula
-        is joined only for a subquery that needs one."""
-        b, pair = block.group(groups)
+        The pair's union of positive parts, (a & X) | ~a with X the other
+        positive L arguments, is valid iff a entails X, so it passes iff
+        low entails each conjunct of X, low being a with its unassigned
+        dependencies read as false (a itself when it has none).  Low
+        implies a, whatever the completion, so a group that fails fails
+        under all of them.  The negated tests split a & X into components
+        over a's settled parts and X's."""
+        pair = block.group(groups)
         level += 1
         if pair is None:
-            return self._block_ok(b, level)
-        agent, x = b.agent, b.pos_l
-        if b.neg_l:
-            parts, whole = groups.literal(pair, True).and_parts(x)
-            if True in self._entailed(agent, "the positive L part", parts, b.neg_l, level, whole):
+            return self._block_ok(block.record, level)
+        agent, xs, x_parts, negs = block.record[:4]
+        if negs:
+            parts, whole = _with(groups.literal(pair, True), block.record)
+            if True in self._entailed(agent, "the positive L part", parts, negs, level, whole):
                 return False
         if self.trace:
-            self.trace(level, f"agent {agent}: only-knowing base must entail the other positive L parts", x)
-        if x is TRUE:
+            self.trace(level, f"agent {agent}: only-knowing base must entail the other positive L parts", join(And, xs))
+        if not xs:
             return True
         low, what = groups.literal(pair, False), "the base's low bound"
-        return False not in self._entailed(agent, what, low.conjuncts(), _parts(x), level, low.argument)
+        return False not in self._entailed(agent, what, low.conjuncts(), x_parts, level, low.argument)
 
-    def _block_ok(self, b: AgentBlock, level: int) -> bool:
-        if not (b.neg_l or b.neg_n) and (b.pos_l is TRUE or b.pos_n is TRUE):
+    def _block_ok(self, record: tuple, level: int) -> bool:
+        """The group test for one agent's record (agent, pos_l, parts_l,
+        neg_l, pos_n, parts_n, neg_n): per modality, the positive
+        arguments, none of them true, their conjuncts, and the negated
+        arguments.  A side's arguments are joined, left to right, only
+        for a subquery that needs the whole, as the union does."""
+        agent, pos_l, parts_l, neg_l, pos_n, parts_n, neg_n = record
+        if not (neg_l or neg_n or pos_l and pos_n):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        for what, pos, negs in (("the positive L part", b.pos_l, b.neg_l), ("the positive N part", b.pos_n, b.neg_n)):
-            if negs and True in self._entailed(b.agent, what, _parts(pos), negs, level, lambda pos=pos: pos):
+        sides = (("the positive L part", pos_l, parts_l, neg_l), ("the positive N part", pos_n, parts_n, neg_n))
+        for what, pos, parts, negs in sides:
+            if negs and True in self._entailed(agent, what, parts, negs, level, lambda pos=pos: join(And, pos)):
                 return False
-        union = connect(Or, b.pos_l, b.pos_n)
+        union = connect(Or, join(And, pos_l), join(And, pos_n))
         if self.trace:
-            self.trace(level, f"agent {b.agent}: union of positive parts must be valid", union)
+            self.trace(level, f"agent {agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
 
     # -- bookkeeping ----------------------------------------------------
@@ -566,9 +566,11 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _parts(f: Formula) -> list[Formula]:
-    """The conjuncts of f, none when f is true."""
-    return [] if f is TRUE else conjuncts(f)
+def _with(base: _Cofactor, record: tuple) -> tuple[list[Formula], Callable[[], Formula]]:
+    """The conjuncts of base & X, X the record's positive L arguments, for
+    _entailed, and the call that joins the two, made only for a subquery
+    that needs the whole."""
+    return base.conjuncts() + record[2], lambda: connect(And, base.argument(), join(And, record[1]))
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
@@ -619,15 +621,14 @@ _UNSET = object()  # a part not settled yet: unequal to every value
 class _Cofactor:
     """One modal literal's cofactored argument: op joins its parts, each
     settled under the values in seen (one per dependent part), and what
-    is read off them, the joined argument, the modal atom over it and
-    the argument's conjuncts, is made when first asked for and kept
-    until a part changes."""
+    is read off them, the joined argument and its conjuncts, is made
+    when first asked for and kept until a part changes."""
 
-    __slots__ = ("op", "seen", "parts", "arg", "leaf", "conj")
+    __slots__ = ("op", "seen", "parts", "arg", "conj")
 
     def __init__(self, op: type, dependent: int, raw: list[Formula], arg: Formula | None) -> None:
         self.op, self.seen, self.parts = op, [_UNSET] * dependent, list(raw)
-        self.arg, self.leaf, self.conj = arg, None, None
+        self.arg, self.conj = arg, None
 
     def argument(self) -> Formula:
         if self.arg is None:
@@ -652,11 +653,6 @@ class _Cofactor:
                 out = conjuncts(self.arg)
             self.conj = out
         return self.conj
-
-    def and_parts(self, x: Formula) -> tuple[list[Formula], Callable[[], Formula]]:
-        """The parts of the argument & x, for _entailed, and the call that
-        joins the two, made only for a subquery that needs the whole."""
-        return self.conjuncts() + _parts(x), lambda: connect(And, self.argument(), x)
 
 
 class _Groups:
@@ -706,17 +702,6 @@ class _Groups:
         self.tested: dict[int, tuple[int, bool]] = {}  # hash of a literal set -> (a sequence's number, its verdict)
         self.head = 0  # trail[:head] is in the blocks
 
-    def __call__(self, v: int, positive: bool) -> Formula:
-        """The literal's modal atom over its cofactored argument."""
-        leaf = self.modal[v]
-        if v not in self.deps:
-            return leaf
-        c = self.literal(v, positive)
-        if c.leaf is None:
-            arg = c.argument()
-            c.leaf = leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
-        return c.leaf
-
     def literal(self, v: int, positive: bool) -> _Cofactor:
         """The literal's cofactor, each part whose values changed since
         the last call settled again."""
@@ -748,7 +733,7 @@ class _Groups:
                     done = self.cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
                 if done is not parts[k]:
                     parts[k] = done
-                    c.arg = c.leaf = c.conj = None
+                    c.arg = c.conj = None
         return c
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
@@ -857,13 +842,13 @@ class _Block:
     its group test reads, kept as literals come and go: the N literals,
     each positive L literal by its argument (so O_i a's pair is looked
     up, not searched for), the memo key of each prefix (the number of
-    its sequence and a hash of its set), and chain, each prefix's
-    AgentBlock without the pair's two literals.  chain[:dirty] is
-    current; a literal whose cofactor changed, or that joins or leaves
-    the pair, moves dirty back to its position, so group rebuilds the
-    AgentBlock only from there."""
+    its sequence and a hash of its set), and the record of the literals
+    outside the pair's two (see _block_ok), read off their cofactors.
+    The record is current for lits[:dirty]; a literal whose cofactor
+    changed, or that joins or leaves the pair, moves dirty back to its
+    position, so group redoes the record only from there."""
 
-    __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "chain", "dirty")
+    __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "record", "into", "dirty")
 
     def __init__(self, agent: int) -> None:
         self.agent = agent
@@ -872,8 +857,9 @@ class _Block:
         self.keys = [(0, 0)]  # keys[k]: the memo key of lits[:k], as far as _Groups.key has taken it
         self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
         self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
-        self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when chain leaves them out
-        self.chain: list[AgentBlock] = []
+        self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when the record leaves them out
+        self.record: tuple = (agent, [], [], [], [], [], [])
+        self.into: list[tuple[int, ...]] = []  # into[k]: the lengths of the record's lists before lits[k]
         self.dirty = 0
 
     def push(self, x: int, leaf: Formula) -> None:
@@ -913,24 +899,37 @@ class _Block:
         n = ns[0][1].sub  # L_i a pairs when n is fold(Not(a)); a constant never does
         return self.ls.get(n.sub) if type(n) is Not else self.ls.get(Not(n))
 
-    def group(self, groups: _Groups) -> tuple[AgentBlock, int | None]:
-        """The AgentBlock of the literals outside the pair, and the pair's
-        L variable, None when the group has no pair."""
+    def group(self, groups: _Groups) -> int | None:
+        """Bring the record up to date, and return the pair's L variable,
+        None when the group has no pair."""
         pair = self.pair()
         skip = (pair, self.ns[0][0]) if pair else ()
         if skip != self.skip:
             old, self.skip = self.skip, ()
             self.touch(old + skip)
             self.skip = skip
-        chain = self.chain
-        del chain[self.dirty :]
-        b = chain[-1] if chain else AgentBlock(self.agent)
-        for x in self.lits[self.dirty :]:
-            if x not in skip:
-                b = b.add(groups(abs(x), x > 0), x > 0)
-            chain.append(b)
-        self.dirty = len(chain)
-        return b, pair
+        into, dirty, lists, modal, deps = self.into, self.dirty, self.record[1:], groups.modal, groups.deps
+        if dirty < len(into):
+            for part, n in zip(lists, into[dirty]):
+                del part[n:]
+            del into[dirty:]
+        for x in self.lits[dirty:]:
+            into.append(tuple(map(len, lists)))
+            if x in skip:
+                continue
+            v = abs(x)
+            leaf = modal[v]
+            pos, parts, negs = lists[3:] if type(leaf) is N else lists[:3]
+            if x < 0:
+                negs.append(groups.literal(v, False).argument() if v in deps else leaf.sub)
+                continue
+            c = groups.literal(v, True) if v in deps else None
+            arg, cs = (c.argument(), c.conjuncts()) if c else (leaf.sub, conjuncts(leaf.sub))
+            if cs:  # a true argument adds no part
+                pos.append(arg)
+                parts += cs
+        self.dirty = len(into)
+        return pair
 
 
 class _Trail:

@@ -406,15 +406,14 @@ def _cofactor_reference(c, leaf, var, value, positive):
             parts.append(c.settle(part, negated, var, TRUE if positive else FALSE))
         else:
             parts.append(fold(Not(part)) if negated else part)
-    arg = join(Or if negated else And, parts)
-    return leaf if arg is leaf.sub else type(leaf)(leaf.agent, arg)
+    return join(Or if negated else And, parts)
 
 
 def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
     # L1 kb and N1 ~kb of a default theory with blocked defaults, their
     # dependencies the L1 ~b atoms of kb, driven through seeded
     # assign/undo steps in which values also revert; each call must
-    # give the very node a from-scratch settle-and-join gives.
+    # give the very argument a from-scratch settle-and-join gives.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import default_theory
 
@@ -436,7 +435,8 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
         history.append(state)
         for v in (1, 2):
             for positive in (True, False):
-                assert c(v, positive) is _cofactor_reference(c, modal[v], var, value, positive), (state, v, positive)
+                got = c.literal(v, positive).argument()
+                assert got is _cofactor_reference(c, modal[v], var, value, positive), (state, v, positive)
     assert len(own) >= 5 and reverted > 100
 
 
@@ -832,29 +832,52 @@ def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
     # consistent of n nested L1 over p guesses the agent's own nested
     # modal atoms one by one, with a group test after each.  Rebuilding
     # the group from the whole trail at each test makes that work
-    # quadratic in n; a group that follows the trail touches only the
-    # literals whose dependencies changed.
-    from onlyknow.normal_form import AgentBlock
-
+    # quadratic in n; a group that follows the trail re-cofactors only
+    # the literals whose dependencies changed.
     calls = [0]
-    cofactor, add = _Groups.__call__, AgentBlock.add
+    literal = _Groups.literal
 
-    def counted(method):
-        def run(*args):
-            calls[0] += 1
-            return method(*args)
+    def counted(*args):
+        calls[0] += 1
+        return literal(*args)
 
-        return run
-
-    monkeypatch.setattr(_Groups, "__call__", counted(cofactor))
-    monkeypatch.setattr(AgentBlock, "add", counted(add))
+    monkeypatch.setattr(_Groups, "literal", counted)
     counts = []
     for n in (100, 200):
         f = functools.reduce(lambda g, _: L(1, g), range(n), p)
         calls[0] = 0
         assert Decider().consistent(f).status == "satisfiable"
         counts.append(calls[0])
-    assert counts[1] <= 2.3 * counts[0], counts
+    assert counts[0] > 100 and counts[1] <= 2.3 * counts[0], counts
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        # O1 p's pair, searched: p entails neither q nor r
+        ("O1 p & (~L1 q | ~L1 r)", "satisfiable"),
+        ("O1 p & (L1 q | L1 r)", "unsatisfiable"),
+        # a group that is no pair, searched: its union must be valid
+        ("L1 (p | q) & N1 ~p & (r | ~L1 s)", "satisfiable"),
+        ("L1 p & N1 q & (r | ~L1 s)", "unsatisfiable"),
+        # literal sets
+        ("L1 p & ~L1 q & N1 ~p", "satisfiable"),
+        ("L1 (p & q) & ~L1 p", "unsatisfiable"),
+        # cofactored dependencies, and only knowing forcing one
+        ("L1 (L1 p -> q) & L1 p & ~L1 q", "unsatisfiable"),
+        ("~(O1 (~L1 ~b -> f) -> L1 f)", "unsatisfiable"),
+    ],
+)
+def test_the_search_decides_groups_without_the_stream_record(text, status, monkeypatch):
+    # The search keeps its own group record, parts and not joins, so it
+    # never folds a literal into an AgentBlock.
+    from onlyknow.normal_form import AgentBlock
+
+    def refuse(*args):
+        raise AssertionError("the search built an AgentBlock")
+
+    monkeypatch.setattr(AgentBlock, "add", refuse)
+    assert Decider().consistent(parse(text)).status == status
 
 
 def test_only_knowing_forces_the_dependencies_of_a_default_theory(monkeypatch):
