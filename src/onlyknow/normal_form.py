@@ -12,10 +12,10 @@ search.  Every rewrite here folds each node as it builds it, so its
 output is simplified.
 
 One agent's group of modal literals is an ``AgentBlock``, and only it
-knows the group's layout: the stream and the search's group test both
-build one literal at a time with ``AgentBlock.add``.  The stream keeps
+knows the group's layout: the stream builds one literal at a time with
+``AgentBlock.add``, which also reports a contradictory group, and keeps
 a stack of them per agent, and one of sigmas, that its trail pushes
-onto and a backtrack pops.
+onto and a backtrack pops.  The search keeps its own record of parts.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -251,12 +251,14 @@ class AgentBlock(NamedTuple):
     pos_n: Formula = TRUE
     neg_n: tuple[Formula, ...] = ()
 
-    def add(self, leaf: Formula, positive: bool) -> AgentBlock:
+    def add(self, leaf: Formula, positive: bool) -> AgentBlock | None:
         """The group with one more literal, leaf (an L or N of this
         agent) or its negation: L a & L b is L (a & b), so a positive
         argument is folded into pos_l or pos_n, left to right (an absent
         side becomes the argument itself); a negated one is appended to
-        neg_l or neg_n.  The argument must be simplified."""
+        neg_l or neg_n.  The argument must be simplified.  None when the
+        group is contradictory: M_i false implies every M_i x, so it
+        contradicts a negated literal of its modality."""
         agent, pos_l, neg_l, pos_n, neg_n = self
         arg = leaf.sub
         if isinstance(leaf, N):
@@ -268,12 +270,9 @@ class AgentBlock(NamedTuple):
             pos_l = connect(And, pos_l, arg)
         else:
             neg_l += (arg,)
+        if neg_l and pos_l is FALSE or neg_n and pos_n is FALSE:
+            return None
         return _tuple(AgentBlock, (agent, pos_l, neg_l, pos_n, neg_n))
-
-    def contradictory(self) -> bool:
-        """M_i false implies every M_i x, so it contradicts a negated
-        literal of its modality."""
-        return bool(self.neg_l and self.pos_l is FALSE or self.neg_n and self.pos_n is FALSE)
 
     def to_formula(self) -> Formula:
         parts: list[Formula] = []
@@ -375,7 +374,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
                     stack = stacks[g.agent] = []
                     ordered = [stacks[a] for a in sorted(stacks)]
                 block = (stack[-1] if stack else AgentBlock(g.agent)).add(g, not neg)
-                consistent = not block.contradictory()
+                consistent = block is not None
                 if consistent:
                     literals[g] = not neg
                     stack.append(block)

@@ -117,6 +117,13 @@ def test_agent_block_add_examples():
     assert b3.neg_l == (p,) and b3.neg_n == (q, p)
     assert b3.pos_l == p & q and b3.pos_n is TRUE
     assert b3 == AgentBlock(1, pos_l=p & q, neg_l=(p,), neg_n=(q, p))
+    # M_i false beside a negated M_i literal is contradictory: add says
+    # so with None, whichever of the two comes last
+    assert AgentBlock(1, neg_l=(q,)).add(L(1, FALSE), True) is None
+    assert AgentBlock(1, pos_l=Not(p), neg_l=(q,)).add(L(1, p), True) is None
+    assert AgentBlock(1, pos_n=FALSE).add(N(1, q), False) is None
+    # the other modality's false contradicts nothing
+    assert AgentBlock(1, pos_l=FALSE).add(N(1, q), False) == AgentBlock(1, pos_l=FALSE, neg_n=(q,))
 
 
 def test_sigma_is_propositional_and_blocks_objective():
