@@ -74,8 +74,8 @@ runs theory propagation to its fixpoint before the consistency check.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterable, Iterator
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
 
 from .formula import (
     FALSE,

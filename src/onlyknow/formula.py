@@ -30,7 +30,12 @@ from __future__ import annotations
 import re
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
+
+TYPE_CHECKING = False  # typing costs milliseconds to import, and only annotations need NoReturn
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 
 class FormulaError(ValueError):
@@ -627,13 +632,8 @@ def modal_depth(f: Formula) -> int:
     return deepest
 
 
-class FormulaClass(NamedTuple):
-    propositional: bool
-    basic: bool
-    i_objective: bool
-    i_subjective: bool
-    in_onl_minus: bool
-    modal_depth: int | None
+# The bool fields, and modal_depth, an int or None when f holds V.
+FormulaClass = namedtuple("FormulaClass", "propositional basic i_objective i_subjective in_onl_minus modal_depth")
 
 
 def classify(f: Formula, i: int) -> FormulaClass:

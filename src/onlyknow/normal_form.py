@@ -46,8 +46,9 @@ empty belief set realizes it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple
 
 from .formula import (
     FALSE,
@@ -76,7 +77,7 @@ from .formula import (
 )
 
 Tick = Callable[[], None]
-_tuple = tuple.__new__  # _tuple(cls, fields) builds a NamedTuple in C, past its generated __new__
+_tuple = tuple.__new__  # _tuple(cls, fields) builds a namedtuple in C, past its generated __new__
 _top = itemgetter(-1)
 _LEAVES = frozenset((Atom, L, N, Val))  # the skeleton's leaves, taken whole
 
@@ -235,21 +236,18 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
     return variables, clauses + definitions
 
 
-class AgentBlock(NamedTuple):
+class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defaults=(TRUE, (), TRUE, ()))):
     """One agent's conjunct group inside a normal-form disjunct, and the
     one place that knows its layout.
 
     pos_l/pos_n are the merged arguments of the positive L/N conjuncts
-    (true when absent); neg_l/neg_n collect the arguments of the negated
-    ones, all objective for this agent.  ``add`` returns the group with
-    one more literal, so the stream's stacks share their blocks.
+    (true when absent); neg_l/neg_n are tuples of the arguments of the
+    negated ones, all objective for this agent.  ``add`` returns the
+    group with one more literal, so the stream's stacks share their
+    blocks.
     """
 
-    agent: int
-    pos_l: Formula = TRUE
-    neg_l: tuple[Formula, ...] = ()
-    pos_n: Formula = TRUE
-    neg_n: tuple[Formula, ...] = ()
+    __slots__ = ()
 
     def add(self, leaf: Formula, positive: bool) -> AgentBlock | None:
         """The group with one more literal, leaf (an L or N of this
@@ -285,12 +283,11 @@ class AgentBlock(NamedTuple):
         return conj(parts)
 
 
-class NormalFormDisjunct(NamedTuple):
-    """One disjunct of the normal form: its propositional part and one
-    group per agent, in agent order."""
+class NormalFormDisjunct(namedtuple("NormalFormDisjunct", "sigma blocks")):
+    """One disjunct of the normal form: its propositional part sigma and
+    a tuple of blocks, one group per agent, in agent order."""
 
-    sigma: Formula
-    blocks: tuple[AgentBlock, ...]
+    __slots__ = ()
 
     def to_formula(self) -> Formula:
         parts: list[Formula] = []

@@ -11,7 +11,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Modules that the oracles, the query layer or a process pool need, and
-# that a decide must not load.
+# that a decide must not load; typing, which only annotations name.
 OFF_THE_DECIDE_PATH = (
     "onlyknow.k45",
     "onlyknow.kripke",
@@ -20,6 +20,7 @@ OFF_THE_DECIDE_PATH = (
     "onlyknow.autoepistemic",
     "dataclasses",
     "concurrent.futures",
+    "typing",
 )
 
 DECIDES = {
