@@ -375,7 +375,7 @@ class Decider:
             by_high: set[Formula] = set()
             if rest:
                 block.group(groups)
-                parts, whole = _with(groups.literal(v, True), block.record)
+                parts, whole = _with(groups.literal(v, True), *block.record[1:3])
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -493,7 +493,7 @@ class Decider:
             return self._block_ok(block.record, level)
         agent, xs, x_parts, negs = block.record[:4]
         if negs:
-            parts, whole = _with(groups.literal(pair, True), block.record)
+            parts, whole = _with(groups.literal(pair, True), xs, x_parts)
             if True in self._entailed(agent, "the positive L part", parts, negs, level, whole):
                 return False
         if self.trace:
@@ -566,11 +566,11 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _with(base: _Cofactor, record: tuple) -> tuple[list[Formula], Callable[[], Formula]]:
-    """The conjuncts of base & X, X the record's positive L arguments, for
-    _entailed, and the call that joins the two, made only for a subquery
-    that needs the whole."""
-    return base.conjuncts() + record[2], lambda: connect(And, base.argument(), join(And, record[1]))
+def _with(base: _Cofactor, xs: list[Formula], x_parts: list[Formula]) -> tuple[list[Formula], Callable[[], Formula]]:
+    """The conjuncts of base & X, X the arguments xs with conjuncts
+    x_parts, for _entailed, and the call that joins the two, made only
+    for a subquery that needs the whole."""
+    return base.conjuncts() + x_parts, lambda: connect(And, base.argument(), join(And, xs))
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
