@@ -53,7 +53,9 @@ unassignment re-cofactors only those, one cached part at a time.  The
 tests read parts: a block's record keeps each positive argument with
 its conjuncts, read off its cofactor, and the pair rule reads the
 base's settled parts, so a formula is joined only for a subquery, or a
-trace line, that needs one.
+trace line, that needs one.  A side's join is kept by prefix, so a
+later test folds in only the arguments pushed since, and a backtrack
+cuts it back with the record.
 
 A negated conjunct's test, the pair's own test and the pair's
 propagation (below) ask one question of a positive part pos, whether it
@@ -74,7 +76,9 @@ runs theory propagation to its fixpoint before the consistency check.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial
+from itertools import accumulate, islice
 from operator import itemgetter
 
 from .formula import (
@@ -182,9 +186,9 @@ class Decider:
         """The group test for one agent's conjuncts, whose arguments need
         only be objective for that agent, as the normal form's and the
         search's cofactors are; they need not be normalized.  b becomes
-        a group record once, each positive side one argument."""
-        (l, l_parts), (n, n_parts) = (([], []) if g is TRUE else ([g], conjuncts(g)) for g in (b.pos_l, b.pos_n))
-        return self._block_ok((b.agent, l, l_parts, b.neg_l, n, n_parts, b.neg_n), 0)
+        a group record once: its positive sides are already parts."""
+        l_parts, n_parts = ([c for g in pos for c in conjuncts(g)] for pos in (b.pos_l, b.pos_n))
+        return self._block_ok((b.agent, b.pos_l, l_parts, b.neg_l, b.pos_n, n_parts, b.neg_n, [], []), 0)
 
     # -- recursion ----------------------------------------------------------
 
@@ -375,7 +379,7 @@ class Decider:
             by_high: set[Formula] = set()
             if rest:
                 block.group(groups)
-                parts, whole = _with(groups.literal(v, True), *block.record[1:3])
+                parts, whole = _with(groups.literal(v, True), block.record)
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -491,13 +495,15 @@ class Decider:
         level += 1
         if pair is None:
             return self._block_ok(block.record, level)
-        agent, xs, x_parts, negs = block.record[:4]
+        record = block.record
+        agent, xs, x_parts, negs = record[:4]
         if negs:
-            parts, whole = _with(groups.literal(pair, True), xs, x_parts)
+            parts, whole = _with(groups.literal(pair, True), record)
             if True in self._entailed(agent, "the positive L part", parts, negs, level, whole):
                 return False
         if self.trace:
-            self.trace(level, f"agent {agent}: only-knowing base must entail the other positive L parts", join(And, xs))
+            what = f"agent {agent}: only-knowing base must entail the other positive L parts"
+            self.trace(level, what, _joined(xs, record[7]))
         if not xs:
             return True
         low, what = groups.literal(pair, False), "the base's low bound"
@@ -505,19 +511,24 @@ class Decider:
 
     def _block_ok(self, record: tuple, level: int) -> bool:
         """The group test for one agent's record (agent, pos_l, parts_l,
-        neg_l, pos_n, parts_n, neg_n): per modality, the positive
-        arguments, none of them true, their conjuncts, and the negated
-        arguments.  A side's arguments are joined, left to right, only
-        for a subquery that needs the whole, as the union does."""
-        agent, pos_l, parts_l, neg_l, pos_n, parts_n, neg_n = record
+        neg_l, pos_n, parts_n, neg_n, folds_l, folds_n): per modality,
+        the positive arguments, none of them true, their conjuncts, the
+        negated arguments, and the folds of the positive arguments that
+        _joined has kept.  A side's arguments are joined, left to right,
+        only for a subquery that needs the whole, as the union does."""
+        agent, pos_l, parts_l, neg_l, pos_n, parts_n, neg_n, folds_l, folds_n = record
         if not (neg_l or neg_n or pos_l and pos_n):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        sides = (("the positive L part", pos_l, parts_l, neg_l), ("the positive N part", pos_n, parts_n, neg_n))
-        for what, pos, parts, negs in sides:
-            if negs and True in self._entailed(agent, what, parts, negs, level, lambda pos=pos: join(And, pos)):
-                return False
-        union = connect(Or, join(And, pos_l), join(And, pos_n))
+        if neg_l and True in self._entailed(
+            agent, "the positive L part", parts_l, neg_l, level, partial(_joined, pos_l, folds_l)
+        ):
+            return False
+        if neg_n and True in self._entailed(
+            agent, "the positive N part", parts_n, neg_n, level, partial(_joined, pos_n, folds_n)
+        ):
+            return False
+        union = connect(Or, _joined(pos_l, folds_l), _joined(pos_n, folds_n))
         if self.trace:
             self.trace(level, f"agent {agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
@@ -566,11 +577,26 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _with(base: _Cofactor, xs: list[Formula], x_parts: list[Formula]) -> tuple[list[Formula], Callable[[], Formula]]:
-    """The conjuncts of base & X, X the arguments xs with conjuncts
-    x_parts, for _entailed, and the call that joins the two, made only
-    for a subquery that needs the whole."""
-    return base.conjuncts() + x_parts, lambda: connect(And, base.argument(), join(And, xs))
+def _with(base: _Cofactor, record: tuple) -> tuple[list[Formula], Callable[[], Formula]]:
+    """The conjuncts of base & X, X the positive L arguments of a
+    group's record, for _entailed, and the call that joins the two, made
+    only for a subquery that needs the whole."""
+    return base.conjuncts() + record[2], lambda: connect(And, base.argument(), _joined(record[1], record[7]))
+
+
+def _joined(pos: Sequence[Formula], folds: list[Formula]) -> Formula:
+    """join(And, pos), read off folds, where folds[k] is the left fold
+    of pos[: k + 1] for each prefix folded so far: only the arguments
+    past the last such prefix are folded in, and each new fold is kept.
+    A group record cuts its folds back with its lists."""
+    if not folds:
+        folds += accumulate(pos, _and)
+    elif len(folds) < len(pos):
+        folds += islice(accumulate(islice(pos, len(folds), None), _and, initial=folds[-1]), 1, None)
+    return folds[-1] if folds else TRUE
+
+
+_and = partial(connect, And)
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
@@ -846,7 +872,10 @@ class _Block:
     outside the pair's two (see _block_ok), read off their cofactors.
     The record is current for lits[:dirty]; a literal whose cofactor
     changed, or that joins or leaves the pair, moves dirty back to its
-    position, so group redoes the record only from there."""
+    position, so group redoes the record only from there.  The folds
+    that _joined keeps are lists of the record too, cut back with the
+    others to their length when lits[dirty] came in: each fold kept then
+    joins a prefix of the arguments that are left."""
 
     __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "record", "into", "dirty")
 
@@ -858,7 +887,7 @@ class _Block:
         self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
         self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
         self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when the record leaves them out
-        self.record: tuple = (agent, [], [], [], [], [], [])
+        self.record: tuple = (agent, [], [], [], [], [], [], [], [])
         self.into: list[tuple[int, ...]] = []  # into[k]: the lengths of the record's lists before lits[k]
         self.dirty = 0
 
@@ -919,7 +948,7 @@ class _Block:
                 continue
             v = abs(x)
             leaf = modal[v]
-            pos, parts, negs = lists[3:] if type(leaf) is N else lists[:3]
+            pos, parts, negs = lists[3:6] if type(leaf) is N else lists[:3]
             if x < 0:
                 negs.append(groups.literal(v, False).argument() if v in deps else leaf.sub)
                 continue

@@ -15,7 +15,10 @@ One agent's group of modal literals is an ``AgentBlock``, and only it
 knows the group's layout: the stream builds one literal at a time with
 ``AgentBlock.add``, which also reports a contradictory group, and keeps
 a stack of them per agent, and one of sigmas, that its trail pushes
-onto and a backtrack pops.  The search keeps its own record of parts.
+onto and a backtrack pops.  A block keeps each positive side as its
+arguments, in the order they came, the shape the search's own record
+of parts has, and only a rendered disjunct joins them, so a consumer
+that counts the stream builds no conjunction for them.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -236,15 +239,17 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
     return variables, clauses + definitions
 
 
-class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defaults=(TRUE, (), TRUE, ()))):
+class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defaults=((), (), (), ()))):
     """One agent's conjunct group inside a normal-form disjunct, and the
     one place that knows its layout.
 
-    pos_l/pos_n are the merged arguments of the positive L/N conjuncts
-    (true when absent); neg_l/neg_n are tuples of the arguments of the
-    negated ones, all objective for this agent.  ``add`` returns the
-    group with one more literal, so the stream's stacks share their
-    blocks.
+    pos_l/pos_n are tuples of the arguments of the positive L/N
+    conjuncts, in the order they came, () when there are none; neg_l/neg_n
+    are tuples of the arguments of the negated ones, all objective for
+    this agent.  A positive side is kept as parts, the shape the
+    search's group record has, and joined only by ``to_formula``; a side
+    whose join is false is ``(false,)``.  ``add`` returns the group with
+    one more literal, so the stream's stacks share their blocks.
     """
 
     __slots__ = ()
@@ -252,35 +257,62 @@ class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defau
     def add(self, leaf: Formula, positive: bool) -> AgentBlock | None:
         """The group with one more literal, leaf (an L or N of this
         agent) or its negation: L a & L b is L (a & b), so a positive
-        argument is folded into pos_l or pos_n, left to right (an absent
-        side becomes the argument itself); a negated one is appended to
-        neg_l or neg_n.  The argument must be simplified.  None when the
-        group is contradictory: M_i false implies every M_i x, so it
-        contradicts a negated literal of its modality."""
+        argument is appended to pos_l or pos_n (see _extend); a negated
+        one to neg_l or neg_n.  leaf must be simplified, so its argument
+        is not true.  None when the group is contradictory: M_i false
+        implies every M_i x, so it contradicts a negated literal of its
+        modality."""
         agent, pos_l, neg_l, pos_n, neg_n = self
         arg = leaf.sub
         if isinstance(leaf, N):
             if positive:
-                pos_n = connect(And, pos_n, arg)
+                pos_n = _extend(pos_n, arg)
             else:
                 neg_n += (arg,)
         elif positive:
-            pos_l = connect(And, pos_l, arg)
+            pos_l = _extend(pos_l, arg)
         else:
             neg_l += (arg,)
-        if neg_l and pos_l is FALSE or neg_n and pos_n is FALSE:
+        if neg_l and pos_l == _FALSE_SIDE or neg_n and pos_n == _FALSE_SIDE:
             return None
         return _tuple(AgentBlock, (agent, pos_l, neg_l, pos_n, neg_n))
 
     def to_formula(self) -> Formula:
+        """The group's conjunction, each positive side joined as the left
+        fold join(And, ...) of its parts."""
         parts: list[Formula] = []
-        if self.pos_l is not TRUE:
-            parts.append(L(self.agent, self.pos_l))
+        if self.pos_l:
+            parts.append(L(self.agent, join(And, self.pos_l)))
         parts.extend(Not(L(self.agent, g)) for g in self.neg_l)
-        if self.pos_n is not TRUE:
-            parts.append(N(self.agent, self.pos_n))
+        if self.pos_n:
+            parts.append(N(self.agent, join(And, self.pos_n)))
         parts.extend(Not(N(self.agent, g)) for g in self.neg_n)
         return conj(parts)
+
+
+_FALSE_SIDE = (FALSE,)
+
+
+def _extend(pos: tuple[Formula, ...], arg: Formula) -> tuple[Formula, ...]:
+    """The positive side pos with arg appended, or (false,) when the
+    join of the two is false.  The join is the left fold of connect, so
+    it is false at a false part, or at a part that complements the fold
+    before it.  A literal is never on the trail twice, so the parts are
+    distinct and that fold is an And node from the second part on: arg
+    can complement it only as ~a beside a lone part a (or a beside ~a),
+    or as ~X where X is the fold, which is built only then.  A false
+    side stays (false,)."""
+    if not pos:
+        return (arg,)
+    first = pos[0]
+    if arg is FALSE or first is FALSE:
+        return _FALSE_SIDE
+    if len(pos) == 1:
+        if type(arg) is Not and arg.sub is first or type(first) is Not and first.sub is arg:
+            return _FALSE_SIDE
+    elif type(arg) is Not and type(arg.sub) is And and arg.sub is join(And, pos):
+        return _FALSE_SIDE
+    return pos + (arg,)
 
 
 class NormalFormDisjunct(namedtuple("NormalFormDisjunct", "sigma blocks")):

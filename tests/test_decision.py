@@ -1087,13 +1087,13 @@ def test_block_consistent_directly():
     from onlyknow.normal_form import AgentBlock
 
     # the group of O1 p: positives p and ~p, tautologous union
-    assert Decider().block_consistent(AgentBlock(1, pos_l=p, pos_n=Not(p))) is True
+    assert Decider().block_consistent(AgentBlock(1, pos_l=(p,), pos_n=(Not(p),))) is True
     # L1 false & N1 false: the union false | false cannot be valid
-    assert Decider().block_consistent(AgentBlock(1, pos_l=FALSE, pos_n=FALSE)) is False
+    assert Decider().block_consistent(AgentBlock(1, pos_l=(FALSE,), pos_n=(FALSE,))) is False
     # L1 p & ~L1 q: p & ~q consistent, union defaults to p | true
-    assert Decider().block_consistent(AgentBlock(1, pos_l=p, neg_l=(q,))) is True
+    assert Decider().block_consistent(AgentBlock(1, pos_l=(p,), neg_l=(q,))) is True
     # L1 p alone: nothing negated and N side true, so it passes untested
     lines = []
     traced = Decider(trace=lambda level, rule, g: lines.append(rule))
-    assert traced.block_consistent(AgentBlock(1, pos_l=p)) is True
+    assert traced.block_consistent(AgentBlock(1, pos_l=(p,))) is True
     assert lines == []

@@ -1,4 +1,4 @@
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from onlyknow.formula import (
     TRUE,
     conj,
     conjuncts,
+    connect,
     is_i_objective,
     join,
     parse,
@@ -75,8 +76,8 @@ def test_stream_reads_the_skeleton_by_polarity(text, disjuncts):
 def test_same_agent_l_collapses():
     ds = nf("L1 L1 p")
     assert len(ds) == 1
-    assert ds[0].blocks[0].pos_l == p
-    assert ds[0].blocks[0].pos_n is TRUE
+    assert ds[0].blocks[0].pos_l == (p,)
+    assert ds[0].blocks[0].pos_n == ()
 
 
 def test_l_over_own_n_keeps_empty_set_case():
@@ -103,27 +104,62 @@ def test_l_over_n_collapse_is_exact_under_nonempty_guard():
 
 def test_agent_block_add_examples():
     empty = AgentBlock(1)
-    assert empty.pos_l is TRUE and empty.pos_n is TRUE
+    assert empty.pos_l == () and empty.pos_n == ()
     assert empty.neg_l == () and empty.neg_n == ()
-    # positives fold in order; the side not added to stays true
+    # positives are kept as parts, in order; the side not added to stays empty
     b = empty.add(L(1, p), True).add(L(1, q), True)
-    assert b.pos_l == p & q
-    assert b.pos_n is TRUE
+    assert b.pos_l == (p, q)
+    assert b.pos_n == ()
     b2 = empty.add(N(1, p), True).add(N(1, p >> q), True)
-    assert b2.pos_n == p & (p >> q)
-    assert b2.pos_l is TRUE
+    assert b2.pos_n == (p, p >> q)
+    assert b2.pos_l == ()
     # negated arguments are appended in order, each to its own modality
     b3 = b.add(N(1, q), False).add(L(1, p), False).add(N(1, p), False)
     assert b3.neg_l == (p,) and b3.neg_n == (q, p)
-    assert b3.pos_l == p & q and b3.pos_n is TRUE
-    assert b3 == AgentBlock(1, pos_l=p & q, neg_l=(p,), neg_n=(q, p))
+    assert b3.pos_l == (p, q) and b3.pos_n == ()
+    assert b3 == AgentBlock(1, pos_l=(p, q), neg_l=(p,), neg_n=(q, p))
+    # only to_formula joins a side, as the left fold join(And, ...)
+    assert b3.to_formula() == conj([L(1, p & q), Not(L(1, p)), Not(N(1, q)), Not(N(1, p))])
+    # a part that is the join so far is kept, and the join absorbs it
+    b4 = b.add(L(1, p & q), True)
+    assert b4.pos_l == (p, q, p & q) and b4.to_formula() == L(1, p & q)
+    # a side whose join is false is (false,): at a false part, at a
+    # second part that complements the first, either way round, and at
+    # ~X where X is the join of the parts so far; a false side stays so
+    assert empty.add(L(1, FALSE), True).pos_l == (FALSE,)
+    assert b.add(L(1, FALSE), True).pos_l == (FALSE,)
+    assert empty.add(L(1, p), True).add(L(1, Not(p)), True).pos_l == (FALSE,)
+    assert empty.add(N(1, Not(p)), True).add(N(1, p), True).pos_n == (FALSE,)
+    assert b.add(L(1, Not(p & q)), True).pos_l == (FALSE,)
+    assert b4.add(L(1, Not(p & q)), True).pos_l == (FALSE,)
+    assert empty.add(L(1, FALSE), True).add(L(1, p), True).pos_l == (FALSE,)
+    assert empty.add(L(1, FALSE), True).to_formula() == L(1, FALSE)
+    # the complement of one part among several, or of another join, is
+    # no contradiction
+    assert b.add(L(1, Not(p)), True).pos_l == (p, q, Not(p))
+    assert b.add(L(1, Not(q & p)), True).pos_l == (p, q, Not(q & p))
     # M_i false beside a negated M_i literal is contradictory: add says
     # so with None, whichever of the two comes last
     assert AgentBlock(1, neg_l=(q,)).add(L(1, FALSE), True) is None
-    assert AgentBlock(1, pos_l=Not(p), neg_l=(q,)).add(L(1, p), True) is None
-    assert AgentBlock(1, pos_n=FALSE).add(N(1, q), False) is None
+    assert AgentBlock(1, pos_l=(Not(p),), neg_l=(q,)).add(L(1, p), True) is None
+    assert AgentBlock(1, pos_l=(p, q), neg_l=(r,)).add(L(1, Not(p & q)), True) is None
+    assert AgentBlock(1, pos_n=(FALSE,)).add(N(1, q), False) is None
     # the other modality's false contradicts nothing
-    assert AgentBlock(1, pos_l=FALSE).add(N(1, q), False) == AgentBlock(1, pos_l=FALSE, neg_n=(q,))
+    assert AgentBlock(1, pos_l=(FALSE,)).add(N(1, q), False) == AgentBlock(1, pos_l=(FALSE,), neg_n=(q,))
+
+
+def test_agent_block_side_joins_as_the_left_fold_of_its_parts():
+    # Every sequence of up to four distinct simplified arguments: the
+    # side is (false,) exactly when the left fold of connect is false,
+    # and otherwise its parts, joined, are that fold.
+    pool = [p, q, r, Not(p), Not(q), p & q, Not(p & q), (p & q) & r, Not((p & q) & r), q & p, FALSE]
+    for size in range(1, 5):
+        for args in permutations(pool, size):
+            block, fold = AgentBlock(1), TRUE
+            for x in args:
+                block, fold = block.add(L(1, x), True), connect(And, fold, x)
+                assert (block.pos_l == (FALSE,)) == (fold is FALSE), args
+                assert join(And, block.pos_l) is fold, args
 
 
 def test_sigma_is_propositional_and_blocks_objective():
@@ -143,12 +179,12 @@ def test_sigma_is_propositional_and_blocks_objective():
                 assert isinstance(atom, Atom), (to_text(f), to_text(d.sigma))
                 assert signs.setdefault(atom, positive) == positive, (to_text(f), to_text(d.sigma))
             for b in d.blocks:
-                for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
+                for g in (*b.pos_l, *b.pos_n, *b.neg_l, *b.neg_n):
                     assert is_i_objective(g, b.agent), (to_text(f), b.agent, to_text(g))
                 # L<i> false implies every L<i> x, so beside a negated
                 # L<i> literal it is contradictory (likewise for N)
-                assert not (b.pos_l is FALSE and b.neg_l), (to_text(f), to_text(d.to_formula()))
-                assert not (b.pos_n is FALSE and b.neg_n), (to_text(f), to_text(d.to_formula()))
+                assert not (join(And, b.pos_l) is FALSE and b.neg_l), (to_text(f), to_text(d.to_formula()))
+                assert not (join(And, b.pos_n) is FALSE and b.neg_n), (to_text(f), to_text(d.to_formula()))
 
 
 def test_basic_inputs_give_basic_blocks():
@@ -156,7 +192,7 @@ def test_basic_inputs_give_basic_blocks():
         f = generate_random(seed, "onl_minus", max_modal_depth=3, n_atoms=2, n_agents=2)
         for d in to_normal_form(f):
             for b in d.blocks:
-                for g in (b.pos_l, b.pos_n, *b.neg_l, *b.neg_n):
+                for g in (*b.pos_l, *b.pos_n, *b.neg_l, *b.neg_n):
                     assert not any(isinstance(x, N) for x in walk(g)), to_text(f)
 
 
@@ -258,7 +294,21 @@ def test_m_false_meeting_a_negated_literal_of_another_conjunct_prunes_the_branch
     # dropped whichever of the two the stream meets first.
     ds = nf(text, 1)
     assert [to_text(d.to_formula()) for d in ds] == expected
-    assert not any(b.pos_l is FALSE and b.neg_l for d in ds for b in d.blocks)
+    assert not any(b.pos_l == (FALSE,) and b.neg_l for d in ds for b in d.blocks)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # L1 ~(p & q) complements the join of the parts before it, so
+        # agent 1's positive L side folds to false and ~L1 r prunes it
+        ("L1 p & L1 q & L1 ~(p & q) & ~L1 r", []),
+        # L1 (p & q) is that join, so the fold absorbs it
+        ("L1 p & L1 q & L1 (p & q) & ~L1 r", ["L1 (p & q) & ~L1 r"]),
+    ],
+)
+def test_a_side_that_folds_to_false_prunes_a_negated_literal(text, expected):
+    assert [to_text(d.to_formula()) for d in nf(text, 1)] == expected
 
 
 @pytest.mark.parametrize(
@@ -268,34 +318,34 @@ def test_m_false_meeting_a_negated_literal_of_another_conjunct_prunes_the_branch
         (
             "(L2 q | L1 p) & (L1 r | s)",
             [
-                (TRUE, [AgentBlock(1, pos_l=r), AgentBlock(2, pos_l=q)]),
-                (s, [AgentBlock(2, pos_l=q)]),
-                (TRUE, [AgentBlock(1, pos_l=And(p, r))]),
-                (s, [AgentBlock(1, pos_l=p)]),
+                (TRUE, [AgentBlock(1, pos_l=(r,)), AgentBlock(2, pos_l=(q,))]),
+                (s, [AgentBlock(2, pos_l=(q,))]),
+                (TRUE, [AgentBlock(1, pos_l=(p, r))]),
+                (s, [AgentBlock(1, pos_l=(p,))]),
             ],
         ),
         # L1 false beside ~L1 b is pruned, last
         (
             "(N3 a | ~L1 b) & (L2 c | L1 false) & (L1 d | ~N3 e)",
             [
-                (TRUE, [AgentBlock(1, pos_l=d), AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a)]),
-                (TRUE, [AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a, neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a)]),
-                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a, neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=d, neg_l=(b,)), AgentBlock(2, pos_l=c)]),
-                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=c), AgentBlock(3, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(d,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(d,), neg_l=(b,)), AgentBlock(2, pos_l=(c,))]),
+                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, neg_n=(e,))]),
             ],
         ),
         # pruned first: no group of the pruned branch reaches the disjuncts after it
         (
             "(~L1 b | N3 a) & (L1 false | L2 c) & (L1 d | ~N3 e)",
             [
-                (TRUE, [AgentBlock(1, pos_l=d, neg_l=(b,)), AgentBlock(2, pos_l=c)]),
-                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=c), AgentBlock(3, neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a)]),
-                (TRUE, [AgentBlock(1, pos_l=FALSE), AgentBlock(3, pos_n=a, neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=d), AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a)]),
-                (TRUE, [AgentBlock(2, pos_l=c), AgentBlock(3, pos_n=a, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(d,), neg_l=(b,)), AgentBlock(2, pos_l=(c,))]),
+                (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
+                (TRUE, [AgentBlock(1, pos_l=(d,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
             ],
         ),
     ],
@@ -316,7 +366,7 @@ def test_deep_trail_hands_out_each_disjunct_its_own_groups():
         assert d.sigma is TRUE
         lefts = [ps[j] for j in range(k) if not rights[j]]
         negated = tuple(qs[j] for j in range(k) if rights[j])
-        expected = ([AgentBlock(1, pos_l=join(And, lefts))] if lefts else []) + (
+        expected = ([AgentBlock(1, pos_l=tuple(lefts))] if lefts else []) + (
             [AgentBlock(2, neg_l=negated)] if negated else []
         )
         assert list(d.blocks) == expected
