@@ -11,7 +11,9 @@ The counts are read through wrappers, as in
 test_a_default_theory_question_searches_few_formulas: _sat calls,
 _search calls, group tests (_group_ok calls), the clauses that
 to_clauses makes, and the literals that the group blocks take in
-(_Block.push calls)."""
+(_Block.push calls).  A wrapper fails the point at once when its count
+passes CAP times its row, so a change that makes the engine blow up
+fails in seconds instead of running on."""
 
 import importlib.util
 import json
@@ -22,10 +24,12 @@ import pytest
 
 from onlyknow import decision
 from onlyknow.decision import Decider, _Block
+from onlyknow.formula import parse
 
 TESTS = Path(__file__).resolve().parent
 ROWS = json.loads((TESTS / "work_counts.json").read_text())
 COUNTS = ("sat", "search", "group_ok", "clauses", "push")
+CAP = 4
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +40,21 @@ def growth():
     return module
 
 
-def _count_work(monkeypatch) -> dict[str, int]:
-    """Wrap the counted routines; the returned counts grow as they run."""
+def _count_work(monkeypatch, row: dict) -> dict[str, int]:
+    """Wrap the counted routines; the returned counts grow as they run,
+    and one that passes CAP times its row raises AssertionError there."""
     counts = dict.fromkeys(COUNTS, 0)
+
+    def add(key, n):
+        counts[key] += n
+        if counts[key] > CAP * row[key]:
+            raise AssertionError(f"{key} passed {CAP} times its row of {row[key]}: {counts}")
 
     def counted(owner, name, key):
         method = getattr(owner, name)
 
         def run(*args):
-            counts[key] += 1
+            add(key, 1)
             return method(*args)
 
         monkeypatch.setattr(owner, name, run)
@@ -57,7 +67,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
 
     def clausify(*args):
         variables, clauses = to_clauses(*args)
-        counts["clauses"] += len(clauses)
+        add("clauses", len(clauses))
         return variables, clauses
 
     monkeypatch.setattr(decision, "to_clauses", clausify)
@@ -67,7 +77,7 @@ def _count_work(monkeypatch) -> dict[str, int]:
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: f"{row['family']}-{row['size']}-{row['case'] or 'sat'}")
 def test_work_counts_stay_within_their_row(growth, row, monkeypatch):
     (thunk, answer), = [(t, a) for case, t, a in growth.points(row["family"], row["size"]) if case == row["case"]]
-    counts = _count_work(monkeypatch)
+    counts = _count_work(monkeypatch, row)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -79,3 +89,11 @@ def test_work_counts_stay_within_their_row(growth, row, monkeypatch):
     if below:
         print(f"below the row (count, row): {below}")
     assert {k: counts[k] for k in COUNTS if counts[k] > row[k]} == {}, row
+
+
+def test_a_count_past_its_cap_fails_inside_the_run(monkeypatch):
+    # With every row at 0 the first _sat call is past the cap, so the
+    # wrapper raises before the query is answered.
+    _count_work(monkeypatch, dict.fromkeys(COUNTS, 0))
+    with pytest.raises(AssertionError, match="sat passed 4 times its row of 0"):
+        Decider().consistent(parse("L1 p & ~L1 q", 1))
