@@ -38,6 +38,20 @@ def test_rung_prefix_counts_only_those_rungs(opcodes, monkeypatch, capsys):
     assert rows[0].split()[2:] == rows[1].split()[1:]
 
 
+def test_render_answers_nf_as_the_cli_prints_it(opcodes, monkeypatch, capsys):
+    # Rendering each disjunct costs more than counting it, and the
+    # disjunct count is checked against the query's either way.
+    def total(*argv):
+        monkeypatch.setattr(sys, "argv", ["opcodes.py", "--workload", "modal-mix", "--rung", "nf k=4", *argv])
+        opcodes.main()
+        *_, last = capsys.readouterr().out.splitlines()
+        name, queries, total, _, _ = last.rsplit(maxsplit=4)
+        assert (name, queries) == ("all", "1")
+        return int(total)
+
+    assert total("--render") > total()
+
+
 def test_a_rung_counts_alike_alone_and_in_the_full_run():
     # Each run is a fresh interpreter, so the rung's first query is the
     # first of its process when it runs alone, and counting it must not

@@ -1,6 +1,6 @@
 """Opcode counts per query over the first cycles of a perfbench workload.
 
-Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N] [--rung PREFIX]
+Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N] [--rung PREFIX] [--render]
 
 Each query is answered by perfbench/run.py's own routine (parse the
 text, a fresh Decider, decide or stream the normal form), with no
@@ -11,7 +11,10 @@ instruction that makes it.  One line is printed per rung (its queries,
 total, p50 and p90), then one for the whole run, and with --queries N
 only the first N queries of the run are counted.  With --rung PREFIX
 only the rungs whose names start with PREFIX are counted ("nf " for the
-normal-form streams), and the last line totals them.
+normal-form streams), and the last line totals them.  With --render an
+nf query is answered as ``onlyknow nf`` prints it, each disjunct
+rendered with to_text(d.to_formula()), where perfbench only counts the
+disjuncts; the count is checked either way.
 
 Opcode counts do not move with the host's speed, which swings from run
 to run, and they repeat from run to run, so two versions of the engine
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from itertools import islice
 from pathlib import Path
 
@@ -33,16 +37,26 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from onlyknow.decision import Decider  # noqa: E402
+from onlyknow.formula import parse, to_text  # noqa: E402
+from onlyknow.normal_form import to_normal_form  # noqa: E402
 from run import _answer  # noqa: E402
 from workloads import WORKLOADS, Query, cycles  # noqa: E402
 
 
-def count(q: Query) -> int:
-    """The opcodes executed to answer q, which must come out right.  q
-    is answered once untraced first, so that the count leaves out the
-    first-use work of whatever runs before it, and a rung counts alike
-    alone (--rung) and in the full run."""
-    _answer(q, Decider())
+def rendered(q: Query, decider: Decider):
+    """q's answer, an nf query's as ``onlyknow nf`` prints it: the number
+    of disjuncts, each rendered as text."""
+    if q.kind != "nf":
+        return _answer(q, decider)
+    return len([to_text(d.to_formula()) for d in to_normal_form(parse(q.text, q.agents))])
+
+
+def count(q: Query, answer: Callable = _answer) -> int:
+    """The opcodes executed to answer q by answer, which must come out
+    right.  q is answered once untraced first, so that the count leaves
+    out the first-use work of whatever runs before it, and a rung counts
+    alike alone (--rung) and in the full run."""
+    answer(q, Decider())
     n = 0
 
     def tracer(frame, event, arg):
@@ -56,7 +70,7 @@ def count(q: Query) -> int:
     before = sys.gettrace()
     sys.settrace(tracer)
     try:
-        got = _answer(q, Decider())
+        got = answer(q, Decider())
     finally:
         sys.settrace(before)
     if got != q.expected:
@@ -83,6 +97,7 @@ def main() -> None:
     parser.add_argument("--cycles", type=int, default=1, help="count the first this many cycles")
     parser.add_argument("--queries", type=int, help="count only the first this many queries")
     parser.add_argument("--rung", default="", metavar="PREFIX", help="count only the rungs whose names start so")
+    parser.add_argument("--render", action="store_true", help="render each nf disjunct as text, as onlyknow nf does")
     args = parser.parse_args()
     queries = [
         q
@@ -92,7 +107,7 @@ def main() -> None:
     ]
     rungs: dict[str, list[int]] = {}
     for q in queries[: args.queries]:
-        rungs.setdefault(q.rung, []).append(count(q))
+        rungs.setdefault(q.rung, []).append(count(q, rendered if args.render else _answer))
     every = [n for ns in rungs.values() for n in ns]
     print(f"{'rung':<22} {'queries':>7} {'total':>12} {'p50':>10} {'p90':>10}")
     for rung, ns in sorted(rungs.items(), key=lambda item: rung_key(item[0])) + [("all", every)]:
