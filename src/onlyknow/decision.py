@@ -50,12 +50,10 @@ as the trail grows, keeping the agent's N literals and only knowing's
 pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
 unassignment re-cofactors only those, one cached part at a time.  The
-tests read parts: a block's record keeps each positive argument with
-its conjuncts, read off its cofactor, and the pair rule reads the
-base's settled parts, so a formula is joined only for a subquery, or a
-trace line, that needs one.  A side's join is kept by prefix, so a
-later test folds in only the arguments pushed since, and a backtrack
-cuts it back with the record.
+tests read parts: a block's record has AgentBlock's layout, with each
+positive argument kept beside its conjuncts, read off its cofactor, and
+the pair rule reads the base's settled parts, so a side is joined only
+for a subquery, or a trace line, that needs the whole.
 
 A negated conjunct's test, the pair's own test and the pair's
 propagation (below) ask one question of a positive part pos, whether it
@@ -78,7 +76,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import accumulate, islice
+from itertools import chain
 from operator import itemgetter
 
 from .formula import (
@@ -186,9 +184,9 @@ class Decider:
         """The group test for one agent's conjuncts, whose arguments need
         only be objective for that agent, as the normal form's and the
         search's cofactors are; they need not be normalized.  b becomes
-        a group record once: its positive sides are already parts."""
-        l_parts, n_parts = ([c for g in pos for c in conjuncts(g)] for pos in (b.pos_l, b.pos_n))
-        return self._block_ok((b.agent, b.pos_l, l_parts, b.neg_l, b.pos_n, n_parts, b.neg_n, [], []), 0)
+        a group record once, each positive argument beside its conjuncts."""
+        pos_l, pos_n = ([(g, conjuncts(g)) for g in pos] for pos in (b.pos_l, b.pos_n))
+        return self._block_ok((b.agent, pos_l, b.neg_l, pos_n, b.neg_n), 0)
 
     # -- recursion ----------------------------------------------------------
 
@@ -379,7 +377,7 @@ class Decider:
             by_high: set[Formula] = set()
             if rest:
                 block.group(groups)
-                parts, whole = _with(groups.literal(v, True), block.record)
+                parts, whole = _with(groups.literal(v, True), block.record[1])
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -395,7 +393,7 @@ class Decider:
         self,
         agent: int,
         what: str,
-        parts: list[Formula],
+        parts: Iterable[Formula],
         psis: Iterable[Formula],
         level: int,
         whole: Callable[[], Formula],
@@ -495,40 +493,39 @@ class Decider:
         level += 1
         if pair is None:
             return self._block_ok(block.record, level)
-        record = block.record
-        agent, xs, x_parts, negs = record[:4]
+        agent, xs, negs, _, _ = block.record
         if negs:
-            parts, whole = _with(groups.literal(pair, True), record)
+            parts, whole = _with(groups.literal(pair, True), xs)
             if True in self._entailed(agent, "the positive L part", parts, negs, level, whole):
                 return False
         if self.trace:
             what = f"agent {agent}: only-knowing base must entail the other positive L parts"
-            self.trace(level, what, _joined(xs, record[7]))
+            self.trace(level, what, _joined(xs))
         if not xs:
             return True
         low, what = groups.literal(pair, False), "the base's low bound"
-        return False not in self._entailed(agent, what, low.conjuncts(), x_parts, level, low.argument)
+        return False not in self._entailed(agent, what, low.conjuncts(), _conjuncts(xs), level, low.argument)
 
     def _block_ok(self, record: tuple, level: int) -> bool:
-        """The group test for one agent's record (agent, pos_l, parts_l,
-        neg_l, pos_n, parts_n, neg_n, folds_l, folds_n): per modality,
-        the positive arguments, none of them true, their conjuncts, the
-        negated arguments, and the folds of the positive arguments that
-        _joined has kept.  A side's arguments are joined, left to right,
-        only for a subquery that needs the whole, as the union does."""
-        agent, pos_l, parts_l, neg_l, pos_n, parts_n, neg_n, folds_l, folds_n = record
+        """The group test for one agent's record (agent, pos_l, neg_l,
+        pos_n, neg_n), AgentBlock's layout: per modality, the positive
+        arguments, none of them true, each as the pair (argument, its
+        conjuncts), and the negated arguments.  The negated tests read
+        the conjuncts; a side's arguments are joined, left to right, only
+        for a subquery that needs the whole, as the union does."""
+        agent, pos_l, neg_l, pos_n, neg_n = record
         if not (neg_l or neg_n or pos_l and pos_n):
             # Nothing negated and one positive side true: the union is valid.
             return True
         if neg_l and True in self._entailed(
-            agent, "the positive L part", parts_l, neg_l, level, partial(_joined, pos_l, folds_l)
+            agent, "the positive L part", _conjuncts(pos_l), neg_l, level, partial(_joined, pos_l)
         ):
             return False
         if neg_n and True in self._entailed(
-            agent, "the positive N part", parts_n, neg_n, level, partial(_joined, pos_n, folds_n)
+            agent, "the positive N part", _conjuncts(pos_n), neg_n, level, partial(_joined, pos_n)
         ):
             return False
-        union = connect(Or, _joined(pos_l, folds_l), _joined(pos_n, folds_n))
+        union = connect(Or, _joined(pos_l), _joined(pos_n))
         if self.trace:
             self.trace(level, f"agent {agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
@@ -577,26 +574,24 @@ class Decider:
             raise BudgetExceededError("time budget exceeded")
 
 
-def _with(base: _Cofactor, record: tuple) -> tuple[list[Formula], Callable[[], Formula]]:
-    """The conjuncts of base & X, X the positive L arguments of a
+_Side = Sequence[tuple[Formula, list[Formula]]]  # a record's positive side: (argument, its conjuncts) each
+
+
+def _with(base: _Cofactor, xs: _Side) -> tuple[Iterable[Formula], Callable[[], Formula]]:
+    """The conjuncts of base & X, X the positive L arguments xs of a
     group's record, for _entailed, and the call that joins the two, made
     only for a subquery that needs the whole."""
-    return base.conjuncts() + record[2], lambda: connect(And, base.argument(), _joined(record[1], record[7]))
+    return chain(base.conjuncts(), _conjuncts(xs)), lambda: connect(And, base.argument(), _joined(xs))
 
 
-def _joined(pos: Sequence[Formula], folds: list[Formula]) -> Formula:
-    """join(And, pos), read off folds, where folds[k] is the left fold
-    of pos[: k + 1] for each prefix folded so far: only the arguments
-    past the last such prefix are folded in, and each new fold is kept.
-    A group record cuts its folds back with its lists."""
-    if not folds:
-        folds += accumulate(pos, _and)
-    elif len(folds) < len(pos):
-        folds += islice(accumulate(islice(pos, len(folds), None), _and, initial=folds[-1]), 1, None)
-    return folds[-1] if folds else TRUE
+def _joined(pos: _Side) -> Formula:
+    """The left fold join(And, ...) of a record side's positive arguments."""
+    return join(And, map(itemgetter(0), pos))
 
 
-_and = partial(connect, And)
+def _conjuncts(pos: _Side) -> Iterator[Formula]:
+    """The conjuncts of a record side's positive arguments, in order."""
+    return chain.from_iterable(map(itemgetter(1), pos))
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
@@ -869,13 +864,12 @@ class _Block:
     each positive L literal by its argument (so O_i a's pair is looked
     up, not searched for), the memo key of each prefix (the number of
     its sequence and a hash of its set), and the record of the literals
-    outside the pair's two (see _block_ok), read off their cofactors.
-    The record is current for lits[:dirty]; a literal whose cofactor
+    outside the pair's two, (agent, pos_l, neg_l, pos_n, neg_n) as in
+    AgentBlock, each positive argument beside its conjuncts, all read
+    off their cofactors (see _block_ok).  The record is current for lits[:dirty]; a literal whose cofactor
     changed, or that joins or leaves the pair, moves dirty back to its
-    position, so group redoes the record only from there.  The folds
-    that _joined keeps are lists of the record too, cut back with the
-    others to their length when lits[dirty] came in: each fold kept then
-    joins a prefix of the arguments that are left."""
+    position, so group cuts each of the record's lists back to its
+    length when lits[dirty] came in and redoes the record from there."""
 
     __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "record", "into", "dirty")
 
@@ -887,7 +881,7 @@ class _Block:
         self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
         self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
         self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when the record leaves them out
-        self.record: tuple = (agent, [], [], [], [], [], [], [], [])
+        self.record: tuple = (agent, [], [], [], [])
         self.into: list[tuple[int, ...]] = []  # into[k]: the lengths of the record's lists before lits[k]
         self.dirty = 0
 
@@ -948,15 +942,14 @@ class _Block:
                 continue
             v = abs(x)
             leaf = modal[v]
-            pos, parts, negs = lists[3:6] if type(leaf) is N else lists[:3]
+            pos, negs = lists[2:] if type(leaf) is N else lists[:2]
             if x < 0:
                 negs.append(groups.literal(v, False).argument() if v in deps else leaf.sub)
                 continue
             c = groups.literal(v, True) if v in deps else None
             arg, cs = (c.argument(), c.conjuncts()) if c else (leaf.sub, conjuncts(leaf.sub))
             if cs:  # a true argument adds no part
-                pos.append(arg)
-                parts += cs
+                pos.append((arg, cs))
         self.dirty = len(into)
         return pair
 

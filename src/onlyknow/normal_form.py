@@ -16,9 +16,10 @@ knows the group's layout: the stream builds one literal at a time with
 ``AgentBlock.add``, which also reports a contradictory group, and keeps
 a stack of them per agent, and one of sigmas, that its trail pushes
 onto and a backtrack pops.  A block keeps each positive side as its
-arguments, in the order they came, the shape the search's own record
-of parts has, and only a rendered disjunct joins them, so a consumer
-that counts the stream builds no conjunction for them.
+arguments, in the order they came, and only a rendered disjunct joins
+them, so a consumer that counts the stream builds no conjunction for
+them.  The search's group record has the block's layout, with each
+positive argument beside its conjuncts.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -246,8 +247,8 @@ class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defau
     pos_l/pos_n are tuples of the arguments of the positive L/N
     conjuncts, in the order they came, () when there are none; neg_l/neg_n
     are tuples of the arguments of the negated ones, all objective for
-    this agent.  A positive side is kept as parts, the shape the
-    search's group record has, and joined only by ``to_formula``; a side
+    this agent.  A positive side is kept as parts, as the search's
+    group record keeps it, and joined only by ``to_formula``; a side
     whose join is false is ``(false,)``.  ``add`` returns the group with
     one more literal, so the stream's stacks share their blocks.
     """

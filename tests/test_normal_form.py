@@ -407,6 +407,9 @@ def test_simplify_returns_an_already_simple_formula_unchanged():
             ["p", "L1 q", "r", None, None, None, "s", "t"],
             [[-1, 2], [-2, 1], [5, 6], [-5, 3], [-5, -4], [-6, -3], [-6, 4], [-4, 7], [-4, 8], [4, -7, -8]],
         ),
+        # r | s | ~r is a tautology, so q & (...) keeps one clause and goes
+        # into the disjunction as q itself, with no definition variable
+        ("p | (q & (r | s | ~r))", ["p", "q", "r", "s"], [[1, 2]]),
     ],
 )
 def test_clause_form_numbers_leaves_and_orders_clauses_left_to_right(text, variables, clauses):

@@ -68,3 +68,16 @@ def test_a_rung_counts_alike_alone_and_in_the_full_run():
     alone, full = rows("--rung", "nf k=6"), rows()
     assert alone["nf k=6"] == full["nf k=6"]
     assert alone["nf k=6"][2] == alone["nf k=6"][3]  # its queries count alike, so p50 is p90
+
+
+def test_growth_counts_each_case_of_a_point(opcodes, monkeypatch, capsys):
+    # The smallest believes point has three cases, each checked against
+    # its answer, and a second count of the point gives the same numbers.
+    monkeypatch.setattr(sys, "argv", ["opcodes.py", "--growth", "believes:10"])
+    opcodes.main()
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["family", "size", "case", "opcodes"]
+    cells = [row.split() for row in rows]
+    assert [cell[:3] for cell in cells] == [["believes", "10", case] for case in ("yes", "no", "blocked-no")]
+    assert all(int(cell[3]) > 0 for cell in cells)
+    assert [n for _, n in opcodes.count_growth("believes", 10)] == [int(cell[3]) for cell in cells]

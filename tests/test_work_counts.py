@@ -10,10 +10,12 @@ old and new counts and why.
 The counts are read through wrappers, as in
 test_a_default_theory_question_searches_few_formulas: _sat calls,
 _search calls, group tests (_group_ok calls), the clauses that
-to_clauses makes, and the literals that the group blocks take in
-(_Block.push calls).  A wrapper fails the point at once when its count
-passes CAP times its row, so a change that makes the engine blow up
-fails in seconds instead of running on."""
+to_clauses makes, the literals that the group blocks take in
+(_Block.push calls), and the literals the searches assign
+(_Trail.assign calls: set-up units, unit propagation, decisions and
+only knowing's forced literals).  A wrapper fails the point at once
+when its count passes CAP times its row, so a change that makes the
+engine blow up fails in seconds instead of running on."""
 
 import importlib.util
 import json
@@ -23,12 +25,12 @@ from pathlib import Path
 import pytest
 
 from onlyknow import decision
-from onlyknow.decision import Decider, _Block
+from onlyknow.decision import Decider, _Block, _Trail
 from onlyknow.formula import parse
 
 TESTS = Path(__file__).resolve().parent
 ROWS = json.loads((TESTS / "work_counts.json").read_text())
-COUNTS = ("sat", "search", "group_ok", "clauses", "push")
+COUNTS = ("sat", "search", "group_ok", "clauses", "push", "assign")
 CAP = 4
 
 
@@ -63,6 +65,7 @@ def _count_work(monkeypatch, row: dict) -> dict[str, int]:
     counted(Decider, "_search", "search")
     counted(Decider, "_group_ok", "group_ok")
     counted(_Block, "push", "push")
+    counted(_Trail, "assign", "assign")
     to_clauses = decision.to_clauses
 
     def clausify(*args):

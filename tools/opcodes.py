@@ -1,6 +1,7 @@
 """Opcode counts per query over the first cycles of a perfbench workload.
 
 Usage: python tools/opcodes.py [--workload defaults] [--seed 1] [--cycles 1] [--queries N] [--rung PREFIX] [--render]
+       python tools/opcodes.py --growth FAMILY:SIZE[,...]
 
 Each query is answered by perfbench/run.py's own routine (parse the
 text, a fresh Decider, decide or stream the normal form), with no
@@ -15,6 +16,12 @@ normal-form streams), and the last line totals them.  With --render an
 nf query is answered as ``onlyknow nf`` prints it, each disjunct
 rendered with to_text(d.to_formula()), where perfbench only counts the
 disjuncts; the count is checked either way.
+
+With --growth the points of tools/growth.py are counted instead, each
+case of each FAMILY:SIZE given (say believes-secret:240), one line per
+case, by the same routine: one untraced run, then a counted one, whose
+verdict must be the answer the family is built to have, where it has
+one.
 
 Opcode counts do not move with the host's speed, which swings from run
 to run, and they repeat from run to run, so two versions of the engine
@@ -35,7 +42,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tools"))
 
+import growth  # noqa: E402
 from onlyknow.decision import Decider  # noqa: E402
 from onlyknow.formula import parse, to_text  # noqa: E402
 from onlyknow.normal_form import to_normal_form  # noqa: E402
@@ -53,10 +62,19 @@ def rendered(q: Query, decider: Decider):
 
 def count(q: Query, answer: Callable = _answer) -> int:
     """The opcodes executed to answer q by answer, which must come out
-    right.  q is answered once untraced first, so that the count leaves
-    out the first-use work of whatever runs before it, and a rung counts
-    alike alone (--rung) and in the full run."""
-    answer(q, Decider())
+    right."""
+    n, got = opcodes(lambda: answer(q, Decider()))
+    if got != q.expected:
+        raise AssertionError(f"{q.rung}: expected {q.expected}, got {got}: {q.text}")
+    return n
+
+
+def opcodes(run: Callable[[], object]) -> tuple[int, object]:
+    """The opcodes that run() executes, and what it returns.  run is
+    called once untraced first, so that the count leaves out the
+    first-use work of whatever runs before it, and a rung counts alike
+    alone (--rung) and in the full run."""
+    run()
     n = 0
 
     def tracer(frame, event, arg):
@@ -70,12 +88,22 @@ def count(q: Query, answer: Callable = _answer) -> int:
     before = sys.gettrace()
     sys.settrace(tracer)
     try:
-        got = answer(q, Decider())
+        got = run()
     finally:
         sys.settrace(before)
-    if got != q.expected:
-        raise AssertionError(f"{q.rung}: expected {q.expected}, got {got}: {q.text}")
-    return n
+    return n, got
+
+
+def count_growth(family: str, size: int) -> list[tuple[str, int]]:
+    """(case, opcodes) of each case of the growth point; a verdict other
+    than the point's answer raises."""
+    out = []
+    for case, thunk, answer in growth.points(family, size):
+        n, got = opcodes(thunk)
+        if answer is not None and got != answer:
+            raise AssertionError(f"{family} {size} {case}: expected {answer}, got {got}")
+        out.append((case, n))
+    return out
 
 
 def percentile(counts: list[int], p: float) -> int:
@@ -98,7 +126,18 @@ def main() -> None:
     parser.add_argument("--queries", type=int, help="count only the first this many queries")
     parser.add_argument("--rung", default="", metavar="PREFIX", help="count only the rungs whose names start so")
     parser.add_argument("--render", action="store_true", help="render each nf disjunct as text, as onlyknow nf does")
+    parser.add_argument("--growth", metavar="FAMILY:SIZE[,...]", help="count these points of tools/growth.py instead")
     args = parser.parse_args()
+    if args.growth:
+        points = [item.rpartition(":")[::2] for item in args.growth.split(",")]
+        bad = [f"{family}:{size}" for family, size in points if family not in growth.SIZES or not size.isdigit()]
+        if bad:
+            parser.error(f"not FAMILY:SIZE with a family of tools/growth.py: {', '.join(bad)}")
+        print(f"{'family':<16} {'size':>6} {'case':<10} {'opcodes':>12}")
+        for family, size in points:
+            for case, n in count_growth(family, int(size)):
+                print(f"{family:<16} {size:>6} {case:<10} {n:>12}")
+        return
     queries = [
         q
         for cycle in islice(cycles(args.workload, args.seed), args.cycles)
