@@ -49,11 +49,12 @@ Oliveras & Tinelli, JACM 2006): each agent's block grows by a literal
 as the trail grows, keeping the agent's N literals and only knowing's
 pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
-unassignment re-cofactors only those, one cached part at a time.  The
-tests read parts: a block's record has AgentBlock's layout, with each
-positive argument kept beside its conjuncts, read off its cofactor, and
-the pair rule reads the base's settled parts, so a side is joined only
-for a subquery, or a trace line, that needs the whole.
+unassignment re-reads only those, one part at a time from a cache
+keyed by its dependencies' values.  The tests read parts: a block's
+record has AgentBlock's layout, with each positive argument kept
+beside its conjuncts, read off its cofactor, and the pair rule reads
+the base's settled parts, so a side is joined only for a subquery, or
+a trace line, that needs the whole.
 
 A negated conjunct's test, the pair's own test and the pair's
 propagation (below) ask one question of a positive part pos, whether it
@@ -281,11 +282,13 @@ class Decider:
 
     def _literal_set_ok(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool | None:
         """The search's verdict when every clause is a unit over an atom
-        or a modal atom with no dependency, else None.  Those literals
-        are the only candidate: a complementary pair refutes them, as the
-        search's unit conflict does, and otherwise _group_ok tests each
-        agent's block, taken in by sync in clause order, as the search's
-        trail takes them, each cofactor the leaf itself."""
+        or a modal atom with no dependency, else None.  No unit is over a
+        definition variable, whose clauses have two literals or more, nor
+        over V, which _sat's input lacks.  Those literals are the only
+        candidate: a complementary pair refutes them, as the search's
+        unit conflict does, and otherwise _group_ok tests each agent's
+        block, taken in by sync in clause order, as the search's trail
+        takes them, each cofactor the leaf itself."""
         if not {1}.issuperset(map(len, clauses)):
             return None
         units = dict.fromkeys(map(itemgetter(0), clauses))
@@ -299,8 +302,6 @@ class Decider:
                 if type(g.sub) is not Atom and self._own(g.sub, g.agent):  # an atom has none
                     return None
                 modal[abs(x)] = g
-            elif kind is not Atom:
-                return None
         if modal:
             groups = _Groups(modal, {}, [], self._own, self._tick)
             groups.sync(list(units))
@@ -636,20 +637,17 @@ def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list
     return {k: component[i] for k, i in owner.items()}, members
 
 
-_UNSET = object()  # a part not settled yet: unequal to every value
-
-
 class _Cofactor:
     """One modal literal's cofactored argument: op joins its parts, each
-    settled under the values in seen (one per dependent part), and what
-    is read off them, the joined argument and its conjuncts, is made
-    when first asked for and kept until a part changes."""
+    dependent one the settle cache's entry for its dependencies' current
+    values, and what is read off them, the joined argument and its
+    conjuncts, is made when first asked for and kept until a part
+    changes."""
 
-    __slots__ = ("op", "seen", "parts", "arg", "conj")
+    __slots__ = ("op", "parts", "arg", "conj")
 
-    def __init__(self, op: type, dependent: int, raw: list[Formula], arg: Formula | None) -> None:
-        self.op, self.seen, self.parts = op, [_UNSET] * dependent, list(raw)
-        self.arg, self.conj = arg, None
+    def __init__(self, op: type, raw: list[Formula], arg: Formula | None) -> None:
+        self.op, self.parts, self.arg, self.conj = op, list(raw), arg, None
 
     def argument(self) -> Formula:
         if self.arg is None:
@@ -686,11 +684,11 @@ class _Groups:
     that read it.  M_i phi is cofactored one part of phi at a time: the
     conjuncts of a conjunction, joined by And, of a negated one, each
     negated, joined by Or, or phi alone; a part with no dependency is
-    taken as it is.  Each modal literal keeps a _Cofactor, and literal
-    re-settles only the parts whose values changed since it last looked
-    (a settled part is cached by its values, and once every value is
-    set both signs of the literal share it).  tick is the Decider's
-    budget check, which settling a <-> calls."""
+    taken as it is.  Each modal literal keeps a _Cofactor, whose parts
+    literal reads from one memo, the settle cache: a settled part is
+    kept under its dependencies' values, by literal while one is unset
+    and by variable, for both signs, once every one is set.  tick is
+    the Decider's budget check, which settling a <-> calls."""
 
     __slots__ = (
         *("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending"),
@@ -706,11 +704,10 @@ class _Groups:
         tick: Tick,
     ) -> None:
         self.modal, self.deps, self.value, self.own, self.tick = modal, deps, value, own, tick
-        # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some):
-        # one dependency is a variable, several a tuple of them
-        self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, int | tuple]]]] = {}
+        # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some)
+        self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, tuple[int, ...]]]]] = {}
         self.literals: dict[int, _Cofactor] = {}  # literal +-v -> its cofactor
-        self.cache: dict[tuple[int, int, object], Formula] = {}  # (literal or variable, part, values) -> settled part
+        self.cache: dict[tuple[int, int, tuple], Formula] = {}  # (literal or variable, part, values) -> settled part
         self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
         self.watch: dict[int, list[int]] = {}
         for v, ws in deps.items():
@@ -724,8 +721,10 @@ class _Groups:
         self.head = 0  # trail[:head] is in the blocks
 
     def literal(self, v: int, positive: bool) -> _Cofactor:
-        """The literal's cofactor, each part whose values changed since
-        the last call settled again."""
+        """The literal's cofactor, each dependent part read from the
+        settle cache under its dependencies' current values and settled
+        on a miss: a part whose values did not change since the last
+        call hits the key it hit then."""
         split = self.split.get(v)
         if split is None:
             leaf = self.modal[v]
@@ -736,25 +735,23 @@ class _Groups:
                 own = tuple(dict.fromkeys(var[g] for g in self.own(c, leaf.agent))) if var else ()
                 raw.append(c if own or not negated else fold(Not(c)))
                 if own:
-                    dependent.append((k, own[0] if len(own) == 1 else own))
+                    dependent.append((k, own))
             split = self.split[v] = Or if negated else And, var, raw, dependent
         op, var, raw, dependent = split
         x = v if positive else -v
         c = self.literals.get(x)
         if c is None:  # an argument without dependencies is kept as written
-            c = self.literals[x] = _Cofactor(op, len(dependent), raw, None if dependent else self.modal[v].sub)
-        seen, parts, value = c.seen, c.parts, self.value
-        for i, (k, own) in enumerate(dependent):
-            now = value[own] if type(own) is int else tuple([value[w] for w in own])
-            if now != seen[i]:
-                seen[i] = now
-                key = (x if now is None or type(now) is tuple and None in now else v, k, now)
-                done = self.cache.get(key)
-                if done is None:
-                    done = self.cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
-                if done is not parts[k]:
-                    parts[k] = done
-                    c.arg = c.conj = None
+            c = self.literals[x] = _Cofactor(op, raw, None if dependent else self.modal[v].sub)
+        parts, value, cache = c.parts, self.value, self.cache
+        for k, own in dependent:
+            now = tuple([value[w] for w in own])
+            key = (x if None in now else v, k, now)
+            done = cache.get(key)
+            if done is None:
+                done = cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
+            if done is not parts[k]:
+                parts[k] = done
+                c.arg = c.conj = None
         return c
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
@@ -866,10 +863,11 @@ class _Block:
     its sequence and a hash of its set), and the record of the literals
     outside the pair's two, (agent, pos_l, neg_l, pos_n, neg_n) as in
     AgentBlock, each positive argument beside its conjuncts, all read
-    off their cofactors (see _block_ok).  The record is current for lits[:dirty]; a literal whose cofactor
-    changed, or that joins or leaves the pair, moves dirty back to its
-    position, so group cuts each of the record's lists back to its
-    length when lits[dirty] came in and redoes the record from there."""
+    off their cofactors (see _block_ok).  The record is current for
+    lits[:dirty]; a literal whose cofactor changed, or that joins or
+    leaves the pair, moves dirty back to its position, so group cuts
+    each of the record's lists back to its length when lits[dirty] came
+    in and redoes the record from there."""
 
     __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "record", "into", "dirty")
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from onlyknow import k45
+from onlyknow import decision, k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import BudgetExceededError, Decider, _Groups, _Trail
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
@@ -702,6 +702,20 @@ def test_memo_does_not_change_verdicts():
         assert shared.consistent(f).status == Decider().consistent(f).status, to_text(f)
 
 
+def test_the_group_memo_stays_exact_when_every_hash_collides(monkeypatch):
+    # _Groups.key keeps a group verdict under a hash of its literal set.
+    # With every hash 0 all sets share one key, so a hit must still check
+    # the sequence's number or its literals.  In the first formula a
+    # passing set is kept before the search reaches two failing ones.
+    formulas = [parse("(N1 p | N1 q) & ~N1 (p | s) & L1 r", 2)]
+    formulas += [parse(t, 2) for t in ("(L1 p | L1 q) & ~L1 p & N1 ~q", "O1 p & (L1 q | ~L1 q)")]
+    formulas += [generate_random(seed + 7000, "full", max_modal_depth=2, n_atoms=2, n_agents=2) for seed in range(60)]
+    expected = [Decider().consistent(f).status for f in formulas]
+    assert expected[0] == "unsatisfiable"
+    monkeypatch.setattr(decision, "hash", lambda key: 0, raising=False)
+    assert [Decider().consistent(f).status for f in formulas] == expected
+
+
 def test_trace_logs_memo_hits_and_keeps_the_verdict():
     # both agents' groups ask whether ~(p & q) is satisfiable; the
     # second ask is answered from the memo
@@ -931,6 +945,14 @@ def _alternating(n):
     return f
 
 
+def _wide_body():
+    """L1 p & q0 & ... & q9999: a modal argument with one dependent
+    conjunct among 10,000 that hold none.  The cofactor splits it into
+    parts, or, negated, into each part's negation under Or, so settling
+    the dependent part never walks the others."""
+    return conj([L(1, p)] + [Atom(f"q{j}") for j in range(10_000)])
+
+
 # (name, what to run, the answer it must give, seconds allowed).  The
 # formulas are built inside the runs, so none outlives its test.
 _DEEP = [
@@ -948,6 +970,18 @@ _DEEP = [
     ("simplify", lambda: simplify(_chain(And, 10_000)) is _chain(And, 10_000), True, 1),
     ("substitute", lambda: simplify(substitute_atom(_chain(And, 10_000), "p5", FALSE)), FALSE, 1),
     ("assign", lambda: assign(_chain(Or, 10_000), {Atom("p0"): True}), TRUE, 1),
+    (
+        "cofactor-negated-conjunction",
+        lambda: Decider().consistent(conj([N(1, Not(_wide_body())), Not(N(1, Atom("r"))), L(1, Atom("s"))])).status,
+        "satisfiable",
+        2,
+    ),
+    (
+        "cofactor-conjunction",
+        lambda: Decider().consistent(And(L(1, _wide_body()), Not(L(1, Atom("r"))))).status,
+        "satisfiable",
+        2,
+    ),
     ("alternating-nesting", lambda: Decider().consistent(_alternating(160)).status, "satisfiable", 1),
     ("parse-parens", lambda: parse("(" * 5000 + "p" + ")" * 5000), p, 1),
     ("parse-nested", lambda: parse(" & (".join(f"p{i}" for i in range(5000)) + ")" * 4999) is _right(And, 5000), True, 1),

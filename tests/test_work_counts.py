@@ -11,11 +11,13 @@ The counts are read through wrappers, as in
 test_a_default_theory_question_searches_few_formulas: _sat calls,
 _search calls, group tests (_group_ok calls), the clauses that
 to_clauses makes, the literals that the group blocks take in
-(_Block.push calls), and the literals the searches assign
+(_Block.push calls), the literals the searches assign
 (_Trail.assign calls: set-up units, unit propagation, decisions and
-only knowing's forced literals).  A wrapper fails the point at once
-when its count passes CAP times its row, so a change that makes the
-engine blow up fails in seconds instead of running on."""
+only knowing's forced literals), and the rounds of the pair's
+propagation (Decider._forced calls, made only in a search with an N
+literal whose argument has dependencies).  A wrapper fails the point
+at once when its count passes CAP times its row, so a change that
+makes the engine blow up fails in seconds instead of running on."""
 
 import importlib.util
 import json
@@ -30,7 +32,7 @@ from onlyknow.formula import parse
 
 TESTS = Path(__file__).resolve().parent
 ROWS = json.loads((TESTS / "work_counts.json").read_text())
-COUNTS = ("sat", "search", "group_ok", "clauses", "push", "assign")
+COUNTS = ("sat", "search", "group_ok", "clauses", "push", "assign", "forced")
 CAP = 4
 
 
@@ -66,6 +68,7 @@ def _count_work(monkeypatch, row: dict) -> dict[str, int]:
     counted(Decider, "_group_ok", "group_ok")
     counted(_Block, "push", "push")
     counted(_Trail, "assign", "assign")
+    counted(Decider, "_forced", "forced")
     to_clauses = decision.to_clauses
 
     def clausify(*args):
