@@ -129,6 +129,8 @@ def _cmd_decide(args) -> int:
         record = _decide_one(args.formula, args.mode, args.agents, trace, deadline)
         _emit(args, record)
         return _verdict_code(record["verdict"])
+    if args.trace:  # the lines may run in worker processes, whose trace would interleave
+        raise ValueError("--trace cannot be combined with --batch")
 
     with open(args.batch) as handle:
         lines = [ln for ln in map(str.strip, handle) if ln and not ln.startswith("#")]

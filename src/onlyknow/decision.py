@@ -51,10 +51,11 @@ pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
 unassignment re-reads only those, one part at a time from a cache
 keyed by its dependencies' values.  The tests read parts: a block's
-record has AgentBlock's layout, with each positive argument kept
-beside its conjuncts, read off its cofactor, and the pair rule reads
-the base's settled parts, so a side is joined only for a subquery, or
-a trace line, that needs the whole.
+record has AgentBlock's layout, but each positive side is one list of
+conjuncts, read off the cofactors (L_i a & L_i b is L_i (a & b), so
+which argument a conjunct came from does not matter), and the pair
+rule reads the base's settled parts, so a side is joined only for a
+subquery, or a trace line, that needs the whole.
 
 A negated conjunct's test, the pair's own test and the pair's
 propagation (below) ask one question of a positive part pos, whether it
@@ -75,8 +76,7 @@ runs theory propagation to its fixpoint before the consistency check.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from operator import itemgetter
 
@@ -185,8 +185,9 @@ class Decider:
         """The group test for one agent's conjuncts, whose arguments need
         only be objective for that agent, as the normal form's and the
         search's cofactors are; they need not be normalized.  b becomes
-        a group record once, each positive argument beside its conjuncts."""
-        pos_l, pos_n = ([(g, conjuncts(g)) for g in pos] for pos in (b.pos_l, b.pos_n))
+        a group record once, each positive side the list of its
+        arguments' conjuncts."""
+        pos_l, pos_n = ([c for g in pos for c in conjuncts(g)] for pos in (b.pos_l, b.pos_n))
         return self._block_ok((b.agent, pos_l, b.neg_l, pos_n, b.neg_n), 0)
 
     # -- recursion ----------------------------------------------------------
@@ -373,14 +374,14 @@ class Decider:
             low = groups.literal(v, False)
             psis = [modal[w].sub for w in pending]
             what = "the base's low bound"
-            by_low = list(self._entailed(agent, what, low.conjuncts(), psis, level + 1, low.argument))
+            by_low = list(self._entailed(agent, what, low.conjuncts(), psis, level + 1))
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
                 block.group(groups)
-                parts, whole = _with(groups.literal(v, True), block.record[1])
+                parts = chain(groups.literal(v, True).conjuncts(), block.record[1])
                 what = "the base's high bound and the other positive L parts"
-                by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1, whole)) if e}
+                by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1)) if e}
             for w, psi, e in zip(pending, psis, by_low):
                 if not e or psi in by_high:
                     forced.append(w if e else -w)
@@ -391,33 +392,27 @@ class Decider:
         return bool(forced)
 
     def _entailed(
-        self,
-        agent: int,
-        what: str,
-        parts: Iterable[Formula],
-        psis: Iterable[Formula],
-        level: int,
-        whole: Callable[[], Formula],
+        self, agent: int, what: str, parts: Iterable[Formula], psis: Iterable[Formula], level: int
     ) -> Iterator[bool]:
-        """Does pos, the conjunction of parts that whole() joins and what
-        names in the trace, entail each distinct psi?  Every question of
-        a group test is this one: a negated M_i phi passes iff pos does
-        not entail phi, and only knowing's pair passes and propagates by
-        what its base entails.  The answers come one at a time, so a
-        caller that stops at one runs no search for the rest; callers
-        read them with in, since any() or all() would add a frame.  Yes
-        at once when psi is one of the parts.  Otherwise pos & ~psi is
-        searched against psi's partner, the components of pos that psi
-        touches: parts that share no atom and no agent of a Boolean-level
-        modal leaf fall into components whose models combine, and
-        whole() is called only for a psi that touches them all.  The
-        components are found at the first psi that is not a part, for
-        all of them, and each component that some psi leaves out must be
-        satisfiable, so that each answer holds alone (yes for every psi
-        when one is not): a lone literal is, the memo answers those it
-        knows, and the rest are searched together, then memoized.  The
-        partner alone is searched when ~psi is one of the parts, and
-        nothing when what is left is a lone literal."""
+        """Does pos, the conjunction of parts, which what names in the
+        trace, entail each distinct psi?  Every question of a group test
+        is this one: a negated M_i phi passes iff pos does not entail
+        phi, and only knowing's pair passes and propagates by what its
+        base entails.  The answers come one at a time, so a caller that
+        stops at one runs no search for the rest; callers read them with
+        in, since any() or all() would add a frame.  Yes at once when
+        psi is one of the parts.  Otherwise pos & ~psi is searched
+        against psi's partner, the components of pos that psi touches:
+        parts that share no atom and no agent of a Boolean-level modal
+        leaf fall into components whose models combine, and the distinct
+        parts are joined whole, left to right, only for a psi that
+        touches them all.  The components are found at the first psi
+        that is not a part, for all of them, and each component that some
+        psi leaves out must be satisfiable, so that each answer holds
+        alone (yes for every psi when one is not): a lone literal is, the
+        memo answers those it knows, and the rest are searched together,
+        then memoized.  The partner alone is searched when ~psi is one of
+        the parts, and nothing when what is left is a lone literal."""
         given = dict.fromkeys(parts)
         psis = dict.fromkeys(psis)
         touched: dict[Formula, set[int]] | None = None  # psi -> the components it touches; none while pos is true
@@ -467,7 +462,7 @@ class Decider:
                 partner = TRUE
             elif len(cs) == len(members):
                 if pos is None:
-                    pos = whole()
+                    pos = join(And, parts)
                 partner = pos
             elif len(cs) == 1 and joined[min(cs)] is not None:
                 partner = joined[min(cs)]
@@ -496,37 +491,33 @@ class Decider:
             return self._block_ok(block.record, level)
         agent, xs, negs, _, _ = block.record
         if negs:
-            parts, whole = _with(groups.literal(pair, True), xs)
-            if True in self._entailed(agent, "the positive L part", parts, negs, level, whole):
+            parts = chain(groups.literal(pair, True).conjuncts(), xs)
+            if True in self._entailed(agent, "the positive L part", parts, negs, level):
                 return False
         if self.trace:
             what = f"agent {agent}: only-knowing base must entail the other positive L parts"
-            self.trace(level, what, _joined(xs))
+            self.trace(level, what, join(And, xs))
         if not xs:
             return True
         low, what = groups.literal(pair, False), "the base's low bound"
-        return False not in self._entailed(agent, what, low.conjuncts(), _conjuncts(xs), level, low.argument)
+        return False not in self._entailed(agent, what, low.conjuncts(), xs, level)
 
     def _block_ok(self, record: tuple, level: int) -> bool:
         """The group test for one agent's record (agent, pos_l, neg_l,
-        pos_n, neg_n), AgentBlock's layout: per modality, the positive
-        arguments, none of them true, each as the pair (argument, its
-        conjuncts), and the negated arguments.  The negated tests read
-        the conjuncts; a side's arguments are joined, left to right, only
-        for a subquery that needs the whole, as the union does."""
+        pos_n, neg_n), AgentBlock's layout: per modality, the conjuncts
+        of the positive arguments, as one list, and the negated
+        arguments.  The negated tests read the conjuncts; a side is
+        joined, left to right, only for a subquery that needs the whole,
+        as the union does."""
         agent, pos_l, neg_l, pos_n, neg_n = record
         if not (neg_l or neg_n or pos_l and pos_n):
             # Nothing negated and one positive side true: the union is valid.
             return True
-        if neg_l and True in self._entailed(
-            agent, "the positive L part", _conjuncts(pos_l), neg_l, level, partial(_joined, pos_l)
-        ):
+        if neg_l and True in self._entailed(agent, "the positive L part", pos_l, neg_l, level):
             return False
-        if neg_n and True in self._entailed(
-            agent, "the positive N part", _conjuncts(pos_n), neg_n, level, partial(_joined, pos_n)
-        ):
+        if neg_n and True in self._entailed(agent, "the positive N part", pos_n, neg_n, level):
             return False
-        union = connect(Or, _joined(pos_l), _joined(pos_n))
+        union = connect(Or, join(And, pos_l), join(And, pos_n))
         if self.trace:
             self.trace(level, f"agent {agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
@@ -573,26 +564,6 @@ class Decider:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
-
-
-_Side = Sequence[tuple[Formula, list[Formula]]]  # a record's positive side: (argument, its conjuncts) each
-
-
-def _with(base: _Cofactor, xs: _Side) -> tuple[Iterable[Formula], Callable[[], Formula]]:
-    """The conjuncts of base & X, X the positive L arguments xs of a
-    group's record, for _entailed, and the call that joins the two, made
-    only for a subquery that needs the whole."""
-    return chain(base.conjuncts(), _conjuncts(xs)), lambda: connect(And, base.argument(), _joined(xs))
-
-
-def _joined(pos: _Side) -> Formula:
-    """The left fold join(And, ...) of a record side's positive arguments."""
-    return join(And, map(itemgetter(0), pos))
-
-
-def _conjuncts(pos: _Side) -> Iterator[Formula]:
-    """The conjuncts of a record side's positive arguments, in order."""
-    return chain.from_iterable(map(itemgetter(1), pos))
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:
@@ -862,7 +833,7 @@ class _Block:
     up, not searched for), the memo key of each prefix (the number of
     its sequence and a hash of its set), and the record of the literals
     outside the pair's two, (agent, pos_l, neg_l, pos_n, neg_n) as in
-    AgentBlock, each positive argument beside its conjuncts, all read
+    AgentBlock, each positive side the list of its conjuncts, all read
     off their cofactors (see _block_ok).  The record is current for
     lits[:dirty]; a literal whose cofactor changed, or that joins or
     leaves the pair, moves dirty back to its position, so group cuts
@@ -944,10 +915,7 @@ class _Block:
             if x < 0:
                 negs.append(groups.literal(v, False).argument() if v in deps else leaf.sub)
                 continue
-            c = groups.literal(v, True) if v in deps else None
-            arg, cs = (c.argument(), c.conjuncts()) if c else (leaf.sub, conjuncts(leaf.sub))
-            if cs:  # a true argument adds no part
-                pos.append((arg, cs))
+            pos += groups.literal(v, True).conjuncts() if v in deps else conjuncts(leaf.sub)  # none when true
         self.dirty = len(into)
         return pair
 

@@ -18,8 +18,8 @@ a stack of them per agent, and one of sigmas, that its trail pushes
 onto and a backtrack pops.  A block keeps each positive side as its
 arguments, in the order they came, and only a rendered disjunct joins
 them, so a consumer that counts the stream builds no conjunction for
-them.  The search's group record has the block's layout, with each
-positive argument beside its conjuncts.
+them.  The search's group record has the block's layout, but keeps
+each positive side as one list of its arguments' conjuncts.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -247,10 +247,12 @@ class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defau
     pos_l/pos_n are tuples of the arguments of the positive L/N
     conjuncts, in the order they came, () when there are none; neg_l/neg_n
     are tuples of the arguments of the negated ones, all objective for
-    this agent.  A positive side is kept as parts, as the search's
-    group record keeps it, and joined only by ``to_formula``; a side
-    whose join is false is ``(false,)``.  ``add`` returns the group with
-    one more literal, so the stream's stacks share their blocks.
+    this agent.  A positive side is kept as parts, the arguments as
+    they came (the search's group record keeps their conjuncts), and
+    joined only by ``to_formula``, which renders each argument as
+    written; a side whose join is false is ``(false,)``.  ``add``
+    returns the group with one more literal, so the stream's stacks
+    share their blocks.
     """
 
     __slots__ = ()

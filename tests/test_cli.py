@@ -83,6 +83,19 @@ def test_decide_trace_goes_to_stderr(capsys):
         ("p & ~p & L1 q", 1, []),
         ("p & L1 q & ~p", 1, ["satisfiable?: p & L1 q & ~p"]),
         (
+            # A positive side is one list of conjuncts, so a nested
+            # conjunction prints flat in the union.
+            "L1 p & L1 (q & (r & s)) & ~L1 t & N1 u",
+            1,
+            [
+                "satisfiable?: L1 p & L1 (q & (r & s)) & ~L1 t & N1 u",
+                "  agent 1: entailed by the positive L part?: t",
+                "  agent 1: union of positive parts must be valid: p & q & r & s | u",
+                "    satisfiable?: ~(p & q & r & s | u)",
+                "      satisfying literals: ~p & ~u",
+            ],
+        ),
+        (
             "V p | q",
             0,
             [
@@ -328,6 +341,16 @@ def test_parse_and_classify(capsys):
     code, out, _ = run(capsys, "classify", "--agent", "1", "q & N2 L1 p")
     assert code == 0
     assert "i_objective: True" in out
+
+
+def test_batch_with_trace_is_an_input_error(tmp_path, capsys):
+    # A batch prints no trace, so asking for one is refused, not ignored.
+    batch = tmp_path / "batch.txt"
+    batch.write_text("p\n")
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "--batch", str(batch))
+    assert code == 2
+    assert out == ""
+    assert "--trace" in err and "--batch" in err
 
 
 def test_jobs_parallel_batch(tmp_path, capsys):

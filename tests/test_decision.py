@@ -8,7 +8,7 @@ import pytest
 
 from onlyknow import decision, k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import BudgetExceededError, Decider, _Groups, _Trail
+from onlyknow.decision import BudgetExceededError, Decider, Verdict, _Groups, _Trail
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
 from onlyknow.formula import (
     And,
@@ -45,6 +45,23 @@ p, q = Atom("p"), Atom("q")
 
 
 # -- V elimination -----------------------------------------------------
+
+
+def test_verdict_compares_by_status_and_reads_as_its_truth():
+    assert Verdict("valid") == Verdict("valid")
+    assert Verdict("valid") != Verdict("invalid")
+    assert Verdict("valid") != "valid"
+    assert repr(Verdict("valid")) == "Verdict(status='valid')"
+    with pytest.raises(TypeError):
+        hash(Verdict("valid"))
+    truth = {s: bool(Verdict(s)) for s in ("satisfiable", "unsatisfiable", "valid", "invalid")}
+    assert truth == {"satisfiable": True, "unsatisfiable": False, "valid": True, "invalid": False}
+    match Verdict("valid"):
+        case Verdict("valid"):
+            matched = True
+        case _:
+            matched = False
+    assert matched
 
 
 def test_eliminate_val_examples():

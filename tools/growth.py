@@ -1,4 +1,4 @@
-"""Growth curves of the engine on ten seeded families.
+"""Growth curves of the engine on twelve seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -31,6 +31,15 @@ also written as JSON.  It runs at Python's default recursion limit
   parse      parse the text of an n-term chain and count the distinct
              nodes, 2n - 1: p0 & ... & p(n-1), p0 -> ... -> p(n-1), and
              p0 & (p1 & (... & p(n-1))) with n - 1 nested parentheses
+  chain      believes(1, kb, p_k) on the k chained defaults
+             p0 & (p_j & ~L1 ~p_(j+1) -> p_(j+1)), j < k: each
+             conclusion is the next default's prerequisite ("yes")
+  nixon      believes(1, kb, q) on k Nixon diamonds
+             q_j & r_j & (q_j & ~L1 ~p_j -> p_j) & (r_j & ~L1 p_j -> h_j)
+             & (h_j -> ~p_j), two conflicting defaults each, which give
+             two stable expansions apiece: p0 | h0 ("first") and
+             p_(k-1) | h_(k-1) ("last") are believed, p_(k-1) ("no") is
+             not
 
 The sizes are fixed below, so two versions of the engine run the same
 points.
@@ -69,6 +78,8 @@ SIZES = {
     "nested-l": (2, 3, 4, 5, 6),
     "nested-l-sat": (100, 200, 400),
     "parse": (1000, 10_000, 100_000),
+    "chain": (32, 64, 128, 256, 512),
+    "nixon": (2, 4, 6, 8, 10, 12),
 }
 RUNS = 3
 # Answers of the seeded 3-CNF instances at ratio 4.26.
@@ -147,6 +158,17 @@ def points(family: str, size: int) -> list[Point]:
         terms = [f"p{j}" for j in range(size)]
         texts = (" & ".join(terms), " -> ".join(terms), " & (".join(terms) + ")" * (size - 1))
         return [(case, lambda text=text: _nodes(text), 2 * size - 1) for case, text in zip(("and", "implies", "parens"), texts)]
+    if family == "chain":
+        kb = " & ".join(["p0", *(f"(p{j} & ~L1 ~p{j + 1} -> p{j + 1})" for j in range(size))])
+        return [("yes", lambda f=parse(kb), q=parse(f"p{size}"): believes(1, f, q), True)]
+    if family == "nixon":
+        kb = parse(" & ".join(
+            f"q{j} & r{j} & (q{j} & ~L1 ~p{j} -> p{j}) & (r{j} & ~L1 p{j} -> h{j}) & (h{j} -> ~p{j})"
+            for j in range(size)
+        ))
+        last = size - 1
+        cases = (("first", "p0 | h0", True), ("last", f"p{last} | h{last}", True), ("no", f"p{last}", False))
+        return [(case, lambda q=parse(text): believes(1, kb, q), answer) for case, text, answer in cases]
     raise ValueError(f"unknown family {family!r}")
 
 
