@@ -83,6 +83,17 @@ def test_decide_trace_goes_to_stderr(capsys):
         ("p & ~p & L1 q", 1, []),
         ("p & L1 q & ~p", 1, ["satisfiable?: p & L1 q & ~p"]),
         (
+            "V p | q",
+            0,
+            [
+                "resolve validity operator: p",
+                "  satisfiable?: ~p",
+                "    satisfying literals: ~p",
+                "satisfiable?: q",
+                "  satisfying literals: q",
+            ],
+        ),
+        (
             # A positive side is one list of conjuncts, so a nested
             # conjunction prints flat in the union.
             "L1 p & L1 (q & (r & s)) & ~L1 t & N1 u",
@@ -93,17 +104,6 @@ def test_decide_trace_goes_to_stderr(capsys):
                 "  agent 1: union of positive parts must be valid: p & q & r & s | u",
                 "    satisfiable?: ~(p & q & r & s | u)",
                 "      satisfying literals: ~p & ~u",
-            ],
-        ),
-        (
-            "V p | q",
-            0,
-            [
-                "resolve validity operator: p",
-                "  satisfiable?: ~p",
-                "    satisfying literals: ~p",
-                "satisfiable?: q",
-                "  satisfying literals: q",
             ],
         ),
     ],
