@@ -318,28 +318,23 @@ class Decider:
         in agent order.  The blocks take in the literals assigned since
         the last call; a backtrack has popped the others already.  An
         agent's literal set fixes its cofactors, since every dependency
-        is one of its modal atoms, so each set is tested once: a block's
-        verdict is kept under its set's hash with the number of its
-        literal sequence, and a later block hits when its sequence has
-        that number, or its literals, in any order, that set.  A failing
-        group fails under every extension, so it prunes.  A search with
-        no modal variable has no groups."""
+        is one of its modal atoms, so each set is tested once: its
+        verdict is kept under the set itself, and a later block with the
+        same literals, in any order, reads it.  A failing group fails
+        under every extension, so it prunes.  A search with no modal
+        variable has no groups."""
         if groups is None:
             return True
         groups.sync(trail)
         tested = groups.tested
         for agent in groups.agents:
             block = groups.blocks[agent]
-            lits = block.lits
-            if not lits:
+            if not block.lits:
                 continue
-            number, key = groups.key(block)
-            seen = tested.get(key)
-            if seen is not None and (seen[0] == number or groups.literal_set(seen[0]) == set(lits)):
-                ok = seen[1]
-            else:
-                ok = self._group_ok(block, groups, level)
-                tested[key] = number, ok
+            key = frozenset(block.lits)
+            ok = tested.get(key)
+            if ok is None:
+                ok = tested[key] = self._group_ok(block, groups, level)
             if not ok:
                 return False
         return True
@@ -496,7 +491,7 @@ class Decider:
                 return False
         if self.trace:
             what = f"agent {agent}: only-knowing base must entail the other positive L parts"
-            self.trace(level, what, join(And, xs))
+            self.trace(level, what, join(And, dict.fromkeys(xs)))
         if not xs:
             return True
         low, what = groups.literal(pair, False), "the base's low bound"
@@ -506,9 +501,9 @@ class Decider:
         """The group test for one agent's record (agent, pos_l, neg_l,
         pos_n, neg_n), AgentBlock's layout: per modality, the conjuncts
         of the positive arguments, as one list, and the negated
-        arguments.  The negated tests read the conjuncts; a side is
-        joined, left to right, only for a subquery that needs the whole,
-        as the union does."""
+        arguments.  The negated tests read the conjuncts; a side's
+        distinct conjuncts are joined, left to right, only for a
+        subquery that needs the whole, as the union does."""
         agent, pos_l, neg_l, pos_n, neg_n = record
         if not (neg_l or neg_n or pos_l and pos_n):
             # Nothing negated and one positive side true: the union is valid.
@@ -517,7 +512,7 @@ class Decider:
             return False
         if neg_n and True in self._entailed(agent, "the positive N part", pos_n, neg_n, level):
             return False
-        union = connect(Or, join(And, pos_l), join(And, pos_n))
+        union = connect(Or, join(And, dict.fromkeys(pos_l)), join(And, dict.fromkeys(pos_n)))
         if self.trace:
             self.trace(level, f"agent {agent}: union of positive parts must be valid", union)
         return not self._sat(fold(Not(union)), level + 1)
@@ -648,7 +643,7 @@ class _Cofactor:
 class _Groups:
     """The group state of one search, which follows its trail: the
     cofactored modal atoms, a block per agent, the group tests' verdicts
-    by block, and a watch list per dependency variable, the modal
+    by literal set, and a watch list per dependency variable, the modal
     variables whose arguments read it.  sync takes in the trail literals
     assigned since the last call and undo pops them again, and each
     assignment or unassignment of a dependency touches only the literals
@@ -663,7 +658,7 @@ class _Groups:
 
     __slots__ = (
         *("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending"),
-        *("watch", "blocks", "agents", "numbers", "links", "tested", "head"),
+        *("watch", "blocks", "agents", "tested", "head"),
     )
 
     def __init__(
@@ -686,9 +681,7 @@ class _Groups:
                 self.watch.setdefault(w, []).append(v)
         self.blocks: dict[int, _Block] = {}
         self.agents: list[int] = []  # the blocks' agents, in order
-        self.numbers: dict[tuple[int, int], int] = {}  # (number of a sequence, literal) -> number of the longer one
-        self.links: list[tuple[int, int]] = [(0, 0)]  # number -> (number of the sequence one shorter, last literal)
-        self.tested: dict[int, tuple[int, bool]] = {}  # hash of a literal set -> (a sequence's number, its verdict)
+        self.tested: dict[frozenset[int], bool] = {}  # a block's literal set -> its verdict
         self.head = 0  # trail[:head] is in the blocks
 
     def literal(self, v: int, positive: bool) -> _Cofactor:
@@ -787,28 +780,6 @@ class _Groups:
                 block.touch(readers)
         self.head = len(trail)
 
-    def key(self, block: _Block) -> tuple[int, int]:
-        """The block's memo key: the number of its literal sequence and
-        a hash of its set, whatever the order."""
-        keys, numbers, links = block.keys, self.numbers, self.links
-        number, key = keys[-1]
-        for x in block.lits[len(keys) - 1 :]:
-            longer = numbers.get((number, x))
-            if longer is None:
-                longer = numbers[number, x] = len(links)
-                links.append((number, x))
-            number, key = longer, key ^ hash((2 * x,))  # hash(-1) is hash(-2); 2 * x is never -1
-            keys.append((number, key))
-        return number, key
-
-    def literal_set(self, number: int) -> set[int]:
-        """The literals of the sequence number."""
-        out = set()
-        while number:
-            number, x = self.links[number]
-            out.add(x)
-        return out
-
     def undo(self, trail: list[int], at: int) -> None:
         """Pop the literals of trail[at:] that sync took in."""
         modal, blocks, watch = self.modal, self.blocks, self.watch
@@ -830,23 +801,21 @@ class _Block:
     """One agent's modal literals on the trail, in trail order, and what
     its group test reads, kept as literals come and go: the N literals,
     each positive L literal by its argument (so O_i a's pair is looked
-    up, not searched for), the memo key of each prefix (the number of
-    its sequence and a hash of its set), and the record of the literals
-    outside the pair's two, (agent, pos_l, neg_l, pos_n, neg_n) as in
-    AgentBlock, each positive side the list of its conjuncts, all read
-    off their cofactors (see _block_ok).  The record is current for
-    lits[:dirty]; a literal whose cofactor changed, or that joins or
-    leaves the pair, moves dirty back to its position, so group cuts
-    each of the record's lists back to its length when lits[dirty] came
-    in and redoes the record from there."""
+    up, not searched for), and the record of the literals outside the
+    pair's two, (agent, pos_l, neg_l, pos_n, neg_n) as in AgentBlock,
+    each positive side the list of its conjuncts, all read off their
+    cofactors (see _block_ok).  The record is current for lits[:dirty];
+    a literal whose cofactor changed, or that joins or leaves the pair,
+    moves dirty back to its position, so group cuts each of the
+    record's lists back to its length when lits[dirty] came in and
+    redoes the record from there."""
 
-    __slots__ = ("agent", "lits", "at", "keys", "ns", "ls", "skip", "record", "into", "dirty")
+    __slots__ = ("agent", "lits", "at", "ns", "ls", "skip", "record", "into", "dirty")
 
     def __init__(self, agent: int) -> None:
         self.agent = agent
         self.lits: list[int] = []
         self.at: dict[int, int] = {}  # variable -> its position in lits
-        self.keys = [(0, 0)]  # keys[k]: the memo key of lits[:k], as far as _Groups.key has taken it
         self.ns: list[tuple[int, Formula]] = []  # (literal, leaf) of each N literal
         self.ls: dict[Formula, int] = {}  # argument -> variable of each positive L literal
         self.skip: tuple[int, ...] = ()  # the pair's variables, L first, when the record leaves them out
@@ -866,7 +835,6 @@ class _Block:
     def pop(self, leaf: Formula) -> None:
         x = self.lits.pop()
         del self.at[abs(x)]
-        del self.keys[len(self.lits) + 1 :]
         if type(leaf) is N:
             self.ns.pop()
         elif x > 0:

@@ -106,6 +106,17 @@ def test_decide_trace_goes_to_stderr(capsys):
                 "      satisfying literals: ~p & ~u",
             ],
         ),
+        (
+            # A conjunct that two arguments share is joined once.
+            "L1 (p & q) & L1 (q & r) & N1 s",
+            1,
+            [
+                "satisfiable?: L1 (p & q) & L1 (q & r) & N1 s",
+                "  agent 1: union of positive parts must be valid: p & q & r | s",
+                "    satisfiable?: ~(p & q & r | s)",
+                "      satisfying literals: ~p & ~s",
+            ],
+        ),
     ],
 )
 def test_decide_trace_of_literal_sets(capsys, text, code, lines):

@@ -720,16 +720,21 @@ def test_memo_does_not_change_verdicts():
 
 
 def test_the_group_memo_stays_exact_when_every_hash_collides(monkeypatch):
-    # _Groups.key keeps a group verdict under a hash of its literal set.
-    # With every hash 0 all sets share one key, so a hit must still check
-    # the sequence's number or its literals.  In the first formula a
-    # passing set is kept before the search reaches two failing ones.
+    # The search keeps a group verdict under the block's literal set.
+    # With every set's hash 0 all sets share one bucket, so a hit must
+    # rest on the sets being equal, not on their hashes.  In the first
+    # formula a passing set is memoized before the search reaches two
+    # failing ones, which a hit on the hash alone would let pass.
+    class Colliding(frozenset):
+        def __hash__(self):
+            return 0
+
     formulas = [parse("(N1 p | N1 q) & ~N1 (p | s) & L1 r", 2)]
     formulas += [parse(t, 2) for t in ("(L1 p | L1 q) & ~L1 p & N1 ~q", "O1 p & (L1 q | ~L1 q)")]
     formulas += [generate_random(seed + 7000, "full", max_modal_depth=2, n_atoms=2, n_agents=2) for seed in range(60)]
     expected = [Decider().consistent(f).status for f in formulas]
     assert expected[0] == "unsatisfiable"
-    monkeypatch.setattr(decision, "hash", lambda key: 0, raising=False)
+    monkeypatch.setattr(decision, "frozenset", Colliding, raising=False)
     assert [Decider().consistent(f).status for f in formulas] == expected
 
 
