@@ -247,7 +247,7 @@ class Decider:
                 if g not in index:
                     variables.append(g)
                     index[g] = len(variables)
-            deps[v] = tuple(dict.fromkeys(index[g] for g in own))
+            deps[v] = tuple(map(index.__getitem__, own))
         clauses += ([-w, w] for w in dict.fromkeys(w for ws in deps.values() for w in ws))
         s = _Trail(len(variables), clauses, self._tick)
         if s.conflict:
@@ -397,20 +397,21 @@ class Decider:
         stops at one runs no search for the rest; callers read them with
         in, since any() or all() would add a frame.  Yes at once when
         psi is one of the parts.  Otherwise pos & ~psi is searched
-        against psi's partner, the components of pos that psi touches:
-        parts that share no atom and no agent of a Boolean-level modal
-        leaf fall into components whose models combine, and the distinct
-        parts are joined whole, left to right, only for a psi that
-        touches them all.  The components are found at the first psi
-        that is not a part, for all of them, and each component that some
-        psi leaves out must be satisfiable, so that each answer holds
-        alone (yes for every psi when one is not): a lone literal is, the
-        memo answers those it knows, and the rest are searched together,
-        then memoized.  The partner alone is searched when ~psi is one of
-        the parts, and nothing when what is left is a lone literal."""
+        against psi's partner, by one rule: the parts of the components
+        of pos that psi touches, joined left to right, once per call, in
+        a table keyed by the set of components (true for none).  Parts
+        that share no atom and no agent of a Boolean-level modal leaf
+        fall into components whose models combine, found at the first
+        psi that is not a part, for all of them.  Each component that
+        some psi leaves out must be satisfiable, so that each answer
+        holds alone (yes for every psi when one is not): a lone literal
+        is, the memo answers those it knows, and the rest are searched
+        together, then memoized.  The partner alone is searched when ~psi
+        is a part, and nothing when what is left is a lone literal."""
         given = dict.fromkeys(parts)
         psis = dict.fromkeys(psis)
-        touched: dict[Formula, set[int]] | None = None  # psi -> the components it touches; none while pos is true
+        touched: dict[Formula, frozenset[int]] = {}  # psi -> the components it touches; none while pos is true
+        partners = {frozenset(): TRUE}  # components -> their parts, joined left to right
         unsatisfiable = False
         for psi in psis:
             if self.trace:
@@ -418,18 +419,19 @@ class Decider:
             if psi in given:
                 yield True
                 continue
-            if touched is None and given:
+            if not touched and given:
                 parts = list(given)
                 keys = self._keys
                 component, members = _components([keys(p) for p in parts])
-                touched = {phi: {component[k] for k in keys(phi) if k in component} for phi in psis if phi not in given}
-                everywhere = set.intersection(*touched.values())
-                joined: list[Formula | None] = [None] * len(members)  # each component's parts, joined once
+                at = component.__getitem__
+                touched = {phi: frozenset(map(at, keys(phi) & component.keys())) for phi in psis if phi not in given}
+                everywhere = frozenset.intersection(*touched.values())
                 fresh = []
                 for c, ms in enumerate(members):
                     if c in everywhere:
                         continue
-                    alone = joined[c] = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
+                    alone = parts[ms[0]] if len(ms) == 1 else join(And, map(parts.__getitem__, ms))
+                    partners[frozenset((c,))] = alone
                     if _is_literal(alone):
                         continue
                     known = self._memo.get(alone)
@@ -448,22 +450,14 @@ class Decider:
                     unsatisfiable = not self._sat(together, level + 1)
                     if not unsatisfiable:
                         self._memo.update(dict.fromkeys(fresh, True))
-                pos = None
             if unsatisfiable:
                 yield True
                 continue
-            cs = touched[psi] if touched else ()
-            if not cs:
-                partner = TRUE
-            elif len(cs) == len(members):
-                if pos is None:
-                    pos = join(And, parts)
-                partner = pos
-            elif len(cs) == 1 and joined[min(cs)] is not None:
-                partner = joined[min(cs)]
-            else:
-                ms = sorted(i for c in cs for i in members[c])
-                partner = parts[ms[0]] if len(ms) == 1 else join(And, (parts[i] for i in ms))
+            cs = touched.get(psi, frozenset())
+            partner = partners.get(cs)
+            if partner is None:
+                ms = sorted(chain.from_iterable(map(members.__getitem__, cs)))
+                partner = partners[cs] = join(And, map(parts.__getitem__, ms))
             neg = fold(Not(psi))
             g = partner if neg in given else connect(And, partner, neg)
             yield not (_is_literal(g) or self._sat(g, level + 1))
@@ -696,7 +690,7 @@ class _Groups:
             var = {self.modal[w]: w for w in self.deps.get(v, ())}
             raw, dependent = [], []
             for k, c in enumerate(conjuncts(leaf.sub.sub if negated else leaf.sub)):
-                own = tuple(dict.fromkeys(var[g] for g in self.own(c, leaf.agent))) if var else ()
+                own = tuple(map(var.__getitem__, self.own(c, leaf.agent))) if var else ()
                 raw.append(c if own or not negated else fold(Not(c)))
                 if own:
                     dependent.append((k, own))

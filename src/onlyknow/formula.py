@@ -523,12 +523,18 @@ def join(op: type, parts: Iterable[Formula]) -> Formula:
 
 def leaves(f: Formula) -> Iterator[Formula]:
     """The Boolean-level leaves, left to right: atoms, constants, and
-    L/N/V formulas taken whole.  Iterative, so width costs no stack."""
+    L/N/V formulas taken whole.  Iterative, so width costs no stack, and
+    each binary node is entered once per call, so a shared subformula
+    is walked once; a leaf under two parents may still come twice."""
     stack = [f]
+    seen: set[Formula] = set()
     while stack:
         g = stack.pop()
         shape = _BOOLEAN_SHAPE.get(type(g))
         if shape == 2:
+            if g in seen:
+                continue
+            seen.add(g)
             stack += (g.right, g.left)
         elif shape:
             stack.append(g.sub)

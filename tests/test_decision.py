@@ -1119,6 +1119,22 @@ def test_budget_stops_a_cofactor_blow_up():
     assert time.monotonic() - start < 0.35
 
 
+def test_budget_stops_on_a_shared_subformula():
+    # f = f & (f | q_i), i < 20: 61 distinct nodes, 2^20 occurrences.
+    # formula.leaves enters each distinct node once, so the component
+    # keys and own modal atoms of f cost 61 steps, not 2^20, and the
+    # budget check stops the rest in time.
+    import time
+
+    f = p
+    for k in range(20):
+        f = And(f, Or(f, Atom(f"q{k}")))
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        Decider(deadline=start + 0.1).consistent(L(1, f) & Not(L(1, Atom("s"))))
+    assert time.monotonic() - start < 0.35
+
+
 @pytest.mark.parametrize("mode", ["consistent", "valid"])
 def test_modal_arguments_stay_whole_within_the_budget(mode):
     # Pushing the outer L1 over its argument made about 80,000 clauses;
