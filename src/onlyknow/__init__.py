@@ -33,22 +33,21 @@ from .formula import (
     simplify,
     to_text,
 )
-from .normal_form import (
-    AgentBlock,
-    NormalFormDisjunct,
-    reassemble,
-    to_normal_form,
-)
 from .decision import (
     BudgetExceededError,
     Decider,
     Verdict,
 )
 
-# The oracles and the query layer load on first use, so that deciding a
-# formula imports only the three modules above.  A name resolves through
-# the module __getattr__ (PEP 562), which keeps it in the globals.
+# The normal-form stream, the oracles and the query layer load on first
+# use, so that deciding a formula imports only the two modules above.
+# A name resolves through the module __getattr__ (PEP 562), which keeps
+# it in the globals.
 _LAZY = {
+    "AgentBlock": ("normal_form", "AgentBlock"),
+    "NormalFormDisjunct": ("normal_form", "NormalFormDisjunct"),
+    "reassemble": ("normal_form", "reassemble"),
+    "to_normal_form": ("normal_form", "to_normal_form"),
     "find_model": ("k45", "find_model"),
     "independent": ("k45", "independent"),
     "k45_sat": ("k45", "sat"),
@@ -74,7 +73,7 @@ _LAZY = {
     "generate_random": ("corpus", "generate_random"),
     "load_corpus": ("corpus", "load_corpus"),
 }
-_LAZY_MODULES = ("k45", "kripke", "finite_semantics", "autoepistemic", "corpus")
+_LAZY_MODULES = ("normal_form", "k45", "kripke", "finite_semantics", "autoepistemic", "corpus")
 
 
 def __getattr__(name: str) -> object:

@@ -17,11 +17,11 @@ import sys
 import time
 import traceback  # up front, so the internal-error handler needs no import
 
-# A subcommand imports what only it uses (the oracles, the query layer,
-# the process pool, json), so that deciding a formula loads no more.
+# A subcommand imports what only it uses (the normal-form stream, the
+# oracles, the query layer, the process pool, json), so that deciding a
+# formula loads no more.
 from .decision import BudgetExceededError, Decider
 from .formula import FormulaError, classify, parse, to_text
-from .normal_form import to_normal_form
 
 _POSITIVE = ("SAT", "VALID", "YES")
 
@@ -85,6 +85,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_nf(args) -> int:
+    from .normal_form import to_normal_form
+
     f = parse(args.formula, args.agents)
     for count, d in enumerate(to_normal_form(f)):
         if args.limit is not None and count >= args.limit:

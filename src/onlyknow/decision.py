@@ -27,21 +27,23 @@ stable-expansion reading of only knowing (Levesque, 1990), unless only
 knowing's pair decides them (below).
 
 The skeleton is put in clause form once (the KSAT construction of
-Giunchiglia & Sebastiani, 2000).  When every clause is a unit over an
-atom or a modal atom without such dependencies, those literals are the
-only candidate and are tested as they are; any other set is found by a
-DPLL search over the clauses.  One group state and one routine test a
-group on either path, the pair rule included.  A group that fails fails
-under every larger set of literals, so the test runs after each unit
-propagation and prunes the search.  A literal whose own atoms are not
-all assigned yet is tested with a weakened argument, implied by every
-cofactor it can still get: each literal over such an atom becomes true
-(false under a negated modality).  The clause form and the cofactors
-are read off the formula as written, by polarity.  Group arguments sit
-one modal level lower, so the recursion terminates.  V goes first,
-innermost out, each body replaced by its own verdict, in the walk that
-simplifies the query; a plain query, V-free and simplified already,
-skips the walk.
+Giunchiglia & Sebastiani, 2000) by ``to_clauses``, here so that a
+decide loads no ``normal_form``: polarity-aware Tseitin, with atoms and
+L/N formulas taken whole as leaves.  When every clause is a unit over
+an atom or a modal atom without such dependencies, those literals are
+the only candidate and are tested as they are; any other set is found
+by a DPLL search over the clauses.  One group state and one routine
+test a group on either path, the pair rule included.  A group that
+fails fails under every larger set of literals, so the test runs after
+each unit propagation and prunes the search.  A literal whose own atoms
+are not all assigned yet is tested with a weakened argument, implied by
+every cofactor it can still get: each literal over such an atom becomes
+true (false under a negated modality).  The clause form and the
+cofactors are read off the formula as written, by polarity.  Group
+arguments sit one modal level lower, so the recursion terminates.  V
+goes first, innermost out, each body replaced by its own verdict, in
+the walk that simplifies the query; a plain query, V-free and
+simplified already, skips the walk.
 
 The group tests of one search pay only for what changed.  The group
 state follows the trail, as a DPLL(T) theory does (Nieuwenhuis,
@@ -103,7 +105,9 @@ from .formula import (
     own_modal_leaves,
     transform,
 )
-from .normal_form import AgentBlock, Tick, to_clauses
+
+Tick = Callable[[], None]
+_LEAVES = frozenset((Atom, L, N, Val))  # the skeleton's leaves, taken whole
 
 
 class BudgetExceededError(RuntimeError):
@@ -182,7 +186,8 @@ class Decider:
         return transform(f, resolve)
 
     def block_consistent(self, b: AgentBlock) -> bool:
-        """The group test for one agent's conjuncts, whose arguments need
+        """The group test for one agent's conjuncts, a normal_form
+        AgentBlock (named only here, not imported), whose arguments need
         only be objective for that agent, as the normal form's and the
         search's cofactors are; they need not be normalized.  b becomes
         a group record once, each positive side the list of its
@@ -553,6 +558,114 @@ class Decider:
     def _tick(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceededError("time budget exceeded")
+
+
+def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
+    """Clause form of the Boolean skeleton of a V-free formula, whose
+    leaves are atoms and L/N formulas taken whole.  tick, when given, is
+    called once per node the walk takes apart, in a clause as in a
+    conjunction (not per leaf), and once per <-> definition.
+
+    Returns (variables, clauses).  Variable v stands for variables[v - 1],
+    an atom or an L/N formula, or for a definition when that entry is None.
+    A clause is a list of nonzero ints, negative meaning negated.  The
+    form is polarity-aware Tseitin (Plaisted & Greenbaum, 1986), read off
+    the formula as written by a walk over (node, negated) pairs, which
+    goes down a run of the walk's own connective by its left spine and
+    stacks only the right operands.  Only a
+    conjunction under a disjunction gets a variable t, with one-way
+    clauses ~t | c, and each <-> operand that is no literal one variable
+    d per node, defined both ways, so the count is linear: p0 <-> ... <->
+    p14 gives 93 clauses.  An assignment satisfying the clauses makes the
+    formula true on its leaves, and every model of the formula extends to
+    one satisfying them.  The skeleton's clauses come first, then the
+    definitions, outer before inner.
+    """
+    variables: list[Formula | None] = []
+    index: dict[Formula, int] = {}  # a leaf's or a <-> operand's variable
+    queue: list[tuple[Formula, int]] = []  # <-> operands and variables, to define
+    definitions: list[list[int]] = []
+    tick = tick or (lambda: None)
+
+    def operand(g: Formula, neg: bool = False) -> int:
+        while type(g) is Not:
+            g, neg = g.sub, not neg
+        v = index.get(g)
+        if v is None:
+            leaf = type(g) in _LEAVES
+            variables.append(g if leaf else None)
+            v = index[g] = len(variables)
+            if not leaf:
+                queue.append((g, v))
+        return -v if neg else v
+
+    def walk(stack: list, conj: bool):
+        """The clauses of the items' conjunction, or (not conj) the clause
+        of their disjunction or None.  An item is a node, negated or not:
+        a formula, a variable, or literals (x, y) for x -> y.  A node joins
+        the items by & or |, as its kind and polarity say, last first; true
+        is & and false | of none."""
+        out: list = []
+        while stack:
+            h, neg = stack.pop()
+            while True:
+                kind = type(h)
+                if kind is Not:
+                    h, neg = h.sub, not neg
+                elif (kind is And or kind is Or) and ((kind is And) != neg) == conj:  # down the left spine
+                    tick()
+                    stack.append((h.right, neg))
+                    h = h.left
+                else:
+                    break
+            if kind in _LEAVES:
+                v = index.get(h)
+                if v is None:
+                    variables.append(h)
+                    v = index[h] = len(variables)
+                out.append([-v if neg else v] if conj else -v if neg else v)
+                continue
+            tick()
+            if kind is And or kind is Or:
+                both, items = (kind is And) != neg, ((h.right, neg), (h.left, neg))
+            elif kind is Implies or kind is tuple:
+                x, y = (h.left, h.right) if kind is Implies else h
+                both, items = neg, ((y, neg), (x, not neg))
+            elif kind is Iff:
+                x, y = operand(h.left), operand(h.right)
+                both, items = (False, (((-x, -y), True), ((x, y), True))) if neg else (True, (((y, x), False), ((x, y), False)))
+            elif kind is int:
+                out.append([-h if neg else h] if conj else -h if neg else h)
+                continue
+            else:  # true or false
+                both, items = (h is TRUE) != neg, ()
+            if both == conj:
+                stack += items
+            elif conj:
+                if (c := walk([*items], False)) is not None:
+                    out.append(c)
+            else:
+                at = len(definitions)
+                parts = walk([*items], True)
+                if not parts:
+                    return None
+                if len(parts) > 1:
+                    variables.append(None)
+                    definitions[at:at] = [[-len(variables), *c] for c in parts]
+                    parts = [[len(variables)]]
+                out += parts[0]
+        if conj:
+            return out
+        lits = dict.fromkeys(out)
+        return None if any(-x in lits for x in lits) else list(lits)
+
+    clauses = walk([(f, False)], True)
+    for g, d in queue:  # grows while it is read
+        tick()
+        at = len(definitions)
+        definitions[at:at] = [[-d, *c] for c in walk([(g, False)], True)] + [[d, *c] for c in walk([(g, True)], True)]
+    del walk, operand  # they call themselves or each other: break the cycles, so the tables go on return
+    return variables, clauses + definitions
 
 
 def _literals(variables: list[Formula | None], xs: Iterable[int]) -> Formula:

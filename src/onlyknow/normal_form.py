@@ -1,15 +1,15 @@
-"""Normal forms of V-free formulas: the clause form the decision
-procedure searches (``to_clauses``), ``normalize`` (modalities expanded
+"""Normal form of V-free formulas: ``normalize`` (modalities expanded
 until every argument is objective for its agent) and the disjunctive
 normal form built on it, streamed one disjunct at a time
-(``to_normal_form``).  Both forms are read off the formula as written,
-by polarity, with L/N formulas kept whole as leaves: neither builds a
-negation normal form.  The decision procedure does not normalize: its
-group test needs only arguments objective for the agent, which the
-search's cofactoring gives.  ``normalize`` serves ``onlyknow nf``,
-``finite_semantics.reduce_n_to_l`` and the tests' reference for the
-search.  Every rewrite here folds each node as it builds it, so its
-output is simplified.
+(``to_normal_form``).  The stream reads the formula as written, by
+polarity, with L/N formulas kept whole as leaves, as the search's
+clause form (``decision.to_clauses``) does: neither builds a negation
+normal form.  The decision procedure neither normalizes nor imports
+this module: its group test needs only arguments objective for the
+agent, which the search's cofactoring gives.  ``normalize`` serves
+``onlyknow nf``, ``finite_semantics.reduce_n_to_l`` and the tests'
+reference for the search.  Every rewrite here folds each node as it
+builds it, so its output is simplified.
 
 One agent's group of modal literals is an ``AgentBlock``, and only it
 knows the group's layout: the stream builds one literal at a time with
@@ -51,7 +51,7 @@ empty belief set realizes it.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from operator import itemgetter
 
 from .formula import (
@@ -80,10 +80,8 @@ from .formula import (
     transform,
 )
 
-Tick = Callable[[], None]
 _tuple = tuple.__new__  # _tuple(cls, fields) builds a namedtuple in C, past its generated __new__
 _top = itemgetter(-1)
-_LEAVES = frozenset((Atom, L, N, Val))  # the skeleton's leaves, taken whole
 
 
 def normalize(f: Formula) -> Formula:
@@ -128,116 +126,6 @@ def _expand(op: type, agent: int, arg: Formula, below: bool = False) -> Formula:
         else:
             parts.append(join(Or, (join(And, (a, yes)), join(And, (Not(a), no)))))
     return join(And, parts)
-
-
-def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | None], list[list[int]]]:
-    """Clause form of the Boolean skeleton of a V-free formula, whose
-    leaves are atoms and L/N formulas taken whole.  tick, when given, is
-    called once per node a conjunction takes apart (not per leaf) and
-    once per <-> definition.
-
-    Returns (variables, clauses).  Variable v stands for variables[v - 1],
-    an atom or an L/N formula, or for a definition when that entry is None.
-    A clause is a list of nonzero ints, negative meaning negated.  The
-    form is polarity-aware Tseitin (Plaisted & Greenbaum, 1986), read off
-    the formula as written by a walk over (node, negated) pairs, which
-    goes down a run of the walk's own connective by its left spine and
-    stacks only the right operands.  Only a
-    conjunction under a disjunction gets a variable t, with one-way
-    clauses ~t | c, and each <-> operand that is no literal one variable
-    d per node, defined both ways, so the count is linear: p0 <-> ... <->
-    p14 gives 93 clauses.  An assignment satisfying the clauses makes the
-    formula true on its leaves, and every model of the formula extends to
-    one satisfying them.  The skeleton's clauses come first, then the
-    definitions, outer before inner.
-    """
-    variables: list[Formula | None] = []
-    index: dict[Formula, int] = {}  # a leaf's or a <-> operand's variable
-    queue: list[tuple[Formula, int]] = []  # <-> operands and variables, to define
-    definitions: list[list[int]] = []
-    tick = tick or (lambda: None)
-
-    def operand(g: Formula, neg: bool = False) -> int:
-        while type(g) is Not:
-            g, neg = g.sub, not neg
-        v = index.get(g)
-        if v is None:
-            leaf = type(g) in _LEAVES
-            variables.append(g if leaf else None)
-            v = index[g] = len(variables)
-            if not leaf:
-                queue.append((g, v))
-        return -v if neg else v
-
-    def walk(stack: list, conj: bool):
-        """The clauses of the items' conjunction, or (not conj) the clause
-        of their disjunction or None.  An item is a node, negated or not:
-        a formula, a variable, or literals (x, y) for x -> y.  A node joins
-        the items by & or |, as its kind and polarity say, last first; true
-        is & and false | of none."""
-        out: list = []
-        while stack:
-            h, neg = stack.pop()
-            while True:
-                kind = type(h)
-                if kind is Not:
-                    h, neg = h.sub, not neg
-                elif (kind is And or kind is Or) and ((kind is And) != neg) == conj:  # down the left spine
-                    if conj:
-                        tick()
-                    stack.append((h.right, neg))
-                    h = h.left
-                else:
-                    break
-            if kind in _LEAVES:
-                v = index.get(h)
-                if v is None:
-                    variables.append(h)
-                    v = index[h] = len(variables)
-                out.append([-v if neg else v] if conj else -v if neg else v)
-                continue
-            if conj:
-                tick()
-            if kind is And or kind is Or:
-                both, items = (kind is And) != neg, ((h.right, neg), (h.left, neg))
-            elif kind is Implies or kind is tuple:
-                x, y = (h.left, h.right) if kind is Implies else h
-                both, items = neg, ((y, neg), (x, not neg))
-            elif kind is Iff:
-                x, y = operand(h.left), operand(h.right)
-                both, items = (False, (((-x, -y), True), ((x, y), True))) if neg else (True, (((y, x), False), ((x, y), False)))
-            elif kind is int:
-                out.append([-h if neg else h] if conj else -h if neg else h)
-                continue
-            else:  # true or false
-                both, items = (h is TRUE) != neg, ()
-            if both == conj:
-                stack += items
-            elif conj:
-                if (c := walk([*items], False)) is not None:
-                    out.append(c)
-            else:
-                at = len(definitions)
-                parts = walk([*items], True)
-                if not parts:
-                    return None
-                if len(parts) > 1:
-                    variables.append(None)
-                    definitions[at:at] = [[-len(variables), *c] for c in parts]
-                    parts = [[len(variables)]]
-                out += parts[0]
-        if conj:
-            return out
-        lits = dict.fromkeys(out)
-        return None if any(-x in lits for x in lits) else list(lits)
-
-    clauses = walk([(f, False)], True)
-    for g, d in queue:  # grows while it is read
-        tick()
-        at = len(definitions)
-        definitions[at:at] = [[-d, *c] for c in walk([(g, False)], True)] + [[d, *c] for c in walk([(g, True)], True)]
-    del walk, operand  # they call themselves or each other: break the cycles, so the tables go on return
-    return variables, clauses + definitions
 
 
 class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defaults=((), (), (), ()))):
@@ -349,7 +237,7 @@ def to_normal_form(f: Formula) -> Iterator[NormalFormDisjunct]:
     simplified Boolean skeleton read by polarity (the order of its
     negation normal form); contradictory conjuncts are dropped.  One
     depth-first loop walks the skeleton of ``normalize(f)`` as written,
-    over (node, negated) pairs as ``to_clauses`` does: ~ flips the
+    over (node, negated) pairs as ``decision.to_clauses`` does: ~ flips the
     polarity, a conjunction under its polarity (x & y, ~(x | y) or
     ~(x -> y)) puts its right operand on the agenda of pending
     conjuncts, a disjunction leaves a choice point for it, and a literal

@@ -8,7 +8,7 @@ import pytest
 
 from onlyknow import decision, k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import BudgetExceededError, Decider, Verdict, _Groups, _Trail
+from onlyknow.decision import BudgetExceededError, Decider, Verdict, _Groups, _Trail, to_clauses
 from onlyknow.finite_semantics import oracle_valid, reduce_n_to_l
 from onlyknow.formula import (
     And,
@@ -39,7 +39,7 @@ from onlyknow.formula import (
     to_text,
     walk,
 )
-from onlyknow.normal_form import reassemble, to_clauses, to_normal_form
+from onlyknow.normal_form import reassemble, to_normal_form
 
 p, q = Atom("p"), Atom("q")
 
@@ -1133,6 +1133,22 @@ def test_budget_stops_on_a_shared_subformula():
     with pytest.raises(BudgetExceededError):
         Decider(deadline=start + 0.1).consistent(L(1, f) & Not(L(1, Atom("s"))))
     assert time.monotonic() - start < 0.35
+
+
+def test_budget_stops_on_a_shared_disjunction():
+    # f = f | (f | q_i), i < 20: one clause of 2^20 occurrences, which
+    # to_clauses takes apart with a budget check at every node, in a
+    # clause as in a conjunction.
+    import time
+
+    f = p
+    for k in range(20):
+        f = Or(f, Or(f, Atom(f"q{k}")))
+    for g in (f, L(1, f) & Not(L(1, Atom("s")))):
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError):
+            Decider(deadline=start + 0.1).consistent(g)
+        assert time.monotonic() - start < 0.35, to_text(g)[:40]
 
 
 @pytest.mark.parametrize("mode", ["consistent", "valid"])

@@ -4,7 +4,7 @@ import pytest
 
 from onlyknow import k45
 from onlyknow.corpus import generate_random
-from onlyknow.decision import Decider
+from onlyknow.decision import Decider, to_clauses
 from onlyknow.formula import (
     And,
     Atom,
@@ -29,7 +29,6 @@ from onlyknow.normal_form import (
     AgentBlock,
     normalize,
     reassemble,
-    to_clauses,
     to_normal_form,
 )
 

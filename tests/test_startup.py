@@ -1,5 +1,6 @@
-"""Start-up: deciding a formula loads only formula, normal_form and
-decision, and the rest of the package loads on first use."""
+"""Start-up: deciding a formula loads only formula and decision, and
+the rest of the package, the normal-form stream included, loads on
+first use."""
 
 import os
 import subprocess
@@ -10,9 +11,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Modules that the oracles, the query layer or a process pool need, and
-# that a decide must not load; typing, which only annotations name.
+# Modules that the normal-form stream, the oracles, the query layer or a
+# process pool need, and that a decide must not load; typing, which only
+# annotations name.
 OFF_THE_DECIDE_PATH = (
+    "onlyknow.normal_form",
     "onlyknow.k45",
     "onlyknow.kripke",
     "onlyknow.finite_semantics",

@@ -10,8 +10,8 @@ modal depth 3 over 3 atoms; formula k of family j has seed
   nf        the first 50 to_normal_form disjuncts
   rewrites  simplify(f), simplify(eliminate_val(f)), substitute_atom, assign
   classes   is_i_objective and is_i_subjective for agents 1 and 2
-  clauses   to_clauses(normalize(...)) variable and clause counts
-  search    to_clauses(...) variable and clause counts, with L/N whole
+  clauses   decision.to_clauses(normalize(...)) variable and clause counts
+  search    decision.to_clauses(...) variable and clause counts, with L/N whole
 
 With --records it prints, instead of the hashes, every formula's
 record, one line per component: the seed, the component's name and the
@@ -51,7 +51,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from onlyknow import simplify  # noqa: E402
 from onlyknow.corpus import generate_random  # noqa: E402
-from onlyknow.decision import Decider  # noqa: E402
+from onlyknow.decision import Decider, to_clauses  # noqa: E402
 from onlyknow.formula import (  # noqa: E402
     Atom,
     L,
@@ -62,7 +62,7 @@ from onlyknow.formula import (  # noqa: E402
     substitute_atom,
     to_text,
 )
-from onlyknow.normal_form import normalize, to_clauses, to_normal_form  # noqa: E402
+from onlyknow.normal_form import normalize, to_normal_form  # noqa: E402
 
 FAMILIES = (  # (profile, agents, size)
     ("basic", 2, 20),
