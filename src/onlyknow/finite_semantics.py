@@ -37,8 +37,8 @@ from .formula import (
     fold,
     is_propositional,
     join,
+    nodes,
     transform,
-    walk,
 )
 from .normal_form import normalize
 
@@ -101,7 +101,7 @@ class ExtendedSituation:
 
 
 def _check_formula(f: Formula, phi: tuple[str, ...]) -> None:
-    if any(isinstance(g, Val) for g in walk(f)):
+    if any(isinstance(g, Val) for g in nodes(f)):
         raise ValPresentError("finite semantics is defined for V-free formulas")
     extra = agents(f) - {1}
     if extra:

@@ -19,8 +19,9 @@ and drop nodes concurrently: they agree on one node per key.
 
 ``transform`` is the one rewrite walk: bottom up on an explicit stack,
 each distinct node once per call, so depth costs no stack and a shared
-subformula is rewritten once.  ``fold`` and ``join`` fold constants, so
-a rewrite folds each node as it builds it.  ``parse`` reads its tokens
+subformula is rewritten once; the classifiers read ``nodes``, the
+distinct nodes that walk visits.  ``fold`` and ``join`` fold constants,
+so a rewrite folds each node as it builds it.  ``parse`` reads its tokens
 in one loop over an operand and an operator stack, and ``to_text`` and
 ``repr`` print from a stack, so no part of the syntax recurses either.
 """
@@ -574,21 +575,29 @@ def walk(f: Formula) -> Iterator[Formula]:
         stack.extend(reversed(children(g)))
 
 
+def nodes(f: Formula) -> list[Formula]:
+    """The distinct subformulas of f, children first: transform's walk,
+    with a step that keeps each node, so a shared one comes once."""
+    out: list[Formula] = []
+    transform(f, lambda g, h: out.append(g) or g)
+    return out
+
+
 def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in walk(f) if isinstance(g, Atom))
+    return frozenset(g.name for g in nodes(f) if isinstance(g, Atom))
 
 
 def agents(f: Formula) -> frozenset[int]:
-    return frozenset(g.agent for g in walk(f) if isinstance(g, MODAL))
+    return frozenset(g.agent for g in nodes(f) if isinstance(g, MODAL))
 
 
 def is_propositional(f: Formula) -> bool:
-    return not any(isinstance(g, (L, N, Val)) for g in walk(f))
+    return not any(isinstance(g, (L, N, Val)) for g in nodes(f))
 
 
 def is_basic(f: Formula) -> bool:
     """No N and no V anywhere (L is fine)."""
-    return not any(isinstance(g, (N, Val)) for g in walk(f))
+    return not any(isinstance(g, (N, Val)) for g in nodes(f))
 
 
 def is_i_objective(f: Formula, i: int) -> bool:
@@ -609,33 +618,31 @@ def is_i_subjective(f: Formula, i: int) -> bool:
 
 def in_onl_minus(f: Formula) -> bool:
     """No V, and no N<j> inside the scope of an L<i>/N<i> with i != j.
-    Iterative over (node, agents allowed an N) pairs, None at the top."""
-    stack: list[tuple[Formula, frozenset[int] | None]] = [(f, None)]
-    while stack:
-        g, allowed = stack.pop()
-        if isinstance(g, Val) or isinstance(g, N) and allowed is not None and g.agent not in allowed:
+    One pass over nodes(f) that keeps, per node, the agents of the N
+    formulas at or below it."""
+    below: dict[Formula, frozenset[int]] = {}
+    for g in nodes(f):
+        if isinstance(g, Val):
             return False
+        here = frozenset().union(*(below[c] for c in children(g)))
         if isinstance(g, MODAL):
-            stack.append((g.sub, frozenset({g.agent}) if allowed is None else allowed & {g.agent}))
-        else:
-            stack += ((c, allowed) for c in children(g))
+            if not here <= {g.agent}:
+                return False
+            if isinstance(g, N):
+                here = frozenset({g.agent})
+        below[g] = here
     return True
 
 
 def modal_depth(f: Formula) -> int:
     """Nesting depth of L/N, with N ranked like L.  V-free input only.
-    Iterative over (node, depth) pairs."""
-    deepest = 0
-    stack = [(f, 0)]
-    while stack:
-        g, depth = stack.pop()
+    One pass over nodes(f) that keeps each node's depth."""
+    depth: dict[Formula, int] = {}
+    for g in nodes(f):
         if isinstance(g, Val):
             raise ValPresentError("modal depth is defined for V-free formulas only")
-        if isinstance(g, MODAL):
-            depth += 1
-            deepest = max(deepest, depth)
-        stack += ((c, depth) for c in children(g))
-    return deepest
+        depth[g] = max((depth[c] for c in children(g)), default=0) + isinstance(g, MODAL)
+    return depth[f]
 
 
 # The bool fields, and modal_depth, an int or None when f holds V.
@@ -644,7 +651,7 @@ FormulaClass = namedtuple("FormulaClass", "propositional basic i_objective i_sub
 
 def classify(f: Formula, i: int) -> FormulaClass:
     """All syntactic classifications of f relative to agent i."""
-    has_val = any(isinstance(g, Val) for g in walk(f))
+    has_val = any(isinstance(g, Val) for g in nodes(f))
     return FormulaClass(
         propositional=is_propositional(f),
         basic=is_basic(f),

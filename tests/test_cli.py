@@ -169,6 +169,27 @@ def test_decide_trace_of_an_only_knowing_pair_forcing_a_belief(capsys):
     ]
 
 
+def test_decide_trace_of_a_component_memo_hit(capsys):
+    # The positive L part of agent 2 is one component that shares no atom
+    # with p2.  The first group test searches it; the second finds its
+    # answer in the memo, and logs the hit one level below its group line.
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "~L2 (p2 <-> L2 p2) & L2 (p1 | (p1 <-> L1 p))")
+    assert (code, out.strip()) == (0, "SAT")
+    assert err.splitlines() == [
+        "satisfiable?: ~L2 (p2 <-> L2 p2) & L2 (p1 | (p1 <-> L1 p))",
+        "  agent 2: entailed by the positive L part?: false",
+        "  agent 2: components of the positive L part: p1 | (p1 <-> L1 p)",
+        "    satisfiable?: p1 | (p1 <-> L1 p)",
+        "      satisfying literals: p1",
+        "  agent 2: union of positive parts must be valid: true",
+        "  agent 2: entailed by the positive L part?: ~p2",
+        "    memo hit: p1 | (p1 <-> L1 p)",
+        "  agent 2: entailed by the positive L part?: p2",
+        "  agent 2: union of positive parts must be valid: true",
+        "  satisfying literals: ~L2 (p2 <-> L2 p2) & L2 (p1 | (p1 <-> L1 p)) & ~L2 p2",
+    ]
+
+
 def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
     import random
     import time

@@ -365,6 +365,50 @@ def test_classifiers_of_wide_conjunctions_at_the_default_recursion_limit():
     assert of_nested == (False, True, False, True, True, 5000)
 
 
+def test_classifiers_visit_each_distinct_node_once(monkeypatch):
+    # f = f & (f | q_i) has 3 new nodes per step but 2^i occurrences,
+    # and g nests the same sharing under alternating L1 and L2 with an
+    # N1 at each level; a classifier that walks occurrences calls
+    # children about 65,000 times on f alone.
+    f = g = p
+    for i in range(14):
+        f = And(f, Or(f, Atom(f"q{i}")))
+        g = L(1 + i % 2, And(g, Or(g, N(1, Atom(f"q{i}")))))
+    names = {"p", *(f"q{i}" for i in range(14))}
+    expected = {
+        f: {"atoms": names, "agents": set(), "is_propositional": True, "is_basic": True, "in_onl_minus": True,
+            "modal_depth": 0, "classify": (True, True, True, False, True, 0)},
+        g: {"atoms": names, "agents": {1, 2}, "is_propositional": False, "is_basic": False, "in_onl_minus": False,
+            "modal_depth": 15, "classify": (False, False, True, False, False, 15)},
+    }
+    children = formula.children
+    distinct = {}
+    for h in expected:
+        seen, stack = set(), [h]
+        while stack:
+            if stack[-1] in seen:
+                stack.pop()
+            else:
+                seen.add(stack[-1])
+                stack += children(stack[-1])
+        distinct[h] = len(seen)
+    assert (distinct[f], distinct[g]) == (43, 71)
+    calls = 0
+
+    def counted(h):
+        nonlocal calls
+        calls += 1
+        return children(h)
+
+    monkeypatch.setattr(formula, "children", counted)
+    for h, values in expected.items():
+        for name, value in values.items():
+            calls = 0
+            got = formula.classify(h, 1) if name == "classify" else getattr(formula, name)(h)
+            assert got == value, name
+            assert calls <= 4 * distinct[h], (name, calls, distinct[h])
+
+
 def test_equal_formulas_are_one_node():
     text = "L1 (p & ~q) | N2 (p -> q) <-> V true"
     f = parse(text, 2)

@@ -1,4 +1,4 @@
-"""Growth curves of the engine on twelve seeded families.
+"""Growth curves of the engine on fifteen seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -40,6 +40,15 @@ also written as JSON.  It runs at Python's default recursion limit
              two stable expansions apiece: p0 | h0 ("first") and
              p_(k-1) | h_(k-1) ("last") are believed, p_(k-1) ("no") is
              not
+  dag        classify(f, 1) on a DAG of k levels, its occurrences doubling at each:
+             f = f & (f | q_i) ("and-or"), and f = L_a (f & (f | N1 q_i))
+             with a = 1 + i mod 2 ("modal"), i < k, from f = p
+  about      believes(1, kb, q) on cross-agent defaults, kb =
+             O2 (&_j (~L2 ~b_j -> f_j)) & &_j (~L1 ~L2 f_j -> g_j), j < k:
+             g_(k-1) ("own") and L2 f_(k-1) ("other") are believed, b0
+             ("no") is not
+  alternating  consistency of q_n & ~L_a ~(q_(n-1) & ~L_b ~(... q_0)),
+             n levels, agents 1 and 2 alternating
 
 The sizes are fixed below, so two versions of the engine run the same
 points.
@@ -63,7 +72,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from onlyknow.autoepistemic import believes  # noqa: E402
 from onlyknow.decision import Decider  # noqa: E402
-from onlyknow.formula import children, parse  # noqa: E402
+from onlyknow.formula import And, Atom, L, N, Or, classify, nodes, parse  # noqa: E402
 from onlyknow.normal_form import to_normal_form  # noqa: E402
 from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
@@ -80,6 +89,9 @@ SIZES = {
     "parse": (1000, 10_000, 100_000),
     "chain": (32, 64, 128, 256, 512),
     "nixon": (2, 4, 6, 8, 10, 12),
+    "dag": (18, 100, 1000),
+    "about": (16, 32, 64, 128, 256),
+    "alternating": (50, 100, 150),
 }
 RUNS = 3
 # Answers of the seeded 3-CNF instances at ratio 4.26.
@@ -92,17 +104,6 @@ Point = tuple[str, Callable[[], object], object]
 def _count(text: str) -> Callable[[], int]:
     f = parse(text)
     return lambda: sum(1 for _ in to_normal_form(f))
-
-
-def _nodes(text: str) -> int:
-    """The number of distinct nodes of the parsed text."""
-    seen, stack = set(), [parse(text)]
-    while stack:
-        g = stack.pop()
-        if g not in seen:
-            seen.add(g)
-            stack += children(g)
-    return len(seen)
 
 
 def _modal_leaf(i: int) -> str:
@@ -157,7 +158,7 @@ def points(family: str, size: int) -> list[Point]:
     if family == "parse":
         terms = [f"p{j}" for j in range(size)]
         texts = (" & ".join(terms), " -> ".join(terms), " & (".join(terms) + ")" * (size - 1))
-        return [(case, lambda text=text: _nodes(text), 2 * size - 1) for case, text in zip(("and", "implies", "parens"), texts)]
+        return [(case, lambda text=text: len(nodes(parse(text))), 2 * size - 1) for case, text in zip(("and", "implies", "parens"), texts)]
     if family == "chain":
         kb = " & ".join(["p0", *(f"(p{j} & ~L1 ~p{j + 1} -> p{j + 1})" for j in range(size))])
         return [("yes", lambda f=parse(kb), q=parse(f"p{size}"): believes(1, f, q), True)]
@@ -169,6 +170,26 @@ def points(family: str, size: int) -> list[Point]:
         last = size - 1
         cases = (("first", "p0 | h0", True), ("last", f"p{last} | h{last}", True), ("no", f"p{last}", False))
         return [(case, lambda q=parse(text): believes(1, kb, q), answer) for case, text, answer in cases]
+    if family == "dag":
+        f = g = Atom("p")
+        for i in range(size):
+            f = And(f, Or(f, Atom(f"q{i}")))
+            g = L(1 + i % 2, And(g, Or(g, N(1, Atom(f"q{i}")))))
+        return [  # g is 1-objective when its outermost L is L2, at even k
+            ("and-or", lambda: tuple(classify(f, 1)), (True, True, True, False, True, 0)),
+            ("modal", lambda: tuple(classify(g, 1)), (False, False, size % 2 == 0, False, False, size + 1)),
+        ]
+    if family == "about":
+        kb = parse("O2 (" + " & ".join(f"(~L2 ~b{j} -> f{j})" for j in range(size)) + ") & "
+                   + " & ".join(f"(~L1 ~L2 f{j} -> g{j})" for j in range(size)), 2)
+        last = size - 1
+        cases = (("own", f"g{last}", True), ("other", f"L2 f{last}", True), ("no", "b0", False))
+        return [(case, lambda q=parse(text, 2): believes(1, kb, q), answer) for case, text, answer in cases]
+    if family == "alternating":
+        text = "q0"
+        for k in range(1, size + 1):
+            text = f"q{k} & ~L{1 + k % 2} ~({text})"
+        return [("", lambda f=parse(text): bool(Decider().consistent(f)), True)]
     raise ValueError(f"unknown family {family!r}")
 
 
