@@ -51,11 +51,12 @@ Oliveras & Tinelli, JACM 2006): each agent's block grows by a literal
 as the trail grows, keeping the agent's N literals and only knowing's
 pair as they come, and a backtrack pops it.  A watch list per
 dependency names the literals that read it, so an assignment or an
-unassignment re-reads only those, one part at a time from a cache
-keyed by its dependencies' values.  The tests read parts: a block's
-record has AgentBlock's layout, but each positive side is one list of
-conjuncts, read off the cofactors (L_i a & L_i b is L_i (a & b), so
-which argument a conjunct came from does not matter), and the pair
+unassignment re-reads only those, one part at a time from the settle
+cache, keyed by its dependencies' values; a literal's conjuncts and
+argument are read off those parts afresh.  The tests read parts: a
+block's record has AgentBlock's layout, but each positive side is one
+list of conjuncts, read off the cofactors (L_i a & L_i b is L_i (a & b),
+so which argument a conjunct came from does not matter), and the pair
 rule reads the base's settled parts, so a side is joined only for a
 subquery, or a trace line, that needs the whole.
 
@@ -371,15 +372,14 @@ class Decider:
             pending = [w for w in deps.get(v, ()) if value[w] is None and type(modal[w]) is L and w not in deps]
             if not pending:
                 continue
-            low = groups.literal(v, False)
             psis = [modal[w].sub for w in pending]
             what = "the base's low bound"
-            by_low = list(self._entailed(agent, what, low.conjuncts(), psis, level + 1))
+            by_low = list(self._entailed(agent, what, groups.conjuncts(v, False), psis, level + 1))
             rest = [psi for psi, e in zip(psis, by_low) if e]
             by_high: set[Formula] = set()
             if rest:
                 block.group(groups)
-                parts = chain(groups.literal(v, True).conjuncts(), block.record[1])
+                parts = chain(groups.conjuncts(v, True), block.record[1])
                 what = "the base's high bound and the other positive L parts"
                 by_high = {psi for psi, e in zip(rest, self._entailed(agent, what, parts, rest, level + 1)) if e}
             for w, psi, e in zip(pending, psis, by_low):
@@ -485,7 +485,7 @@ class Decider:
             return self._block_ok(block.record, level)
         agent, xs, negs, _, _ = block.record
         if negs:
-            parts = chain(groups.literal(pair, True).conjuncts(), xs)
+            parts = chain(groups.conjuncts(pair, True), xs)
             if True in self._entailed(agent, "the positive L part", parts, negs, level):
                 return False
         if self.trace:
@@ -493,8 +493,8 @@ class Decider:
             self.trace(level, what, join(And, dict.fromkeys(xs)))
         if not xs:
             return True
-        low, what = groups.literal(pair, False), "the base's low bound"
-        return False not in self._entailed(agent, what, low.conjuncts(), xs, level)
+        low = groups.conjuncts(pair, False)
+        return False not in self._entailed(agent, "the base's low bound", low, xs, level)
 
     def _block_ok(self, record: tuple, level: int) -> bool:
         """The group test for one agent's record (agent, pos_l, neg_l,
@@ -710,43 +710,6 @@ def _components(parts: list[set[str | int]]) -> tuple[dict[str | int, int], list
     return {k: component[i] for k, i in owner.items()}, members
 
 
-class _Cofactor:
-    """One modal literal's cofactored argument: op joins its parts, each
-    dependent one the settle cache's entry for its dependencies' current
-    values, and what is read off them, the joined argument and its
-    conjuncts, is made when first asked for and kept until a part
-    changes."""
-
-    __slots__ = ("op", "parts", "arg", "conj")
-
-    def __init__(self, op: type, raw: list[Formula], arg: Formula | None) -> None:
-        self.op, self.parts, self.arg, self.conj = op, list(raw), arg, None
-
-    def argument(self) -> Formula:
-        if self.arg is None:
-            self.arg = join(self.op, self.parts)
-        return self.arg
-
-    def conjuncts(self) -> list[Formula]:
-        """The argument's top-level conjuncts, read off the parts: none
-        when it is true, only false when a part is false."""
-        if self.conj is None:
-            out: list[Formula] = []
-            if self.op is And:
-                for p in self.parts:
-                    if p is FALSE:
-                        out = [FALSE]
-                        break
-                    if type(p) is And:
-                        out += conjuncts(p)
-                    elif p is not TRUE:
-                        out.append(p)
-            elif self.argument() is not TRUE:
-                out = conjuncts(self.arg)
-            self.conj = out
-        return self.conj
-
-
 class _Groups:
     """The group state of one search, which follows its trail: the
     cofactored modal atoms, a block per agent, the group tests' verdicts
@@ -757,14 +720,15 @@ class _Groups:
     that read it.  M_i phi is cofactored one part of phi at a time: the
     conjuncts of a conjunction, joined by And, of a negated one, each
     negated, joined by Or, or phi alone; a part with no dependency is
-    taken as it is.  Each modal literal keeps a _Cofactor, whose parts
-    literal reads from one memo, the settle cache: a settled part is
-    kept under its dependencies' values, by literal while one is unset
-    and by variable, for both signs, once every one is set.  tick is
-    the Decider's budget check, which settling a <-> calls."""
+    taken as it is.  conjuncts and argument read a literal's cofactor
+    afresh from its split, each dependent part from one memo, the settle
+    cache: a settled part is kept under its dependencies' values, by
+    literal while one is unset and by variable, for both signs, once
+    every one is set.  tick is the Decider's budget check, which
+    settling a <-> calls."""
 
     __slots__ = (
-        *("modal", "deps", "value", "own", "tick", "split", "literals", "cache", "var", "pending"),
+        *("modal", "deps", "value", "own", "tick", "split", "cache"),
         *("watch", "blocks", "agents", "tested", "head"),
     )
 
@@ -779,9 +743,7 @@ class _Groups:
         self.modal, self.deps, self.value, self.own, self.tick = modal, deps, value, own, tick
         # v -> (op, dependencies by leaf, parts as written, (k, dependencies) of each part that has some)
         self.split: dict[int, tuple[type, dict[Formula, int], list[Formula], list[tuple[int, tuple[int, ...]]]]] = {}
-        self.literals: dict[int, _Cofactor] = {}  # literal +-v -> its cofactor
         self.cache: dict[tuple[int, int, tuple], Formula] = {}  # (literal or variable, part, values) -> settled part
-        self.var, self.pending = {}, TRUE  # the dependencies and pending value of the part being settled
         self.watch: dict[int, list[int]] = {}
         for v, ws in deps.items():
             for w in ws:
@@ -791,39 +753,55 @@ class _Groups:
         self.tested: dict[frozenset[int], bool] = {}  # a block's literal set -> its verdict
         self.head = 0  # trail[:head] is in the blocks
 
-    def literal(self, v: int, positive: bool) -> _Cofactor:
-        """The literal's cofactor, each dependent part read from the
-        settle cache under its dependencies' current values and settled
-        on a miss: a part whose values did not change since the last
-        call hits the key it hit then."""
+    def argument(self, v: int, positive: bool) -> Formula:
+        """The literal's cofactored argument, its parts joined."""
+        op, parts = self._parts(v, positive)
+        return join(op, parts)
+
+    def conjuncts(self, v: int, positive: bool) -> list[Formula]:
+        """The cofactored argument's top-level conjuncts, read off its
+        parts: none when it is true, only false when a part is false."""
+        op, parts = self._parts(v, positive)
+        out: list[Formula] = []
+        for p in parts if op is And else [join(Or, parts)]:
+            if p is FALSE:
+                return [FALSE]
+            if type(p) is And:
+                out += conjuncts(p)
+            elif p is not TRUE:
+                out.append(p)
+        return out
+
+    def _parts(self, v: int, positive: bool) -> tuple[type, list[Formula]]:
+        """The op that joins the literal's cofactored parts, and the
+        parts: the split's, each dependent one read from the settle cache
+        under its dependencies' current values and settled on a miss.  An
+        argument with no dependency is one part, as written."""
+        ws = self.deps.get(v)
+        if ws is None:
+            return And, [self.modal[v].sub]
         split = self.split.get(v)
         if split is None:
             leaf = self.modal[v]
             negated = type(leaf.sub) is Not and type(leaf.sub.sub) is And
-            var = {self.modal[w]: w for w in self.deps.get(v, ())}
+            var = {self.modal[w]: w for w in ws}
             raw, dependent = [], []
             for k, c in enumerate(conjuncts(leaf.sub.sub if negated else leaf.sub)):
-                own = tuple(map(var.__getitem__, self.own(c, leaf.agent))) if var else ()
+                own = tuple(map(var.__getitem__, self.own(c, leaf.agent)))
                 raw.append(c if own or not negated else fold(Not(c)))
                 if own:
                     dependent.append((k, own))
             split = self.split[v] = Or if negated else And, var, raw, dependent
         op, var, raw, dependent = split
-        x = v if positive else -v
-        c = self.literals.get(x)
-        if c is None:  # an argument without dependencies is kept as written
-            c = self.literals[x] = _Cofactor(op, raw, None if dependent else self.modal[v].sub)
-        parts, value, cache = c.parts, self.value, self.cache
+        parts, value, cache, x = list(raw), self.value, self.cache, v if positive else -v
         for k, own in dependent:
             now = tuple([value[w] for w in own])
             key = (x if None in now else v, k, now)
             done = cache.get(key)
             if done is None:
                 done = cache[key] = self.settle(raw[k], op is Or, var, TRUE if positive else FALSE)
-            if done is not parts[k]:
-                parts[k] = done
-                c.arg = c.conj = None
-        return c
+            parts[k] = done
+        return op, parts
 
     def settle(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula:
         """f, negated when neg, cofactored by the dependencies var names,
@@ -834,34 +812,36 @@ class _Groups:
         positive modal literal, false in a negated one, so f is implied
         by every cofactor it can still get (implies it, negated), and a
         group that fails with it fails under every extension."""
-        self.var, self.pending = var, pending
-        g = self._part(f, neg)
+        g = self._part(f, neg, var, pending)
         return g if g is not None else fold(Not(f)) if neg else f
 
-    def _part(self, f: Formula, neg: bool) -> Formula | None:
+    def _part(self, f: Formula, neg: bool, var: dict[Formula, int], pending: Formula) -> Formula | None:
         """The folded cofactor of f, negated when neg, or None when f
         holds no dependency."""
         while type(f) is Not:
             f, neg = f.sub, not neg
         kind = type(f)
         if kind is And or kind is Or or kind is Implies:
-            return self._both(Or if (kind is And) == neg else And, f.left, neg != (kind is Implies), f.right, neg)
+            op = Or if (kind is And) == neg else And
+            return self._both(op, f.left, neg != (kind is Implies), f.right, neg, var, pending)
         if kind is Iff:  # both operands twice, so 2^n under n nested <->: check the budget
             self.tick()
             x, y = f.left, f.right
             if neg:
-                a = self._both(And, x, False, y, True)
-                return a if a is None else connect(Or, a, self._both(And, x, True, y, False))
-            a = self._both(Or, x, True, y, False)
-            return a if a is None else connect(And, a, self._both(Or, y, True, x, False))
-        w = self.var.get(f)
+                a = self._both(And, x, False, y, True, var, pending)
+                return a if a is None else connect(Or, a, self._both(And, x, True, y, False, var, pending))
+            a = self._both(Or, x, True, y, False, var, pending)
+            return a if a is None else connect(And, a, self._both(Or, y, True, x, False, var, pending))
+        w = var.get(f)
         if w is None:
             return None
         x = self.value[w]
-        return self.pending if x is None else TRUE if x != neg else FALSE
+        return pending if x is None else TRUE if x != neg else FALSE
 
-    def _both(self, op: type, x: Formula, xneg: bool, y: Formula, yneg: bool) -> Formula | None:
-        a, b = self._part(x, xneg), self._part(y, yneg)
+    def _both(
+        self, op: type, x: Formula, xneg: bool, y: Formula, yneg: bool, var: dict[Formula, int], pending: Formula
+    ) -> Formula | None:
+        a, b = self._part(x, xneg, var, pending), self._part(y, yneg, var, pending)
         if a is None and b is None:
             return None
         if a is None:
@@ -988,9 +968,9 @@ class _Block:
             leaf = modal[v]
             pos, negs = lists[2:] if type(leaf) is N else lists[:2]
             if x < 0:
-                negs.append(groups.literal(v, False).argument() if v in deps else leaf.sub)
+                negs.append(groups.argument(v, False) if v in deps else leaf.sub)
                 continue
-            pos += groups.literal(v, True).conjuncts() if v in deps else conjuncts(leaf.sub)  # none when true
+            pos += groups.conjuncts(v, True) if v in deps else conjuncts(leaf.sub)  # none when true
         self.dirty = len(into)
         return pair
 

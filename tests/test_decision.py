@@ -430,20 +430,26 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
     # L1 kb and N1 ~kb of a default theory with blocked defaults, their
     # dependencies the L1 ~b atoms of kb, driven through seeded
     # assign/undo steps in which values also revert; each call must
-    # give the very argument a from-scratch settle-and-join gives.
+    # give the very argument a from-scratch settle-and-join gives, and
+    # conjuncts whose conjunction is equivalent to it.  kb's last
+    # default settles to a conjunction, so L1 kb reads a part that is an
+    # And, and N1 ~kb's parts are joined by Or.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     from workloads import default_theory
 
-    kb = parse(default_theory(6, {2}, {1, 2, 4}).kb, 2)
+    kb = parse(default_theory(6, {2}, {1, 2, 4}).kb + " & (~L1 ~b3 -> f3 & f5)", 2)
     own = list(dict.fromkeys(g for g in leaves(kb) if isinstance(g, (L, N)) and g.agent == 1))
     modal = {1: L(1, kb), 2: N(1, Not(kb)), **{w: g for w, g in enumerate(own, 3)}}
     ws = tuple(range(3, 3 + len(own)))
     var = {g: w for w, g in enumerate(own, 3)}
     value = [None] * (3 + len(own))
+    names = list(dict.fromkeys(leaves(kb)))
+    columns = {g: _column(j, len(names)) for j, g in enumerate(names)}
+    full = (1 << (1 << len(names))) - 1
     d = Decider()
     c = _Groups(modal, {1: ws, 2: ws}, value, d._own, d._tick)
     rng = random.Random(20)
-    history, reverted = [], 0
+    history, reverted, and_parts, equivalent = [], 0, 0, set()
     for _ in range(500):
         w = rng.choice(ws)
         value[w] = rng.choice((True, False, None))
@@ -452,9 +458,17 @@ def test_per_part_cofactor_is_the_joined_reference_at_every_step(monkeypatch):
         history.append(state)
         for v in (1, 2):
             for positive in (True, False):
-                got = c.literal(v, positive).argument()
+                got = c.argument(v, positive)
                 assert got is _cofactor_reference(c, modal[v], var, value, positive), (state, v, positive)
-    assert len(own) >= 5 and reverted > 100
+                read = c.conjuncts(v, positive)
+                assert not any(isinstance(g, And) or g is TRUE for g in read), (state, v, positive)
+                joined = join(And, read)
+                if (got, joined) not in equivalent:
+                    assert _table(joined, columns, full) == _table(got, columns, full), (state, v, positive)
+                    equivalent.add((got, joined))
+            and_parts += any(isinstance(g, And) for g in c._parts(1, True)[1])
+    assert c._parts(2, True)[0] is Or and c._parts(1, True)[0] is And
+    assert len(own) >= 5 and reverted > 100 and and_parts > 200 and len(equivalent) > 80, (and_parts, len(equivalent))
 
 
 class _SearchOnly(Decider):
@@ -871,13 +885,13 @@ def test_group_work_grows_linearly_on_a_chain_of_nested_beliefs(monkeypatch):
     # quadratic in n; a group that follows the trail re-cofactors only
     # the literals whose dependencies changed.
     calls = [0]
-    literal = _Groups.literal
+    parts = _Groups._parts
 
     def counted(*args):
         calls[0] += 1
-        return literal(*args)
+        return parts(*args)
 
-    monkeypatch.setattr(_Groups, "literal", counted)
+    monkeypatch.setattr(_Groups, "_parts", counted)
     counts = []
     for n in (100, 200):
         f = functools.reduce(lambda g, _: L(1, g), range(n), p)

@@ -52,6 +52,17 @@ def test_render_answers_nf_as_the_cli_prints_it(opcodes, monkeypatch, capsys):
     assert total("--render") > total()
 
 
+@pytest.mark.parametrize("argv", [["--rung", "nosuch"], ["--cycles", "0"], ["--queries", "0"]])
+def test_a_selection_that_matches_no_query_is_a_usage_error(opcodes, argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["opcodes.py", *argv])
+    with pytest.raises(SystemExit) as stop:
+        opcodes.main()
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "matches no query" in captured.err and " ".join(argv).replace("nosuch", "'nosuch'") in captured.err
+
+
 def test_a_rung_counts_alike_alone_and_in_the_full_run():
     # Each run is a fresh interpreter, so the rung's first query is the
     # first of its process when it runs alone, and counting it must not

@@ -70,3 +70,25 @@ def test_every_public_name_resolves_after_a_bare_import(tmp_path):
         "print('ok')\n"
     )
     assert _fresh_python(code, tmp_path).strip() == "ok"
+
+
+@pytest.mark.parametrize("runs", ["1", "0"])
+def test_coldstart_rejects_fewer_than_two_runs_before_any_process_starts(runs, monkeypatch, capsys):
+    # The table's quartiles need two runs per row; the check must come
+    # before the tool copies the sources or starts a process.
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("coldstart", SRC.parent / "tools" / "coldstart.py")
+    coldstart = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(coldstart)
+
+    def started(*args, **kwargs):
+        raise AssertionError("a process started")
+
+    monkeypatch.setattr(coldstart.subprocess, "run", started)
+    monkeypatch.setattr(coldstart.shutil, "copytree", started)
+    monkeypatch.setattr(sys, "argv", ["coldstart.py", "--runs", runs])
+    with pytest.raises(SystemExit) as stop:
+        coldstart.main()
+    assert stop.value.code == 2
+    assert "at least 2" in capsys.readouterr().err

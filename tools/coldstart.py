@@ -11,7 +11,9 @@ they are compiled every time; the standard library keeps its installed
 caches.  Cached, every module's bytecode is read from a temporary
 PYTHONPYCACHEPREFIX that one untimed run filled.  Nothing is written
 into src/.  One line is printed per command and mode: median, first and
-third quartile, in ms.  With --out the table is also written as JSON.
+third quartile, in ms, so N must be at least 2; a smaller N is a usage
+error (exit 2), before any process starts.  With --out the table is
+also written as JSON.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ COMMANDS = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--runs", type=int, default=15)
+    parser.add_argument("--runs", type=int, default=15, help="processes per command and mode, at least 2")
     parser.add_argument("--out", type=Path, help="write the table as JSON here")
     args = parser.parse_args()
+    if args.runs < 2:
+        parser.error(f"--runs {args.runs}: the quartiles need at least 2 runs")
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(SRC / "onlyknow", Path(tmp, "onlyknow"), ignore=shutil.ignore_patterns("__pycache__"))
         base = dict(os.environ, PYTHONPATH=tmp)

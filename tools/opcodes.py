@@ -12,7 +12,8 @@ instruction that makes it.  One line is printed per rung (its queries,
 total, p50 and p90), then one for the whole run, and with --queries N
 only the first N queries of the run are counted.  With --rung PREFIX
 only the rungs whose names start with PREFIX are counted ("nf " for the
-normal-form streams), and the last line totals them.  With --render an
+normal-form streams), and the last line totals them.  A selection that
+matches no query is a usage error (exit 2).  With --render an
 nf query is answered as ``onlyknow nf`` prints it, each disjunct
 rendered with to_text(d.to_formula()), where perfbench only counts the
 disjuncts; the count is checked either way.
@@ -144,8 +145,16 @@ def main() -> None:
         for q in cycle
         if q.rung.startswith(args.rung)
     ]
+    queries = queries[: args.queries]
+    if not queries:
+        selection = f"--workload {args.workload} --seed {args.seed} --cycles {args.cycles}"
+        if args.rung:
+            selection += f" --rung {args.rung!r}"
+        if args.queries is not None:
+            selection += f" --queries {args.queries}"
+        parser.error(f"the selection {selection} matches no query")
     rungs: dict[str, list[int]] = {}
-    for q in queries[: args.queries]:
+    for q in queries:
         rungs.setdefault(q.rung, []).append(count(q, rendered if args.render else _answer))
     every = [n for ns in rungs.values() for n in ns]
     print(f"{'rung':<22} {'queries':>7} {'total':>12} {'p50':>10} {'p90':>10}")
