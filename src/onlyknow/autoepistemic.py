@@ -11,12 +11,13 @@ of the base.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import product
-from typing import TYPE_CHECKING, Iterable
 
 from .decision import Decider
 from .formula import Formula, only_knows, L
 
+TYPE_CHECKING = False  # typing costs milliseconds to import, and only annotations need World
 if TYPE_CHECKING:
     from .finite_semantics import World
 

@@ -587,7 +587,8 @@ def to_clauses(f: Formula, tick: Tick | None = None) -> tuple[list[Formula | Non
     definitions: list[list[int]] = []
     tick = tick or (lambda: None)
 
-    def operand(g: Formula, neg: bool = False) -> int:
+    def operand(g: Formula) -> int:
+        neg = False
         while type(g) is Not:
             g, neg = g.sub, not neg
         v = index.get(g)
@@ -760,12 +761,10 @@ class _Groups:
 
     def conjuncts(self, v: int, positive: bool) -> list[Formula]:
         """The cofactored argument's top-level conjuncts, read off its
-        parts: none when it is true, only false when a part is false."""
+        parts: none when it is true."""
         op, parts = self._parts(v, positive)
         out: list[Formula] = []
         for p in parts if op is And else [join(Or, parts)]:
-            if p is FALSE:
-                return [FALSE]
             if type(p) is And:
                 out += conjuncts(p)
             elif p is not TRUE:

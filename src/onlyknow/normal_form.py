@@ -13,13 +13,13 @@ builds it, so its output is simplified.
 
 One agent's group of modal literals is an ``AgentBlock``, and only it
 knows the group's layout: the stream builds one literal at a time with
-``AgentBlock.add``, which also reports a contradictory group, and keeps
-a stack of them per agent, and one of sigmas, that its trail pushes
-onto and a backtrack pops.  A block keeps each positive side as its
-arguments, in the order they came, and only a rendered disjunct joins
-them, so a consumer that counts the stream builds no conjunction for
-them.  The search's group record has the block's layout, but keeps
-each positive side as one list of its arguments' conjuncts.
+``AgentBlock.add``, which also reports a contradictory group, and
+keeps a stack of them per agent, and one of sigmas, that its trail
+pushes onto and a backtrack pops.  A block keeps each positive side as
+its arguments, as they came, and joins a side only to test it beside a
+negated literal of its modality, or to render a disjunct.  The
+search's group record has the block's layout, but keeps each positive
+side as one list of its arguments' conjuncts.
 
 Every V-free formula is provably equivalent to a disjunction of
 conjunctions
@@ -133,44 +133,44 @@ class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defau
     one place that knows its layout.
 
     pos_l/pos_n are tuples of the arguments of the positive L/N
-    conjuncts, in the order they came, () when there are none; neg_l/neg_n
-    are tuples of the arguments of the negated ones, all objective for
-    this agent.  A positive side is kept as parts, the arguments as
-    they came (the search's group record keeps their conjuncts), and
-    joined only by ``to_formula``, which renders each argument as
-    written; a side whose join is false is ``(false,)``.  ``add``
-    returns the group with one more literal, so the stream's stacks
-    share their blocks.
+    conjuncts and neg_l/neg_n of the negated ones, each in the order they
+    came, () when there are none, all objective for this agent.  A side
+    keeps its arguments as they came (the search's group record keeps
+    their conjuncts).  ``add`` returns the group with one more literal,
+    so the stream's stacks share their blocks.
     """
 
     __slots__ = ()
 
     def add(self, leaf: Formula, positive: bool) -> AgentBlock | None:
-        """The group with one more literal, leaf (an L or N of this
-        agent) or its negation: L a & L b is L (a & b), so a positive
-        argument is appended to pos_l or pos_n (see _extend); a negated
-        one to neg_l or neg_n.  leaf must be simplified, so its argument
-        is not true.  None when the group is contradictory: M_i false
-        implies every M_i x, so it contradicts a negated literal of its
-        modality."""
+        """The group with one more literal, leaf (a simplified L or N of
+        this agent) or its negation, its argument appended to its side as
+        it came (L a & L b is L (a & b)).  None when the group is
+        contradictory: M_i false implies every M_i x, so a positive side
+        whose join is false contradicts a negated literal of its modality."""
         agent, pos_l, neg_l, pos_n, neg_n = self
         arg = leaf.sub
+        # A block on the stream's stacks is never contradictory, so only a
+        # positive argument, or a side's first negated literal, needs the join.
         if isinstance(leaf, N):
             if positive:
-                pos_n = _extend(pos_n, arg)
+                pos_n += (arg,)
+                side = neg_n and pos_n
             else:
+                side = not neg_n and pos_n
                 neg_n += (arg,)
         elif positive:
-            pos_l = _extend(pos_l, arg)
+            pos_l += (arg,)
+            side = neg_l and pos_l
         else:
+            side = not neg_l and pos_l
             neg_l += (arg,)
-        if neg_l and pos_l == _FALSE_SIDE or neg_n and pos_n == _FALSE_SIDE:
+        if side and join(And, side) is FALSE:
             return None
         return _tuple(AgentBlock, (agent, pos_l, neg_l, pos_n, neg_n))
 
     def to_formula(self) -> Formula:
-        """The group's conjunction, each positive side joined as the left
-        fold join(And, ...) of its parts."""
+        """The group's conjunction, each positive side joined left to right."""
         parts: list[Formula] = []
         if self.pos_l:
             parts.append(L(self.agent, join(And, self.pos_l)))
@@ -179,31 +179,6 @@ class AgentBlock(namedtuple("AgentBlock", "agent pos_l neg_l pos_n neg_n", defau
             parts.append(N(self.agent, join(And, self.pos_n)))
         parts.extend(Not(N(self.agent, g)) for g in self.neg_n)
         return conj(parts)
-
-
-_FALSE_SIDE = (FALSE,)
-
-
-def _extend(pos: tuple[Formula, ...], arg: Formula) -> tuple[Formula, ...]:
-    """The positive side pos with arg appended, or (false,) when the
-    join of the two is false.  The join is the left fold of connect, so
-    it is false at a false part, or at a part that complements the fold
-    before it.  A literal is never on the trail twice, so the parts are
-    distinct and that fold is an And node from the second part on: arg
-    can complement it only as ~a beside a lone part a (or a beside ~a),
-    or as ~X where X is the fold, which is built only then.  A false
-    side stays (false,)."""
-    if not pos:
-        return (arg,)
-    first = pos[0]
-    if arg is FALSE or first is FALSE:
-        return _FALSE_SIDE
-    if len(pos) == 1:
-        if type(arg) is Not and arg.sub is first or type(first) is Not and first.sub is arg:
-            return _FALSE_SIDE
-    elif type(arg) is Not and type(arg.sub) is And and arg.sub is join(And, pos):
-        return _FALSE_SIDE
-    return pos + (arg,)
 
 
 class NormalFormDisjunct(namedtuple("NormalFormDisjunct", "sigma blocks")):

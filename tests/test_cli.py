@@ -190,6 +190,20 @@ def test_decide_trace_of_a_component_memo_hit(capsys):
     ]
 
 
+def test_decide_trace_of_a_false_settled_part(capsys):
+    # With L1 q false, the argument p & L1 q settles to the parts p and
+    # false.  The false part stays one conjunct among the others, and the
+    # component pre-check finds the positive L part unsatisfiable, so the
+    # group fails with no search.
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "L1 (p & L1 q) & ~L1 q & ~L1 r")
+    assert (code, out.strip()) == (1, "UNSAT")
+    assert err.splitlines() == [
+        "satisfiable?: L1 (p & L1 q) & ~L1 q & ~L1 r",
+        "  agent 1: entailed by the positive L part?: q",
+        "  agent 1: components of the positive L part: false",
+    ]
+
+
 def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
     import random
     import time

@@ -122,17 +122,23 @@ def test_agent_block_add_examples():
     # a part that is the join so far is kept, and the join absorbs it
     b4 = b.add(L(1, p & q), True)
     assert b4.pos_l == (p, q, p & q) and b4.to_formula() == L(1, p & q)
-    # a side whose join is false is (false,): at a false part, at a
-    # second part that complements the first, either way round, and at
-    # ~X where X is the join of the parts so far; a false side stays so
-    assert empty.add(L(1, FALSE), True).pos_l == (FALSE,)
-    assert b.add(L(1, FALSE), True).pos_l == (FALSE,)
-    assert empty.add(L(1, p), True).add(L(1, Not(p)), True).pos_l == (FALSE,)
-    assert empty.add(N(1, Not(p)), True).add(N(1, p), True).pos_n == (FALSE,)
-    assert b.add(L(1, Not(p & q)), True).pos_l == (FALSE,)
-    assert b4.add(L(1, Not(p & q)), True).pos_l == (FALSE,)
-    assert empty.add(L(1, FALSE), True).add(L(1, p), True).pos_l == (FALSE,)
+    # a side whose join is false keeps its parts as they came: a false
+    # part, a second part that complements the first, either way round,
+    # and ~X where X is the join of the parts so far; the side joins to
+    # false from then on
+    false_sides = [
+        (empty.add(L(1, FALSE), True).pos_l, (FALSE,)),
+        (b.add(L(1, FALSE), True).pos_l, (p, q, FALSE)),
+        (empty.add(L(1, p), True).add(L(1, Not(p)), True).pos_l, (p, Not(p))),
+        (empty.add(N(1, Not(p)), True).add(N(1, p), True).pos_n, (Not(p), p)),
+        (b.add(L(1, Not(p & q)), True).pos_l, (p, q, Not(p & q))),
+        (b4.add(L(1, Not(p & q)), True).pos_l, (p, q, p & q, Not(p & q))),
+        (empty.add(L(1, FALSE), True).add(L(1, p), True).pos_l, (FALSE, p)),
+    ]
+    for side, came in false_sides:
+        assert side == came and join(And, side) is FALSE, came
     assert empty.add(L(1, FALSE), True).to_formula() == L(1, FALSE)
+    assert empty.add(L(1, FALSE), True).add(L(1, p), True).to_formula() == L(1, FALSE)
     # the complement of one part among several, or of another join, is
     # no contradiction
     assert b.add(L(1, Not(p)), True).pos_l == (p, q, Not(p))
@@ -143,22 +149,27 @@ def test_agent_block_add_examples():
     assert AgentBlock(1, pos_l=(Not(p),), neg_l=(q,)).add(L(1, p), True) is None
     assert AgentBlock(1, pos_l=(p, q), neg_l=(r,)).add(L(1, Not(p & q)), True) is None
     assert AgentBlock(1, pos_n=(FALSE,)).add(N(1, q), False) is None
+    assert AgentBlock(1, pos_l=(p, Not(p))).add(L(1, q), False) is None
     # the other modality's false contradicts nothing
     assert AgentBlock(1, pos_l=(FALSE,)).add(N(1, q), False) == AgentBlock(1, pos_l=(FALSE,), neg_n=(q,))
 
 
 def test_agent_block_side_joins_as_the_left_fold_of_its_parts():
     # Every sequence of up to four distinct simplified arguments: the
-    # side is (false,) exactly when the left fold of connect is false,
-    # and otherwise its parts, joined, are that fold.
+    # side's parts, joined, are the left fold of connect, and a negated
+    # L1 s makes the group contradictory exactly when that fold is false,
+    # whether it comes after the positives or before them.
     pool = [p, q, r, Not(p), Not(q), p & q, Not(p & q), (p & q) & r, Not((p & q) & r), q & p, FALSE]
     for size in range(1, 5):
         for args in permutations(pool, size):
-            block, fold = AgentBlock(1), TRUE
+            block, after, fold = AgentBlock(1), AgentBlock(1, neg_l=(s,)), TRUE
             for x in args:
                 block, fold = block.add(L(1, x), True), connect(And, fold, x)
-                assert (block.pos_l == (FALSE,)) == (fold is FALSE), args
                 assert join(And, block.pos_l) is fold, args
+                assert (block.add(L(1, s), False) is None) == (fold is FALSE), args
+                if after is not None:
+                    after = after.add(L(1, x), True)
+                assert (after is None) == (fold is FALSE), args
 
 
 def test_sigma_is_propositional_and_blocks_objective():
@@ -293,7 +304,7 @@ def test_m_false_meeting_a_negated_literal_of_another_conjunct_prunes_the_branch
     # dropped whichever of the two the stream meets first.
     ds = nf(text, 1)
     assert [to_text(d.to_formula()) for d in ds] == expected
-    assert not any(b.pos_l == (FALSE,) and b.neg_l for d in ds for b in d.blocks)
+    assert not any(join(And, b.pos_l) is FALSE and b.neg_l for d in ds for b in d.blocks)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +340,7 @@ def test_a_side_that_folds_to_false_prunes_a_negated_literal(text, expected):
             [
                 (TRUE, [AgentBlock(1, pos_l=(d,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,))]),
                 (TRUE, [AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE, d)), AgentBlock(3, pos_n=(a,))]),
                 (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
                 (TRUE, [AgentBlock(1, pos_l=(d,), neg_l=(b,)), AgentBlock(2, pos_l=(c,))]),
                 (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, neg_n=(e,))]),
@@ -341,7 +352,7 @@ def test_a_side_that_folds_to_false_prunes_a_negated_literal(text, expected):
             [
                 (TRUE, [AgentBlock(1, pos_l=(d,), neg_l=(b,)), AgentBlock(2, pos_l=(c,))]),
                 (TRUE, [AgentBlock(1, neg_l=(b,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, neg_n=(e,))]),
-                (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,))]),
+                (TRUE, [AgentBlock(1, pos_l=(FALSE, d)), AgentBlock(3, pos_n=(a,))]),
                 (TRUE, [AgentBlock(1, pos_l=(FALSE,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),
                 (TRUE, [AgentBlock(1, pos_l=(d,)), AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,))]),
                 (TRUE, [AgentBlock(2, pos_l=(c,)), AgentBlock(3, pos_n=(a,), neg_n=(e,))]),

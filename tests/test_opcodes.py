@@ -63,6 +63,20 @@ def test_a_selection_that_matches_no_query_is_a_usage_error(opcodes, argv, monke
     assert "matches no query" in captured.err and " ".join(argv).replace("nosuch", "'nosuch'") in captured.err
 
 
+@pytest.mark.parametrize("argv", [["--cycles", "-1"], ["--queries", "-1"], ["--queries", "-3"]])
+def test_a_negative_count_is_a_usage_error(opcodes, argv, monkeypatch, capsys):
+    # Refused before anything is counted: --cycles -1 would end in a
+    # traceback from islice, and --queries -n would count all but the
+    # last n queries.
+    monkeypatch.setattr(sys, "argv", ["opcodes.py", *argv])
+    with pytest.raises(SystemExit) as stop:
+        opcodes.main()
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert f"argument {argv[0]}: must be 0 or more" in captured.err
+
+
 def test_a_rung_counts_alike_alone_and_in_the_full_run():
     # Each run is a fresh interpreter, so the rung's first query is the
     # first of its process when it runs alone, and counting it must not

@@ -56,6 +56,17 @@ def test_a_decide_loads_only_the_decide_path(case, tmp_path):
     assert _fresh_python(DECIDES[case] + check, tmp_path).splitlines()[-1] == "[]"
 
 
+def test_believes_loads_no_oracle_and_no_typing(tmp_path):
+    # The query layer adds only autoepistemic to the decide path.
+    code = (
+        "from onlyknow.cli import main\n"
+        "assert main(['believes', '--agent', '1', '--kb', 'p', '--query', 'p']) == 0\n"
+        "import sys\n"
+        f"print(sorted((set({OFF_THE_DECIDE_PATH!r}) - {{'onlyknow.autoepistemic'}}) & set(sys.modules)))\n"
+    )
+    assert _fresh_python(code, tmp_path).splitlines()[-1] == "[]"
+
+
 def test_every_public_name_resolves_after_a_bare_import(tmp_path):
     code = (
         "import onlyknow, sys\n"

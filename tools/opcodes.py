@@ -119,12 +119,20 @@ def rung_key(rung: str) -> tuple[str, int]:
     return (name, int(size)) if size.isdigit() else (rung, 0)
 
 
+def natural(text: str) -> int:
+    """An argparse type: a whole number of zero or more."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="defaults", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--cycles", type=int, default=1, help="count the first this many cycles")
-    parser.add_argument("--queries", type=int, help="count only the first this many queries")
+    parser.add_argument("--cycles", type=natural, default=1, help="count the first this many cycles")
+    parser.add_argument("--queries", type=natural, help="count only the first this many queries")
     parser.add_argument("--rung", default="", metavar="PREFIX", help="count only the rungs whose names start so")
     parser.add_argument("--render", action="store_true", help="render each nf disjunct as text, as onlyknow nf does")
     parser.add_argument("--growth", metavar="FAMILY:SIZE[,...]", help="count these points of tools/growth.py instead")
