@@ -24,10 +24,6 @@ from .formula import (
     TRUE,
     Val,
     ValPresentError,
-    classify,
-    FormulaClass,
-    build_independent,
-    modal_depth,
     only_knows,
     parse,
     simplify,
@@ -39,11 +35,15 @@ from .decision import (
     Verdict,
 )
 
-# The normal-form stream, the oracles and the query layer load on first
-# use, so that deciding a formula imports only the two modules above.
-# A name resolves through the module __getattr__ (PEP 562), which keeps
-# it in the globals.
+# The syntactic classes, the normal-form stream, the oracles and the
+# query layer load on first use, so that deciding a formula imports only
+# the two modules above.  A name resolves through the module __getattr__
+# (PEP 562), which keeps it in the globals.
 _LAZY = {
+    "FormulaClass": ("fragments", "FormulaClass"),
+    "build_independent": ("fragments", "build_independent"),
+    "classify": ("fragments", "classify"),
+    "modal_depth": ("fragments", "modal_depth"),
     "AgentBlock": ("normal_form", "AgentBlock"),
     "NormalFormDisjunct": ("normal_form", "NormalFormDisjunct"),
     "reassemble": ("normal_form", "reassemble"),
@@ -73,7 +73,7 @@ _LAZY = {
     "generate_random": ("corpus", "generate_random"),
     "load_corpus": ("corpus", "load_corpus"),
 }
-_LAZY_MODULES = ("normal_form", "k45", "kripke", "finite_semantics", "autoepistemic", "corpus")
+_LAZY_MODULES = ("fragments", "normal_form", "k45", "kripke", "finite_semantics", "autoepistemic", "corpus")
 
 
 def __getattr__(name: str) -> object:

@@ -21,7 +21,7 @@ import traceback  # up front, so the internal-error handler needs no import
 # oracles, the query layer, the process pool, json), so that deciding a
 # formula loads no more.
 from .decision import BudgetExceededError, Decider
-from .formula import FormulaError, classify, parse, to_text
+from .formula import FormulaError, parse, to_text
 
 _POSITIVE = ("SAT", "VALID", "YES")
 
@@ -71,6 +71,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .fragments import classify
+
     _check_agent(args)
     f = parse(args.formula, args.agents)
     flags = classify(f, args.agent)._asdict()

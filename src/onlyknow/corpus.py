@@ -27,15 +27,11 @@ from .formula import (
     Not,
     Or,
     Val,
-    atoms,
     conj,
-    is_i_objective,
-    is_i_subjective,
-    is_propositional,
     parse,
-    substitute_atom,
     to_text,
 )
+from .fragments import atoms, is_i_objective, is_i_subjective, is_propositional, substitute_atom
 
 
 @dataclass(frozen=True)

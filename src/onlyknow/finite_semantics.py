@@ -31,15 +31,12 @@ from .formula import (
     TrueConst,
     Val,
     ValPresentError,
-    agents,
-    atoms,
     conj,
     fold,
-    is_propositional,
     join,
-    nodes,
     transform,
 )
+from .fragments import agents, atoms, is_propositional, nodes
 from .normal_form import normalize
 
 World = frozenset[str]

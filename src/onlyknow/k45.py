@@ -32,13 +32,11 @@ from .formula import (
     L,
     Not,
     NotBasicError,
-    agents,
-    assign,
     conj,
-    is_basic,
     simplify,
     to_text,
 )
+from .fragments import agents, assign, is_basic
 from .kripke import KripkeStructure
 
 

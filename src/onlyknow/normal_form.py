@@ -68,7 +68,6 @@ from .formula import (
     Or,
     Val,
     ValPresentError,
-    assign,
     conj,
     conjuncts,
     connect,
@@ -79,6 +78,7 @@ from .formula import (
     own_modal_leaves,
     transform,
 )
+from .fragments import assign
 
 _tuple = tuple.__new__  # _tuple(cls, fields) builds a namedtuple in C, past its generated __new__
 _top = itemgetter(-1)

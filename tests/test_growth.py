@@ -18,7 +18,7 @@ def growth():
 @pytest.mark.parametrize(
     "family",
     ["believes", "believes-secret", "nf", "3cnf", "modal-cnf", "iff-chain", "and-chain", "nested-l", "nested-l-sat", "parse",
-     "chain", "nixon", "dag", "about", "alternating"],
+     "chain", "nixon", "dag", "about", "alternating", "nested-l-or"],
 )
 def test_smallest_point_of_each_family_has_its_answer(growth, family):
     limit = sys.getrecursionlimit()

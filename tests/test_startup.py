@@ -1,6 +1,6 @@
 """Start-up: deciding a formula loads only formula and decision, and
-the rest of the package, the normal-form stream included, loads on
-first use."""
+the rest of the package, the syntactic classes and the normal-form
+stream included, loads on first use."""
 
 import os
 import subprocess
@@ -11,10 +11,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Modules that the normal-form stream, the oracles, the query layer or a
-# process pool need, and that a decide must not load; typing, which only
-# annotations name.
+# Modules that the syntactic classes, the normal-form stream, the
+# oracles, the query layer or a process pool need, and that a decide
+# must not load; typing, which only annotations name.
 OFF_THE_DECIDE_PATH = (
+    "onlyknow.fragments",
     "onlyknow.normal_form",
     "onlyknow.k45",
     "onlyknow.kripke",
@@ -25,6 +26,17 @@ OFF_THE_DECIDE_PATH = (
     "concurrent.futures",
     "typing",
 )
+
+# The paper's syntactic classes and the rewrites no decide asks for: they
+# live in onlyknow.fragments and still resolve from onlyknow.formula.
+MOVED = (
+    "walk", "nodes", "atoms", "agents",
+    "is_propositional", "is_basic", "is_i_objective", "is_i_subjective", "in_onl_minus", "modal_depth",
+    "FormulaClass", "classify", "substitute_atom", "assign", "build_independent",
+)
+# The moved names that the package root imported up front and now loads
+# on first use.
+MOVED_FROM_THE_ROOT = ("FormulaClass", "build_independent", "classify", "modal_depth")
 
 DECIDES = {
     "library": "import onlyknow\nassert onlyknow.Decider().consistent(onlyknow.parse('p & ~L1 q'))\n",
@@ -54,6 +66,27 @@ def test_a_decide_loads_only_the_decide_path(case, tmp_path):
     (tmp_path / "lines.txt").write_text("p & ~L1 q\nL1 p | N2 q\n")
     check = f"import sys\nprint(sorted(set({OFF_THE_DECIDE_PATH!r}) & set(sys.modules)))\n"
     assert _fresh_python(DECIDES[case] + check, tmp_path).splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("case", ["library", "cli"])
+def test_a_decide_compiles_none_of_the_moved_names(case, tmp_path):
+    check = f"import onlyknow.formula\nprint(sorted(set({MOVED!r}) & set(vars(onlyknow.formula))))\n"
+    assert _fresh_python(DECIDES[case] + check, tmp_path).splitlines()[-1] == "[]"
+
+
+def test_each_moved_name_resolves_where_it_was(tmp_path):
+    code = (
+        "import onlyknow, onlyknow.formula, onlyknow.fragments\n"
+        f"for name in {MOVED!r}:\n"
+        "    assert getattr(onlyknow.formula, name) is getattr(onlyknow.fragments, name), name\n"
+        f"for name in {MOVED_FROM_THE_ROOT!r}:\n"
+        "    assert getattr(onlyknow, name) is getattr(onlyknow.fragments, name), name\n"
+        "try:\n"
+        "    onlyknow.formula.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('ok')\n"
+    )
+    assert _fresh_python(code, tmp_path).strip() == "ok"
 
 
 def test_believes_loads_no_oracle_and_no_typing(tmp_path):

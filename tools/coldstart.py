@@ -3,17 +3,20 @@
 Usage: python tools/coldstart.py [--runs N] [--out FILE]
 
 Times N fresh processes of each command: ``pass`` (the interpreter
-alone), ``import onlyknow; Decider()``, and ``onlyknow decide --mode sat
-'p & ~L1 q'`` (through ``onlyknow.cli.main``, as the console script runs
-it).  Each is timed twice.  With no cache, the package's sources are
-copied into a fresh directory and PYTHONDONTWRITEBYTECODE is set, so
-they are compiled every time; the standard library keeps its installed
-caches.  Cached, every module's bytecode is read from a temporary
-PYTHONPYCACHEPREFIX that one untimed run filled.  Nothing is written
-into src/.  One line is printed per command and mode: median, first and
-third quartile, in ms, so N must be at least 2; a smaller N is a usage
-error (exit 2), before any process starts.  With --out the table is
-also written as JSON.
+alone), ``import onlyknow; Decider()``, ``onlyknow decide --mode sat
+'p & ~L1 q'``, and ``onlyknow classify --agent 1 'p & ~L1 q'`` (both
+through ``onlyknow.cli.main``, as the console script runs them).  A
+decide loads formula and decision only; classify also compiles
+fragments, the paper's syntactic classes, so the last two rows differ
+by what that module costs.  Each is timed twice.  With no cache, the
+package's sources are copied into a fresh directory and
+PYTHONDONTWRITEBYTECODE is set, so they are compiled every time; the
+standard library keeps its installed caches.  Cached, every module's
+bytecode is read from a temporary PYTHONPYCACHEPREFIX that one untimed
+run filled.  Nothing is written into src/.  One line is printed per
+command and mode: median, first and third quartile, in ms, so N must be
+at least 2; a smaller N is a usage error (exit 2), before any process
+starts.  With --out the table is also written as JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ COMMANDS = {
     "pass": ["-c", "pass"],
     "import": ["-c", "import onlyknow; onlyknow.Decider()"],
     "decide": ["-c", CLI, "decide", "--mode", "sat", "p & ~L1 q"],
+    "classify": ["-c", CLI, "classify", "--agent", "1", "p & ~L1 q"],
 }
 
 
@@ -68,7 +72,7 @@ def main() -> int:
                     for name, runs in rows.items()} for mode, rows in times.items()}
     for mode, rows in table.items():
         for name, row in rows.items():
-            print(f"{mode:9} {name:7} {row['median_ms']:8.1f} ms  (q1 {row['q1_ms']:.1f}, q3 {row['q3_ms']:.1f})")
+            print(f"{mode:9} {name:8} {row['median_ms']:8.1f} ms  (q1 {row['q1_ms']:.1f}, q3 {row['q3_ms']:.1f})")
     if args.out:
         args.out.write_text(json.dumps({"python": platform.python_version(), "runs": args.runs, "table": table},
                                        indent=1) + "\n")

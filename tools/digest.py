@@ -52,16 +52,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from onlyknow import simplify  # noqa: E402
 from onlyknow.corpus import generate_random  # noqa: E402
 from onlyknow.decision import Decider, to_clauses  # noqa: E402
-from onlyknow.formula import (  # noqa: E402
-    Atom,
-    L,
-    Not,
-    assign,
-    is_i_objective,
-    is_i_subjective,
-    substitute_atom,
-    to_text,
-)
+from onlyknow.formula import Atom, L, Not, to_text  # noqa: E402
+from onlyknow.fragments import assign, is_i_objective, is_i_subjective, substitute_atom  # noqa: E402
 from onlyknow.normal_form import normalize, to_normal_form  # noqa: E402
 
 FAMILIES = (  # (profile, agents, size)

@@ -1,4 +1,4 @@
-"""Growth curves of the engine on fifteen seeded families.
+"""Growth curves of the engine on sixteen seeded families.
 
 Usage: python tools/growth.py [--families believes,nf,...] [--out FILE]
 
@@ -49,6 +49,10 @@ also written as JSON.  It runs at Python's default recursion limit
              ("no") is not
   alternating  consistency of q_n & ~L_a ~(q_(n-1) & ~L_b ~(... q_0)),
              n levels, agents 1 and 2 alternating
+  nested-l-or  consistency of f_n, where f_0 = p and
+             f_(i+1) = L1 (f_i | q_i): true, since L1 of anything is
+             satisfiable; the K45 prover gives the answer at the
+             smallest size
 
 The sizes are fixed below, so two versions of the engine run the same
 points.
@@ -70,9 +74,11 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from onlyknow import k45  # noqa: E402
 from onlyknow.autoepistemic import believes  # noqa: E402
 from onlyknow.decision import Decider  # noqa: E402
-from onlyknow.formula import And, Atom, L, N, Or, classify, nodes, parse  # noqa: E402
+from onlyknow.formula import And, Atom, L, N, Or, parse  # noqa: E402
+from onlyknow.fragments import classify, nodes  # noqa: E402
 from onlyknow.normal_form import to_normal_form  # noqa: E402
 from workloads import cnf_text, default_theory, random_3cnf  # noqa: E402
 
@@ -92,6 +98,7 @@ SIZES = {
     "dag": (18, 100, 1000),
     "about": (16, 32, 64, 128, 256),
     "alternating": (50, 100, 150),
+    "nested-l-or": (125, 250, 500, 1000),
 }
 RUNS = 3
 # Answers of the seeded 3-CNF instances at ratio 4.26.
@@ -190,6 +197,13 @@ def points(family: str, size: int) -> list[Point]:
         for k in range(1, size + 1):
             text = f"q{k} & ~L{1 + k % 2} ~({text})"
         return [("", lambda f=parse(text): bool(Decider().consistent(f)), True)]
+    if family == "nested-l-or":
+        text = "p"
+        for i in range(size):
+            text = f"L1 ({text} | q{i})"
+        f = parse(text)
+        answer = k45.sat(f) if size == SIZES[family][0] else True
+        return [("", lambda: bool(Decider().consistent(f)), answer)]
     raise ValueError(f"unknown family {family!r}")
 
 
