@@ -140,11 +140,14 @@ def _cmd_decide(args) -> int:
         lines = [ln for ln in map(str.strip, handle) if ln and not ln.startswith("#")]
     # time.monotonic() is system-wide on Linux, so workers compare the deadline directly.
     tasks = [(ln, args.mode, args.agents, deadline) for ln in lines]
+    # A fork pool starts every worker at its first task, so it gets no
+    # more workers than there are lines or processors.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     pool = None
-    if args.jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(args.jobs)
+        pool = ProcessPoolExecutor(workers)
     try:
         code = 0
         for record in pool.map(_decide_line, tasks) if pool else map(_decide_line, tasks):

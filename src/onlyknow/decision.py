@@ -223,7 +223,7 @@ class Decider:
 
     def _search(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool:
         """DPLL over the clause form that _sat made: unit propagation,
-        decisions on the trail, the group test on the modal literals
+        decision levels on the trail, the group test on the modal literals
         after each propagation, and SAT once every clause is satisfied,
         so the literals still unassigned stay don't-care.  A modal variable
         M_i phi depends on the agent-i modal atoms at phi's Boolean
@@ -233,8 +233,8 @@ class Decider:
         to its fixpoint after each unit propagation, back to propagation
         while it assigns, and the group test runs once there, before a
         guess: both rules hold for every completion, and a group that
-        fails before them fails after them.  The groups follow the
-        trail, and a backtrack pops them with it.
+        fails before them fails after them.  A backtrack pops the groups
+        with the top level and flips its decision at the level below.
         A literal set never gets here: it has nothing to search, and
         _literal_set_ok tests its groups by the same _Groups and _group_ok."""
         modal: dict[int, Formula] = {}
@@ -260,7 +260,6 @@ class Decider:
             return False
         groups = _Groups(modal, deps, s.value, self._own, self._tick) if modal else None
         pairs = any(type(modal[v]) is N for v in deps)  # N_i ~a of a pair that may force a's dependencies
-        decisions: list[tuple[int, int, int, bool]] = []  # (trail length, cursor, literal, flipped)
         while True:
             self._tick()
             ok = s.propagate()
@@ -272,20 +271,13 @@ class Decider:
                     if self.trace:
                         self.trace(level + 1, "satisfying literals", _literals(variables, s.trail))
                     return True
-                decisions.append((len(s.trail), s.first, lit, False))
-                s.assign(lit)
+                s.decide(lit)
                 continue
-            while decisions:
-                at, first, lit, flipped = decisions.pop()
-                if groups:
-                    groups.undo(s.trail, at)
-                s.undo(at, first)
-                if not flipped:
-                    decisions.append((at, first, -lit, True))
-                    s.assign(-lit)
-                    break
-            else:
+            if not s.levels:
                 return False
+            if groups:
+                groups.undo(s.trail, s.levels[-1][0])
+            s.assign(-s.backtrack())
 
     def _literal_set_ok(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool | None:
         """The search's verdict when every clause is a unit over an atom
@@ -977,8 +969,8 @@ class _Block:
 class _Trail:
     """Assignment state of one search: a value per literal (list index
     -v wraps to the upper half), the trail of assigned literals, two
-    watched literals per clause of two or more, and the cursor of
-    choose."""
+    watched literals per clause of two or more, the cursor of choose,
+    and levels, the (trail length, cursor) at each open decision."""
 
     def __init__(self, n_vars: int, clauses: list[list[int]], tick: Tick) -> None:
         size = 2 * n_vars + 1
@@ -988,6 +980,7 @@ class _Trail:
         self.head = 0  # trail[:head] is propagated
         self.clauses = clauses  # original literal order, read by choose
         self.first = 0  # every clause before clauses[first] is satisfied
+        self.levels: list[tuple[int, int]] = []
         self.conflict = False
         for c in clauses:
             tick()
@@ -1005,14 +998,21 @@ class _Trail:
         self.value[-lit] = False
         self.trail.append(lit)
 
-    def undo(self, at: int, first: int) -> None:
-        """Back to the first at literals of the trail, and to first, the
-        cursor choose left at that length."""
-        for lit in self.trail[at:]:
-            self.value[lit] = self.value[-lit] = None
+    def decide(self, lit: int) -> None:
+        """Open a decision level with lit."""
+        self.levels.append((len(self.trail), self.first))
+        self.assign(lit)
+
+    def backtrack(self) -> int:
+        """Close the top decision level: put the trail and the cursor
+        back to where it opened, and return its decision."""
+        at, self.first = self.levels.pop()
+        lit = self.trail[at]
+        for x in self.trail[at:]:
+            self.value[x] = self.value[-x] = None
         del self.trail[at:]
         self.head = at
-        self.first = first
+        return lit
 
     def propagate(self) -> bool:
         """Unit propagation; False on a conflict."""
@@ -1049,9 +1049,9 @@ class _Trail:
         None when every clause is satisfied.  The scan starts at the
         cursor, since the clauses before it are satisfied, and leaves it
         on the clause it picks from.  Assigning keeps those clauses
-        satisfied, and undo puts back the cursor saved at the trail
-        length it returns to, so each pick is the one a scan from the
-        first clause would make."""
+        satisfied, and backtrack puts back the cursor its level saved
+        at the trail length it returns to, so each pick is the one a
+        scan from the first clause would make."""
         value, clauses = self.value, self.clauses
         for k in range(self.first, len(clauses)):
             free = None

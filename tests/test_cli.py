@@ -204,22 +204,41 @@ def test_decide_trace_of_a_false_settled_part(capsys):
     ]
 
 
-def test_decide_trace_survives_a_budget_stop(capsys):
-    import time
+def test_decide_trace_of_a_search_that_pops_a_flip_with_the_level_below(capsys):
+    # The search decides p (level 1), then ~q (level 2), which needs
+    # both s and ~s.  Backtracking flips it: q is implied at level 1, and
+    # needs both r and ~r.  Level 1 then closes with the flipped q on it,
+    # ~p is implied at level 0 and propagates q, and the search decides
+    # t.  A search that tried each decision's negation first would end
+    # at ~p & q & ~t & u.
+    text = "(p | q) & (~p | ~q | r) & (~p | ~q | ~r) & (~p | q | s) & (~p | q | ~s) & (t | u)"
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", text)
+    assert (code, out.strip()) == (0, "SAT")
+    assert err.splitlines() == [
+        f"satisfiable?: {text}",
+        "  satisfying literals: ~p & q & t",
+    ]
 
-    # The pigeonhole formula PHP(n + 1, n): n + 1 pigeons, each in one of
-    # n holes, no two in one hole.  Resolution refutes it only in 2^Ω(n)
-    # steps (Haken, The intractability of resolution, TCS 1985), so no
-    # DPLL or CDCL search answers it within the budget; at n = 10 an
-    # unbudgeted decide takes about 100 times the budget.  Balanced
-    # parentheses keep parsing and V elimination well inside it.
-    n = 10
+
+def pigeonhole(n):
+    """The pigeonhole formula PHP(n + 1, n): n + 1 pigeons, each in one
+    of n holes, no two in one hole.  Resolution refutes it only in
+    2^Ω(n) steps (Haken, The intractability of resolution, TCS 1985), so
+    no DPLL or CDCL search answers it within a budget stop's budget; at
+    n = 10 an unbudgeted decide takes about 100 times 0.5 s.  Balanced
+    parentheses keep parsing and V elimination well inside the budget."""
     parts = ["(" + " | ".join(f"x{i}_{j}" for j in range(n)) + ")" for i in range(n + 1)]
     parts += [f"(~x{a}_{j} | ~x{b}_{j})" for j in range(n) for a in range(n + 1) for b in range(a + 1, n + 1)]
     while len(parts) > 1:
         parts = ["(" + " & ".join(parts[i : i + 2]) + ")" for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
+def test_decide_trace_survives_a_budget_stop(capsys):
+    import time
+
     started = time.monotonic()
-    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "--budget", "0.5", parts[0])
+    code, out, err = run(capsys, "decide", "--mode", "sat", "--trace", "--budget", "0.5", pigeonhole(10))
     assert code == 3
     assert time.monotonic() - started <= 0.5 + 1.5
     assert out == ""
@@ -409,6 +428,45 @@ def test_jobs_parallel_batch(tmp_path, capsys):
     assert verdicts == ["SAT", "UNSAT", "SAT"]
 
 
+@pytest.mark.parametrize("cpus", [8, 1, None])
+def test_jobs_ask_for_no_more_workers_than_lines_or_processors(tmp_path, capsys, monkeypatch, cpus):
+    # A fork pool starts every worker at its first task, so --jobs 100000
+    # on a two-line batch must ask for at most two, and for no pool where
+    # one process is all there is to use.  The fake pool maps in this
+    # process, and forking fails the test.
+    import concurrent.futures
+    import multiprocessing
+    import os
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    def fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    batch = tmp_path / "batch.txt"
+    batch.write_text("p\np & ~p\n")
+    code, out, _ = run(
+        capsys, "decide", "--mode", "sat", "--jobs", "100000", "--format", "jsonl", "--batch", str(batch)
+    )
+    assert code == 0
+    assert [json.loads(line)["verdict"] for line in out.strip().splitlines()] == ["SAT", "UNSAT"]
+    assert asked == ([2] if cpus == 8 else [])
+    assert multiprocessing.active_children() == []
+
+
 def test_internal_error_exits_four_not_a_verdict_code(monkeypatch, capsys):
     from onlyknow.decision import Decider
 
@@ -437,18 +495,11 @@ def test_batch_bad_line_gets_error_record_and_later_lines_are_decided(tmp_path, 
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_batch_budget_bounds_every_line(tmp_path, capsys, monkeypatch, jobs):
-    import random
+def test_batch_budget_bounds_every_line(tmp_path, capsys, jobs):
     import time
-    from pathlib import Path
 
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from workloads import cnf_text, random_3cnf
-
-    # A 130-variable 3-CNF at ratio 4.26 takes seconds to decide.
-    cnf = cnf_text(random_3cnf(random.Random(4), 130, 554), "x")
     batch = tmp_path / "batch.txt"
-    batch.write_text(f"{cnf}\np\n")
+    batch.write_text(f"{pigeonhole(10)}\np\n")
     started = time.monotonic()
     code, out, _ = run(
         capsys, "decide", "--mode", "sat", "--budget", "0.3", "--jobs", jobs,

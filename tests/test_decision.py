@@ -821,9 +821,10 @@ def test_deep_basic_formula_decides_at_the_default_recursion_limit():
 
 
 def test_trail_cursor_picks_what_a_scan_from_the_first_clause_picks():
-    # A seeded 3-CNF near the threshold: assign, propagate, undo to a
-    # random decision (flipping it or not) and choose again, and check
-    # each pick against a scan of every clause from the first.
+    # A seeded 3-CNF near the threshold: decide, propagate, backtrack to
+    # a random decision level (flipping its decision or not) and choose
+    # again, and check each pick against a scan of every clause from the
+    # first.
     rng = random.Random(15)
     n = 40
     clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)] for _ in range(170)]
@@ -835,7 +836,6 @@ def test_trail_cursor_picks_what_a_scan_from_the_first_clause_picks():
                 return next(x for x in c if s.value[x] is None)
         return None
 
-    decisions = []
     picks = undos = 0
     for _ in range(3000):
         if s.propagate():
@@ -843,20 +843,16 @@ def test_trail_cursor_picks_what_a_scan_from_the_first_clause_picks():
             assert lit == scan()
             assert all(any(s.value[x] for x in c) for c in clauses[: s.first])
             picks += 1
-            if lit is not None and (not decisions or rng.random() < 0.8):
-                decisions.append((len(s.trail), s.first, lit))
-                s.assign(lit)
+            if lit is not None and (not s.levels or rng.random() < 0.8):
+                s.decide(lit)
                 continue
-        if not decisions:
+        if not s.levels:
             break
-        r = rng.randrange(len(decisions))
-        at, first, lit = decisions[r]
-        del decisions[r:]
-        s.undo(at, first)
+        for _ in range(len(s.levels) - rng.randrange(len(s.levels))):
+            lit = s.backtrack()
         undos += 1
         if rng.random() < 0.5:
-            decisions.append((at, first, -lit))
-            s.assign(-lit)
+            s.decide(-lit)
     assert picks > 1000 and undos > 200
 
 
