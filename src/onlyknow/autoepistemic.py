@@ -40,19 +40,13 @@ def only_knowing_sets(
     """All world sets W over the alphabet where only knowing kb holds:
     a world is in W exactly when kb is true there with W entertained."""
     # Imported here, so that believes and kb_coherent load no oracle.
-    from .finite_semantics import BoundExceededError, Situation, _check_formula, evaluate, worlds_over
+    from .finite_semantics import checked_alphabet, truth, worlds_over
 
-    alphabet = tuple(sorted(set(phi)))
-    if len(alphabet) > bound:
-        raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
-    _check_formula(kb, alphabet)
-    universe = worlds_over(alphabet)
+    universe = worlds_over(checked_alphabet(kb, phi, bound))  # kb is checked once, then evaluated unchecked
+    everything = frozenset(universe)
     out = []
     for bits in product((False, True), repeat=len(universe)):
         possible = frozenset(w for w, b in zip(universe, bits) if b)
-        if all(
-            (w in possible) == evaluate(Situation(alphabet, possible, w), kb)
-            for w in universe
-        ):
+        if all((w in possible) == truth(possible, everything - possible, w, kb) for w in universe):
             out.append(possible)
     return tuple(out)

@@ -177,8 +177,7 @@ def _cmd_oracle(args) -> int:
     from . import finite_semantics
 
     f = parse(args.formula)
-    phi = [a for a in args.phi.split(",") if a]
-    result = finite_semantics.oracle_valid(f, phi, semantics=args.semantics, bound=args.bound)
+    result = finite_semantics.oracle_valid(f, args.phi, semantics=args.semantics, bound=args.bound)
     record = {"input": args.formula, "verdict": "VALID" if result.valid else "INVALID"}
     if result.counterexample is not None:
         record["counterexample"] = result.counterexample.describe()
@@ -190,8 +189,7 @@ def _cmd_reduce(args) -> int:
     from . import finite_semantics
 
     f = parse(args.formula)
-    phi = [a for a in args.phi.split(",") if a]
-    print(to_text(finite_semantics.reduce_n_to_l(f, phi, bound=args.bound)))
+    print(to_text(finite_semantics.reduce_n_to_l(f, args.phi, bound=args.bound)))
     return 0
 
 
@@ -234,13 +232,17 @@ def _cmd_okn_sets(args) -> int:
     from . import autoepistemic, finite_semantics
 
     f = parse(args.formula)
-    phi = [a for a in args.phi.split(",") if a]
-    sets = autoepistemic.only_knowing_sets(f, phi, bound=args.bound)
+    sets = autoepistemic.only_knowing_sets(f, args.phi, bound=args.bound)
     for possible in sets:
-        names = sorted(finite_semantics.world_to_text(w, phi) for w in possible)
+        names = sorted(finite_semantics.world_to_text(w, args.phi) for w in possible)
         print("{" + ", ".join(names) + "}")
     print(f"count: {len(sets)}")
     return 0
+
+
+def _alphabet(text: str) -> list[str]:
+    """An argparse type for --phi: the comma-separated atom names."""
+    return [a for a in text.split(",") if a]
 
 
 def _at_least(low: int):
@@ -275,6 +277,10 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             )
         if fmt:
             p.add_argument("--format", choices=("text", "jsonl"), default="text")
+
+    def alphabet(p):  # the finite-alphabet commands: oracle, reduce, okn-sets
+        p.add_argument("--phi", required=True, type=_alphabet, help="comma-separated atom alphabet")
+        p.add_argument("--bound", type=int, default=2)
 
     if p := add("parse", "parse and reprint a formula"):
         p.add_argument("formula")
@@ -312,16 +318,14 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     if p := add("oracle", "finite-alphabet validity by enumeration"):
         p.add_argument("formula")
-        p.add_argument("--phi", required=True, help="comma-separated atom alphabet")
+        alphabet(p)
         p.add_argument("--semantics", choices=("levesque", "extended"), default="levesque")
-        p.add_argument("--bound", type=int, default=2)
         common(p, agents=False)
         p.set_defaults(func=_cmd_oracle)
 
     if p := add("reduce", "rewrite N away over a finite alphabet"):
         p.add_argument("formula")
-        p.add_argument("--phi", required=True)
-        p.add_argument("--bound", type=int, default=2)
+        alphabet(p)
         common(p, agents=False, fmt=False)
         p.set_defaults(func=_cmd_reduce)
 
@@ -347,8 +351,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     if p := add("okn-sets", "finite fixed points of only knowing"):
         p.add_argument("formula")
-        p.add_argument("--phi", required=True)
-        p.add_argument("--bound", type=int, default=2)
+        alphabet(p)
         common(p, agents=False, fmt=False)
         p.set_defaults(func=_cmd_okn_sets)
 

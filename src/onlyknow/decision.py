@@ -68,12 +68,13 @@ pos that psi touches (Bayardo & Pehoushek, AAAI 2000), or none, when a
 lone literal or the memo is left.  The pair asks it of its base for
 each conjunct of X, as its propagation asks it for each dependency.
 
-The pair also propagates, DPLL(T)'s propagate step: after each unit
-propagation, each O_i a assigns those of a's dependencies that a's two
-cofactors decide (_forced), at the current decision level, so a
-backtrack takes them back.  Unit propagation and the pair's take turns
-until neither assigns, and the groups are tested once there, as DPLL(T)
-runs theory propagation to its fixpoint before the consistency check.
+The pair also propagates, DPLL(T)'s theory propagation: after each unit
+propagation, each O_i a implies those of a's dependencies that a's two
+cofactors decide (_forced), and the search assigns them at the current
+decision level, so a backtrack takes them back.  Unit propagation and
+the pair's take turns until neither assigns, and the groups are tested
+once there, as DPLL(T) runs theory propagation to its fixpoint before
+the consistency check.
 """
 
 from __future__ import annotations
@@ -222,21 +223,27 @@ class Decider:
         return result
 
     def _search(self, variables: list[Formula | None], clauses: list[list[int]], level: int) -> bool:
-        """DPLL over the clause form that _sat made: unit propagation,
-        decision levels on the trail, the group test on the modal literals
-        after each propagation, and SAT once every clause is satisfied,
-        so the literals still unassigned stay don't-care.  A modal variable
-        M_i phi depends on the agent-i modal atoms at phi's Boolean
-        level; they become variables too (their own dependencies with
-        them), each with the clause -w | w, so the search decides them,
-        or only knowing's pair forces them (_forced).  The forcing runs
-        to its fixpoint after each unit propagation, back to propagation
-        while it assigns, and the group test runs once there, before a
-        guess: both rules hold for every completion, and a group that
-        fails before them fails after them.  A backtrack pops the groups
-        with the top level and flips its decision at the level below.
-        A literal set never gets here: it has nothing to search, and
-        _literal_set_ok tests its groups by the same _Groups and _group_ok."""
+        """DPLL(T) over the clause form that _sat made, SAT once every
+        clause is satisfied, so the literals still unassigned stay
+        don't-care.  A modal variable M_i phi depends on the agent-i modal
+        atoms at phi's Boolean level; they become variables too (their
+        own dependencies with them), each with the clause -w | w, so the
+        search decides them, or only knowing's pair forces them.  One
+        round: unit propagation; the blocks sync once with the trail;
+        theory propagation, _forced, hands back the pair's implied
+        literals, which the round assigns at the current decision level
+        (a backtrack takes them back) before it goes back to propagation;
+        at the fixpoint, the theory check, the group test of each agent's
+        block, in agent order; then a decision.  Both rules hold for
+        every completion, and a group that fails before the forcing fails
+        after it.  An agent's literal set fixes its cofactors, since every
+        dependency is one of its modal atoms, so each set is tested once
+        (see _Groups.tested), and a failing group fails under every
+        extension, so it prunes.  A search with no modal variable has no
+        groups.  A backtrack pops the groups with the top level and flips
+        its decision at the level below.  A literal set never gets here:
+        it has nothing to search, and _literal_set_ok tests its groups by
+        the same _Groups and _group_ok."""
         modal: dict[int, Formula] = {}
         deps: dict[int, tuple[int, ...]] = {}
         index: dict[Formula, int] = {}
@@ -263,9 +270,24 @@ class Decider:
         while True:
             self._tick()
             ok = s.propagate()
-            if ok and pairs and self._forced(s, groups, level):
-                continue
-            if ok and self._groups_ok(s.trail, groups, level):
+            if ok and groups:
+                groups.sync(s.trail)
+                if pairs and (forced := self._forced(groups, level)):
+                    for x in forced:
+                        s.assign(x)
+                    continue
+                tested = groups.tested
+                for agent in groups.agents:
+                    block = groups.blocks[agent]
+                    if not block.lits:
+                        continue
+                    key = frozenset(block.lits)
+                    ok = tested.get(key)
+                    if ok is None:
+                        ok = tested[key] = self._group_ok(block, groups, level)
+                    if not ok:
+                        break
+            if ok:
                 lit = s.choose()
                 if lit is None:
                     if self.trace:
@@ -311,38 +333,13 @@ class Decider:
             self.trace(level + 1, "satisfying literals", _literals(variables, units))
         return True
 
-    def _groups_ok(self, trail: list[int], groups: _Groups | None, level: int) -> bool:
-        """The group test for each agent's modal literals on the trail,
-        in agent order.  The blocks take in the literals assigned since
-        the last call; a backtrack has popped the others already.  An
-        agent's literal set fixes its cofactors, since every dependency
-        is one of its modal atoms, so each set is tested once: its
-        verdict is kept under the set itself, and a later block with the
-        same literals, in any order, reads it.  A failing group fails
-        under every extension, so it prunes.  A search with no modal
-        variable has no groups."""
-        if groups is None:
-            return True
-        groups.sync(trail)
-        tested = groups.tested
-        for agent in groups.agents:
-            block = groups.blocks[agent]
-            if not block.lits:
-                continue
-            key = frozenset(block.lits)
-            ok = tested.get(key)
-            if ok is None:
-                ok = tested[key] = self._group_ok(block, groups, level)
-            if not ok:
-                return False
-        return True
-
-    def _forced(self, s: _Trail, groups: _Groups, level: int) -> bool:
-        """DPLL(T)'s propagate step for only knowing's pairs: assign, as
-        implied literals, the dependencies of O_i a that the pair's
-        bounds decide, and say whether any was assigned.  It runs after
-        each unit propagation, before the group test, and takes in the
-        trail's new literals itself.  Such a dependency is an L_i psi,
+    def _forced(self, groups: _Groups, level: int) -> list[int]:
+        """DPLL(T)'s theory propagation for only knowing's pairs: the
+        dependencies of O_i a that the pair's bounds decide, as implied
+        literals, which _search assigns, in agent order; none when no
+        bound decides one.  It runs in each round after the blocks sync
+        with the trail, before the group test, and reads the trail's
+        values through groups.value.  Such a dependency is an L_i psi,
         psi objective for the agent.  Every completion's a lies between
         low and high, a's two cofactors (low entails a, a entails high),
         and X, the other positive L arguments, only grows.  Rule F: if
@@ -353,8 +350,7 @@ class Decider:
         tried only where the first does not fire.  A block with no open
         dependency of the pair costs a lookup; X's parts, the only ones
         that need the block's record, are read only for rule T."""
-        groups.sync(s.trail)
-        value, modal, deps = s.value, groups.modal, groups.deps
+        value, modal, deps = groups.value, groups.modal, groups.deps
         forced = []
         for agent in groups.agents:
             block = groups.blocks[agent]
@@ -379,9 +375,7 @@ class Decider:
                     forced.append(w if e else -w)
                     if self.trace:
                         self.trace(level + 1, f"agent {agent}: only knowing forces", modal[w] if e else Not(modal[w]))
-        for x in forced:
-            s.assign(x)
-        return bool(forced)
+        return forced
 
     def _entailed(
         self, agent: int, what: str, parts: Iterable[Formula], psis: Iterable[Formula], level: int
@@ -743,7 +737,9 @@ class _Groups:
                 self.watch.setdefault(w, []).append(v)
         self.blocks: dict[int, _Block] = {}
         self.agents: list[int] = []  # the blocks' agents, in order
-        self.tested: dict[frozenset[int], bool] = {}  # a block's literal set -> its verdict
+        # A block's literal set -> its verdict: the set fixes its cofactors, so
+        # a later block with the same literals, in any order, reads it.
+        self.tested: dict[frozenset[int], bool] = {}
         self.head = 0  # trail[:head] is in the blocks
 
     def argument(self, v: int, positive: bool) -> Formula:

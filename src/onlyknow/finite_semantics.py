@@ -97,6 +97,18 @@ class ExtendedSituation:
         return f"W_L={fmt(self.in_l)} W_N={fmt(self.in_n)} w={world_to_text(self.real, self.phi)}"
 
 
+def checked_alphabet(f: Formula, phi: Iterable[str], bound: int) -> tuple[str, ...]:
+    """The alphabet phi, sorted, once f is checked against it: no more
+    than bound atoms, and f V-free, of agent 1 alone and over the
+    alphabet.  The finite-alphabet entry points call it once, so that
+    each world is then evaluated unchecked, by truth."""
+    alphabet = tuple(sorted(set(phi)))
+    if len(alphabet) > bound:
+        raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
+    _check_formula(f, alphabet)
+    return alphabet
+
+
 def _check_formula(f: Formula, phi: tuple[str, ...]) -> None:
     if any(isinstance(g, Val) for g in nodes(f)):
         raise ValPresentError("finite semantics is defined for V-free formulas")
@@ -112,7 +124,7 @@ def evaluate(s: Situation, f: Formula) -> bool:
     """Truth at a situation: L over the set, N over its complement."""
     _check_formula(f, s.phi)
     universe = worlds_over(s.phi)
-    return _eval(s.possible, frozenset(universe) - s.possible, s.real, f)
+    return truth(s.possible, frozenset(universe) - s.possible, s.real, f)
 
 
 def evaluate_x(s: ExtendedSituation, f: Formula) -> bool:
@@ -120,10 +132,12 @@ def evaluate_x(s: ExtendedSituation, f: Formula) -> bool:
     _check_formula(f, s.phi)
     if s.in_l | s.in_n != frozenset(worlds_over(s.phi)):
         raise CoverageError("the two world sets must cover all assignments")
-    return _eval(s.in_l, s.in_n, s.real, f)
+    return truth(s.in_l, s.in_n, s.real, f)
 
 
-def _eval(in_l: frozenset[World], in_n: frozenset[World], w: World, f: Formula) -> bool:
+def truth(in_l: frozenset[World], in_n: frozenset[World], w: World, f: Formula) -> bool:
+    """Truth at world w, L over in_l and N over in_n, with f unchecked:
+    the caller has checked it, as checked_alphabet does."""
     if isinstance(f, Atom):
         return f.name in w
     if isinstance(f, TrueConst):
@@ -131,19 +145,19 @@ def _eval(in_l: frozenset[World], in_n: frozenset[World], w: World, f: Formula) 
     if isinstance(f, FalseConst):
         return False
     if isinstance(f, Not):
-        return not _eval(in_l, in_n, w, f.sub)
+        return not truth(in_l, in_n, w, f.sub)
     if isinstance(f, And):
-        return _eval(in_l, in_n, w, f.left) and _eval(in_l, in_n, w, f.right)
+        return truth(in_l, in_n, w, f.left) and truth(in_l, in_n, w, f.right)
     if isinstance(f, Or):
-        return _eval(in_l, in_n, w, f.left) or _eval(in_l, in_n, w, f.right)
+        return truth(in_l, in_n, w, f.left) or truth(in_l, in_n, w, f.right)
     if isinstance(f, Implies):
-        return (not _eval(in_l, in_n, w, f.left)) or _eval(in_l, in_n, w, f.right)
+        return (not truth(in_l, in_n, w, f.left)) or truth(in_l, in_n, w, f.right)
     if isinstance(f, Iff):
-        return _eval(in_l, in_n, w, f.left) == _eval(in_l, in_n, w, f.right)
+        return truth(in_l, in_n, w, f.left) == truth(in_l, in_n, w, f.right)
     if isinstance(f, L):
-        return all(_eval(in_l, in_n, v, f.sub) for v in in_l)
+        return all(truth(in_l, in_n, v, f.sub) for v in in_l)
     if isinstance(f, N):
-        return all(_eval(in_l, in_n, v, f.sub) for v in in_n)
+        return all(truth(in_l, in_n, v, f.sub) for v in in_n)
     raise FormulaError(f"unknown node {f!r}")
 
 
@@ -185,26 +199,23 @@ def oracle_valid(
     semantics 'levesque' enumerates complementary situations, 'extended'
     enumerates covering pairs of world sets.
     """
-    alphabet = tuple(sorted(set(phi)))
-    if len(alphabet) > bound:
-        raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
-    _check_formula(f, alphabet)  # once: each situation is then evaluated unchecked
+    alphabet = checked_alphabet(f, phi, bound)
     if semantics == "levesque":
         everything = frozenset(worlds_over(alphabet))
         for s in situations(alphabet):
-            if not _eval(s.possible, everything - s.possible, s.real, f):
+            if not truth(s.possible, everything - s.possible, s.real, f):
                 return OracleResult(False, s)
         return OracleResult(True)
     if semantics == "extended":
         for sx in extended_situations(alphabet):
-            if not _eval(sx.in_l, sx.in_n, sx.real, f):
+            if not truth(sx.in_l, sx.in_n, sx.real, f):
                 return OracleResult(False, sx)
         return OracleResult(True)
     raise FormulaError(f"unknown semantics {semantics!r}")
 
 
 def _prop_holds(w: World, f: Formula) -> bool:
-    return _eval(frozenset(), frozenset(), w, f)
+    return truth(frozenset(), frozenset(), w, f)
 
 
 def reduce_n_to_l(f: Formula, phi: Iterable[str], bound: int = 2) -> Formula:
@@ -215,10 +226,7 @@ def reduce_n_to_l(f: Formula, phi: Iterable[str], bound: int = 2) -> Formula:
     says over the alphabet: every world falsifying a is entertained,
     i.e. the conjunction of ``~L1 ~w`` over the worlds of ``~a``.
     """
-    alphabet = tuple(sorted(set(phi)))
-    if len(alphabet) > bound:
-        raise BoundExceededError(f"alphabet {alphabet} exceeds the bound {bound}")
-    _check_formula(f, alphabet)
+    alphabet = checked_alphabet(f, phi, bound)
 
     def step(g: Formula, h: Formula) -> Formula:
         return _n_expansion(g.sub, alphabet) if type(g) is N else fold(h)

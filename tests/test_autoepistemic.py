@@ -215,3 +215,25 @@ def test_a_default_theory_question_searches_few_formulas(monkeypatch):
         decider = Decider(trace=lambda *event: events.append(event))
         assert believes(1, parse(theory.kb, 2), parse(theory.no, 2), decider) is False
         assert sum(rule == "satisfiable?" for _, rule, _ in events) <= bound, theory.kb[:40]
+
+
+@pytest.mark.parametrize("entry", ["only_knowing_sets", "oracle_valid", "reduce_n_to_l"])
+def test_each_finite_alphabet_entry_point_checks_its_formula_once(monkeypatch, entry):
+    # The alphabet, the bound and the formula are checked once per call,
+    # and each world is then evaluated unchecked.
+    from onlyknow import finite_semantics
+
+    check, calls = finite_semantics._check_formula, []
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(finite_semantics, "_check_formula", counted)
+    run = {
+        "only_knowing_sets": only_knowing_sets,
+        "oracle_valid": finite_semantics.oracle_valid,
+        "reduce_n_to_l": finite_semantics.reduce_n_to_l,
+    }[entry]
+    run(parse("~L1 ~p -> q", 1), ("p", "q"))
+    assert len(calls) == 1

@@ -968,12 +968,14 @@ def _right(op, n):
     return functools.reduce(lambda right, i: op(Atom(f"p{i}"), right), range(n - 2, -1, -1), Atom(f"p{n - 1}"))
 
 
-def _alternating(n):
+def _alternating(n, searched=False):
     """q_n & ~L_a ~(q_(n-1) & ~L_b ~(... q_0)), agents 1 and 2 alternating:
-    each level is a literal set whose group subquery is the next one."""
+    each level is a literal set whose group subquery is the next one.
+    When searched, each q_k, k >= 1, is q_k | r_k, so each level is a search."""
     f = Atom("q0")
     for k in range(1, n + 1):
-        f = And(Atom(f"q{k}"), Not(L(1 + k % 2, Not(f))))
+        q = Or(Atom(f"q{k}"), Atom(f"r{k}")) if searched else Atom(f"q{k}")
+        f = And(q, Not(L(1 + k % 2, Not(f))))
     return f
 
 
@@ -1015,6 +1017,7 @@ _DEEP = [
         2,
     ),
     ("alternating-nesting", lambda: Decider().consistent(_alternating(160)).status, "satisfiable", 1),
+    ("searched-alternating-nesting", lambda: Decider().consistent(_alternating(175, searched=True)).status, "satisfiable", 1),
     ("parse-parens", lambda: parse("(" * 5000 + "p" + ")" * 5000), p, 1),
     ("parse-nested", lambda: parse(" & (".join(f"p{i}" for i in range(5000)) + ")" * 4999) is _right(And, 5000), True, 1),
     ("parse-implies", lambda: parse(" -> ".join(f"p{i}" for i in range(10_000))) is _right(Implies, 10_000), True, 1),

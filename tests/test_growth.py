@@ -18,7 +18,7 @@ def growth():
 @pytest.mark.parametrize(
     "family",
     ["believes", "believes-secret", "nf", "3cnf", "modal-cnf", "iff-chain", "and-chain", "nested-l", "nested-l-sat", "parse",
-     "chain", "nixon", "dag", "about", "alternating", "nested-l-or"],
+     "chain", "nixon", "dag", "about", "alternating", "alternating-search", "nested-l-or"],
 )
 def test_smallest_point_of_each_family_has_its_answer(growth, family):
     limit = sys.getrecursionlimit()
@@ -31,3 +31,11 @@ def test_smallest_point_of_each_family_has_its_answer(growth, family):
             assert answer is None or verdict == answer, (family, case, verdict)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("levels", range(1, 9))
+def test_searched_alternating_nesting_agrees_with_the_k45_prover(growth, levels):
+    # Below its sizes the family takes its answer from the prover.
+    (_, thunk, answer), = growth.points("alternating-search", levels)
+    assert answer is True
+    assert thunk() is answer
